@@ -7,9 +7,24 @@ ideals under pairwise sums; a principal ideal is the set of multiples of its
 generator, which over a product ring is the product of the per-coordinate
 multiple sets (multipliers range independently over each factor).  The sum
 of two such products is again computed coordinatewise, because sums also act
-independently per coordinate.  Maximal ideals are the maximal elements among
-proper ideals; primality of an ideal is checked by scanning complement pairs
-for a product falling inside.
+independently per coordinate.  Each coordinate part is an additive subgroup,
+so ``pa + y`` depends only on the coset of ``y``: a sumset adds the coset of
+every ``y`` not yet covered and skips the rest.  Sumsets are memoised per
+coordinate for the length of one closure.  Maximal ideals are the maximal
+elements among proper ideals.
+
+Primality reduces coordinatewise.  ``a*b`` lies in the ideal iff
+``a_i*b_i`` lies in the part ``I_i`` at every coordinate, and ``b`` lies
+outside it iff ``b_j`` lies outside ``I_j`` at some coordinate.  So a
+non-member ``a`` has a non-member partner ``b`` with ``a*b`` inside iff at
+some coordinate ``j`` some ``y`` outside ``I_j`` has ``a_j*y`` in ``I_j``
+(take ``b`` zero elsewhere).  ``is_prime_ideal`` scans the non-members for
+one that escapes like this.  Whether ``x`` escapes at coordinate ``j`` is
+memoised under ``gcd(x, n_j)``: ``x`` and the gcd generate the same ideal of
+``Z/n_j``, so ``x*y`` and ``gcd*y`` lie in the same ideals for every ``y``.
+
+numpy is imported only by ``exhaustive_prime_closure``, the vectorised
+all-pairs scan over a membership predicate that the tests use.
 """
 
 from __future__ import annotations
@@ -19,15 +34,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import BudgetExceeded, UnsupportedRing
 from .rings import ResidueRing
 
 DEFAULT_ORACLE_BUDGET = 10_000
-
-#: complement-pair scans switch to vectorized chunks above this ring size
-_PAIR_SCAN_PURE_LIMIT = 400
 
 
 @dataclass(frozen=True)
@@ -59,11 +69,23 @@ class OracleIdeal:
 
 
 def _orbit_tables(moduli):
-    # orbit[i][a] = set of multiples of a modulo moduli[i]
+    # orbit[i][a] = set of multiples of a modulo moduli[i]; equal sets share
+    # one object, so the sumset memo below hits on identity
     tables = []
     for n in moduli:
-        tables.append([frozenset((a * r) % n for r in range(n)) for a in range(n)])
+        canon = {}
+        tables.append([canon.setdefault(s, s) for s in
+                       (frozenset((a * r) % n for r in range(n)) for a in range(n))])
     return tables
+
+
+def _sumset(pa: frozenset, pb: frozenset, n: int) -> frozenset:
+    # pa is a subgroup, so pa + y is covered as soon as y is
+    out = set(pa)
+    for y in pb:
+        if y not in out:
+            out.update((x + y) % n for x in pa)
+    return frozenset(out)
 
 
 def all_ideals(moduli: Sequence[int], budget: int = DEFAULT_ORACLE_BUDGET) -> list:
@@ -82,13 +104,19 @@ def all_ideals(moduli: Sequence[int], budget: int = DEFAULT_ORACLE_BUDGET) -> li
         pool[parts] = OracleIdeal(moduli, parts)
     # close under pairwise sums: the sumset of per-coordinate subgroups is
     # the per-coordinate sumset
+    sums = [{} for _ in moduli]
     changed = True
     while changed:
         changed = False
         ideals = list(pool.values())
         for a, b in itertools.combinations(ideals, 2):
-            parts = tuple(frozenset((x + y) % n for x in pa for y in pb)
-                          for pa, pb, n in zip(a.parts, b.parts, moduli))
+            parts = []
+            for pa, pb, n, memo in zip(a.parts, b.parts, moduli, sums):
+                s = memo.get((pa, pb))
+                if s is None:
+                    s = memo[pa, pb] = memo[pb, pa] = _sumset(pa, pb, n)
+                parts.append(s)
+            parts = tuple(parts)
             if parts not in pool:
                 pool[parts] = OracleIdeal(moduli, parts)
                 changed = True
@@ -106,58 +134,26 @@ def maximal_ideals(ideals: Sequence[OracleIdeal]) -> list:
 
 
 def is_prime_ideal(ideal: OracleIdeal) -> bool:
-    """Definition-level primality: no two non-members multiply into the ideal."""
+    """Definition-level primality: no two non-members multiply into the
+    ideal, decided by the coordinatewise reduction in the module docstring."""
     if not ideal.is_proper:
         return False
-    moduli = ideal.moduli
-    size = math.prod(moduli)
-    complement = [e for e in itertools.product(*(range(n) for n in moduli))
-                  if e not in ideal]
-    if size <= _PAIR_SCAN_PURE_LIMIT:
-        for a in complement:
-            for b in complement:
-                prod = tuple((x * y) % n for x, y, n in zip(a, b, moduli))
-                if prod in ideal:
-                    return False
-        return True
-    # vectorized scan over encoded complements
-    comp = np.array([_encode(e, moduli) for e in complement], dtype=np.int64)
-    member = _membership_mask(ideal)
-    digits = _digit_arrays(comp, moduli)
-    for a in complement:
-        prod_code = np.zeros(len(comp), dtype=np.int64)
-        stride = 1
-        for i, n in enumerate(moduli):
-            prod_code += ((a[i] * digits[i]) % n) * stride
-            stride *= n
-        if member[prod_code].any():
+    moduli, parts = ideal.moduli, ideal.parts
+    escapes = [{} for _ in moduli]  # per coordinate: gcd(x, n) -> bool
+
+    def escape(j, x):
+        n, part, memo = moduli[j], parts[j], escapes[j]
+        g = math.gcd(x, n)
+        hit = memo.get(g)
+        if hit is None:
+            hit = memo[g] = any((g * y) % n in part
+                                for y in range(n) if y not in part)
+        return hit
+
+    for a in itertools.product(*(range(n) for n in moduli)):
+        if a not in ideal and any(escape(j, x) for j, x in enumerate(a)):
             return False
     return True
-
-
-def _encode(elem, moduli) -> int:
-    code, stride = 0, 1
-    for e, n in zip(elem, moduli):
-        code += e * stride
-        stride *= n
-    return code
-
-
-def _digit_arrays(codes: np.ndarray, moduli):
-    out = []
-    rest = codes.copy()
-    for n in moduli:
-        out.append(rest % n)
-        rest //= n
-    return out
-
-
-def _membership_mask(ideal: OracleIdeal) -> np.ndarray:
-    size = math.prod(ideal.moduli)
-    mask = np.zeros(size, dtype=bool)
-    for elem in ideal.elements():
-        mask[_encode(elem, ideal.moduli)] = True
-    return mask
 
 
 def exhaustive_prime_closure(moduli: Sequence[int], member) -> tuple:
@@ -168,10 +164,15 @@ def exhaustive_prime_closure(moduli: Sequence[int], member) -> tuple:
     Used to verify primality claims of descriptor-backed ideals on finite
     rings, independently of how the descriptor decides membership.
     """
+    import numpy as np
+
     moduli = tuple(int(n) for n in moduli)
     size = math.prod(moduli)
     codes = np.arange(size, dtype=np.int64)
-    digits = _digit_arrays(codes, moduli)
+    digits, rest = [], codes
+    for n in moduli:
+        digits.append(rest % n)
+        rest = rest // n
     member_mask = np.zeros(size, dtype=bool)
     for code in range(size):
         elem = tuple(int(d[code]) for d in digits)
@@ -235,15 +236,15 @@ def oracle_run(components, budget: int = DEFAULT_ORACLE_BUDGET,
 def descriptor_elements(ideal) -> frozenset:
     """Materialize a descriptor-backed ideal of a finite residue product as
     an element set, for comparison against oracle output."""
-    from .products import ideal_member
+    from .products import ProductElement, ideal_member
     product = ideal.product
-    moduli = []
+    coords = []
     for ring in product.components:
         if not isinstance(ring, ResidueRing):
             raise UnsupportedRing("finite residue products only")
-        moduli.append(ring.modulus)
+        coords.append([ring.element(v) for v in range(ring.modulus)])
     out = []
-    for elem in itertools.product(*(range(n) for n in moduli)):
-        if ideal_member(ideal, product.element(list(elem))):
-            out.append(elem)
+    for entries in itertools.product(*coords):
+        if ideal_member(ideal, ProductElement(product, entries)):
+            out.append(tuple(e.raw for e in entries))
     return frozenset(out)

@@ -85,6 +85,13 @@ def _decode_int(obj, where):
     return obj
 
 
+def _decode_positive_int(obj, where):
+    value = _decode_int(obj, where)
+    if value <= 0:
+        raise ValidationError(where, "must be positive")
+    return value
+
+
 def decode_ring_element(ring: RingHandle, obj, where="element") -> RingElement:
     try:
         if isinstance(ring, PolynomialRing):
@@ -291,10 +298,7 @@ class Options:
         opts = cls()
         for key in ("bound", "n_max", "factor_budget", "oracle_budget"):
             if key in obj:
-                value = _decode_int(obj[key], f"options.{key}")
-                if value <= 0:
-                    raise ValidationError(f"options.{key}", "must be positive")
-                setattr(opts, key, value)
+                setattr(opts, key, _decode_positive_int(obj[key], f"options.{key}"))
         if obj.get("log_base") is not None:
             opts.log_base = _decode_int(obj["log_base"], "options.log_base")
         return opts
@@ -403,6 +407,15 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _ring_at(scn: Scenario, query: dict, where):
+    idx = _decode_int(query.get("ring", 0), f"{where}.ring")
+    if not 0 <= idx < len(scn.rings):
+        raise ValidationError(f"{where}.ring",
+                              f"ring index {idx} out of range "
+                              f"({len(scn.rings)} rings declared)")
+    return scn.rings[idx]
+
+
 def execute_query(scn: Scenario, query: dict, index: int) -> dict:
     kind = query["query"]
     where = f"queries[{index}]"
@@ -426,7 +439,9 @@ def execute_query(scn: Scenario, query: dict, index: int) -> dict:
         return decode_value_vector(product.shape, obj, where)
 
     if kind == "maxideals":
-        bound = query.get("bound", scn.options.bound)
+        bound = scn.options.bound
+        if "bound" in query:
+            bound = _decode_positive_int(query["bound"], f"{where}.bound")
         accepted, rejected = [], []
         for u in boolalg.enumerate_ultrafilters(product.shape, bound):
             verdict = products.is_maximal(products.UltrafilterIdeal(product, u))
@@ -453,8 +468,7 @@ def execute_query(scn: Scenario, query: dict, index: int) -> dict:
         return rec
 
     if kind == "check-plus":
-        ring_idx = _decode_int(query.get("ring", 0), where)
-        ring = scn.rings[ring_idx]
+        ring = _ring_at(scn, query, where)
         r = decode_ring_element(ring, query.get("r"), where)
         a = decode_ring_element(ring, query.get("a"), where)
         w = properties.plus_witness(ring, r, a, scn.options.factor_budget)
@@ -467,8 +481,7 @@ def execute_query(scn: Scenario, query: dict, index: int) -> dict:
         return rec
 
     if kind == "check-plusplus":
-        ring_idx = _decode_int(query.get("ring", 0), where)
-        ring = scn.rings[ring_idx]
+        ring = _ring_at(scn, query, where)
         verdict = properties.plusplus_check(ring)
         rec["provenance"] = verdict.rule
         if not verdict.holds:

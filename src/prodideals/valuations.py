@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import mpmath
-
 from .boolalg import UltrafilterDescriptor
 from .errors import (
     InconsistentInput,
@@ -281,6 +279,8 @@ def floor_div_log(n: int, base: int = None):
         if cn == cb:
             # log_base(n) = en/eb exactly
             return (n * eb) // en
+    import mpmath  # lazily: only the interpolation path needs it
+
     prec = max(n.bit_length() + 64, 128)
     while True:
         saved = mpmath.iv.prec

@@ -32,7 +32,7 @@ class TestAllIdeals:
     def test_counts_match_divisor_structure(self):
         # the ideal lattice of a residue product is the product of divisor
         # lattices; the closure must find exactly that many sets
-        for moduli in ((12,), (4, 9), (6, 10), (8, 3, 5)):
+        for moduli in ((12,), (4, 9), (6, 10), (8, 3, 5), (360,), (4, 9, 25)):
             found = all_ideals(moduli)
             expected = math.prod(divisor_count(n) for n in moduli)
             assert len(found) == expected
@@ -79,7 +79,10 @@ class TestMaximalAndPrime:
         assert kernel in rep.primes
 
     def test_prime_marking_matches_definition(self):
-        for moduli in ((12,), (4, 9), (2, 8)):
+        # literal all-pairs reference; (21, 22) has 462 elements and (360,)
+        # has 24 divisors
+        for moduli in ((12,), (4, 9), (2, 8), (2, 3, 4), (3, 4, 5), (2, 2, 6),
+                       (21, 22), (360,)):
             ideals = all_ideals(moduli)
             for ideal in ideals:
                 claimed = is_prime_ideal(ideal)
@@ -91,9 +94,9 @@ class TestMaximalAndPrime:
                     for a in complement for b in complement)
                 assert claimed == direct
 
-    def test_prime_marking_vectorized_branch(self):
-        # 825 elements: above the pure-scan cutoff; by hand the primes of
-        # Z/25 x Z/33 are the pullbacks of (5), (3) and (11)
+    def test_primes_of_z25_z33(self):
+        # by hand the primes of Z/25 x Z/33 are the pullbacks of (5), (3)
+        # and (11)
         rep = oracle_run([25, 33])
         assert rep.ideal_count == 3 * 4
         assert len(rep.maximal) == 3

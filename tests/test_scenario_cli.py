@@ -1,10 +1,14 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import prodideals
 from prodideals.cli import INFINITE_INDEX_MESSAGE, main, parse_ring_token
 from prodideals.errors import ParseError, ValidationError
 from prodideals.scenario import (
@@ -36,6 +40,18 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_import_loads_no_numpy_or_mpmath():
+    # numpy serves only the test-side closure scan and mpmath only
+    # interpolation; every CLI process would pay their import otherwise
+    src = str(pathlib.Path(prodideals.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, prodideals.cli; "
+            "print(sorted(m for m in ('numpy', 'mpmath') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestParsing:
@@ -186,6 +202,25 @@ class TestCli:
                     "element": [0, 1]},
              "expect": False}])))
         assert run_cli(["run", str(failing)])[0] == 2
+
+    @pytest.mark.parametrize("query, field", [
+        ({"query": "maxideals", "bound": "big"}, "queries[0].bound"),
+        ({"query": "maxideals", "bound": -5}, "queries[0].bound"),
+        ({"query": "maxideals", "bound": 0}, "queries[0].bound"),
+        ({"query": "maxideals", "bound": True}, "queries[0].bound"),
+        ({"query": "check-plus", "ring": 5, "r": 2, "a": 6}, "queries[0].ring"),
+        ({"query": "check-plus", "ring": -1, "r": 2, "a": 6}, "queries[0].ring"),
+        ({"query": "check-plusplus", "ring": 5}, "queries[0].ring"),
+        ({"query": "check-plusplus", "ring": "x"}, "queries[0].ring"),
+    ])
+    def test_bad_query_field_is_located(self, tmp_path, query, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(minimal_scenario(
+            rings=[{"kind": "integers"}, {"kind": "residue", "n": 12}],
+            product=[0, 1], queries=[query])))
+        code, out, err = run_cli(["run", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {field}:")
 
     def test_missing_file(self):
         code, _, err = run_cli(["run", "/nonexistent/scenario.json"])
