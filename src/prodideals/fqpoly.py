@@ -5,19 +5,26 @@ code is the base-p digit vector of a polynomial in a generator y, reduced
 modulo a fixed monic irreducible of degree k over F_p (the first one in
 base-p code order, so the encoding is deterministic).
 
+The field operations are lookup tables for q <= 256, which the polynomial
+loops index directly.
+
 Polynomials over F_q are tuples of element codes in ascending degree with no
-trailing zeros; () is the zero polynomial.  Factorization is deterministic
-trial division: divisors are tried in (degree, code) order, so every divisor
-found is automatically irreducible, exactly as in integer trial division.
+trailing zeros; () is the zero polynomial.  Everything is deterministic and
+exact.  Factorization is distinct-degree factorization (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, ch. 14) driven by the Frobenius map
+h -> h**q, with several factors of one degree split by trial division in
+code order; irreducibility is Rabin's test (Rabin 1980); the irreducibles up
+to a degree come from a product sieve.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .errors import FactorizationBudgetExceeded
 
-#: Cap on q**d when scanning trial divisors of degree d.
+#: Cap on q**d while a degree-d factor may still need trial division.
 DEFAULT_POLY_BUDGET = 1 << 16
 
 
@@ -54,56 +61,6 @@ def prime_power(q: int):
     return None
 
 
-# ---------------------------------------------------------------------------
-# F_p[y] helpers used only to build the field tables for q = p**k, k > 1.
-
-def _fp_trim(t):
-    t = list(t)
-    while t and t[-1] == 0:
-        t.pop()
-    return tuple(t)
-
-
-def _fp_mul(p, f, g):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _fp_trim(out)
-
-
-def _fp_mod(p, f, g):
-    f = list(f)
-    dg = len(g) - 1
-    inv_lead = pow(g[-1], -1, p)
-    while len(f) - 1 >= dg and f:
-        if f[-1] == 0:
-            f.pop()
-            continue
-        c = (f[-1] * inv_lead) % p
-        shift = len(f) - 1 - dg
-        for j, b in enumerate(g):
-            f[shift + j] = (f[shift + j] - c * b) % p
-        while f and f[-1] == 0:
-            f.pop()
-    return tuple(f)
-
-
-def _fp_irreducible(p, f):
-    d = len(f) - 1
-    if d < 1:
-        return False
-    for dd in range(1, d // 2 + 1):
-        for code in range(p**dd):
-            g = _digits(code, p, dd) + (1,)
-            if not _fp_mod(p, f, g):
-                return False
-    return True
-
-
 def _digits(code: int, base: int, length: int):
     out = []
     for _ in range(length):
@@ -119,8 +76,26 @@ def _undigits(t, base: int) -> int:
     return out
 
 
+class _Computed:
+    """Stands in for a lookup table too large to build: ``t[a]`` is ``fn(a)``."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, a):
+        return self.fn(a)
+
+
 class GF:
-    """The field with q elements; element codes are ints in range(q)."""
+    """The field with q elements; element codes are ints in range(q).
+
+    For q <= 256 the operations are lookup tables: ``_add_table[a][b]``,
+    ``_sub_table``, ``_mul_table`` and the 1-D ``_neg_table`` and
+    ``_inv_table``.  Above that the same names compute each entry on demand,
+    so the polynomial loops index them the same way for every q.
+    """
 
     def __init__(self, q: int):
         pk = prime_power(q)
@@ -132,67 +107,101 @@ class GF:
             self.modulus = None
         else:
             self.modulus = self._find_modulus()
-        self._mul_table = None
-        self._inv_table = None
         if q <= 256:
             self._build_tables()
+        else:
+            def rows(op):
+                return _Computed(lambda a: _Computed(functools.partial(op, a)))
+            self._add_table = rows(self._add_slow)
+            self._sub_table = rows(lambda a, b: self._add_slow(a, self._neg_slow(b)))
+            self._mul_table = rows(self._mul_slow)
+            self._neg_table = _Computed(self._neg_slow)
+            self._inv_table = _Computed(self._inv_slow)
 
     def _find_modulus(self):
         p, k = self.p, self.k
+        Fp = field(p)
         for code in range(p**k):
             cand = _digits(code, p, k) + (1,)
-            if _fp_irreducible(p, cand):
+            if is_irreducible(Fp, cand):
                 return cand
         raise AssertionError("no irreducible modulus found")
 
     def _build_tables(self):
-        q = self.q
-        self._mul_table = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        inv = [0] * q
+        # Codes add digit-wise mod p: code = low digit + p * (higher digits),
+        # so row a follows from row a // p, which is built before it.
+        q, p = self.q, self.p
+        codes = range(q)
+        add = [list(codes)]
+        neg = [0]
         for a in range(1, q):
-            row = self._mul_table[a]
-            inv[a] = row.index(1)
-        self._inv_table = inv
+            hi, lo = add[a // p], a % p
+            add.append([(lo + b % p) % p + p * hi[b // p] for b in codes])
+            neg.append((-lo) % p + p * neg[a // p])
+        self._add_table = add
+        self._neg_table = neg
+        self._sub_table = [[row[n] for n in neg] for row in add]
+        self._mul_table = [self._mul_row(a) for a in codes]
+        self._inv_table = [0] + [row.index(1) for row in self._mul_table[1:]]
+
+    def _mul_row(self, a: int):
+        """Row a of the multiplication table, from the k products a*y^i.
+
+        A code b >= p^i with top digit t at position i is r + t*p^i with
+        r < p^i, so a*b = a*r + t*(a*y^i) reuses the entry for r.
+        """
+        add, p = self._add_table, self.p
+        row = [0]
+        a_yi = a
+        for _ in range(self.k):
+            multiple = a_yi
+            size = len(row)
+            for _t in range(1, p):
+                row.extend([add[row[r]][multiple] for r in range(size)])
+                multiple = add[multiple][a_yi]
+            a_yi = self._mul_slow(a_yi, p)  # the code p is y
+        return row
 
     # -- raw ops on codes ---------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        da, db = _digits(a, self.p, self.k), _digits(b, self.p, self.k)
-        return _undigits(tuple((x + y) % self.p for x, y in zip(da, db)), self.p)
+    def _add_slow(self, a: int, b: int) -> int:
+        p, k = self.p, self.k
+        return _undigits([(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p)
 
-    def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return _undigits(tuple((-x) % self.p for x in _digits(a, self.p, self.k)), self.p)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+    def _neg_slow(self, a: int) -> int:
+        p = self.p
+        return _undigits([(-x) % p for x in _digits(a, p, self.k)], p)
 
     def _mul_slow(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        fa = _fp_trim(_digits(a, self.p, self.k))
-        fb = _fp_trim(_digits(b, self.p, self.k))
-        prod = _fp_mod(self.p, _fp_mul(self.p, fa, fb), self.modulus)
-        return _undigits(prod + (0,) * (self.k - len(prod)), self.p)
+        p, k = self.p, self.k
+        if k == 1:
+            return (a * b) % p
+        Fp = field(p)
+        prod = pmul(Fp, trim(_digits(a, p, k)), trim(_digits(b, p, k)))
+        return _undigits(pmod(Fp, prod, self.modulus), p)
+
+    def _inv_slow(self, a: int) -> int:
+        for b in range(1, self.q):
+            if self._mul_slow(a, b) == 1:
+                return b
+        raise AssertionError("inverse not found")
+
+    def add(self, a: int, b: int) -> int:
+        return self._add_table[a][b]
+
+    def neg(self, a: int) -> int:
+        return self._neg_table[a]
+
+    def sub(self, a: int, b: int) -> int:
+        return self._sub_table[a][b]
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_slow(a, b)
+        return self._mul_table[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        # scan is fine for the rare large-q case
-        for b in range(1, self.q):
-            if self.mul(a, b) == 1:
-                return b
-        raise AssertionError("inverse not found")
+        return self._inv_table[a]
 
 
 @functools.lru_cache(maxsize=None)
@@ -218,11 +227,13 @@ def padd(K: GF, f, g):
     n = max(len(f), len(g))
     f = f + (0,) * (n - len(f))
     g = g + (0,) * (n - len(g))
-    return trim(K.add(a, b) for a, b in zip(f, g))
+    add = K._add_table
+    return trim([add[a][b] for a, b in zip(f, g)])
 
 
 def pneg(K: GF, f):
-    return tuple(K.neg(a) for a in f)
+    neg = K._neg_table
+    return tuple(neg[a] for a in f)
 
 
 def psub(K: GF, f, g):
@@ -232,39 +243,40 @@ def psub(K: GF, f, g):
 def pscale(K: GF, c: int, f):
     if c == 0:
         return ()
-    return trim(K.mul(c, a) for a in f)
+    row = K._mul_table[c]
+    return trim([row[a] for a in f])
 
 
 def pmul(K: GF, f, g):
     if not f or not g:
         return ()
+    add, mul = K._add_table, K._mul_table
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                out[i + j] = K.add(out[i + j], K.mul(a, b))
+            row = mul[a]
+            for j, b in enumerate(g, i):
+                out[j] = add[out[j]][row[b]]
     return trim(out)
 
 
 def pdivmod(K: GF, f, g):
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
+    sub, mul = K._sub_table, K._mul_table
     f = list(f)
     dg = deg(g)
-    inv_lead = K.inv(g[-1])
+    by_inv_lead = mul[K.inv(g[-1])]
+    low = g[:dg]
     quot = [0] * max(len(f) - dg, 0)
-    while len(f) - 1 >= dg and f:
-        if f[-1] == 0:
-            f.pop()
-            continue
-        c = K.mul(f[-1], inv_lead)
-        shift = len(f) - 1 - dg
-        quot[shift] = c
-        for j, b in enumerate(g):
-            f[shift + j] = K.sub(f[shift + j], K.mul(c, b))
-        while f and f[-1] == 0:
-            f.pop()
-    return trim(quot), tuple(f)
+    for shift in range(len(f) - 1 - dg, -1, -1):
+        c = by_inv_lead[f[shift + dg]]
+        if c:
+            quot[shift] = c
+            row = mul[c]
+            for j, b in enumerate(low, shift):
+                f[j] = sub[f[j]][row[b]]
+    return trim(quot), trim(f[:dg])
 
 
 def pmod(K: GF, f, g):
@@ -317,71 +329,146 @@ def ppow(K: GF, f, e: int):
     return out
 
 
-def monic_by_code(K: GF, d: int, code: int):
-    """The monic polynomial of degree d whose lower coefficients encode code."""
-    return _digits(code, K.q, d) + (1,)
-
-
 def all_monic(K: GF, d: int):
-    for code in range(K.q**d):
-        yield monic_by_code(K, d, code)
+    """Every monic polynomial of degree d, in code order."""
+    for high_first in itertools.product(range(K.q), repeat=d):
+        yield high_first[::-1] + (1,)
+
+
+def _frobenius_rows(K: GF, f):
+    """The residues x^(i*q) mod f for i < deg(f), f monic of degree >= 1.
+
+    Since c**q == c for every c in F_q, (sum h_i x^i)**q = sum h_i x^(i*q),
+    so h**q mod f is the combination of these rows with h's coefficients.
+    They are read off the walk x^j mod f, one multiplication by x per step.
+    """
+    n, q = deg(f), K.q
+    sub, mul = K._sub_table, K._mul_table
+    low = f[:n]
+    t = [1] + [0] * (n - 1)
+    rows = [trim(t)]
+    for j in range(1, (n - 1) * q + 1):
+        top = t.pop()
+        t.insert(0, 0)
+        if top:
+            row = mul[top]
+            for i, b in enumerate(low):
+                t[i] = sub[t[i]][row[b]]
+        if j % q == 0:
+            rows.append(trim(t))
+    return rows
+
+
+def _frobenius(K: GF, h, rows):
+    """h**q mod f, for h reduced mod f and ``rows = _frobenius_rows(K, f)``."""
+    add, mul = K._add_table, K._mul_table
+    out = [0] * len(rows)
+    for c, r in zip(h, rows):
+        if c:
+            row = mul[c]
+            for i, b in enumerate(r):
+                out[i] = add[out[i]][row[b]]
+    return trim(out)
+
+
+def _split_equal_degree(K: GF, g, d: int):
+    """The factors of g, a product of distinct monic irreducibles of degree d.
+
+    Every monic degree-d divisor of g is one of them, so trial division in
+    code order finds them in (degree, code) order.
+    """
+    out = []
+    for m in all_monic(K, d):
+        if deg(g) == d:
+            break
+        quot, r = pdivmod(K, g, m)
+        if not r:
+            out.append(m)
+            g = quot
+    out.append(g)
+    return out
 
 
 def factor_monic(K: GF, f, budget: int = DEFAULT_POLY_BUDGET):
     """Factor a monic polynomial into monic irreducibles with multiplicity.
 
     Returns a list of (irreducible, exponent) sorted by (degree, code order).
-    Trial divisors are scanned in ascending (degree, code) order; a cap of
-    ``budget`` candidates per degree guards against oversized inputs.
+    Distinct-degree factorisation: at degree d, with every factor of lower
+    degree divided out of ``rest``, gcd(rest, x^(q^d) - x) is the product of
+    the distinct degree-d irreducible factors, split by trial division when
+    there are several.  While 2d <= deg(rest), a degree-d factor is still
+    possible, and q**d above ``budget`` raises, as a scan of every degree-d
+    trial divisor would.
     """
     assert f and f[-1] == 1
+    x = (0, 1)
     factors = []
+    rest, h, rows = f, x, None
     d = 1
-    while 2 * d <= deg(f):
+    while 2 * d <= deg(rest):
         if K.q**d > budget:
             raise FactorizationBudgetExceeded(
                 f"degree-{d} divisor scan needs {K.q**d} candidates (budget {budget})")
-        for g in all_monic(K, d):
-            e = 0
-            while True:
-                q, r = pdivmod(K, f, g)
-                if r:
-                    break
-                f = q
-                e += 1
-            if e:
-                factors.append((g, e))
-            if 2 * d > deg(f):
-                break
+        if rows is None:
+            rows = _frobenius_rows(K, rest)
+            h = pmod(K, h, rest)
+        h = _frobenius(K, h, rows)  # x^(q^d) mod rest
+        g = pgcd(K, rest, psub(K, h, x))
+        if deg(g) > 0:
+            for p in _split_equal_degree(K, g, d):
+                e = 0
+                while True:
+                    quot, r = pdivmod(K, rest, p)
+                    if r:
+                        break
+                    rest = quot
+                    e += 1
+                factors.append((p, e))
+            rows = None
         d += 1
-    if deg(f) >= 1:
-        factors.append((f, 1))
+    if deg(rest) >= 1:
+        factors.append((rest, 1))
     factors.sort(key=lambda pair: (deg(pair[0]), _undigits(pair[0][:-1], K.q)))
     return factors
 
 
 def is_irreducible(K: GF, f) -> bool:
-    if deg(f) < 1:
+    """Rabin's test: f of degree n is irreducible iff x^(q^n) = x mod f and
+    gcd(f, x^(q^(n/r)) - x) = 1 for every prime r dividing n."""
+    n = deg(f)
+    if n < 1:
         return False
+    if n == 1:
+        return True
     _, f = monic(K, f)
-    for d in range(1, deg(f) // 2 + 1):
-        for g in all_monic(K, d):
-            if not pmod(K, f, g):
-                return False
-    return True
+    x = (0, 1)
+    rows = _frobenius_rows(K, f)
+    h = x
+    for j in range(1, n):
+        h = _frobenius(K, h, rows)  # x^(q^j) mod f
+        if n % j == 0 and is_prime_int(n // j) and deg(pgcd(K, f, psub(K, h, x))) > 0:
+            return False
+    return _frobenius(K, h, rows) == x
 
 
 def irreducibles_up_to(K: GF, max_deg: int):
     """All monic irreducibles of degree <= max_deg in (degree, code) order.
 
-    Earlier irreducibles are reused as the trial divisors, so the scan
-    mirrors a prime sieve.
+    A product sieve: the reducible monics of degree d are exactly the
+    products h*g with h irreducible of degree e <= d/2 and g monic of
+    degree d - e; every code not so marked is irreducible.
     """
+    q = K.q
     found = []
     for d in range(1, max_deg + 1):
-        for g in all_monic(K, d):
-            if all(pmod(K, g, h) for h in found if 2 * deg(h) <= d):
-                found.append(g)
+        reducible = bytearray(q**d)
+        for h in found:
+            e = deg(h)
+            if 2 * e > d:
+                break
+            for g in all_monic(K, d - e):
+                reducible[_undigits(pmul(K, h, g)[:-1], q)] = 1
+        found.extend(g for g, marked in zip(all_monic(K, d), reducible) if not marked)
     return found
 
 

@@ -15,13 +15,15 @@ Subsets of a maximal spectrum are carried as ``FinCofSet`` values: an explicit
 finite set, or the complement of one.  For rings with finite spectrum the
 cofinite form normalizes away, so equality of sets is equality of values.
 
-Integer factorization is deterministic trial division capped by a budget;
-polynomial factorization mirrors it degree by degree.
+Integer factorization is deterministic trial division capped by a budget,
+and the primes up to a bound come from a Sieve of Eratosthenes.  Polynomial
+factorization and irreducible enumeration live in ``fqpoly``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -412,8 +414,16 @@ class IntegerRing(RingHandle):
         return MaxIdealId(self, generator)
 
     def maximal_ideals_up_to(self, bound: int):
-        return tuple(MaxIdealId(self, p) for p in range(2, bound + 1)
-                     if fqpoly.is_prime_int(p))
+        """The ideals (p) for the primes p <= bound, by a Sieve of Eratosthenes."""
+        if bound < 2:
+            return ()
+        sieve = bytearray([1]) * (bound + 1)
+        sieve[0] = sieve[1] = 0
+        for p in range(2, math.isqrt(bound) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
+        return tuple(MaxIdealId(self, p)
+                     for p in itertools.compress(range(bound + 1), sieve))
 
     def nonzero_nonunit(self):
         return self.element(2)

@@ -188,7 +188,10 @@ def decode_value_vector(shape, obj, where="value_vector") -> valuations.ValueVec
     if len(defaults) != len(shape):
         raise ValidationError(where, "one default per coordinate required")
     exceptions = []
-    for rec in obj.get("exceptions", ()):
+    for j, rec in enumerate(obj.get("exceptions", ())):
+        if not isinstance(rec, dict) or not {"coord", "ideal", "value"} <= rec.keys():
+            raise ValidationError(f"{where}.exceptions[{j}]",
+                                  "need \"coord\", \"ideal\" and \"value\"")
         coord = _decode_int(rec["coord"], where)
         if not 0 <= coord < len(shape):
             raise ValidationError(where, f"coordinate {coord} out of range")
@@ -436,7 +439,7 @@ def execute_query(scn: Scenario, query: dict, index: int) -> dict:
         obj = query.get(key)
         if isinstance(obj, str):
             return _resolve(objects, obj, where)
-        return decode_value_vector(product.shape, obj, where)
+        return decode_value_vector(product.shape, obj, f"{where}.{key}")
 
     if kind == "maxideals":
         bound = scn.options.bound
@@ -542,7 +545,9 @@ def execute_query(scn: Scenario, query: dict, index: int) -> dict:
 
     if kind == "interpolate":
         branch = query.get("branch", "W")
-        n_max = query.get("n_max", scn.options.n_max)
+        n_max = scn.options.n_max
+        if "n_max" in query:
+            n_max = _decode_positive_int(query["n_max"], f"{where}.n_max")
         if "doubling" in query:
             count = _decode_int(query["doubling"], where)
             sample = valuations.PrefixSample(
@@ -551,6 +556,10 @@ def execute_query(scn: Scenario, query: dict, index: int) -> dict:
                 tuple(2**i for i in range(1, count + 1)))
         else:
             raw = query.get("sample", {})
+            if not isinstance(raw, dict) or not all(
+                    isinstance(raw.get(key, ()), (list, tuple)) for key in "ghn"):
+                raise ValidationError(f"{where}.sample",
+                                      "expected {\"g\": [...], \"h\": [...], \"n\": [...]}")
             sample = valuations.PrefixSample(
                 tuple(decode_value(v, where) for v in raw.get("g", ())),
                 tuple(decode_value(v, where) for v in raw.get("h", ())),

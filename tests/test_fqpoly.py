@@ -63,6 +63,24 @@ def test_field_axioms_larger_prime_powers(q):
         assert K.mul(K.mul(a, b), c) == K.mul(a, K.mul(b, c))
 
 
+@pytest.mark.parametrize("q", [257, 512])
+def test_field_above_table_size(q):
+    # no tables are built above q = 256; every entry is computed on demand
+    K = field(q)
+    rng = random.Random(q)
+    for i in range(200):
+        a, b, c = (rng.randrange(q) for _ in range(3))
+        assert K.sub(K.add(a, b), b) == a == K.neg(K.neg(a))
+        assert K.mul(a, K.add(b, c)) == K.add(K.mul(a, b), K.mul(a, c))
+        if a and i < 10:
+            assert K.mul(a, K.inv(a)) == 1
+    f = pmul(K, (rng.randrange(q), 1), (rng.randrange(q), rng.randrange(q), 1))
+    product = (1,)
+    for g, e in factor_monic(K, f):
+        product = pmul(K, product, ppow(K, g, e))
+    assert product == f
+
+
 def test_divmod_roundtrip():
     rng = random.Random("divmod")
     for q in (2, 3, 4):
@@ -141,6 +159,73 @@ def test_factor_budget():
     f = tuple([1, 0, 0, 1] + [0] * 27 + [1])  # x^31 + x^3 + 1: no small factors
     with pytest.raises(FactorizationBudgetExceeded):
         factor_monic(K, f, budget=2**8)
+
+
+def test_factor_budget_raises_where_the_divisor_scan_would():
+    K = field(2)
+    degree9 = [g for g in irreducibles_up_to(K, 9) if deg(g) == 9]
+    with pytest.raises(FactorizationBudgetExceeded, match="degree-9"):
+        factor_monic(K, pmul(K, degree9[0], degree9[1]), budget=2**8)
+    x17_x1 = pmul(K, ppow(K, (0, 1), 17), (1, 1))
+    assert factor_monic(K, x17_x1, budget=2**8) == [((0, 1), 17), ((1, 1), 1)]
+
+
+def test_rabin_accepts_large_irreducible():
+    K = field(2)
+    assert is_irreducible(K, (1, 0, 0, 1) + (0,) * 27 + (1,))  # x^31 + x^3 + 1
+    assert not is_irreducible(K, (1, 0, 0, 1) + (0,) * 26 + (1,))  # x^30 + x^3 + 1
+
+
+def _reference_factor(K, f, small_irreducibles):
+    """(irreducible, exponent) pairs of monic f by trial division over the
+    irreducibles of degree <= deg(f)/2, in (degree, code) order."""
+    out = []
+    for g in small_irreducibles:
+        if 2 * deg(g) > deg(f):
+            break
+        e = 0
+        while True:
+            quot, rem = pdivmod(K, f, g)
+            if rem:
+                break
+            f, e = quot, e + 1
+        if e:
+            out.append((g, e))
+    if deg(f) >= 1:
+        out.append((f, 1))
+    return out
+
+
+@pytest.mark.parametrize("q,max_deg", [(2, 6), (3, 6), (4, 6), (5, 4), (7, 4), (8, 4), (9, 4)])
+def test_factor_and_rabin_match_trial_division(q, max_deg):
+    K = field(q)
+    small = []  # irreducibles of degree <= max_deg // 2, found by trial division
+    for d in range(0, max_deg + 1):
+        for f in all_monic(K, d):
+            want = _reference_factor(K, f, small)
+            assert factor_monic(K, f) == want
+            irreducible = want == [(f, 1)]
+            assert is_irreducible(K, f) == irreducible
+            if irreducible and 2 * d <= max_deg:
+                small.append(f)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_irreducible_counts_match_gauss(q):
+    K = field(q)
+    max_deg = max(d for d in range(1, 9) if q**d <= 2**16)
+    counts = [0] * (max_deg + 1)
+    for f in irreducibles_up_to(K, max_deg):
+        counts[deg(f)] += 1
+    assert counts[1:] == [_necklace_count(q, n) for n in range(1, max_deg + 1)]
+
+
+def test_field_moduli_pinned():
+    # The first irreducible in base-p code order; element codes depend on it.
+    moduli = {4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1),
+              25: (2, 0, 1), 27: (1, 2, 0, 1), 49: (1, 0, 1)}
+    for q, modulus in moduli.items():
+        assert field(q).modulus == modulus
 
 
 def test_poly_str():

@@ -296,3 +296,19 @@ def test_max_ideal_validation(ZZ, R12, L25, F2X):
         L25.max_ideal(3)
     with pytest.raises(InconsistentInput):
         F2X.max_ideal((1, 1, 1, 1))  # x^3+x^2+x+1 = (x+1)^3 over F2
+
+
+def test_integer_sieve_matches_is_prime_int():
+    from prodideals.fqpoly import is_prime_int
+    Z = IntegerRing()
+    primes = []
+    for bound in range(2001):
+        if is_prime_int(bound):
+            primes.append(bound)
+        assert [m.generator for m in Z.maximal_ideals_up_to(bound)] == primes
+    assert len(Z.maximal_ideals_up_to(10**5)) == 9592
+
+
+def test_poly_max_ideal_accepts_large_irreducible():
+    gen = (1, 0, 0, 1) + (0,) * 27 + (1,)  # x^31 + x^3 + 1
+    assert PolynomialRing(2).max_ideal(gen).generator == gen

@@ -212,6 +212,22 @@ class TestCli:
         ({"query": "check-plus", "ring": -1, "r": 2, "a": 6}, "queries[0].ring"),
         ({"query": "check-plusplus", "ring": 5}, "queries[0].ring"),
         ({"query": "check-plusplus", "ring": "x"}, "queries[0].ring"),
+        ({"query": "interpolate", "doubling": 4, "n_max": "x"}, "queries[0].n_max"),
+        ({"query": "interpolate", "doubling": 4, "n_max": -3}, "queries[0].n_max"),
+        ({"query": "interpolate", "doubling": 4, "n_max": 0}, "queries[0].n_max"),
+        ({"query": "interpolate", "sample": [1, 2]}, "queries[0].sample"),
+        ({"query": "interpolate", "sample": {"g": 5, "h": [1], "n": [2]}},
+         "queries[0].sample"),
+        ({"query": "ug-member", "ultrafilter": {"coordinate": 0, "principal": 2},
+          "g": {"defaults": [1, 1], "exceptions": [{"ideal": 2, "value": 1}]},
+          "x": [2, 1]}, "queries[0].g.exceptions[0]"),
+        ({"query": "ll", "ultrafilter": {"coordinate": 0, "principal": 2},
+          "g": {"defaults": [1, 1]},
+          "h": {"defaults": [1, 1], "exceptions": [{"coord": 0, "value": 1}]}},
+         "queries[0].h.exceptions[0]"),
+        ({"query": "ll", "ultrafilter": {"coordinate": 0, "principal": 2},
+          "g": {"defaults": [1, 1], "exceptions": [{"coord": 0, "ideal": 2}]},
+          "h": {"defaults": [1, 1]}}, "queries[0].g.exceptions[0]"),
     ])
     def test_bad_query_field_is_located(self, tmp_path, query, field):
         path = tmp_path / "bad.json"
