@@ -86,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS)
     common.add_argument("--bound", type=int, default=argparse.SUPPRESS,
                         help="generator bound for enumerations over infinite spectra")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized auxiliary scans (reserved)")
     common.add_argument("--log-base", type=int, default=argparse.SUPPRESS,
                         help="integer logarithm base for interpolation (default: natural log)")
     common.add_argument("--infinite-index", action="store_true",
@@ -179,8 +177,8 @@ def _scenario_for(args, rings, queries, objects=None):
     return data
 
 
-_GLOBAL_DEFAULTS = {"format": "text", "bound": 16, "seed": 0,
-                    "log_base": None, "infinite_index": False}
+_GLOBAL_DEFAULTS = {"format": "text", "bound": 16, "log_base": None,
+                    "infinite_index": False}
 
 
 def main(argv=None) -> int:

@@ -24,7 +24,8 @@ import itertools
 
 from .errors import FactorizationBudgetExceeded
 
-#: Cap on q**d while a degree-d factor may still need trial division.
+#: Cap on q**d while a degree-d factor may still need trial division, and
+#: on q**bound when the irreducibles up to a degree bound are listed.
 DEFAULT_POLY_BUDGET = 1 << 16
 
 

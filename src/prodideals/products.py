@@ -18,10 +18,11 @@ closed forms against element-level brute force on finite instances.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .boolalg import AlgebraElement, UltrafilterDescriptor, membership
+from .boolalg import AlgebraElement, UltrafilterDescriptor
 from .errors import (
     InconsistentInput,
     NotUnitIdeal,
@@ -30,9 +31,6 @@ from .errors import (
 )
 from .rings import (
     DEFAULT_FACTOR_BUDGET,
-    FinCofSet,
-    MaxIdealId,
-    RingElement,
     RingHandle,
     bezout_certificate,
 )
@@ -265,6 +263,21 @@ RULE_PRINCIPAL_QUOTIENT_FIELD = "rule:principal-quotient-field"
 RULE_FRECHET_NO_COFINITE_VANISHING = "rule:frechet-no-cofinite-vanishing"
 
 
+@functools.lru_cache(maxsize=32)
+def witness_fillers(product: ProductRing) -> tuple:
+    """The maximality witness entries away from the concentration coordinate.
+
+    One entry per component: a nonzero nonunit, or one over a field.  A
+    witness from ``is_maximal`` is this tuple with the generator put in at
+    the concentration coordinate.
+    """
+    fillers = []
+    for ring in product.components:
+        nzn = ring.nonzero_nonunit()
+        fillers.append(nzn if nzn is not None else ring.one)
+    return tuple(fillers)
+
+
 def is_maximal(ideal: UltrafilterIdeal) -> MaximalityVerdict:
     """Decide maximality of an ultrafilter ideal, with witness or obstruction.
 
@@ -273,9 +286,15 @@ def is_maximal(ideal: UltrafilterIdeal) -> MaximalityVerdict:
     When every component admits a nonzero element vanishing exactly where
     needed, a witness tuple a with all entries nonzero and vanishing-set
     tuple inside the ultrafilter is returned (entry: the generator at the
-    concentration coordinate, a nonzero nonunit elsewhere, any nonzero
-    element over a field).  At a field concentration coordinate no such
-    tuple exists and the verdict rests on the quotient argument alone.
+    concentration coordinate, ``witness_fillers`` elsewhere).  At a field
+    concentration coordinate no such tuple exists and the verdict rests on
+    the quotient argument alone.
+
+    The witness condition is checked by division: at a principal
+    descriptor the vanishing tuple lies in the ultrafilter exactly when the
+    concentration entry lies in the fixed maximal ideal, so no entry is
+    factored.  The tests cross-check accepted witnesses against the
+    definition, through ``vset_vector`` and ``membership``.
 
     Cofinite descriptor: membership forces a cofinite vanishing set at the
     coordinate, which by finite character happens only for the zero element;
@@ -284,36 +303,28 @@ def is_maximal(ideal: UltrafilterIdeal) -> MaximalityVerdict:
     """
     u = ideal.u
     product = ideal.product
+    ring = product.components[u.coordinate]
     if u.is_frechet:
-        ring = product.components[u.coordinate]
         return MaximalityVerdict(
             False, RULE_FRECHET_NO_COFINITE_VANISHING, None,
             f"no nonzero element of {ring.short_name} vanishes on a cofinite "
             f"set of maximal ideals; the ideal is the kernel of the projection "
             f"and the quotient {ring.short_name} is not a field")
-    entries = []
-    witness_ok = True
-    for i, ring in enumerate(product.components):
-        if i == u.coordinate:
-            gen_elem = ring.element(u.principal.generator)
-            if gen_elem.is_zero:
-                # field component: the generator reduces to zero and no
-                # nonzero element lies in the maximal ideal
-                witness_ok = False
-                break
-            entries.append(gen_elem)
-        else:
-            nzn = ring.nonzero_nonunit()
-            entries.append(nzn if nzn is not None else ring.one)
-    if witness_ok:
-        witness = ProductElement(product, tuple(entries))
-        assert membership(u, vset_vector(witness))
-        detail = "witness tuple has nonzero entries and vanishing sets inside the ultrafilter"
-    else:
-        witness = None
-        detail = ("concentration coordinate is a field: maximality holds via the "
-                  "field quotient, no nonzero-entry witness exists")
-    return MaximalityVerdict(True, RULE_PRINCIPAL_QUOTIENT_FIELD, witness, detail)
+    gen_elem = ring.element(u.principal.generator)
+    if gen_elem.is_zero:
+        # field component: the generator reduces to zero and no nonzero
+        # element lies in the maximal ideal
+        return MaximalityVerdict(
+            True, RULE_PRINCIPAL_QUOTIENT_FIELD, None,
+            "concentration coordinate is a field: maximality holds via the "
+            "field quotient, no nonzero-entry witness exists")
+    if not u.principal.contains(gen_elem):
+        raise AssertionError(f"witness entry {gen_elem} is not in {u.principal}")
+    entries = list(witness_fillers(product))
+    entries[u.coordinate] = gen_elem
+    return MaximalityVerdict(
+        True, RULE_PRINCIPAL_QUOTIENT_FIELD, ProductElement(product, tuple(entries)),
+        "witness tuple has nonzero entries and vanishing sets inside the ultrafilter")
 
 
 def index_filter_of(u: UltrafilterDescriptor) -> IndexUltrafilter:

@@ -31,6 +31,7 @@ from typing import Iterable, Sequence
 
 from . import fqpoly
 from .errors import (
+    BudgetExceeded,
     FactorizationBudgetExceeded,
     InconsistentInput,
     NotUnitIdeal,
@@ -38,11 +39,12 @@ from .errors import (
 )
 from .values import INF
 
-#: Trial-division limit for integer factorization.
+#: Trial-division limit for integer factorization, and the largest value
+#: bound for listing integer primes.
 DEFAULT_FACTOR_BUDGET = 1_000_000
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def prime_factors(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> tuple:
     """Distinct prime factors of |n| in ascending order, by trial division.
 
@@ -414,7 +416,14 @@ class IntegerRing(RingHandle):
         return MaxIdealId(self, generator)
 
     def maximal_ideals_up_to(self, bound: int):
-        """The ideals (p) for the primes p <= bound, by a Sieve of Eratosthenes."""
+        """The ideals (p) for the primes p <= bound, by a Sieve of Eratosthenes.
+
+        Raises BudgetExceeded, before allocating the sieve, when the bound is
+        above ``DEFAULT_FACTOR_BUDGET``.
+        """
+        if bound > DEFAULT_FACTOR_BUDGET:
+            raise BudgetExceeded(
+                f"prime bound {bound} exceeds the enumeration cap {DEFAULT_FACTOR_BUDGET}")
         if bound < 2:
             return ()
         sieve = bytearray([1]) * (bound + 1)
@@ -687,7 +696,17 @@ class PolynomialRing(RingHandle):
         return MaxIdealId(self, gen)
 
     def maximal_ideals_up_to(self, bound: int):
-        """All maximal ideals with generator degree <= bound."""
+        """All maximal ideals with generator degree <= bound.
+
+        Raises BudgetExceeded, before any table is built, when q**bound is
+        above ``fqpoly.DEFAULT_POLY_BUDGET``.
+        """
+        cap = fqpoly.DEFAULT_POLY_BUDGET
+        # q**e > cap for e = cap.bit_length(), so the power stays small
+        if self.q ** min(bound, cap.bit_length()) > cap:
+            raise BudgetExceeded(
+                f"degree bound {bound} needs {self.q}**{bound} candidates, "
+                f"above the enumeration cap {cap}")
         return tuple(MaxIdealId(self, g)
                      for g in fqpoly.irreducibles_up_to(self.K, bound))
 

@@ -445,13 +445,18 @@ def execute_query(scn: Scenario, query: dict, index: int) -> dict:
         bound = scn.options.bound
         if "bound" in query:
             bound = _decode_positive_int(query["bound"], f"{where}.bound")
+        # every witness is these entries with the generator at u's coordinate
+        fillers = [encode_ring_element(e) for e in products.witness_fillers(product)]
         accepted, rejected = [], []
         for u in boolalg.enumerate_ultrafilters(product.shape, bound):
             verdict = products.is_maximal(products.UltrafilterIdeal(product, u))
             entry = {"ultrafilter": encode_ultrafilter(u), "rule": verdict.rule}
             if verdict.is_maximal:
                 if verdict.witness is not None:
-                    entry["witness"] = encode_element(verdict.witness)
+                    witness = fillers.copy()
+                    witness[u.coordinate] = encode_ring_element(
+                        verdict.witness.entries[u.coordinate])
+                    entry["witness"] = witness
                 accepted.append(entry)
             else:
                 entry["reason"] = verdict.detail

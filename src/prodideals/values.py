@@ -69,13 +69,6 @@ def check_value(v, what="value"):
     return v
 
 
-def value_mul(n: int, v):
-    """n * v in the value monoid, for n a non-negative integer."""
-    if v is INF:
-        return n * v  # raises for n == 0
-    return n * v
-
-
 def encode_value(v):
     """JSON form: ints stay ints (strings above 2**53-1), INF becomes \"inf\"."""
     if v is INF:

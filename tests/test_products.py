@@ -1,8 +1,13 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from conftest import random_element, rng_for
+import prodideals
 from prodideals import oracle
 from prodideals.boolalg import (
     AlgebraElement,
@@ -26,6 +31,7 @@ from prodideals.products import (
     minimal_prime_below,
     skolem_check,
     vset_vector,
+    witness_fillers,
 )
 from prodideals.rings import (
     FinCofSet,
@@ -205,6 +211,53 @@ class TestIsMaximal:
         verdict = is_maximal(UltrafilterIdeal(product, u))
         assert verdict.is_maximal
         assert verdict.witness is None  # no nonzero-entry witness exists over a field
+
+    @pytest.mark.parametrize("product, bound", [
+        (ProductRing((ZZ, LocalizedIntegersRing((2, 3)), ResidueRing(30))), 60),
+        (ProductRing((PolynomialRing(2), ResidueRing(7))), 6),
+        (ProductRing((PolynomialRing(4),)), 3),
+    ])
+    def test_witnesses_satisfy_the_definition(self, product, bound):
+        # is_maximal checks its witness by division; this is the check by
+        # the definition: factor every entry and test ultrafilter membership
+        for ideal in enumerate_maximal_ideals(product, bound):
+            verdict = is_maximal(ideal)
+            field = product.components[ideal.u.coordinate].nonzero_nonunit() is None
+            assert (verdict.witness is None) == field
+            if not field:
+                assert all(not e.is_zero for e in verdict.witness.entries)
+                assert membership(ideal.u, vset_vector(verdict.witness))
+
+    def test_fillers_built_once_per_product(self):
+        product = ProductRing((ZZ, ResidueRing(30), ResidueRing(11)))
+        witness_fillers.cache_clear()
+        accepted = enumerate_maximal_ideals(product, 50)
+        info = witness_fillers.cache_info()
+        assert len(accepted) == 15 + 3 + 1
+        assert (info.misses, info.hits) == (1, 15 + 3 - 1)
+
+    def test_witness_check_survives_optimize_flag(self):
+        # with the division check forced to fail, is_maximal must raise even
+        # under python -O, which strips assert statements
+        src = str(pathlib.Path(prodideals.__file__).resolve().parent.parent)
+        code = "\n".join([
+            "import sys",
+            "from prodideals.boolalg import UltrafilterDescriptor",
+            "from prodideals.products import ProductRing, UltrafilterIdeal, is_maximal",
+            "from prodideals.rings import IntegerRing, MaxIdealId",
+            "MaxIdealId.contains = lambda self, elem: False",
+            "ZZ = IntegerRing()",
+            "R = ProductRing((ZZ, ZZ))",
+            "u = UltrafilterDescriptor(R.shape, 0, ZZ.max_ideal(5))",
+            "try:",
+            "    is_maximal(UltrafilterIdeal(R, u))",
+            "except AssertionError as exc:",
+            "    print('raised', sys.flags.optimize, exc)",
+        ])
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             check=True, capture_output=True, text=True).stdout
+        assert out.startswith("raised 1 ")
 
 
 class TestMinimalPrime:

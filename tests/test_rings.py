@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_element, rng_for
+from prodideals import fqpoly
 from prodideals.errors import (
+    BudgetExceeded,
     FactorizationBudgetExceeded,
     InconsistentInput,
     NotUnitIdeal,
@@ -312,3 +314,23 @@ def test_integer_sieve_matches_is_prime_int():
 def test_poly_max_ideal_accepts_large_irreducible():
     gen = (1, 0, 0, 1) + (0,) * 27 + (1,)  # x^31 + x^3 + 1
     assert PolynomialRing(2).max_ideal(gen).generator == gen
+
+
+def test_enumeration_caps_raise_before_allocating(monkeypatch):
+    Z = IntegerRing()
+    assert len(Z.maximal_ideals_up_to(10**6)) == 78498
+    with pytest.raises(BudgetExceeded, match="1000001.*1000000"):
+        Z.maximal_ideals_up_to(10**6 + 1)
+    # a small cap keeps the boundary cheap: q**bound <= cap is listed
+    monkeypatch.setattr(fqpoly, "DEFAULT_POLY_BUDGET", 2**6)
+    assert len(PolynomialRing(2).maximal_ideals_up_to(6)) == 23
+    assert len(PolynomialRing(4).maximal_ideals_up_to(3)) == 4 + 6 + 20
+    for q, bound in ((2, 7), (4, 4), (3, 4), (2, 10**9)):
+        with pytest.raises(BudgetExceeded, match=f"bound {bound} .* 64$"):
+            PolynomialRing(q).maximal_ideals_up_to(bound)
+
+
+def test_caches_are_bounded():
+    from prodideals.products import witness_fillers
+    for cache in (prime_factors, witness_fillers):
+        assert cache.cache_info().maxsize is not None

@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -260,6 +262,33 @@ class TestCli:
         rec = json.loads(lines[1])
         assert len(rec["verdict"]["maximal"]) == 4
         assert rec["verdict"]["rejected"] == []
+
+    @pytest.mark.parametrize("rings, bound, digest", [
+        (["Z", "Z_(2,3)", "Z/30"], 60,
+         "377e030ac090acd964fc76a9e9194748e6b74db8eca4e346bdd3f025caf4847a"),
+        (["F2[x]", "Z/7"], 6,
+         "0db628fd56a17674dbc8455af61dc6afbb3f3d48232309bf0f2103bfdff6fece"),
+        (["F4[x]", "Z", "Z/12"], 4,
+         "6feb63eaa3d933e3ed1fea32867f4ebbd3a581c4ec01f1320f5f5a9126ab26b1"),
+    ])
+    def test_maxideals_report_pinned(self, rings, bound, digest):
+        # the machine report of each mixed product, byte for byte
+        argv = ["--format", "machine", "maxideals", "--bound", str(bound)]
+        code, out, _ = run_cli(argv + [a for r in rings for a in ("-r", r)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("ring, bound, cap", [
+        ("Z", 10**9, 10**6),
+        ("F2[x]", 40, 2**16),
+    ])
+    def test_maxideals_bound_above_cap(self, ring, bound, cap):
+        start = time.perf_counter()
+        code, out, err = run_cli(["maxideals", "-r", ring, "--bound", str(bound)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+        assert f"bound {bound} " in err and f"cap {cap}" in err
 
     def test_check_plus_cli(self):
         code, out, _ = run_cli(["--format", "machine", "check-plus", "-r", "Z",
