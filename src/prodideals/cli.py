@@ -79,9 +79,18 @@ def _json_arg(text, what):
         raise ValidationError(what, f"invalid JSON: {exc.msg}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, like every input
+    error; exit code 2 stays for a failed scenario assertion."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # the global flags are accepted both before and after the subcommand
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "machine"),
                         default=argparse.SUPPRESS)
     common.add_argument("--bound", type=int, default=argparse.SUPPRESS,
@@ -92,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS,
                         help="request infinite index sets (always refused)")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prodideals",
         description="prime and maximal ideals in finite products of arithmetic rings",
         parents=[common])

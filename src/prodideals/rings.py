@@ -15,9 +15,13 @@ Subsets of a maximal spectrum are carried as ``FinCofSet`` values: an explicit
 finite set, or the complement of one.  For rings with finite spectrum the
 cofinite form normalizes away, so equality of sets is equality of values.
 
-Integer factorization is deterministic trial division capped by a budget,
-and the primes up to a bound come from a Sieve of Eratosthenes.  Polynomial
-factorization and irreducible enumeration live in ``fqpoly``.
+Integer factorization is deterministic: trial division by sieved primes up
+to the cube root of the cofactor, then at most two prime factors told apart
+by Miller-Rabin (``fqpoly.is_prime_int``), an integer square root and
+Brent's rho, under the budget contract of plain trial division (see
+``prime_factors``).  The primes up to a bound come from one Sieve of
+Eratosthenes, ``primes_up_to``.  Polynomial factorization and irreducible
+enumeration live in ``fqpoly``.
 """
 
 from __future__ import annotations
@@ -44,31 +48,140 @@ from .values import INF
 DEFAULT_FACTOR_BUDGET = 1_000_000
 
 
+def primes_up_to(bound: int) -> Iterable[int]:
+    """The primes p <= bound in ascending order, by a Sieve of Eratosthenes."""
+    if bound < 2:
+        return iter(())
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
+    return itertools.compress(range(bound + 1), sieve)
+
+
+@functools.lru_cache(maxsize=21)
+def _sieved_primes(bits: int) -> tuple:
+    # the primes below 2**bits, never past DEFAULT_FACTOR_BUDGET; bits <= 20
+    # (one entry each), so all entries together are about twice the largest
+    return tuple(primes_up_to(min(1 << bits, DEFAULT_FACTOR_BUDGET)))
+
+
+def _trial_divisors(limit: int):
+    """Every prime <= limit in ascending order: the sieved primes, then the
+    odd numbers above the sieve (those that are composite never divide,
+    since their prime factors were divided out first)."""
+    return itertools.chain(
+        _sieved_primes(min(limit, DEFAULT_FACTOR_BUDGET).bit_length()),
+        range(DEFAULT_FACTOR_BUDGET + 1, limit + 1, 2))
+
+
+def icbrt(n: int) -> int:
+    """floor(n ** (1/3)) for n >= 0, by Newton's iteration from above."""
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+def _trial_stop(m: int, budget: int) -> int:
+    # past the cube root of m at most two primes remain; above the range
+    # where Miller-Rabin is proven, trial division runs to the square root
+    root = icbrt(m) if m < fqpoly.MILLER_RABIN_LIMIT else math.isqrt(m)
+    return min(budget, max(root, 2))
+
+
+def _brent_rho(n: int) -> int:
+    """A proper divisor of the odd composite n, which is not a prime power.
+
+    Brent's cycle-finding variant of Pollard's rho (Brent, BIT 20, 1980),
+    iterating x -> x*x + c from x = 2 with c = 1, 2, ... and batching 128
+    differences per gcd; deterministic, with no random draws.
+    """
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 @functools.lru_cache(maxsize=4096)
 def prime_factors(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> tuple:
-    """Distinct prime factors of |n| in ascending order, by trial division.
+    """Distinct prime factors of |n| in ascending order.
 
-    Raises FactorizationBudgetExceeded when a cofactor survives trial
-    division up to ``budget`` and is too large to be certified prime.
+    The budget contract is that of trial division by 2 and the odd numbers
+    up to ``budget``: let m be |n| with every prime <= budget divided out,
+    and f_end the first such candidate above the budget (2 for a budget
+    below 2, 3 for a budget of 2, else ``(budget + 1) | 1``).  The call
+    succeeds iff m == 1 or m is a prime below f_end**2, and otherwise raises
+    FactorizationBudgetExceeded naming the cofactor m.
+
+    The work is trial division by the primes up to min(budget, cube root of
+    the cofactor), which leaves at most two prime factors; that cofactor is
+    1, a prime (deterministic Miller-Rabin, ``fqpoly.is_prime_int``), a
+    square, or a product of two primes split by Brent's rho.
     """
     n = abs(n)
     if n <= 1:
         return ()
     out = []
-    f = 2
-    while f <= budget and f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        # The loop stopped either because f*f > n (cofactor is prime) or
-        # because f passed the budget (cofactor may hide two large primes).
-        if f * f <= n:
+    m = n
+    stop = _trial_stop(m, budget)
+    for p in _trial_divisors(stop):
+        if p > stop:
+            break
+        if m % p == 0:
+            out.append(p)
+            m //= p
+            while m % p == 0:
+                m //= p
+            stop = _trial_stop(m, budget)
+    # every prime <= stop is divided out of m, so an m below (stop + 1)**2 is
+    # a prime; otherwise stop is the cube root of m, which then has at most
+    # two prime factors
+    if stop < budget and m > 1:
+        s = math.isqrt(m)
+        if m < (stop + 1) ** 2 or fqpoly.is_prime_int(m):
+            parts = (m,)
+        elif s * s == m:
+            parts = (s,)
+        else:
+            p = _brent_rho(m)
+            if m % p:
+                raise ArithmeticError(f"rho returned {p}, not a divisor of {m}")
+            parts = sorted((p, m // p))
+        for p in parts:
+            if p <= budget:
+                out.append(p)
+                while m % p == 0:
+                    m //= p
+    if m > 1:
+        f_end = 2 if budget < 2 else 3 if budget == 2 else (budget + 1) | 1
+        if m >= f_end * f_end:
             raise FactorizationBudgetExceeded(
-                f"cofactor {n} not certified prime within trial budget {budget}")
-        out.append(n)
+                f"cofactor {m} not certified prime within trial budget {budget}")
+        out.append(m)
     return tuple(out)
 
 
@@ -424,15 +537,7 @@ class IntegerRing(RingHandle):
         if bound > DEFAULT_FACTOR_BUDGET:
             raise BudgetExceeded(
                 f"prime bound {bound} exceeds the enumeration cap {DEFAULT_FACTOR_BUDGET}")
-        if bound < 2:
-            return ()
-        sieve = bytearray([1]) * (bound + 1)
-        sieve[0] = sieve[1] = 0
-        for p in range(2, math.isqrt(bound) + 1):
-            if sieve[p]:
-                sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
-        return tuple(MaxIdealId(self, p)
-                     for p in itertools.compress(range(bound + 1), sieve))
+        return tuple(MaxIdealId(self, p) for p in primes_up_to(bound))
 
     def nonzero_nonunit(self):
         return self.element(2)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__ as _version
 from . import boolalg, oracle, products, properties, valuations
-from .errors import ParseError, ValidationError
+from .errors import BudgetExceeded, FactorizationBudgetExceeded, ParseError, ValidationError
 from .rings import (
     DEFAULT_FACTOR_BUDGET,
     FinCofSet,
@@ -632,7 +632,9 @@ def run_scenario(source) -> Report:
     """Execute a scenario (JSON text, dict, or file path) and build a report.
 
     Exit codes: 0 on success, 2 when an assert query fails; parse and
-    validation errors raise and map to exit code 1 in the CLI.
+    validation errors raise and map to exit code 1 in the CLI.  A budget
+    error from query i is raised again as the same type, its message
+    prefixed with ``queries[i]: ``.
     """
     if isinstance(source, str) and not source.lstrip().startswith("{"):
         with open(source, "r", encoding="utf-8") as fh:
@@ -641,7 +643,10 @@ def run_scenario(source) -> Report:
     records = []
     exit_code = 0
     for i, q in enumerate(scn.queries):
-        rec = execute_query(scn, q, i)
+        try:
+            rec = execute_query(scn, q, i)
+        except (BudgetExceeded, FactorizationBudgetExceeded) as exc:
+            raise type(exc)(f"queries[{i}]: {exc}") from None
         records.append(rec)
         if q["query"] == "assert" and rec["verdict"] is False:
             exit_code = 2

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -334,3 +338,138 @@ def test_caches_are_bounded():
     from prodideals.products import witness_fillers
     for cache in (prime_factors, witness_fillers):
         assert cache.cache_info().maxsize is not None
+
+
+def _trial_division_prime_factors(n, budget):
+    """The trial-division loop ``prime_factors`` used to be, copied as it
+    was: the reference for its budget contract."""
+    n = abs(n)
+    if n <= 1:
+        return ()
+    out = []
+    f = 2
+    while f <= budget and f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        if f * f <= n:
+            raise FactorizationBudgetExceeded(
+                f"cofactor {n} not certified prime within trial budget {budget}")
+        out.append(n)
+    return tuple(out)
+
+
+def _factor_outcome(fn, n, budget):
+    try:
+        return fn(n, budget)
+    except FactorizationBudgetExceeded as exc:
+        return f"raised: {exc}"
+
+
+def _primes_below(bound):
+    return [p for p in range(2, bound) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+
+
+def test_prime_factors_matches_trial_division_loop():
+    for budget in (0, 1, 2, 3, 4, 5, 7, 10, 30, 100):
+        for n in range(-50, 3001):
+            assert (_factor_outcome(prime_factors, n, budget)
+                    == _factor_outcome(_trial_division_prime_factors, n, budget)), (n, budget)
+
+
+def test_prime_factors_matches_trial_division_on_products():
+    rng = rng_for("prime_factors-products")
+    primes = _primes_below(5000)
+    for _ in range(3000):
+        budget = rng.choice((2, 3, 4, 5, 6, 7, 10, 11, 30, 31, 100, 101, 1000))
+        f_end = 3 if budget == 2 else (budget + 1) | 1
+        above = [p for p in primes if p > budget]
+        shape = rng.randrange(4)
+        if shape == 0:    # a factor near the budget
+            parts = [rng.choice([p for p in primes if abs(p - budget) <= 12])]
+        elif shape == 1:  # a prime cofactor near f_end**2
+            parts = [min(above[-1], rng.choice(
+                [p for p in above if abs(p - f_end * f_end) <= 6 * f_end] or above))]
+        elif shape == 2:  # p**2 for a p just above the budget
+            parts = [above[rng.randrange(3)]] * 2
+        else:             # two primes above the budget
+            parts = rng.sample(above[:40], 2)
+        parts += rng.choices(primes[:10], k=rng.randrange(4))
+        n = rng.choice((1, -1)) * math.prod(parts)
+        assert (_factor_outcome(prime_factors, n, budget)
+                == _factor_outcome(_trial_division_prime_factors, n, budget)), (n, budget)
+
+
+def test_prime_factors_named_budget_cases():
+    with pytest.raises(FactorizationBudgetExceeded,
+                       match=r"^cofactor 1000000016000000063 not certified prime "
+                             r"within trial budget 10000$"):
+        prime_factors((10**9 + 7) * (10**9 + 9), 10**4)
+    big = (2**61 - 1) * (2**89 - 1)
+    with pytest.raises(FactorizationBudgetExceeded, match=f"^cofactor {big} "):
+        prime_factors(big, 10**4)
+    # above the cube root at most two primes remain; they are split exactly
+    assert prime_factors(1000003**2, 10**7) == (1000003,)
+    pq = 1000003 * 1000033
+    assert prime_factors(pq, 10**7) == prime_factors(pq, 1000010) == (1000003, 1000033)
+    with pytest.raises(FactorizationBudgetExceeded, match=f"^cofactor {pq} "):
+        prime_factors(pq, 10**6)
+    assert prime_factors(6 * (10**7 + 19), 10**4) == (2, 3, 10**7 + 19)
+    # candidates above the sieve cap, up to and including the budget
+    n = 1000003 * 1000033 * 1000037
+    for budget in (1000002, 1000003, 1000033):
+        assert (_factor_outcome(prime_factors, n, budget)
+                == _factor_outcome(_trial_division_prime_factors, n, budget))
+    with pytest.raises(FactorizationBudgetExceeded, match="^cofactor 1000000007 "):
+        prime_factors(6 * (10**9 + 7), 10**4)  # prime, but not below 10001**2
+
+
+def test_miller_rabin_strong_pseudoprimes():
+    is_prime_int = fqpoly.is_prime_int
+    # strong pseudoprimes to the first 1, 4 and 9..11 prime bases
+    for n in (2047, 3215031751, 3825123056546413051):
+        assert not is_prime_int(n)
+    # psi_12 passes the bases 2..37; only base 41 shows it composite
+    assert not is_prime_int(318665857834031151167461)
+    # psi_13 passes all 13 bases: it is never reported prime
+    psi13 = 3317044064679887385961981
+    assert psi13 == fqpoly.MILLER_RABIN_LIMIT
+    with pytest.raises(FactorizationBudgetExceeded, match=f"^{psi13} "):
+        is_prime_int(psi13)
+    assert is_prime_int(2**61 - 1) and is_prime_int(2**31 - 1)
+    assert not is_prime_int(psi13 + 1)  # composite verdicts hold at any size
+    primes = set(_primes_below(3000))
+    assert [n for n in range(-5, 3000) if is_prime_int(n)] == sorted(primes)
+
+
+def test_icbrt_is_the_floor_cube_root():
+    from prodideals.rings import icbrt
+    for n in list(range(2000)) + [10**18 - 1, 10**18, 2**300, 3**200 - 1]:
+        r = icbrt(n)
+        assert r**3 <= n < (r + 1) ** 3
+
+
+def test_trial_sieve_is_lazy_and_capped(monkeypatch):
+    from prodideals import rings
+    assert rings._sieved_primes.cache_info().maxsize is not None
+    bounds = []
+    sieve = rings.primes_up_to
+    monkeypatch.setattr(rings, "primes_up_to", lambda b: bounds.append(b) or sieve(b))
+    rings._sieved_primes.cache_clear()
+    prime_factors.cache_clear()
+    assert prime_factors(12 * 1009) == (2, 3, 1009)
+    assert max(bounds) <= 32
+    # a budget far above the sieve cap sieves no further than the cap
+    n = 1000003 * 1000033 * 1000037
+    assert prime_factors(n, 10**12) == (1000003, 1000033, 1000037)
+    assert max(bounds) == rings.DEFAULT_FACTOR_BUDGET
+    # nothing is sieved at import
+    src = str(pathlib.Path(rings.__file__).resolve().parent.parent)
+    code = ("import prodideals.cli, prodideals.rings as r; "
+            "print(r._sieved_primes.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "0"

@@ -319,3 +319,50 @@ class TestCli:
         code, _, err = run_cli(["check-plus", "-r", "Z",
                                 "--r-elem", "{bad", "--a-elem", "6"])
         assert code == 1 and "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["maxideals", "-r", "Z", "--seed", "3"],   # an unknown flag
+        ["maxideals"],                             # the required -r is missing
+        ["--format", "xml", "maxideals", "-r", "Z"],
+        ["no-such-command"],
+    ])
+    def test_usage_error_exits_1(self, argv):
+        # exit code 2 is kept for a failed scenario assert
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage:" in err.getvalue() and "error:" in err.getvalue()
+
+    def test_help_exits_0(self):
+        with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exc:
+            main(["maxideals", "--help"])
+        assert exc.value.code == 0
+
+    def test_budget_error_is_located(self, tmp_path):
+        data = minimal_scenario(product=[0], queries=[
+            {"query": "maxideals", "bound": 7},
+            {"query": "maxideals", "bound": 2000000}])
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["run", str(path)])
+        assert code == 1 and out == ""
+        assert err == ("error: queries[1]: prime bound 2000000 exceeds "
+                       "the enumeration cap 1000000\n")
+        data["queries"] = [{"query": "check-plus", "ring": 0, "r": 2,
+                            "a": str((10**9 + 7) * (10**9 + 9))}]
+        data["options"] = {"factor_budget": 10**4}
+        from prodideals.errors import FactorizationBudgetExceeded
+        with pytest.raises(FactorizationBudgetExceeded,
+                           match=r"^queries\[0\]: cofactor 1000000016000000063 "):
+            run_scenario(json.dumps(data))
+
+    def test_minimal_prime_at_a_large_mersenne_prime(self):
+        start = time.perf_counter()
+        code, out, _ = run_cli(["--format", "machine", "minimal-prime", "-r", "Z",
+                                "--ultrafilter",
+                                json.dumps({"coordinate": 0, "principal": 2**61 - 1})])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out.splitlines()[1])["verdict"] == {"coordinate": 0,
+                                                              "kind": "kernel_ideal"}
