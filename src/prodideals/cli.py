@@ -90,7 +90,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     # the global flags are accepted both before and after the subcommand
-    common = _Parser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "machine"),
                         default=argparse.SUPPRESS)
     common.add_argument("--bound", type=int, default=argparse.SUPPRESS,

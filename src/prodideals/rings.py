@@ -15,17 +15,19 @@ Subsets of a maximal spectrum are carried as ``FinCofSet`` values: an explicit
 finite set, or the complement of one.  For rings with finite spectrum the
 cofinite form normalizes away, so equality of sets is equality of values.
 
-Integer factorization is deterministic: trial division by sieved primes up
-to the cube root of the cofactor, then at most two prime factors told apart
-by Miller-Rabin (``fqpoly.is_prime_int``), an integer square root and
-Brent's rho, under the budget contract of plain trial division (see
-``prime_factors``).  The primes up to a bound come from one Sieve of
-Eratosthenes, ``primes_up_to``.  Polynomial factorization and irreducible
-enumeration live in ``fqpoly``.
+Integer factorization is trial division by sieved primes up to the cube root
+of the cofactor; the at most two prime factors left are told apart by
+Miller-Rabin (``fqpoly.is_prime_int``) and an integer square root, and only
+a product of two distinct primes sends trial division on to its square root.
+The budget contract is that of plain trial division (see ``prime_factors``).
+The primes up to a bound come from one Sieve of Eratosthenes,
+``primes_up_to``.  Polynomial factorization and irreducible enumeration live
+in ``fqpoly``.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -67,13 +69,14 @@ def _sieved_primes(bits: int) -> tuple:
     return tuple(primes_up_to(min(1 << bits, DEFAULT_FACTOR_BUDGET)))
 
 
-def _trial_divisors(limit: int):
-    """Every prime <= limit in ascending order: the sieved primes, then the
-    odd numbers above the sieve (those that are composite never divide,
-    since their prime factors were divided out first)."""
+def _trial_divisors(lo: int, hi: int):
+    """Every prime p with lo < p <= hi in ascending order: the sieved primes,
+    then the odd numbers above the sieve (those that are composite never
+    divide, since their prime factors were divided out first)."""
+    primes = _sieved_primes(min(hi, DEFAULT_FACTOR_BUDGET).bit_length())
     return itertools.chain(
-        _sieved_primes(min(limit, DEFAULT_FACTOR_BUDGET).bit_length()),
-        range(DEFAULT_FACTOR_BUDGET + 1, limit + 1, 2))
+        itertools.islice(primes, bisect.bisect_right(primes, lo), None),
+        range(max(DEFAULT_FACTOR_BUDGET + 1, (lo + 1) | 1), hi + 1, 2))
 
 
 def icbrt(n: int) -> int:
@@ -88,42 +91,27 @@ def icbrt(n: int) -> int:
         x = y
 
 
-def _trial_stop(m: int, budget: int) -> int:
+def _cube_root_stop(m: int) -> int:
     # past the cube root of m at most two primes remain; above the range
     # where Miller-Rabin is proven, trial division runs to the square root
-    root = icbrt(m) if m < fqpoly.MILLER_RABIN_LIMIT else math.isqrt(m)
-    return min(budget, max(root, 2))
+    return icbrt(m) if m < fqpoly.MILLER_RABIN_LIMIT else math.isqrt(m)
 
 
-def _brent_rho(n: int) -> int:
-    """A proper divisor of the odd composite n, which is not a prime power.
-
-    Brent's cycle-finding variant of Pollard's rho (Brent, BIT 20, 1980),
-    iterating x -> x*x + c from x = 2 with c = 1, 2, ... and batching 128
-    differences per gcd; deterministic, with no random draws.
-    """
-    for c in itertools.count(1):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:  # the batch overshot: replay it one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-        if g != n:
-            return g
+def _divide_out(m: int, out: list, lo: int, budget: int, root) -> tuple:
+    """Divide m by every prime p with lo < p <= min(budget, root(m)), the
+    limit shrinking with m, appending each p that divides to out; returns
+    the cofactor and the final limit."""
+    stop = min(budget, root(m))
+    for p in _trial_divisors(lo, stop):
+        if p > stop:
+            break
+        if m % p == 0:
+            out.append(p)
+            m //= p
+            while m % p == 0:
+                m //= p
+            stop = min(budget, root(m))
+    return m, stop
 
 
 @functools.lru_cache(maxsize=4096)
@@ -139,43 +127,24 @@ def prime_factors(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> tuple:
 
     The work is trial division by the primes up to min(budget, cube root of
     the cofactor), which leaves at most two prime factors; that cofactor is
-    1, a prime (deterministic Miller-Rabin, ``fqpoly.is_prime_int``), a
-    square, or a product of two primes split by Brent's rho.
+    1, a prime (deterministic Miller-Rabin, ``fqpoly.is_prime_int``) or a
+    square, and otherwise trial division goes on up to min(budget, square
+    root of the cofactor).
     """
     n = abs(n)
     if n <= 1:
         return ()
     out = []
-    m = n
-    stop = _trial_stop(m, budget)
-    for p in _trial_divisors(stop):
-        if p > stop:
-            break
-        if m % p == 0:
-            out.append(p)
-            m //= p
-            while m % p == 0:
-                m //= p
-            stop = _trial_stop(m, budget)
+    m, stop = _divide_out(n, out, 1, budget, _cube_root_stop)
     # every prime <= stop is divided out of m, so an m below (stop + 1)**2 is
-    # a prime; otherwise stop is the cube root of m, which then has at most
-    # two prime factors
-    if stop < budget and m > 1:
+    # 1 or a prime; otherwise stop is the cube root of m, which then has at
+    # most two prime factors
+    if stop < budget and m >= (stop + 1) ** 2 and not fqpoly.is_prime_int(m):
         s = math.isqrt(m)
-        if m < (stop + 1) ** 2 or fqpoly.is_prime_int(m):
-            parts = (m,)
-        elif s * s == m:
-            parts = (s,)
-        else:
-            p = _brent_rho(m)
-            if m % p:
-                raise ArithmeticError(f"rho returned {p}, not a divisor of {m}")
-            parts = sorted((p, m // p))
-        for p in parts:
-            if p <= budget:
-                out.append(p)
-                while m % p == 0:
-                    m //= p
+        if s * s != m:
+            m, _ = _divide_out(m, out, stop, budget, math.isqrt)
+        elif s <= budget:
+            m = s
     if m > 1:
         f_end = 2 if budget < 2 else 3 if budget == 2 else (budget + 1) | 1
         if m >= f_end * f_end:

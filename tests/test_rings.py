@@ -411,7 +411,8 @@ def test_prime_factors_named_budget_cases():
     big = (2**61 - 1) * (2**89 - 1)
     with pytest.raises(FactorizationBudgetExceeded, match=f"^cofactor {big} "):
         prime_factors(big, 10**4)
-    # above the cube root at most two primes remain; they are split exactly
+    # above the cube root at most two primes remain: a square, or a product
+    # that trial division splits below its square root
     assert prime_factors(1000003**2, 10**7) == (1000003,)
     pq = 1000003 * 1000033
     assert prime_factors(pq, 10**7) == prime_factors(pq, 1000010) == (1000003, 1000033)
