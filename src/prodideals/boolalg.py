@@ -12,23 +12,22 @@ on a single coordinate, so these descriptors are exhaustive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import FiniteIntersectionViolation, InconsistentInput, ShapeMismatch
-from .rings import FinCofSet, MaxIdealId, RingHandle
+from .record import Record, set_field
+from .rings import FinCofSet, RingHandle
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Record):
     """One finite/cofinite set per coordinate."""
 
     coords: tuple
 
-    def __post_init__(self):
-        if not self.coords:
+    def __init__(self, coords):
+        if not coords:
             raise InconsistentInput("empty product shape")
-        object.__setattr__(self, "coords", tuple(self.coords))
+        set_field(self, "coords", tuple(coords))
 
     @property
     def shape(self) -> tuple:
@@ -90,8 +89,7 @@ def is_zero(y: AlgebraElement) -> bool:
 # Ultrafilters
 
 
-@dataclass(frozen=True)
-class UltrafilterDescriptor:
+class UltrafilterDescriptor(Record):
     """A finitely-described ultrafilter of the product algebra.
 
     ``principal`` names the fixed maximal ideal; ``None`` selects the
@@ -103,19 +101,20 @@ class UltrafilterDescriptor:
     coordinate: int
     principal: object  # MaxIdealId | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(self.shape))
-        if not 0 <= self.coordinate < len(self.shape):
-            raise InconsistentInput(f"coordinate {self.coordinate} out of range")
-        ring = self.shape[self.coordinate]
-        if self.principal is None:
+    def __init__(self, shape, coordinate, principal):
+        shape = tuple(shape)
+        if not 0 <= coordinate < len(shape):
+            raise InconsistentInput(f"coordinate {coordinate} out of range")
+        ring = shape[coordinate]
+        if principal is None:
             if ring.spectrum_finite:
                 raise InconsistentInput(
                     f"{ring.short_name} has a finite spectrum: no cofinite ultrafilter")
-        else:
-            if self.principal.ring != ring:
-                raise InconsistentInput(
-                    f"{self.principal} is not a maximal ideal of {ring.short_name}")
+        elif principal.ring != ring:
+            raise InconsistentInput(f"{principal} is not a maximal ideal of {ring.short_name}")
+        set_field(self, "shape", shape)
+        set_field(self, "coordinate", coordinate)
+        set_field(self, "principal", principal)
 
     @property
     def is_frechet(self) -> bool:
@@ -178,8 +177,7 @@ def enumerate_ultrafilters(shape: Sequence[RingHandle], bound: int = None) -> li
 # Filters
 
 
-@dataclass(frozen=True)
-class FipResult:
+class FipResult(Record):
     holds: bool
     witness: tuple  # minimal sublist with empty meet, or ()
 
@@ -214,8 +212,7 @@ def fip_check(elems: Iterable[AlgebraElement]) -> FipResult:
     return FipResult(False, tuple(witness))
 
 
-@dataclass(frozen=True)
-class FilterDescriptor:
+class FilterDescriptor(Record):
     """A filter given by finitely many generators with the FIP."""
 
     generators: tuple
@@ -245,8 +242,7 @@ class FilterDescriptor:
         return total
 
 
-@dataclass(frozen=True)
-class FilterExtension:
+class FilterExtension(Record):
     """The complete family of ultrafilters containing a given filter.
 
     A descriptor contains every generator exactly when it contains their

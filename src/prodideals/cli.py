@@ -32,12 +32,6 @@ from .errors import (
     ValidationError,
     ZeroElement,
 )
-from .rings import (
-    IntegerRing,
-    LocalizedIntegersRing,
-    PolynomialRing,
-    ResidueRing,
-)
 
 _INPUT_ERRORS = (
     BudgetExceeded, FactorizationBudgetExceeded, InconsistentInput,

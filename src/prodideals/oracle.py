@@ -31,21 +31,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetExceeded, UnsupportedRing
-from .rings import ResidueRing
+from .record import Record, set_field
+from .rings import DEFAULT_ORACLE_BUDGET, ResidueRing
 
-DEFAULT_ORACLE_BUDGET = 10_000
 
-
-@dataclass(frozen=True)
-class OracleIdeal:
+class OracleIdeal(Record):
     """An ideal of a finite product ring, as per-coordinate residue sets."""
 
     moduli: tuple
     parts: tuple  # one frozenset of residues per coordinate
+
+    def __init__(self, moduli, parts):  # one per ring element in all_ideals
+        set_field(self, "moduli", moduli)
+        set_field(self, "parts", parts)
 
     @property
     def size(self) -> int:
@@ -198,8 +199,7 @@ def exhaustive_prime_closure(moduli: Sequence[int], member) -> tuple:
     return pairs, violations
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     moduli: tuple
     ideal_count: int
     maximal: tuple   # element frozensets

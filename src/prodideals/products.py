@@ -19,7 +19,6 @@ closed forms against element-level brute force on finite instances.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .boolalg import AlgebraElement, UltrafilterDescriptor
@@ -29,6 +28,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedDescriptor,
 )
+from .record import Record, set_field
 from .rings import (
     DEFAULT_FACTOR_BUDGET,
     RingHandle,
@@ -36,8 +36,7 @@ from .rings import (
 )
 
 
-@dataclass(frozen=True)
-class ProductRing:
+class ProductRing(Record):
     components: tuple
 
     def __post_init__(self):
@@ -84,10 +83,13 @@ class ProductRing:
         return " x ".join(r.short_name for r in self.components)
 
 
-@dataclass(frozen=True)
-class ProductElement:
+class ProductElement(Record):
     ring: ProductRing
     entries: tuple
+
+    def __init__(self, ring, entries):
+        set_field(self, "ring", ring)
+        set_field(self, "entries", entries)
 
     def _check(self, other: "ProductElement"):
         if self.ring != other.ring:
@@ -117,8 +119,7 @@ class ProductElement:
                                for r, e in zip(self.ring.components, self.entries)) + ")"
 
 
-@dataclass(frozen=True)
-class IndexUltrafilter:
+class IndexUltrafilter(Record):
     """An ultrafilter on the (finite) index set: always principal."""
 
     coordinate: int
@@ -131,18 +132,18 @@ class IndexUltrafilter:
 # Ideal descriptors
 
 
-@dataclass(frozen=True)
-class UltrafilterIdeal:
+class UltrafilterIdeal(Record):
     product: ProductRing
     u: UltrafilterDescriptor
 
-    def __post_init__(self):
-        if self.u.shape != self.product.shape:
+    def __init__(self, product, u):
+        if u.shape != product.shape:
             raise ShapeMismatch("ultrafilter over a different shape")
+        set_field(self, "product", product)
+        set_field(self, "u", u)
 
 
-@dataclass(frozen=True)
-class KernelIdeal:
+class KernelIdeal(Record):
     product: ProductRing
     f: IndexUltrafilter
 
@@ -151,8 +152,7 @@ class KernelIdeal:
             raise ShapeMismatch("index out of range")
 
 
-@dataclass(frozen=True)
-class PointwiseMaxIdeal:
+class PointwiseMaxIdeal(Record):
     product: ProductRing
     f: IndexUltrafilter
     ideals: tuple  # one MaxIdealId per coordinate
@@ -168,8 +168,7 @@ class PointwiseMaxIdeal:
             raise ShapeMismatch("index out of range")
 
 
-@dataclass(frozen=True)
-class ValuationIdeal:
+class ValuationIdeal(Record):
     product: ProductRing
     u: UltrafilterDescriptor
     g: object  # ValueVector
@@ -247,12 +246,17 @@ def is_prime(ideal) -> bool:
     raise UnsupportedDescriptor(f"unknown descriptor {ideal!r}")
 
 
-@dataclass(frozen=True)
-class MaximalityVerdict:
+class MaximalityVerdict(Record):
     is_maximal: bool
     rule: str
     witness: object  # ProductElement | None
     detail: str
+
+    def __init__(self, is_maximal, rule, witness, detail):
+        set_field(self, "is_maximal", is_maximal)
+        set_field(self, "rule", rule)
+        set_field(self, "witness", witness)
+        set_field(self, "detail", detail)
 
     def __bool__(self):
         return self.is_maximal
@@ -369,8 +373,7 @@ def enumerate_maximal_ideals(product: ProductRing, bound: int = None) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class SkolemResult:
+class SkolemResult(Record):
     holds: bool
     certificate: tuple  # coefficient ProductElements, or ()
     witness: tuple      # (coordinate, MaxIdealId) or ()

@@ -18,15 +18,14 @@ that no vanishing set can match.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NoWitness, UnsupportedRing, ZeroElement
+from .record import Record
 from .rings import (
     DEFAULT_FACTOR_BUDGET,
     FinCofSet,
     IntegerRing,
     LocalizedIntegersRing,
-    MaxIdealId,
     PolynomialRing,
     ResidueRing,
     RingElement,
@@ -40,8 +39,7 @@ RULE_PLUSPLUS_NONZERO_JACOBSON = "rule:plusplus-nonzero-jacobson"
 RULE_PLUSPLUS_COFINITE_GAP = "rule:plusplus-fails-infinite-cofinite-gap"
 
 
-@dataclass(frozen=True)
-class PlusWitness:
+class PlusWitness(Record):
     d: RingElement
     lower: FinCofSet   # must-contain set: maximal ideals with a but not r
     upper: FinCofSet   # allowed set: maximal ideals avoiding r
@@ -78,8 +76,7 @@ def plus_witness(ring: RingHandle, r, a,
     return PlusWitness(d, lower, upper, ring.vset(d, budget))
 
 
-@dataclass(frozen=True)
-class PlusPlusVerdict:
+class PlusPlusVerdict(Record):
     ring: RingHandle
     holds: bool
     rule: str

@@ -31,7 +31,6 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -43,11 +42,15 @@ from .errors import (
     NotUnitIdeal,
     UnsupportedRing,
 )
+from .record import Record, set_field
 from .values import INF
 
 #: Trial-division limit for integer factorization, and the largest value
 #: bound for listing integer primes.
 DEFAULT_FACTOR_BUDGET = 1_000_000
+
+#: Size budget of the brute-force oracle's ideal enumeration (``oracle``).
+DEFAULT_ORACLE_BUDGET = 10_000
 
 
 def primes_up_to(bound: int) -> Iterable[int]:
@@ -186,7 +189,11 @@ def xgcd(a: int, b: int):
 
 
 class RingHandle:
-    """Base class of the catalog; instances are immutable and hashable."""
+    """Base class of the catalog; instances are immutable and hashable.
+
+    The catalog classes list ``Record`` before ``RingHandle``, so their
+    ``repr`` is the record form, ``ResidueRing(modulus=12)``.
+    """
 
     kind: str = ""
 
@@ -274,10 +281,13 @@ class RingHandle:
         return self.short_name
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(Record):
     ring: RingHandle
     raw: object
+
+    def __init__(self, ring, raw):
+        set_field(self, "ring", ring)
+        set_field(self, "raw", raw)
 
     @property
     def is_zero(self) -> bool:
@@ -305,12 +315,15 @@ class RingElement:
         return f"{self.ring._repr_raw(self.raw)} in {self.ring.short_name}"
 
 
-@dataclass(frozen=True)
-class MaxIdealId:
+class MaxIdealId(Record):
     """A maximal ideal, identified by its canonical generator."""
 
     ring: RingHandle
     generator: object
+
+    def __init__(self, ring, generator):
+        set_field(self, "ring", ring)
+        set_field(self, "generator", generator)
 
     @property
     def sort_key(self):
@@ -332,8 +345,7 @@ class MaxIdealId:
 # Finite / cofinite subsets of a maximal spectrum
 
 
-@dataclass(frozen=True)
-class FinCofSet:
+class FinCofSet(Record):
     """A finite, or cofinite, set of maximal ideals of one ring.
 
     ``support`` lists the members (finite form) or the non-members
@@ -345,14 +357,16 @@ class FinCofSet:
     is_cofinite: bool
     support: frozenset
 
-    def __post_init__(self):
-        for m in self.support:
-            if m.ring != self.ring:
-                raise InconsistentInput(f"{m} does not belong to {self.ring.short_name}")
-        if self.is_cofinite and self.ring.spectrum_finite:
-            full = set(self.ring.maximal_spectrum())
-            object.__setattr__(self, "support", frozenset(full - self.support))
-            object.__setattr__(self, "is_cofinite", False)
+    def __init__(self, ring, is_cofinite, support):
+        for m in support:
+            if m.ring != ring:
+                raise InconsistentInput(f"{m} does not belong to {ring.short_name}")
+        if is_cofinite and ring.spectrum_finite:
+            support = frozenset(set(ring.maximal_spectrum()) - support)
+            is_cofinite = False
+        set_field(self, "ring", ring)
+        set_field(self, "is_cofinite", is_cofinite)
+        set_field(self, "support", support)
 
     # -- constructors ---------------------------------------------------------
 
@@ -448,8 +462,7 @@ class FinCofSet:
 # The four catalog kinds
 
 
-@dataclass(frozen=True)
-class IntegerRing(RingHandle):
+class IntegerRing(Record, RingHandle):
     kind = "integers"
 
     @property
@@ -526,8 +539,7 @@ class IntegerRing(RingHandle):
         return int_valuation(elem.raw, ideal.generator)
 
 
-@dataclass(frozen=True)
-class ResidueRing(RingHandle):
+class ResidueRing(Record, RingHandle):
     modulus: int
     kind = "residue"
 
@@ -600,8 +612,7 @@ class ResidueRing(RingHandle):
             self, (MaxIdealId(self, p) for p in self._primes if elem.raw % p == 0))
 
 
-@dataclass(frozen=True)
-class LocalizedIntegersRing(RingHandle):
+class LocalizedIntegersRing(Record, RingHandle):
     """Integers localized to have maximal spectrum {(p) : p in primes}."""
 
     primes: tuple
@@ -703,8 +714,7 @@ class LocalizedIntegersRing(RingHandle):
         return out
 
 
-@dataclass(frozen=True)
-class PolynomialRing(RingHandle):
+class PolynomialRing(Record, RingHandle):
     """Polynomials over the field with q elements."""
 
     q: int

@@ -7,19 +7,25 @@ verdict, any witness material, and a provenance tag naming the rule or
 oracle that produced the verdict.  Machine rendering is one JSON object per
 line with sorted keys, so a fixed scenario and tool version always produce
 byte-identical output.
+
+Each CLI process answers one command, so this module imports only what every
+scenario needs (``rings``, ``boolalg``, ``products``).  ``oracle``,
+``properties`` and ``valuations`` are imported by the query kinds, and the
+value-vector decoder, that use them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__ as _version
-from . import boolalg, oracle, products, properties, valuations
+from . import boolalg, products
 from .errors import BudgetExceeded, FactorizationBudgetExceeded, ParseError, ValidationError
+from .record import Record
 from .rings import (
     DEFAULT_FACTOR_BUDGET,
+    DEFAULT_ORACLE_BUDGET,
     FinCofSet,
     IntegerRing,
     LocalizedIntegersRing,
@@ -59,6 +65,8 @@ def decode_ring(obj, where="rings") -> RingHandle:
             return PolynomialRing(int(obj["q"]))
     except (KeyError, ValueError, TypeError) as exc:
         raise ValidationError(where, str(exc))
+    except FactorizationBudgetExceeded as exc:
+        raise FactorizationBudgetExceeded(f"{where}: {exc}") from None
     raise ValidationError(where, f"unknown ring kind {kind!r}")
 
 
@@ -184,6 +192,7 @@ def encode_ultrafilter(u: boolalg.UltrafilterDescriptor) -> dict:
 def decode_value_vector(shape, obj, where="value_vector") -> valuations.ValueVector:
     if not isinstance(obj, dict) or "defaults" not in obj:
         raise ValidationError(where, f"expected a value vector, got {obj!r}")
+    from . import valuations
     defaults = tuple(decode_value(v, where) for v in obj["defaults"])
     if len(defaults) != len(shape):
         raise ValidationError(where, "one default per coordinate required")
@@ -288,16 +297,17 @@ def _resolve_ultrafilter(product, obj, objects, where):
 # Scenario model
 
 
-@dataclass
-class Options:
+class Options(Record, frozen=False):
     bound: int = 16
     n_max: int = 20
     factor_budget: int = DEFAULT_FACTOR_BUDGET
-    oracle_budget: int = oracle.DEFAULT_ORACLE_BUDGET
+    oracle_budget: int = DEFAULT_ORACLE_BUDGET
     log_base: object = None  # None = natural log
 
     @classmethod
     def from_obj(cls, obj) -> "Options":
+        if not isinstance(obj, dict):
+            raise ValidationError("options", "must be an object")
         opts = cls()
         for key in ("bound", "n_max", "factor_budget", "oracle_budget"):
             if key in obj:
@@ -307,8 +317,7 @@ class Options:
         return opts
 
 
-@dataclass
-class Scenario:
+class Scenario(Record, frozen=False):
     rings: list
     product: products.ProductRing
     objects: dict
@@ -348,8 +357,11 @@ def parse_scenario(source) -> Scenario:
     options = Options.from_obj(data.get("options", {}))
 
     # ideals may reference other named objects, so decode them second
+    raw_objects = data.get("objects", {})
+    if not isinstance(raw_objects, dict):
+        raise ValidationError("objects", "must be an object")
     objects = {}
-    items = sorted(data.get("objects", {}).items())
+    items = sorted(raw_objects.items())
     for pass_ideals in (False, True):
         for name, obj in items:
             where = f"objects.{name}"
@@ -385,8 +397,7 @@ def parse_scenario(source) -> Scenario:
 # Execution
 
 
-@dataclass
-class Report:
+class Report(Record, frozen=False):
     records: list
     exit_code: int
 
@@ -476,6 +487,7 @@ def execute_query(scn: Scenario, query: dict, index: int) -> dict:
         return rec
 
     if kind == "check-plus":
+        from . import properties
         ring = _ring_at(scn, query, where)
         r = decode_ring_element(ring, query.get("r"), where)
         a = decode_ring_element(ring, query.get("a"), where)
@@ -489,6 +501,7 @@ def execute_query(scn: Scenario, query: dict, index: int) -> dict:
         return rec
 
     if kind == "check-plusplus":
+        from . import properties
         ring = _ring_at(scn, query, where)
         verdict = properties.plusplus_check(ring)
         rec["provenance"] = verdict.rule
@@ -526,6 +539,7 @@ def execute_query(scn: Scenario, query: dict, index: int) -> dict:
         return rec
 
     if kind == "valuation-compare":
+        from . import valuations
         u = get_ultrafilter()
         result = valuations.valuation_compare(u, get_element("a"), get_element("b"))
         rec["verdict"] = result
@@ -534,6 +548,7 @@ def execute_query(scn: Scenario, query: dict, index: int) -> dict:
         return rec
 
     if kind == "ug-member":
+        from . import valuations
         u = get_ultrafilter()
         rec["verdict"] = valuations.ug_member(u, get_value_vector("g"),
                                               get_element("x"))
@@ -541,6 +556,7 @@ def execute_query(scn: Scenario, query: dict, index: int) -> dict:
         return rec
 
     if kind == "ll":
+        from . import valuations
         u = get_ultrafilter()
         rec["verdict"] = valuations.ll_relation(u, get_value_vector("g"),
                                                 get_value_vector("h"))
@@ -549,6 +565,7 @@ def execute_query(scn: Scenario, query: dict, index: int) -> dict:
         return rec
 
     if kind == "interpolate":
+        from . import valuations
         branch = query.get("branch", "W")
         n_max = scn.options.n_max
         if "n_max" in query:
@@ -582,6 +599,7 @@ def execute_query(scn: Scenario, query: dict, index: int) -> dict:
         return rec
 
     if kind == "oracle":
+        from . import oracle
         mark = bool(query.get("mark_primes", True))
         rep = oracle.oracle_run(product.components, scn.options.oracle_budget, mark)
         ultra = {oracle.descriptor_elements(i)

@@ -10,7 +10,6 @@ the test suite re-checks them against bounded quantifier searches.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .boolalg import UltrafilterDescriptor
 from .errors import (
@@ -22,12 +21,12 @@ from .errors import (
     UnsupportedDescriptor,
     UnsupportedRing,
 )
+from .record import Record
 from .rings import INF, MaxIdealId, ResidueRing, valuation
 from .values import check_value, is_value
 
 
-@dataclass(frozen=True)
-class ValueVector:
+class ValueVector(Record):
     """Finite-support assignment (coordinate, maximal ideal) -> value.
 
     ``defaults[i]`` applies to every maximal ideal of coordinate i outside
@@ -210,8 +209,7 @@ def ll_relation(u: UltrafilterDescriptor, g: ValueVector, h: ValueVector) -> boo
                                     h.value_at(i, u.principal))
 
 
-@dataclass(frozen=True)
-class ChainVerdict:
+class ChainVerdict(Record):
     dominates: bool            # g strictly dominated by h at all scales
     strict_containment: bool   # threshold ideal of h strictly inside that of g
     consistent: bool           # the two verdicts agree
@@ -307,8 +305,7 @@ def floor_div_log(n: int, base: int = None):
 # Chain interpolation on sampled prefixes
 
 
-@dataclass(frozen=True)
-class PrefixSample:
+class PrefixSample(Record):
     """A finite prefix of positions, one maximal ideal per index.
 
     ``g`` and ``h`` are the value pairs; ``n`` carries the per-index scale:
@@ -336,8 +333,7 @@ class PrefixSample:
         return len(self.g)
 
 
-@dataclass(frozen=True)
-class InterpolationReport:
+class InterpolationReport(Record):
     branch: str
     log_base: object       # "e" or an integer
     k: tuple

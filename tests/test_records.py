@@ -1,0 +1,254 @@
+"""Start-up footprint, lazy package exports, and the shared record base."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import prodideals
+from prodideals import boolalg, oracle, products, properties, scenario, valuations
+from prodideals.errors import InconsistentInput
+from prodideals.record import Record
+from prodideals.rings import (
+    FinCofSet,
+    IntegerRing,
+    LocalizedIntegersRing,
+    MaxIdealId,
+    PolynomialRing,
+    ResidueRing,
+    RingElement,
+)
+
+SRC = pathlib.Path(prodideals.__file__).resolve().parent.parent
+HEAVY = ("dataclasses", "inspect", "prodideals.oracle", "prodideals.properties",
+         "prodideals.valuations")
+
+
+def loaded_after(code):
+    """The modules of HEAVY loaded once ``code`` has run in a fresh interpreter.
+
+    ``-S`` keeps site hooks out, so what is counted is what prodideals imports.
+    """
+    probe = (f"import io, contextlib, json, sys\n{code}\n"
+             f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def cli_run(argv):
+    return ("from prodideals.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+
+
+class TestFootprint:
+    def test_parser_loads_no_dataclasses_or_query_modules(self):
+        assert loaded_after("import prodideals.cli; prodideals.cli.build_parser()") == []
+
+    def test_maxideals_loads_no_query_modules(self):
+        assert loaded_after(cli_run(["maxideals", "-r", "Z", "--bound", "50"])) == []
+
+    def test_oracle_loads_neither_properties_nor_valuations(self):
+        assert loaded_after(cli_run(["oracle", "-r", "Z/12"])) == ["prodideals.oracle"]
+
+
+# every name the package exported when it imported its modules eagerly
+PARENT_EXPORTS = """
+    BudgetExceeded FactorizationBudgetExceeded FiniteIntersectionViolation
+    InconsistentInput InvalidSample NonPositiveValueVector NotMember NotUnitIdeal
+    NoWitness ParseError ShapeMismatch UnsupportedDescriptor UnsupportedRing
+    ValidationError ZeroElement INF Infinity FinCofSet IntegerRing
+    LocalizedIntegersRing MaxIdealId PolynomialRing ResidueRing RingElement
+    RingHandle ZERO_MARKER ZeroMarker bezout_certificate crt_solve dset
+    jacobson_radical_generator valuation vset vset_pair AlgebraElement
+    FilterDescriptor FilterExtension FipResult UltrafilterDescriptor complement
+    enumerate_ultrafilters extend_filter fip_check is_zero join leq meet membership
+    IndexUltrafilter KernelIdeal MaximalityVerdict PointwiseMaxIdeal ProductElement
+    ProductRing SkolemResult UltrafilterIdeal ValuationIdeal enumerate_maximal_ideals
+    ideal_member index_filter_of is_maximal is_prime minimal_prime_below
+    skolem_check vset_vector PlusPlusVerdict PlusWitness one_dim_plus_witness
+    plus_witness plusplus_check plusplus_witness ChainVerdict InterpolationReport
+    PrefixSample ValueVector chain_strictness floor_div_log interpolate_chain
+    ll_relation min_prime_over ug_member valuation_compare OracleReport oracle_run
+    Report Scenario parse_scenario run_scenario
+""".split()
+
+
+class TestExports:
+    def test_every_export_resolves_to_its_definition(self):
+        assert sorted(prodideals.__all__) == sorted(PARENT_EXPORTS)
+        for name in PARENT_EXPORTS:
+            namespace = {}
+            exec(f"from prodideals import {name}", namespace)
+            value = namespace[name]
+            assert getattr(sys.modules[value.__module__], name) is value, name
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError):
+            prodideals.no_such_name
+
+    def test_no_source_file_imports_dataclasses(self):
+        for path in (SRC / "prodideals").glob("*.py"):
+            text = path.read_text()
+            assert "import dataclasses" not in text and "from dataclasses" not in text, path
+
+
+# ---------------------------------------------------------------------------
+# Record parity: what the code relied on when the records were dataclasses
+
+ZZ = IntegerRing()
+M3 = MaxIdealId(ZZ, 3)
+SHAPE = (ZZ,)
+P = products.ProductRing(SHAPE)
+U3 = boolalg.UltrafilterDescriptor(SHAPE, 0, M3)
+ALG = boolalg.AlgebraElement((FinCofSet.finite(ZZ, [M3]),))
+
+# one factory per frozen record class; each call builds a new instance with
+# the same fields
+FROZEN = {
+    RingElement: lambda: RingElement(ZZ, 3),
+    MaxIdealId: lambda: MaxIdealId(ZZ, 3),
+    FinCofSet: lambda: FinCofSet.finite(ZZ, [M3]),
+    IntegerRing: IntegerRing,
+    ResidueRing: lambda: ResidueRing(12),
+    LocalizedIntegersRing: lambda: LocalizedIntegersRing((5, 2)),
+    PolynomialRing: lambda: PolynomialRing(4),
+    boolalg.AlgebraElement: lambda: boolalg.AlgebraElement([FinCofSet.finite(ZZ, [M3])]),
+    boolalg.UltrafilterDescriptor: lambda: boolalg.UltrafilterDescriptor([ZZ], 0, M3),
+    boolalg.FipResult: lambda: boolalg.FipResult(True, ()),
+    boolalg.FilterDescriptor: lambda: boolalg.FilterDescriptor([ALG]),
+    boolalg.FilterExtension: lambda: boolalg.extend_filter(boolalg.FilterDescriptor([ALG])),
+    products.ProductRing: lambda: products.ProductRing([ZZ]),
+    products.ProductElement: lambda: products.ProductElement(P, (ZZ.element(6),)),
+    products.IndexUltrafilter: lambda: products.IndexUltrafilter(0),
+    products.UltrafilterIdeal: lambda: products.UltrafilterIdeal(P, U3),
+    products.KernelIdeal: lambda: products.KernelIdeal(P, products.IndexUltrafilter(0)),
+    products.PointwiseMaxIdeal:
+        lambda: products.PointwiseMaxIdeal(P, products.IndexUltrafilter(0), [M3]),
+    products.ValuationIdeal:
+        lambda: products.ValuationIdeal(P, U3, valuations.ValueVector.constant(SHAPE, 1)),
+    products.MaximalityVerdict: lambda: products.is_maximal(products.UltrafilterIdeal(P, U3)),
+    products.SkolemResult: lambda: products.SkolemResult(True, (), ()),
+    oracle.OracleIdeal: lambda: oracle.OracleIdeal((6,), (frozenset({0, 3}),)),
+    oracle.OracleReport: lambda: oracle.oracle_run([ResidueRing(6)]),
+    properties.PlusWitness: lambda: properties.plus_witness(ZZ, ZZ.element(6), ZZ.element(10)),
+    properties.PlusPlusVerdict: lambda: properties.plusplus_check(ZZ),
+    valuations.ValueVector: lambda: valuations.ValueVector([ZZ], [2], [(0, M3, 1)]),
+    valuations.ChainVerdict: lambda: valuations.ChainVerdict(True, False, False),
+    valuations.PrefixSample: lambda: valuations.PrefixSample([1], [3], [2]),
+    valuations.InterpolationReport:
+        lambda: valuations.interpolate_chain(valuations.PrefixSample((1,), (3,), (2,)), "W", 2),
+}
+MUTABLE = {
+    scenario.Options: scenario.Options,
+    scenario.Scenario: lambda: scenario.parse_scenario(
+        {"schema_version": 1, "rings": [{"kind": "integers"}]}),
+    scenario.Report: lambda: scenario.Report([], 0),
+}
+
+
+def fields_of(x):
+    return tuple(getattr(x, name) for name in type(x).__annotations__)
+
+
+def all_record_classes():
+    out, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("prodideals."):
+                out.add(sub)
+                todo.append(sub)
+    return out
+
+
+def test_every_record_class_is_covered():
+    assert all_record_classes() == set(FROZEN) | set(MUTABLE)
+    assert len(FROZEN) + len(MUTABLE) == 32
+
+
+@pytest.mark.parametrize("cls", list(FROZEN), ids=lambda c: c.__name__)
+def test_frozen_record_parity(cls):
+    a, b = FROZEN[cls](), FROZEN[cls]()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash(fields_of(a))
+    assert {a: 1}[b] == 1
+    name = next(iter(cls.__annotations__), "anything")
+    with pytest.raises(AttributeError):
+        setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        a.not_a_field = 1
+
+
+def test_keyword_construction_and_normalisation():
+    assert MaxIdealId(generator=3, ring=ZZ) == M3
+    assert boolalg.UltrafilterDescriptor(shape=[ZZ], coordinate=0, principal=M3) == U3
+    assert LocalizedIntegersRing(primes=[5, 2, 5]).primes == (2, 5)
+    assert FinCofSet(ResidueRing(12), True, frozenset()).support == frozenset(
+        ResidueRing(12).maximal_spectrum())
+    with pytest.raises(TypeError):
+        ResidueRing()
+    with pytest.raises(TypeError):
+        ResidueRing(12, modulus=12)
+    with pytest.raises(TypeError):
+        ResidueRing(12, 13)
+    with pytest.raises(TypeError):
+        scenario.Options(bounds=3)
+
+
+def test_equal_fields_of_different_classes_compare_unequal():
+    for a, b in ((RingElement(ZZ, 3), MaxIdealId(ZZ, 3)),
+                 (ResidueRing(5), PolynomialRing(5))):
+        assert fields_of(a) == fields_of(b) and hash(a) == hash(b)
+        assert a != b and not a == b
+    assert len({RingElement(ZZ, 3), MaxIdealId(ZZ, 3)}) == 2
+
+
+def test_validation_runs_on_every_construction():
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        ResidueRing(1)
+    with pytest.raises(InconsistentInput, match="empty product shape"):
+        boolalg.AlgebraElement(())
+    with pytest.raises(InconsistentInput, match="out of range"):
+        boolalg.UltrafilterDescriptor(SHAPE, 1, M3)
+    with pytest.raises(InconsistentInput, match="finite spectrum"):
+        boolalg.UltrafilterDescriptor((ResidueRing(6),), 0, None)
+    with pytest.raises(InconsistentInput, match="does not belong"):
+        FinCofSet.finite(ResidueRing(6), [M3])
+    with pytest.raises(InconsistentInput, match="at least one component"):
+        products.ProductRing(())
+
+
+def test_mutable_records():
+    opts = scenario.Options()
+    assert (opts.bound, opts.n_max, opts.factor_budget, opts.oracle_budget,
+            opts.log_base) == (16, 20, 10**6, 10_000, None)
+    assert scenario.Options(5, log_base=2) == scenario.Options(bound=5, log_base=2)
+    opts.bound = 7
+    assert opts.bound == 7 and scenario.Options().bound == 16
+    for cls, make in MUTABLE.items():
+        x = make()
+        assert type(x) is cls
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(x)
+        assert x == make()
+
+
+def test_generated_repr_where_the_class_defines_none():
+    assert repr(IntegerRing()) == "IntegerRing()"
+    assert repr(ResidueRing(12)) == "ResidueRing(modulus=12)"
+    assert repr(LocalizedIntegersRing((5, 2))) == "LocalizedIntegersRing(primes=(2, 5))"
+    assert repr(valuations.ChainVerdict(True, False, False)) == (
+        "ChainVerdict(dominates=True, strict_containment=False, consistent=False)")
+    assert repr(scenario.Options()) == (
+        "Options(bound=16, n_max=20, factor_budget=1000000, oracle_budget=10000, "
+        "log_base=None)")
+    # classes with their own repr keep it
+    assert repr(M3) == "(3)"
+    assert repr(U3) == "Principal(coord=0, (3))"
+    assert repr(products.IndexUltrafilter(0)) == "IndexPrincipal(0)"

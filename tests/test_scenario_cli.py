@@ -357,6 +357,27 @@ class TestCli:
                            match=r"^queries\[0\]: cofactor 1000000016000000063 "):
             run_scenario(json.dumps(data))
 
+    def test_ring_budget_error_is_located(self):
+        # psi_13 passes Miller-Rabin to every base but is past the proven range
+        code, out, err = run_cli(["maxideals", "-r", "Z_(3317044064679887385961981)"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: rings[0]: 3317044064679887385961981 passes Miller-Rabin")
+        assert err.count("rings[") == 1
+        from prodideals.errors import FactorizationBudgetExceeded
+        with pytest.raises(FactorizationBudgetExceeded, match=r"^rings\[2\]: 3317044064679887385961981 "):
+            decode_ring({"kind": "localized_integers", "primes": [3317044064679887385961981]},
+                        "rings[2]")
+
+    @pytest.mark.parametrize("section, value", [
+        ("objects", [1, 2]), ("objects", "x"), ("options", [1]), ("options", None),
+        ("options", 3)])
+    def test_malformed_top_level_section_is_located(self, tmp_path, section, value):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(minimal_scenario(**{section: value})))
+        code, out, err = run_cli(["run", str(path)])
+        assert code == 1 and out == ""
+        assert err == f"error: {section}: must be an object\n"
+
     def test_minimal_prime_at_a_large_mersenne_prime(self):
         start = time.perf_counter()
         code, out, _ = run_cli(["--format", "machine", "minimal-prime", "-r", "Z",
