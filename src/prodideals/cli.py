@@ -19,26 +19,14 @@ from . import scenario as sc
 from .errors import (
     BudgetExceeded,
     FactorizationBudgetExceeded,
-    InconsistentInput,
-    InvalidSample,
-    NonPositiveValueVector,
-    NotMember,
-    NotUnitIdeal,
-    NoWitness,
-    ParseError,
-    ShapeMismatch,
     UnsupportedDescriptor,
     UnsupportedRing,
     ValidationError,
-    ZeroElement,
 )
 
-_INPUT_ERRORS = (
-    BudgetExceeded, FactorizationBudgetExceeded, InconsistentInput,
-    InvalidSample, NonPositiveValueVector, NotMember, NotUnitIdeal,
-    NoWitness, ParseError, ShapeMismatch, UnsupportedDescriptor,
-    UnsupportedRing, ValidationError, ZeroElement, ValueError, OSError,
-)
+# every other error type of the toolkit is a ValueError
+_INPUT_ERRORS = (BudgetExceeded, FactorizationBudgetExceeded, UnsupportedDescriptor,
+                 UnsupportedRing, ValueError, OSError)
 
 INFINITE_INDEX_MESSAGE = (
     "refused: constructions over an infinite index set are out of scope. "
@@ -82,17 +70,64 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+#: ``-r`` for a query over a product of rings, and for one over a single ring
+_RINGS = {"action": "append", "metavar": "RING", "help": "component ring token (repeatable)"}
+_ONE_RING = {}
+
+#: One row per query kind with a command-line form, keyed by the kind, in
+#: ``--help`` order: (help, ``-r`` keywords or None for a query over ``Z``,
+#: flags).  A flag is (flag, field, argparse keywords); its value goes to the
+#: query's ``field``, or to a scenario option when the field reads
+#: ``options.<name>``.  A flag without ``type``, ``choices`` or ``action`` is
+#: JSON text.  A flag is forwarded only when given, so the scenario's
+#: defaults are the only ones.
+COMMANDS = {
+    "maxideals": ("enumerate maximal ideals", _RINGS, ()),
+    "check-plus": ("separating element for (r, a)", _ONE_RING, (
+        ("--r-elem", "r", {"required": True, "help": "JSON element"}),
+        ("--a-elem", "a", {"required": True, "help": "JSON element (nonzero)"}))),
+    "check-plusplus": ("strong separation verdict", _ONE_RING, (
+        ("--r-elem", "r", {"help": "optional JSON element"}),)),
+    "ideal-member": ("decide ideal membership", _RINGS, (
+        ("--ideal", "ideal", {"required": True, "help": "JSON ideal descriptor"}),
+        ("--element", "element", {"required": True, "help": "JSON element list"}))),
+    "minimal-prime": ("the minimal prime below an ultrafilter ideal", _RINGS, (
+        ("--ultrafilter", "ultrafilter", {"required": True, "help": "JSON ultrafilter"}),)),
+    "valuation-compare": ("compare induced valuations of two elements", _RINGS, (
+        ("--ultrafilter", "ultrafilter", {"required": True}),
+        ("-a", "a", {"required": True, "help": "JSON element list"}),
+        ("-b", "b", {"required": True, "help": "JSON element list"}))),
+    "ug-member": ("valuation-threshold ideal membership", _RINGS, (
+        ("--ultrafilter", "ultrafilter", {"required": True}),
+        ("-g", "g", {"required": True, "help": "JSON value vector"}),
+        ("-x", "x", {"required": True, "help": "JSON element list"}))),
+    "ll": ("domination order on value vectors", _RINGS, (
+        ("--ultrafilter", "ultrafilter", {"required": True}),
+        ("-g", "g", {"required": True, "help": "JSON value vector"}),
+        ("--h-vec", "h", {"required": True, "help": "JSON value vector"}))),
+    "interpolate": ("construct the middle of a domination chain on a sample", None, (
+        ("--branch", "branch", {"choices": ("V", "W")}),
+        ("--sample", "sample", {"help": 'JSON {"g": [...], "h": [...], "n": [...]}'}),
+        ("--doubling", "doubling",
+         {"type": int, "help": "use the built-in doubling sample of this length"}),
+        ("--n-max", "n_max", {"type": int}))),
+    "oracle": ("brute-force ideal survey of a finite residue product", _RINGS, (
+        ("--no-primes", "mark_primes",
+         {"action": "store_false", "help": "skip primality marking"}),
+        ("--budget", "options.oracle_budget", {"type": int}))),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # the global flags are accepted both before and after the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "machine"),
-                        default=argparse.SUPPRESS)
-    common.add_argument("--bound", type=int, default=argparse.SUPPRESS,
+    # the global flags are accepted both before and after the subcommand;
+    # no flag has a default, so an absent flag leaves no attribute behind
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--format", choices=("text", "machine"))
+    common.add_argument("--bound", type=int,
                         help="generator bound for enumerations over infinite spectra")
-    common.add_argument("--log-base", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--log-base", type=int,
                         help="integer logarithm base for interpolation (default: natural log)")
     common.add_argument("--infinite-index", action="store_true",
-                        default=argparse.SUPPRESS,
                         help="request infinite index sets (always refused)")
 
     parser = _Parser(
@@ -100,95 +135,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="prime and maximal ideals in finite products of arithmetic rings",
         parents=[common])
     sub = parser.add_subparsers(dest="command")
-
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    run = add_parser("run", help="execute a scenario file")
+    run = sub.add_parser("run", parents=[common], help="execute a scenario file")
     run.add_argument("scenario", help="path to a scenario JSON file")
-
-    def with_rings(p):
-        p.add_argument("-r", "--ring", action="append", required=True,
-                       metavar="RING", help="component ring token (repeatable)")
-        return p
-
-    mx = with_rings(add_parser("maxideals", help="enumerate maximal ideals"))
-
-    cp = add_parser("check-plus", help="separating element for (r, a)")
-    cp.add_argument("-r", "--ring", required=True)
-    cp.add_argument("--r-elem", required=True, help="JSON element")
-    cp.add_argument("--a-elem", required=True, help="JSON element (nonzero)")
-
-    cpp = add_parser("check-plusplus", help="strong separation verdict")
-    cpp.add_argument("-r", "--ring", required=True)
-    cpp.add_argument("--r-elem", default=None, help="optional JSON element")
-
-    im = with_rings(add_parser("ideal-member", help="decide ideal membership"))
-    im.add_argument("--ideal", required=True, help="JSON ideal descriptor")
-    im.add_argument("--element", required=True, help="JSON element list")
-
-    mp = with_rings(add_parser("minimal-prime",
-                                   help="the minimal prime below an ultrafilter ideal"))
-    mp.add_argument("--ultrafilter", required=True, help="JSON ultrafilter")
-
-    vc = with_rings(add_parser("valuation-compare",
-                                   help="compare induced valuations of two elements"))
-    vc.add_argument("--ultrafilter", required=True)
-    vc.add_argument("-a", required=True, help="JSON element list")
-    vc.add_argument("-b", required=True, help="JSON element list")
-
-    ug = with_rings(add_parser("ug-member",
-                                   help="valuation-threshold ideal membership"))
-    ug.add_argument("--ultrafilter", required=True)
-    ug.add_argument("-g", required=True, help="JSON value vector")
-    ug.add_argument("-x", required=True, help="JSON element list")
-
-    ll = with_rings(add_parser("ll", help="domination order on value vectors"))
-    ll.add_argument("--ultrafilter", required=True)
-    ll.add_argument("-g", required=True, help="JSON value vector")
-    ll.add_argument("--h-vec", required=True, help="JSON value vector")
-
-    ip = add_parser("interpolate",
-                        help="construct the middle of a domination chain on a sample")
-    ip.add_argument("--branch", choices=("V", "W"), default="W")
-    ip.add_argument("--sample", default=None,
-                    help='JSON {"g": [...], "h": [...], "n": [...]}')
-    ip.add_argument("--doubling", type=int, default=None,
-                    help="use the built-in doubling sample of this length")
-    ip.add_argument("--n-max", type=int, default=20)
-
-    orc = with_rings(add_parser("oracle",
-                                    help="brute-force ideal survey of a finite residue product"))
-    orc.add_argument("--no-primes", action="store_true",
-                     help="skip primality marking")
-    orc.add_argument("--budget", type=int, default=10_000)
-
+    for name, (text, rings, flags) in COMMANDS.items():
+        cmd = sub.add_parser(name, parents=[common], help=text,
+                             argument_default=argparse.SUPPRESS)
+        if rings is not None:
+            cmd.add_argument("-r", "--ring", required=True, **rings)
+        for flag, _, kwargs in flags:
+            cmd.add_argument(flag, **kwargs)
     return parser
 
 
-def _scenario_for(args, rings, queries, objects=None):
-    data = {
-        "schema_version": sc.SCHEMA_VERSION,
-        "rings": rings,
-        "product": list(range(len(rings))),
-        "objects": objects or {},
-        "queries": queries,
-        "options": {"bound": args.bound},
-    }
-    if args.log_base is not None:
-        data["options"]["log_base"] = args.log_base
-    return data
+def _scenario_for(args) -> dict:
+    """The one-query scenario that a subcommand's arguments describe."""
+    _, rings, flags = COMMANDS[args.command]
+    given = vars(args)
+    if rings is None:
+        ring_list = [{"kind": "integers"}]
+    else:
+        tokens = args.ring if isinstance(args.ring, list) else [args.ring]
+        ring_list = [parse_ring_token(t) for t in tokens]
+    if args.command == "interpolate":
+        # the doubling sample takes precedence, and --sample is then not read
+        if "doubling" in given:
+            given.pop("sample", None)
+        elif "sample" not in given:
+            raise ValidationError("sample", "need --sample or --doubling")
+    query = {"query": args.command}
+    options = {key: given[key] for key in ("bound", "log_base") if key in given}
+    for flag, field, kwargs in flags:
+        dest = flag.lstrip("-").replace("-", "_")
+        if dest in given:
+            value = given[dest]
+            if not kwargs.keys() & {"type", "choices", "action"}:
+                value = _json_arg(value, field)
+            section, _, key = field.rpartition(".")
+            (options if section else query)[key] = value
+    return {"schema_version": sc.SCHEMA_VERSION, "rings": ring_list,
+            "queries": [query], "options": options}
 
 
-_GLOBAL_DEFAULTS = {"format": "text", "bound": 16, "log_base": None,
-                    "infinite_index": False}
+_GLOBAL_DEFAULTS = {"format": "text", "infinite_index": False}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # shared flags keep SUPPRESS defaults so they survive the subcommand
-    # namespace merge; fill the real defaults here
+    # a parser default would also overwrite a global flag given before the
+    # subcommand, so the defaults of the two always read are filled in here
     for key, value in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
@@ -206,72 +201,10 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "run":
-        report = sc.run_scenario(args.scenario)
-        _emit(report, args)
-        return report.exit_code
-
-    if args.command == "interpolate":
-        q = {"query": "interpolate", "branch": args.branch, "n_max": args.n_max}
-        if args.doubling is not None:
-            q["doubling"] = args.doubling
-        elif args.sample is not None:
-            q["sample"] = _json_arg(args.sample, "sample")
-        else:
-            raise ValidationError("sample", "need --sample or --doubling")
-        data = _scenario_for(args, [{"kind": "integers"}], [q])
-        report = sc.run_scenario(data)
-        _emit(report, args)
-        return 0
-
-    rings = [parse_ring_token(t) for t in (args.ring if isinstance(args.ring, list)
-                                           else [args.ring])]
-
-    if args.command == "maxideals":
-        queries = [{"query": "maxideals", "bound": args.bound}]
-    elif args.command == "check-plus":
-        queries = [{"query": "check-plus", "ring": 0,
-                    "r": _json_arg(args.r_elem, "r"), "a": _json_arg(args.a_elem, "a")}]
-    elif args.command == "check-plusplus":
-        q = {"query": "check-plusplus", "ring": 0}
-        if args.r_elem is not None:
-            q["r"] = _json_arg(args.r_elem, "r")
-        queries = [q]
-    elif args.command == "ideal-member":
-        queries = [{"query": "ideal-member",
-                    "ideal": _json_arg(args.ideal, "ideal"),
-                    "element": _json_arg(args.element, "element")}]
-    elif args.command == "minimal-prime":
-        queries = [{"query": "minimal-prime",
-                    "ultrafilter": _json_arg(args.ultrafilter, "ultrafilter")}]
-    elif args.command == "valuation-compare":
-        queries = [{"query": "valuation-compare",
-                    "ultrafilter": _json_arg(args.ultrafilter, "ultrafilter"),
-                    "a": _json_arg(args.a, "a"), "b": _json_arg(args.b, "b")}]
-    elif args.command == "ug-member":
-        queries = [{"query": "ug-member",
-                    "ultrafilter": _json_arg(args.ultrafilter, "ultrafilter"),
-                    "g": _json_arg(args.g, "g"), "x": _json_arg(args.x, "x")}]
-    elif args.command == "ll":
-        queries = [{"query": "ll",
-                    "ultrafilter": _json_arg(args.ultrafilter, "ultrafilter"),
-                    "g": _json_arg(args.g, "g"), "h": _json_arg(args.h_vec, "h")}]
-    elif args.command == "oracle":
-        queries = [{"query": "oracle", "mark_primes": not args.no_primes}]
-    else:
-        raise ValidationError("command", f"unknown command {args.command!r}")
-
-    data = _scenario_for(args, rings, queries)
-    if args.command == "oracle":
-        data["options"]["oracle_budget"] = args.budget
-    report = sc.run_scenario(data)
-    _emit(report, args)
-    return 0
-
-
-def _emit(report: sc.Report, args):
-    text = report.render_machine() if args.format == "machine" else report.render_text()
-    sys.stdout.write(text)
+    report = sc.run_scenario(args.scenario if args.command == "run" else _scenario_for(args))
+    sys.stdout.write(report.render_machine() if args.format == "machine"
+                     else report.render_text())
+    return report.exit_code
 
 
 if __name__ == "__main__":

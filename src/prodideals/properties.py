@@ -17,8 +17,6 @@ that no vanishing set can match.
 
 from __future__ import annotations
 
-import math
-
 from .errors import NoWitness, UnsupportedRing, ZeroElement
 from .record import Record
 from .rings import (
@@ -26,12 +24,15 @@ from .rings import (
     FinCofSet,
     IntegerRing,
     LocalizedIntegersRing,
+    MaxIdealId,
     PolynomialRing,
     ResidueRing,
     RingElement,
     RingHandle,
-    xgcd,
+    crt_solve,
 )
+
+ZZ = IntegerRing()
 
 RULE_PLUS_FINITE_CHARACTER = "rule:plus-finite-character-product"
 RULE_PLUSPLUS_ZERO_DIMENSIONAL = "rule:plusplus-zero-dimensional"
@@ -128,24 +129,13 @@ def plusplus_witness(ring: RingHandle, r,
         value = r.raw.numerator
     else:
         raise UnsupportedRing(ring.short_name)
-    # e = 1 at primes not containing r, 0 at primes containing r; d lifts 1-e
-    m = math.prod(primes)
-    e = _crt_int([(p, 0 if value % p == 0 else 1) for p in primes], m)
-    d = (1 - e) % m
+    # e = 1 at primes not containing r, 0 at primes containing r; d lifts
+    # 1 - e, the smallest non-negative solution of these congruences
+    d = crt_solve(ZZ, [(MaxIdealId(ZZ, p), 1, 1 if value % p == 0 else 0)
+                       for p in primes]).raw
     witness = ring.element(d)
     assert ring.vset(witness, budget) == ring.vset(r, budget).complement()
     return witness
-
-
-def _crt_int(congruences, modulus: int) -> int:
-    x, mod = 0, 1
-    for p, res in congruences:
-        g, u, _ = xgcd(mod, p)
-        assert g == 1
-        t = ((res - x) * u) % p
-        x += mod * t
-        mod *= p
-    return x % modulus
 
 
 def one_dim_plus_witness(ring: RingHandle, r, a,
@@ -156,21 +146,9 @@ def one_dim_plus_witness(ring: RingHandle, r, a,
     generated by the product z of their generators.  Every one of those
     ideals avoids r, so r is a unit modulo Z and the idempotent generating
     the same class is 1 itself; d = 1 - e then lives in Z, and the canonical
-    nonzero lift is z.  (The lift 0 is only admissible when r is a unit.)
-    The result satisfies the same two containments as plus_witness.
+    nonzero lift is z, the element ``plus_witness`` returns.  Defined for
+    the domain kinds only.
     """
     if isinstance(ring, ResidueRing):
         raise UnsupportedRing("domain kinds only")
-    r = ring.element(r)
-    a = ring.element(a)
-    if a.is_zero:
-        raise ZeroElement("a must be nonzero")
-    upper = ring.vset(r, budget).complement()
-    lower = ring.vset(a, budget).intersection(upper)
-    # d must lie in Z and avoid every maximal ideal of r; the lift 0 of
-    # 1 - e is admissible only for units r, so the generator z of Z is the
-    # canonical choice (z = 1 for empty Z, covering the unit case too)
-    d = _generator_product(ring, lower.sorted_support())
-    assert lower.issubset(ring.vset(d, budget))
-    assert ring.vset(d, budget).issubset(upper)
-    return d
+    return plus_witness(ring, r, a, budget).d

@@ -195,8 +195,6 @@ class RingHandle:
     ``repr`` is the record form, ``ResidueRing(modulus=12)``.
     """
 
-    kind: str = ""
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -463,8 +461,6 @@ class FinCofSet(Record):
 
 
 class IntegerRing(Record, RingHandle):
-    kind = "integers"
-
     @property
     def spectrum_finite(self):
         return False
@@ -541,7 +537,6 @@ class IntegerRing(Record, RingHandle):
 
 class ResidueRing(Record, RingHandle):
     modulus: int
-    kind = "residue"
 
     def __post_init__(self):
         if self.modulus < 2:
@@ -616,7 +611,6 @@ class LocalizedIntegersRing(Record, RingHandle):
     """Integers localized to have maximal spectrum {(p) : p in primes}."""
 
     primes: tuple
-    kind = "localized_integers"
 
     def __post_init__(self):
         ps = tuple(sorted(set(int(p) for p in self.primes)))
@@ -718,7 +712,6 @@ class PolynomialRing(Record, RingHandle):
     """Polynomials over the field with q elements."""
 
     q: int
-    kind = "poly_fq"
 
     def __post_init__(self):
         if fqpoly.prime_power(self.q) is None:

@@ -8,6 +8,12 @@ oracle that produced the verdict.  Machine rendering is one JSON object per
 line with sorted keys, so a fixed scenario and tool version always produce
 byte-identical output.
 
+``QUERIES`` maps each query kind to its handler, a function of the scenario,
+the query object and its location (``queries[i]``) that returns the record's
+fields: ``verdict``, ``provenance`` and any witness material.  To add a kind,
+write its handler, add a ``QUERIES`` row, and, if the kind has a command-line
+form, add a row to ``cli.COMMANDS``.
+
 Each CLI process answers one command, so this module imports only what every
 scenario needs (``rings``, ``boolalg``, ``products``).  ``oracle``,
 ``properties`` and ``valuations`` are imported by the query kinds, and the
@@ -39,12 +45,6 @@ from .values import decode_value, encode_value
 
 SCHEMA_VERSION = 1
 
-QUERY_KINDS = (
-    "maxideals", "is-maximal", "check-plus", "check-plusplus", "ideal-member",
-    "minimal-prime", "valuation-compare", "ug-member", "ll",
-    "interpolate", "oracle", "skolem", "assert",
-)
-
 
 # ---------------------------------------------------------------------------
 # Codecs
@@ -70,18 +70,6 @@ def decode_ring(obj, where="rings") -> RingHandle:
     raise ValidationError(where, f"unknown ring kind {kind!r}")
 
 
-def encode_ring(ring: RingHandle) -> dict:
-    if isinstance(ring, IntegerRing):
-        return {"kind": "integers"}
-    if isinstance(ring, ResidueRing):
-        return {"kind": "residue", "n": ring.modulus}
-    if isinstance(ring, LocalizedIntegersRing):
-        return {"kind": "localized_integers", "primes": list(ring.primes)}
-    if isinstance(ring, PolynomialRing):
-        return {"kind": "poly_fq", "q": ring.q}
-    raise ValidationError("rings", f"cannot encode {ring!r}")
-
-
 def _decode_int(obj, where):
     if isinstance(obj, str):
         try:
@@ -101,16 +89,19 @@ def _decode_positive_int(obj, where):
 
 
 def decode_ring_element(ring: RingHandle, obj, where="element") -> RingElement:
+    if isinstance(ring, PolynomialRing) and isinstance(obj, dict) and "poly" in obj:
+        raw = tuple(_decode_int(c, where) for c in obj["poly"])
+    elif isinstance(ring, LocalizedIntegersRing) and isinstance(obj, str) and "/" in obj:
+        try:
+            raw = Fraction(obj)
+        except ZeroDivisionError:
+            raise ValidationError(where, f"zero denominator: {obj!r}")
+        except ValueError as exc:
+            raise ValidationError(where, str(exc))
+    else:
+        raw = _decode_int(obj, where)
     try:
-        if isinstance(ring, PolynomialRing):
-            if isinstance(obj, dict) and "poly" in obj:
-                return ring.element(tuple(_decode_int(c, where) for c in obj["poly"]))
-            return ring.element(_decode_int(obj, where))
-        if isinstance(ring, LocalizedIntegersRing):
-            if isinstance(obj, str) and "/" in obj:
-                return ring.element(Fraction(obj))
-            return ring.element(_decode_int(obj, where))
-        return ring.element(_decode_int(obj, where))
+        return ring.element(raw)
     except ValueError as exc:
         raise ValidationError(where, str(exc))
 
@@ -145,8 +136,9 @@ def encode_generator(m: MaxIdealId):
 
 
 def decode_max_ideal(ring: RingHandle, obj, where="ideal") -> MaxIdealId:
+    generator = decode_generator(ring, obj, where)
     try:
-        return ring.max_ideal(decode_generator(ring, obj, where))
+        return ring.max_ideal(generator)
     except ValueError as exc:
         raise ValidationError(where, str(exc))
 
@@ -190,14 +182,16 @@ def encode_ultrafilter(u: boolalg.UltrafilterDescriptor) -> dict:
 
 
 def decode_value_vector(shape, obj, where="value_vector") -> valuations.ValueVector:
-    if not isinstance(obj, dict) or "defaults" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("defaults"), list):
         raise ValidationError(where, f"expected a value vector, got {obj!r}")
     from . import valuations
     defaults = tuple(decode_value(v, where) for v in obj["defaults"])
     if len(defaults) != len(shape):
         raise ValidationError(where, "one default per coordinate required")
+    if not isinstance(obj.get("exceptions", []), list):
+        raise ValidationError(f"{where}.exceptions", "must be a list")
     exceptions = []
-    for j, rec in enumerate(obj.get("exceptions", ())):
+    for j, rec in enumerate(obj.get("exceptions", [])):
         if not isinstance(rec, dict) or not {"coord", "ideal", "value"} <= rec.keys():
             raise ValidationError(f"{where}.exceptions[{j}]",
                                   "need \"coord\", \"ideal\" and \"value\"")
@@ -244,20 +238,22 @@ def decode_ideal(product, obj, objects, where="ideal"):
     kind = obj["kind"]
     shape = product.shape
     if kind == "ultrafilter_ideal":
-        u = _resolve_ultrafilter(product, obj["ultrafilter"], objects, where)
+        u = _resolve_ultrafilter(product, obj.get("ultrafilter"), objects, where)
         return products.UltrafilterIdeal(product, u)
     if kind == "kernel_ideal":
-        coord = _decode_int(obj["coordinate"], where)
+        coord = _decode_int(obj.get("coordinate"), where)
         return products.KernelIdeal(product, products.IndexUltrafilter(coord))
     if kind == "pointwise_max_ideal":
-        coord = _decode_int(obj["coordinate"], where)
+        coord = _decode_int(obj.get("coordinate"), where)
+        if not isinstance(obj.get("ideals"), list):
+            raise ValidationError(where, "\"ideals\" must be a list of generators")
         ideals = tuple(decode_max_ideal(r, g, where)
                        for r, g in zip(product.components, obj["ideals"]))
         return products.PointwiseMaxIdeal(
             product, products.IndexUltrafilter(coord), ideals)
     if kind == "valuation_ideal":
-        u = _resolve_ultrafilter(product, obj["ultrafilter"], objects, where)
-        g = obj["g"]
+        u = _resolve_ultrafilter(product, obj.get("ultrafilter"), objects, where)
+        g = obj.get("g")
         if isinstance(g, str):
             g = _resolve(objects, g, where)
         else:
@@ -387,9 +383,8 @@ def parse_scenario(source) -> Scenario:
     for i, q in enumerate(queries):
         if not isinstance(q, dict) or "query" not in q:
             raise ValidationError(f"queries[{i}]", "each query needs a \"query\" field")
-        kind = q["query"]
-        if kind not in QUERY_KINDS:
-            raise ValidationError(f"queries[{i}].query", f"unknown kind {kind!r}")
+        if not _is_kind(q["query"]):
+            raise ValidationError(f"queries[{i}].query", f"unknown kind {q['query']!r}")
     return Scenario(rings, product, objects, queries, options)
 
 
@@ -430,220 +425,230 @@ def _ring_at(scn: Scenario, query: dict, where):
     return scn.rings[idx]
 
 
+def _element(scn: Scenario, obj, where):
+    """A product element: the name of an element object, or a list of entries."""
+    if isinstance(obj, str):
+        return _resolve(scn.objects, obj, where)
+    return decode_element(scn.product, obj, where)
+
+
+def _ultrafilter(scn: Scenario, query: dict, where):
+    return _resolve_ultrafilter(scn.product, query.get("ultrafilter"), scn.objects, where)
+
+
+def _value_vector(scn: Scenario, query: dict, key, where):
+    obj = query.get(key)
+    if isinstance(obj, str):
+        return _resolve(scn.objects, obj, where)
+    return decode_value_vector(scn.product.shape, obj, f"{where}.{key}")
+
+
+def _maxideals(scn, query, where):
+    product = scn.product
+    bound = scn.options.bound
+    if "bound" in query:
+        bound = _decode_positive_int(query["bound"], f"{where}.bound")
+    # every witness is these entries with the generator at u's coordinate
+    fillers = [encode_ring_element(e) for e in products.witness_fillers(product)]
+    accepted, rejected = [], []
+    for u in boolalg.enumerate_ultrafilters(product.shape, bound):
+        verdict = products.is_maximal(products.UltrafilterIdeal(product, u))
+        entry = {"ultrafilter": encode_ultrafilter(u), "rule": verdict.rule}
+        if verdict.is_maximal:
+            if verdict.witness is not None:
+                witness = fillers.copy()
+                witness[u.coordinate] = encode_ring_element(
+                    verdict.witness.entries[u.coordinate])
+                entry["witness"] = witness
+            accepted.append(entry)
+        else:
+            entry["reason"] = verdict.detail
+            rejected.append(entry)
+    return {"verdict": {"maximal": accepted, "rejected": rejected},
+            "provenance": "rule:bounded-ultrafilter-enumeration"}
+
+
+def _is_maximal(scn, query, where):
+    u = _ultrafilter(scn, query, where)
+    verdict = products.is_maximal(products.UltrafilterIdeal(scn.product, u))
+    rec = {"verdict": verdict.is_maximal, "provenance": verdict.rule,
+           "detail": verdict.detail}
+    if verdict.witness is not None:
+        rec["witness"] = encode_element(verdict.witness)
+    return rec
+
+
+def _check_plus(scn, query, where):
+    from . import properties
+    ring = _ring_at(scn, query, where)
+    r = decode_ring_element(ring, query.get("r"), where)
+    a = decode_ring_element(ring, query.get("a"), where)
+    w = properties.plus_witness(ring, r, a, scn.options.factor_budget)
+    return {"verdict": encode_ring_element(w.d),
+            "witness": {"must_contain": encode_fincof(w.lower),
+                        "allowed": encode_fincof(w.upper),
+                        "vanishing_set": encode_fincof(w.vset_d)},
+            "provenance": properties.RULE_PLUS_FINITE_CHARACTER}
+
+
+def _check_plusplus(scn, query, where):
+    from . import properties
+    ring = _ring_at(scn, query, where)
+    verdict = properties.plusplus_check(ring)
+    if not verdict.holds:
+        return {"verdict": False, "provenance": verdict.rule,
+                "obstruction": encode_ring_element(verdict.obstruction)}
+    rec = {"verdict": True, "provenance": verdict.rule}
+    budget = scn.options.factor_budget
+    if "r" in query:
+        r = decode_ring_element(ring, query["r"], where)
+        rec["witness"] = encode_ring_element(properties.plusplus_witness(ring, r, budget))
+    elif isinstance(ring, ResidueRing):
+        table = []
+        for r in range(ring.modulus):
+            d = properties.plusplus_witness(ring, ring.element(r), budget)
+            table.append({"r": r, "d": encode_ring_element(d)})
+        rec["witness_table"] = table
+    return rec
+
+
+def _ideal_member(scn, query, where):
+    ideal = decode_ideal(scn.product, query.get("ideal"), scn.objects, where)
+    a = _element(scn, query.get("element"), where)
+    return {"verdict": products.ideal_member(ideal, a), "ideal": encode_ideal(ideal),
+            "provenance": "rule:descriptor-membership"}
+
+
+def _minimal_prime(scn, query, where):
+    u = _ultrafilter(scn, query, where)
+    kernel = products.minimal_prime_below(products.UltrafilterIdeal(scn.product, u))
+    return {"verdict": encode_ideal(kernel),
+            "provenance": "rule:index-filter-concentration"}
+
+
+def _valuation_compare(scn, query, where):
+    from . import valuations
+    u = _ultrafilter(scn, query, where)
+    a = _element(scn, query.get("a"), where)
+    b = _element(scn, query.get("b"), where)
+    return {"verdict": valuations.valuation_compare(u, a, b),
+            "provenance": ("rule:principal-valuation-restriction"
+                           if not u.is_frechet else "rule:frechet-exception-scan")}
+
+
+def _ug_member(scn, query, where):
+    from . import valuations
+    u = _ultrafilter(scn, query, where)
+    g = _value_vector(scn, query, "g", where)
+    x = _element(scn, query.get("x"), where)
+    return {"verdict": valuations.ug_member(u, g, x),
+            "provenance": "rule:threshold-closed-form"}
+
+
+def _ll(scn, query, where):
+    from . import valuations
+    u = _ultrafilter(scn, query, where)
+    g = _value_vector(scn, query, "g", where)
+    h = _value_vector(scn, query, "h", where)
+    return {"verdict": valuations.ll_relation(u, g, h),
+            "provenance": "rule:ll-atom" if not u.is_frechet else "rule:ll-default-pair"}
+
+
+def _interpolate(scn, query, where):
+    from . import valuations
+    branch = query.get("branch", "W")
+    n_max = scn.options.n_max
+    if "n_max" in query:
+        n_max = _decode_positive_int(query["n_max"], f"{where}.n_max")
+    if "doubling" in query:
+        count = _decode_int(query["doubling"], where)
+        sample = valuations.PrefixSample(
+            tuple(1 for _ in range(count)),
+            tuple(2**i + 1 for i in range(1, count + 1)),
+            tuple(2**i for i in range(1, count + 1)))
+    else:
+        raw = query.get("sample", {})
+        if not isinstance(raw, dict) or not all(
+                isinstance(raw.get(key, ()), (list, tuple)) for key in "ghn"):
+            raise ValidationError(f"{where}.sample",
+                                  "expected {\"g\": [...], \"h\": [...], \"n\": [...]}")
+        sample = valuations.PrefixSample(
+            tuple(decode_value(v, where) for v in raw.get("g", ())),
+            tuple(decode_value(v, where) for v in raw.get("h", ())),
+            tuple(decode_value(v, where) for v in raw.get("n", ())))
+    report = valuations.interpolate_chain(sample, branch, n_max, scn.options.log_base)
+    rec = {"verdict": report.ok,
+           "log_base": report.log_base if report.log_base == "e" else int(report.log_base),
+           "first_failure": report.first_failure,
+           "witnesses": [{"n": n, "scale_index": wi, "headroom_index": wii}
+                         for n, wi, wii in report.witnesses],
+           "provenance": "rule:interpolation-floor-log"}
+    if len(report.k) <= 32:
+        rec["k"] = [encode_value(v) for v in report.k]
+    return rec
+
+
+def _oracle(scn, query, where):
+    from . import oracle
+    mark = bool(query.get("mark_primes", True))
+    rep = oracle.oracle_run(scn.product.components, scn.options.oracle_budget, mark)
+    ultra = {oracle.descriptor_elements(i)
+             for i in products.enumerate_maximal_ideals(scn.product)}
+    return {"verdict": {"ideal_count": rep.ideal_count,
+                        "maximal_count": len(rep.maximal),
+                        "prime_count": None if rep.primes is None else len(rep.primes),
+                        "matches_ultrafilter_enumeration": ultra == set(rep.maximal)},
+            "provenance": "oracle:ideal-closure"}
+
+
+def _skolem(scn, query, where):
+    elems = [_element(scn, obj, where) for obj in query.get("elements", ())]
+    result = products.skolem_check(elems, scn.options.factor_budget)
+    rec = {"verdict": result.holds, "provenance": "rule:coordinatewise-bezout"}
+    if result.holds:
+        rec["certificate"] = [encode_element(c) for c in result.certificate]
+    else:
+        coord, m = result.witness
+        rec["witness"] = {"coordinate": coord, "ideal": encode_generator(m)}
+    return rec
+
+
+def _assert(scn, query, where):
+    inner = query.get("of")
+    kind = inner.get("query") if isinstance(inner, dict) else None
+    if not _is_kind(kind) or kind == "assert":
+        raise ValidationError(f"{where}.of", "need a non-assert inner query")
+    actual = QUERIES[kind](scn, inner, where)
+    expected = query.get("expect")
+    return {"verdict": actual["verdict"] == expected, "expected": expected,
+            "actual": actual["verdict"], "provenance": actual["provenance"]}
+
+
+QUERIES = {
+    "maxideals": _maxideals,
+    "is-maximal": _is_maximal,
+    "check-plus": _check_plus,
+    "check-plusplus": _check_plusplus,
+    "ideal-member": _ideal_member,
+    "minimal-prime": _minimal_prime,
+    "valuation-compare": _valuation_compare,
+    "ug-member": _ug_member,
+    "ll": _ll,
+    "interpolate": _interpolate,
+    "oracle": _oracle,
+    "skolem": _skolem,
+    "assert": _assert,
+}
+
+
+def _is_kind(kind) -> bool:
+    # a kind read from JSON may be a list or an object, which no dict can look up
+    return isinstance(kind, str) and kind in QUERIES
+
+
 def execute_query(scn: Scenario, query: dict, index: int) -> dict:
     kind = query["query"]
-    where = f"queries[{index}]"
-    product = scn.product
-    objects = scn.objects
-    rec = {"index": index, "query": kind}
-
-    def get_element(key):
-        obj = query.get(key)
-        if isinstance(obj, str):
-            return _resolve(objects, obj, where)
-        return decode_element(product, obj, where)
-
-    def get_ultrafilter(key="ultrafilter"):
-        return _resolve_ultrafilter(product, query.get(key), objects, where)
-
-    def get_value_vector(key):
-        obj = query.get(key)
-        if isinstance(obj, str):
-            return _resolve(objects, obj, where)
-        return decode_value_vector(product.shape, obj, f"{where}.{key}")
-
-    if kind == "maxideals":
-        bound = scn.options.bound
-        if "bound" in query:
-            bound = _decode_positive_int(query["bound"], f"{where}.bound")
-        # every witness is these entries with the generator at u's coordinate
-        fillers = [encode_ring_element(e) for e in products.witness_fillers(product)]
-        accepted, rejected = [], []
-        for u in boolalg.enumerate_ultrafilters(product.shape, bound):
-            verdict = products.is_maximal(products.UltrafilterIdeal(product, u))
-            entry = {"ultrafilter": encode_ultrafilter(u), "rule": verdict.rule}
-            if verdict.is_maximal:
-                if verdict.witness is not None:
-                    witness = fillers.copy()
-                    witness[u.coordinate] = encode_ring_element(
-                        verdict.witness.entries[u.coordinate])
-                    entry["witness"] = witness
-                accepted.append(entry)
-            else:
-                entry["reason"] = verdict.detail
-                rejected.append(entry)
-        rec["verdict"] = {"maximal": accepted, "rejected": rejected}
-        rec["provenance"] = "rule:bounded-ultrafilter-enumeration"
-        return rec
-
-    if kind == "is-maximal":
-        u = get_ultrafilter()
-        verdict = products.is_maximal(products.UltrafilterIdeal(product, u))
-        rec["verdict"] = verdict.is_maximal
-        rec["provenance"] = verdict.rule
-        rec["detail"] = verdict.detail
-        if verdict.witness is not None:
-            rec["witness"] = encode_element(verdict.witness)
-        return rec
-
-    if kind == "check-plus":
-        from . import properties
-        ring = _ring_at(scn, query, where)
-        r = decode_ring_element(ring, query.get("r"), where)
-        a = decode_ring_element(ring, query.get("a"), where)
-        w = properties.plus_witness(ring, r, a, scn.options.factor_budget)
-        rec["verdict"] = encode_ring_element(w.d)
-        rec["witness"] = {
-            "must_contain": encode_fincof(w.lower),
-            "allowed": encode_fincof(w.upper),
-            "vanishing_set": encode_fincof(w.vset_d)}
-        rec["provenance"] = properties.RULE_PLUS_FINITE_CHARACTER
-        return rec
-
-    if kind == "check-plusplus":
-        from . import properties
-        ring = _ring_at(scn, query, where)
-        verdict = properties.plusplus_check(ring)
-        rec["provenance"] = verdict.rule
-        if not verdict.holds:
-            rec["verdict"] = False
-            rec["obstruction"] = encode_ring_element(verdict.obstruction)
-            return rec
-        rec["verdict"] = True
-        if "r" in query:
-            r = decode_ring_element(ring, query["r"], where)
-            rec["witness"] = encode_ring_element(
-                properties.plusplus_witness(ring, r, scn.options.factor_budget))
-        elif isinstance(ring, ResidueRing):
-            table = []
-            for r in range(ring.modulus):
-                d = properties.plusplus_witness(ring, ring.element(r),
-                                                scn.options.factor_budget)
-                table.append({"r": r, "d": encode_ring_element(d)})
-            rec["witness_table"] = table
-        return rec
-
-    if kind == "ideal-member":
-        ideal = decode_ideal(product, query.get("ideal"), objects, where)
-        a = get_element("element")
-        rec["verdict"] = products.ideal_member(ideal, a)
-        rec["ideal"] = encode_ideal(ideal)
-        rec["provenance"] = "rule:descriptor-membership"
-        return rec
-
-    if kind == "minimal-prime":
-        u = get_ultrafilter()
-        kernel = products.minimal_prime_below(products.UltrafilterIdeal(product, u))
-        rec["verdict"] = encode_ideal(kernel)
-        rec["provenance"] = "rule:index-filter-concentration"
-        return rec
-
-    if kind == "valuation-compare":
-        from . import valuations
-        u = get_ultrafilter()
-        result = valuations.valuation_compare(u, get_element("a"), get_element("b"))
-        rec["verdict"] = result
-        rec["provenance"] = ("rule:principal-valuation-restriction"
-                             if not u.is_frechet else "rule:frechet-exception-scan")
-        return rec
-
-    if kind == "ug-member":
-        from . import valuations
-        u = get_ultrafilter()
-        rec["verdict"] = valuations.ug_member(u, get_value_vector("g"),
-                                              get_element("x"))
-        rec["provenance"] = "rule:threshold-closed-form"
-        return rec
-
-    if kind == "ll":
-        from . import valuations
-        u = get_ultrafilter()
-        rec["verdict"] = valuations.ll_relation(u, get_value_vector("g"),
-                                                get_value_vector("h"))
-        rec["provenance"] = ("rule:ll-atom" if not u.is_frechet
-                             else "rule:ll-default-pair")
-        return rec
-
-    if kind == "interpolate":
-        from . import valuations
-        branch = query.get("branch", "W")
-        n_max = scn.options.n_max
-        if "n_max" in query:
-            n_max = _decode_positive_int(query["n_max"], f"{where}.n_max")
-        if "doubling" in query:
-            count = _decode_int(query["doubling"], where)
-            sample = valuations.PrefixSample(
-                tuple(1 for _ in range(count)),
-                tuple(2**i + 1 for i in range(1, count + 1)),
-                tuple(2**i for i in range(1, count + 1)))
-        else:
-            raw = query.get("sample", {})
-            if not isinstance(raw, dict) or not all(
-                    isinstance(raw.get(key, ()), (list, tuple)) for key in "ghn"):
-                raise ValidationError(f"{where}.sample",
-                                      "expected {\"g\": [...], \"h\": [...], \"n\": [...]}")
-            sample = valuations.PrefixSample(
-                tuple(decode_value(v, where) for v in raw.get("g", ())),
-                tuple(decode_value(v, where) for v in raw.get("h", ())),
-                tuple(decode_value(v, where) for v in raw.get("n", ())))
-        report = valuations.interpolate_chain(sample, branch, n_max,
-                                              scn.options.log_base)
-        rec["verdict"] = report.ok
-        rec["log_base"] = report.log_base if report.log_base == "e" else int(report.log_base)
-        rec["first_failure"] = report.first_failure
-        rec["witnesses"] = [{"n": n, "scale_index": wi, "headroom_index": wii}
-                            for n, wi, wii in report.witnesses]
-        if len(report.k) <= 32:
-            rec["k"] = [encode_value(v) for v in report.k]
-        rec["provenance"] = "rule:interpolation-floor-log"
-        return rec
-
-    if kind == "oracle":
-        from . import oracle
-        mark = bool(query.get("mark_primes", True))
-        rep = oracle.oracle_run(product.components, scn.options.oracle_budget, mark)
-        ultra = {oracle.descriptor_elements(i)
-                 for i in products.enumerate_maximal_ideals(product)}
-        rec["verdict"] = {
-            "ideal_count": rep.ideal_count,
-            "maximal_count": len(rep.maximal),
-            "prime_count": None if rep.primes is None else len(rep.primes),
-            "matches_ultrafilter_enumeration": ultra == set(rep.maximal)}
-        rec["provenance"] = "oracle:ideal-closure"
-        return rec
-
-    if kind == "skolem":
-        elems = []
-        for obj in query.get("elements", ()):
-            if isinstance(obj, str):
-                elems.append(_resolve(objects, obj, where))
-            else:
-                elems.append(decode_element(product, obj, where))
-        result = products.skolem_check(elems, scn.options.factor_budget)
-        rec["verdict"] = result.holds
-        if result.holds:
-            rec["certificate"] = [encode_element(c) for c in result.certificate]
-        else:
-            coord, m = result.witness
-            rec["witness"] = {"coordinate": coord, "ideal": encode_generator(m)}
-        rec["provenance"] = "rule:coordinatewise-bezout"
-        return rec
-
-    if kind == "assert":
-        inner = query.get("of")
-        if not isinstance(inner, dict) or inner.get("query") not in QUERY_KINDS \
-                or inner.get("query") == "assert":
-            raise ValidationError(f"{where}.of", "need a non-assert inner query")
-        inner_rec = execute_query(scn, inner, index)
-        expected = query.get("expect")
-        passed = inner_rec["verdict"] == expected
-        rec["verdict"] = passed
-        rec["expected"] = expected
-        rec["actual"] = inner_rec["verdict"]
-        rec["provenance"] = inner_rec.get("provenance", "rule:assert")
-        return rec
-
-    raise ValidationError(where, f"unknown query kind {kind!r}")
+    return {"index": index, "query": kind, **QUERIES[kind](scn, query, f"queries[{index}]")}
 
 
 def run_scenario(source) -> Report:

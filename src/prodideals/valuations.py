@@ -341,12 +341,6 @@ class InterpolationReport(Record):
     ok: bool
     first_failure: object  # None, or the first n lacking a witness
 
-    def witness_for(self, n: int):
-        for m, wi, wii in self.witnesses:
-            if m == n:
-                return wi, wii
-        raise KeyError(n)
-
 
 def interpolate_chain(sample: PrefixSample, branch: str,
                       n_max: int = 20, log_base: int = None) -> InterpolationReport:

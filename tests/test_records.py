@@ -1,5 +1,7 @@
 """Start-up footprint, lazy package exports, and the shared record base."""
 
+import importlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -91,6 +93,19 @@ class TestExports:
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError):
             prodideals.no_such_name
+
+    def test_traced_entry_points_resolve(self):
+        # perfbench/tracer.py wraps these by name, so a rename would otherwise
+        # surface only when the benchmark runs
+        path = SRC.parent / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for module, attr, *_ in tracer.SPANS + tracer.COUNT_ONLY:
+            owner = importlib.import_module(f"prodideals.{module}")
+            for name in attr.split("."):
+                owner = getattr(owner, name)
+            assert callable(owner), (module, attr)
 
     def test_no_source_file_imports_dataclasses(self):
         for path in (SRC / "prodideals").glob("*.py"):

@@ -23,6 +23,9 @@ from prodideals.scenario import (
 from prodideals.rings import IntegerRing
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+Z = {"kind": "integers"}
+Z12 = {"kind": "residue", "n": 12}
+U2 = {"coordinate": 0, "principal": 2}
 
 
 def minimal_scenario(**overrides):
@@ -230,6 +233,19 @@ class TestCli:
         ({"query": "ll", "ultrafilter": {"coordinate": 0, "principal": 2},
           "g": {"defaults": [1, 1], "exceptions": [{"coord": 0, "ideal": 2}]},
           "h": {"defaults": [1, 1]}}, "queries[0].g.exceptions[0]"),
+        ({"query": "ug-member", "ultrafilter": {"coordinate": 0, "principal": 2},
+          "g": {"defaults": [1, 1], "exceptions": 5}, "x": [2, 1]},
+         "queries[0].g.exceptions"),
+        ({"query": "ideal-member", "ideal": {"kind": "kernel_ideal"}, "element": [2, 1]},
+         "queries[0]"),
+        ({"query": "ideal-member", "element": [2, 1],
+          "ideal": {"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": 7}},
+         "queries[0]"),
+        ({"query": "ideal-member", "element": [2, 1],
+          "ideal": {"kind": "valuation_ideal",
+                    "ultrafilter": {"coordinate": 0, "principal": 2}}}, "queries[0]"),
+        ({"query": ["x"]}, "queries[0].query"),
+        ({"query": "assert", "of": {"query": {}}}, "queries[0].of"),
     ])
     def test_bad_query_field_is_located(self, tmp_path, query, field):
         path = tmp_path / "bad.json"
@@ -239,6 +255,21 @@ class TestCli:
         code, out, err = run_cli(["run", str(path)])
         assert code == 1 and out == ""
         assert err.startswith(f"error: {field}:")
+
+    @pytest.mark.parametrize("argv, message", [
+        # a decoding error inside a located decoder is located once
+        (["check-plus", "-r", "Z", "--r-elem", "[1]", "--a-elem", "2"],
+         "queries[0]: not an integer: [1]"),
+        (["minimal-prime", "-r", "Z", "--ultrafilter", '{"coordinate":0,"principal":[2]}'],
+         "queries[0]: not an integer: [2]"),
+        (["ideal-member", "-r", "Z_(2)", "--ideal", '{"kind":"kernel_ideal","coordinate":0}',
+          "--element", '["3/0"]'], "queries[0]: zero denominator: '3/0'"),
+        # the ring tokens are read before any JSON flag
+        (["check-plus", "-r", "Q", "--r-elem", "nonsense", "--a-elem", "1"],
+         "ring: cannot parse ring token 'Q'"),
+    ])
+    def test_cli_error_is_located(self, argv, message):
+        assert run_cli(argv) == (1, "", f"error: {message}\n")
 
     def test_missing_file(self):
         code, _, err = run_cli(["run", "/nonexistent/scenario.json"])
@@ -310,6 +341,48 @@ class TestCli:
         assert code == 0
         assert rec["verdict"]["maximal_count"] == 2
         assert rec["verdict"]["matches_ultrafilter_enumeration"] is True
+
+    @pytest.mark.parametrize("argv, rings, query", [
+        (["maxideals", "-r", "Z", "-r", "Z/12"], [Z, Z12], {"query": "maxideals"}),
+        (["check-plus", "-r", "Z", "--r-elem", "2", "--a-elem", "6"], [Z],
+         {"query": "check-plus", "r": 2, "a": 6}),
+        (["check-plusplus", "-r", "Z/12"], [Z12], {"query": "check-plusplus"}),
+        (["check-plusplus", "-r", "Z/12", "--r-elem", "5"], [Z12],
+         {"query": "check-plusplus", "r": 5}),
+        (["ideal-member", "-r", "Z", "-r", "Z", "--element", "[6,5]", "--ideal",
+          '{"kind":"ultrafilter_ideal","ultrafilter":{"coordinate":0,"principal":2}}'],
+         [Z, Z], {"query": "ideal-member", "element": [6, 5],
+                  "ideal": {"kind": "ultrafilter_ideal", "ultrafilter": U2}}),
+        (["minimal-prime", "-r", "Z", "-r", "Z", "--ultrafilter",
+          '{"coordinate":0,"cofinite_frechet":true}'], [Z, Z],
+         {"query": "minimal-prime",
+          "ultrafilter": {"coordinate": 0, "cofinite_frechet": True}}),
+        (["valuation-compare", "-r", "Z", "-r", "Z", "--ultrafilter",
+          '{"coordinate":0,"principal":2}', "-a", "[4,7]", "-b", "[2,9]"], [Z, Z],
+         {"query": "valuation-compare", "ultrafilter": U2, "a": [4, 7], "b": [2, 9]}),
+        (["ug-member", "-r", "Z", "-r", "Z", "--ultrafilter", '{"coordinate":0,"principal":2}',
+          "-g", '{"defaults":[1,1],"exceptions":[{"coord":0,"ideal":2,"value":3}]}',
+          "-x", "[2,1]"], [Z, Z],
+         {"query": "ug-member", "ultrafilter": U2, "x": [2, 1],
+          "g": {"defaults": [1, 1], "exceptions": [{"coord": 0, "ideal": 2, "value": 3}]}}),
+        (["ll", "-r", "Z", "--ultrafilter", '{"coordinate":0,"principal":2}',
+          "-g", '{"defaults":[1]}', "--h-vec", '{"defaults":["inf"]}'], [Z],
+         {"query": "ll", "ultrafilter": U2, "g": {"defaults": [1]},
+          "h": {"defaults": ["inf"]}}),
+        (["interpolate", "--doubling", "16"], [Z], {"query": "interpolate", "doubling": 16}),
+        # the doubling sample takes precedence, and --sample is not read
+        (["interpolate", "--doubling", "5", "--sample", "nonsense"], [Z],
+         {"query": "interpolate", "doubling": 5}),
+        (["oracle", "-r", "Z/4", "-r", "Z/9"], [{"kind": "residue", "n": 4},
+                                               {"kind": "residue", "n": 9}],
+         {"query": "oracle"}),
+    ])
+    def test_subcommand_is_its_scenario_query(self, argv, rings, query):
+        # with no optional flag given, a subcommand runs its query under the
+        # scenario's default options
+        expected = run_scenario(json.dumps({"schema_version": SCHEMA_VERSION,
+                                            "rings": rings, "queries": [query]}))
+        assert run_cli(["--format", "machine"] + argv) == (0, expected.render_machine(), "")
 
     def test_cli_determinism(self):
         args = ["--format", "machine", "maxideals", "-r", "Z", "--bound", "7"]
