@@ -21,18 +21,13 @@ from .errors import NoWitness, UnsupportedRing, ZeroElement
 from .record import Record
 from .rings import (
     DEFAULT_FACTOR_BUDGET,
+    ZZ,
     FinCofSet,
-    IntegerRing,
-    LocalizedIntegersRing,
     MaxIdealId,
-    PolynomialRing,
-    ResidueRing,
     RingElement,
     RingHandle,
     crt_solve,
 )
-
-ZZ = IntegerRing()
 
 RULE_PLUS_FINITE_CHARACTER = "rule:plus-finite-character-product"
 RULE_PLUSPLUS_ZERO_DIMENSIONAL = "rule:plusplus-zero-dimensional"
@@ -89,17 +84,14 @@ class PlusPlusVerdict(Record):
 
 def plusplus_check(ring: RingHandle) -> PlusPlusVerdict:
     """Catalog-level verdict for the strong separation property."""
-    if isinstance(ring, ResidueRing):
+    if ring.dimension == 0:
         return PlusPlusVerdict(ring, True, RULE_PLUSPLUS_ZERO_DIMENSIONAL, None)
-    if isinstance(ring, LocalizedIntegersRing):
+    if ring.spectrum_finite:
         return PlusPlusVerdict(ring, True, RULE_PLUSPLUS_NONZERO_JACOBSON, None)
-    if isinstance(ring, (IntegerRing, PolynomialRing)):
-        # the complement of the vanishing set of a nonzero nonunit is
-        # cofinite with nonempty exclusion; vanishing sets are finite
-        # (nonzero elements) or everything (zero): no match exists
-        return PlusPlusVerdict(ring, False, RULE_PLUSPLUS_COFINITE_GAP,
-                               ring.nonzero_nonunit())
-    raise UnsupportedRing(ring.short_name)
+    # the complement of the vanishing set of a nonzero nonunit is cofinite
+    # with nonempty exclusion; vanishing sets are finite (nonzero elements)
+    # or everything (zero): no match exists
+    return PlusPlusVerdict(ring, False, RULE_PLUSPLUS_COFINITE_GAP, ring.nonzero_nonunit())
 
 
 def plusplus_witness(ring: RingHandle, r,
@@ -110,29 +102,22 @@ def plusplus_witness(ring: RingHandle, r,
     construction: modulo the (squarefree) Jacobson radical generator the
     class of r generates the same ideal as an idempotent e, and d lifts
     1 - e; the canonical lift is the smallest non-negative representative.
-    For the integers and polynomial rings the witness only exists at zero
-    (d = 1) and at units (d = 0); anything else raises NoWitness.
+    Over an infinite spectrum (the integers and polynomial rings) the
+    witness only exists at zero (d = 1) and at units (d = 0); anything else
+    raises NoWitness.
     """
     r = ring.element(r)
-    if isinstance(ring, (IntegerRing, PolynomialRing)):
+    if not ring.spectrum_finite:
         if r.is_zero:
             return ring.one
         if r.is_unit:
             return ring.zero
         raise NoWitness(r, f"the complement of the vanishing set of {r!r} is "
                            "infinite and coinfinite; no vanishing set matches it")
-    if isinstance(ring, ResidueRing):
-        primes = ring._primes
-        value = r.raw
-    elif isinstance(ring, LocalizedIntegersRing):
-        primes = ring.primes
-        value = r.raw.numerator
-    else:
-        raise UnsupportedRing(ring.short_name)
     # e = 1 at primes not containing r, 0 at primes containing r; d lifts
     # 1 - e, the smallest non-negative solution of these congruences
-    d = crt_solve(ZZ, [(MaxIdealId(ZZ, p), 1, 1 if value % p == 0 else 0)
-                       for p in primes]).raw
+    d = crt_solve(ZZ, [(MaxIdealId(ZZ, m.generator), 1, 1 if m.contains(r) else 0)
+                       for m in ring.maximal_spectrum()]).raw
     witness = ring.element(d)
     assert ring.vset(witness, budget) == ring.vset(r, budget).complement()
     return witness
@@ -149,6 +134,6 @@ def one_dim_plus_witness(ring: RingHandle, r, a,
     nonzero lift is z, the element ``plus_witness`` returns.  Defined for
     the domain kinds only.
     """
-    if isinstance(ring, ResidueRing):
+    if ring.dimension == 0:
         raise UnsupportedRing("domain kinds only")
     return plus_witness(ring, r, a, budget).d

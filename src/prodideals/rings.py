@@ -11,6 +11,32 @@ in finitely many maximal ideals):
 * ``PolynomialRing(q)``      -- polynomials over the field with q elements;
   maximal ideals generated by monic irreducibles, infinitely many.
 
+Every ring-kind decision is a member of ``RingHandle``.  The kind facts are
+class constants: ``spectrum_finite``, ``is_domain`` and ``dimension``, the
+Krull dimension, which is 0 for ``Z/n`` and 1 for the other kinds.  The
+module functions that treat ``Z/n`` apart ask for ``dimension == 0``, not for
+``is_domain``: a field ``Z/p`` is a domain of dimension 0.  Every kind has its
+own ``short_name``, ``normalize``, ``max_ideal``, ``_is_unit`` and
+``nonzero_nonunit``.  The other members default to the integer forms (raw
+``int`` or ``Fraction`` values, and (p) contains a value when p divides its
+numerator) and to a finite spectrum, the ideals (p) for p in ``primes``; a
+kind overrides them only where it differs:
+
+* ``IntegerRing``: an infinite spectrum, ``maximal_ideals_up_to`` (a sieve)
+  and ``vset`` (factoring).
+* ``ResidueRing``: ``dimension`` 0, ``is_domain`` (n is prime), ``primes``
+  (those dividing n), arithmetic mod n, and ``valuation``, which raises.
+* ``LocalizedIntegersRing``: fractions as raw values (``_zero_raw`` and
+  ``_one_raw``); ``primes`` is S.
+* ``PolynomialRing``: an infinite spectrum; coefficient tuples as raw
+  values, with their arithmetic, ``_gcd`` and ``_in_max_ideal``;
+  ``maximal_ideals_up_to``, ``smallest_max_ideal``, ``vset`` (factoring) and
+  ``valuation``.
+
+Only ``crt_solve`` and ``bezout_certificate`` still branch on the class,
+where the raw form (integer, fraction or coefficient tuple) decides the
+arithmetic.
+
 Subsets of a maximal spectrum are carried as ``FinCofSet`` values: an explicit
 finite set, or the complement of one.  For rings with finite spectrum the
 cofinite form normalizes away, so equality of sets is equality of values.
@@ -192,28 +218,29 @@ class RingHandle:
     """Base class of the catalog; instances are immutable and hashable.
 
     The catalog classes list ``Record`` before ``RingHandle``, so their
-    ``repr`` is the record form, ``ResidueRing(modulus=12)``.
+    ``repr`` is the record form, ``ResidueRing(modulus=12)``.  The module
+    docstring says which members each kind overrides.
     """
 
+    # the kind facts; dimension is the Krull dimension
+    spectrum_finite = True
+    is_domain = True
+    dimension = 1
+
     # -- structure ----------------------------------------------------------
-
-    @property
-    def spectrum_finite(self) -> bool:
-        raise NotImplementedError
-
-    @property
-    def is_domain(self) -> bool:
-        raise NotImplementedError
 
     @property
     def short_name(self) -> str:
         raise NotImplementedError
 
     def maximal_spectrum(self) -> tuple:
-        raise UnsupportedRing(f"{self.short_name} has an infinite maximal spectrum")
+        """The ideals (p) for p in ``primes``, on a finite spectrum."""
+        if not self.spectrum_finite:
+            raise UnsupportedRing(f"{self.short_name} has an infinite maximal spectrum")
+        return tuple(MaxIdealId(self, p) for p in self.primes)
 
     def maximal_ideals_up_to(self, bound: int) -> tuple:
-        raise NotImplementedError
+        return self.maximal_spectrum()
 
     def max_ideal(self, generator) -> "MaxIdealId":
         raise NotImplementedError
@@ -231,25 +258,31 @@ class RingHandle:
         raise NotImplementedError
 
     def _add(self, x, y):
-        raise NotImplementedError
+        return x + y
 
     def _neg(self, x):
-        raise NotImplementedError
+        return -x
 
     def _mul(self, x, y):
-        raise NotImplementedError
+        return x * y
+
+    def _gcd(self, x, y):
+        return math.gcd(x, y)
 
     def _is_unit(self, x) -> bool:
         raise NotImplementedError
 
     def _zero_raw(self):
-        raise NotImplementedError
+        return 0
 
     def _one_raw(self):
-        raise NotImplementedError
+        return 1
 
     def _repr_raw(self, x) -> str:
-        return repr(x)
+        return str(x)
+
+    def _in_max_ideal(self, raw, gen) -> bool:
+        return raw.numerator % gen == 0
 
     # -- public element surface ----------------------------------------------
 
@@ -270,13 +303,14 @@ class RingHandle:
         return RingElement(self, self._one_raw())
 
     def vset(self, elem, budget: int = DEFAULT_FACTOR_BUDGET) -> "FinCofSet":
-        raise NotImplementedError
+        """The maximal ideals containing the element, by a scan of the
+        finite spectrum."""
+        raw = self.element(elem).raw
+        return FinCofSet.finite(self, (m for m in self.maximal_spectrum()
+                                       if self._in_max_ideal(raw, m.generator)))
 
     def valuation(self, elem, ideal: "MaxIdealId"):
-        raise UnsupportedRing(f"{self.short_name} carries no discrete valuations")
-
-    def __repr__(self):
-        return self.short_name
+        return int_valuation(self.element(elem).raw.numerator, ideal.generator)
 
 
 class RingElement(Record):
@@ -460,14 +494,14 @@ class FinCofSet(Record):
 # The four catalog kinds
 
 
-class IntegerRing(Record, RingHandle):
-    @property
-    def spectrum_finite(self):
-        return False
+def _as_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"not an integer: {value!r}")
+    return value
 
-    @property
-    def is_domain(self):
-        return True
+
+class IntegerRing(Record, RingHandle):
+    spectrum_finite = False
 
     @property
     def short_name(self):
@@ -478,30 +512,13 @@ class IntegerRing(Record, RingHandle):
             if value.denominator != 1:
                 raise ValueError(f"{value} is not an integer")
             return int(value)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"not an integer: {value!r}")
-        return value
-
-    def _add(self, x, y):
-        return x + y
-
-    def _neg(self, x):
-        return -x
-
-    def _mul(self, x, y):
-        return x * y
+        return _as_int(value)
 
     def _is_unit(self, x):
         return x in (1, -1)
 
-    def _zero_raw(self):
-        return 0
-
-    def _one_raw(self):
-        return 1
-
     def max_ideal(self, generator):
-        generator = int(generator)
+        generator = _as_int(generator)
         if not fqpoly.is_prime_int(generator):
             raise InconsistentInput(f"{generator} is not prime")
         return MaxIdealId(self, generator)
@@ -520,9 +537,6 @@ class IntegerRing(Record, RingHandle):
     def nonzero_nonunit(self):
         return self.element(2)
 
-    def _in_max_ideal(self, raw, gen):
-        return raw % gen == 0
-
     def vset(self, elem, budget: int = DEFAULT_FACTOR_BUDGET):
         elem = self.element(elem)
         if elem.raw == 0:
@@ -530,21 +544,15 @@ class IntegerRing(Record, RingHandle):
         return FinCofSet.finite(
             self, (MaxIdealId(self, p) for p in prime_factors(elem.raw, budget)))
 
-    def valuation(self, elem, ideal):
-        elem = self.element(elem)
-        return int_valuation(elem.raw, ideal.generator)
-
 
 class ResidueRing(Record, RingHandle):
     modulus: int
 
+    dimension = 0
+
     def __post_init__(self):
         if self.modulus < 2:
             raise ValueError("modulus must be >= 2")
-
-    @property
-    def spectrum_finite(self):
-        return True
 
     @property
     def is_domain(self):
@@ -555,13 +563,11 @@ class ResidueRing(Record, RingHandle):
         return f"Z/{self.modulus}"
 
     @functools.cached_property
-    def _primes(self):
+    def primes(self):
         return prime_factors(self.modulus)
 
     def normalize(self, value):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"not an integer: {value!r}")
-        return value % self.modulus
+        return _as_int(value) % self.modulus
 
     def _add(self, x, y):
         return (x + y) % self.modulus
@@ -575,36 +581,19 @@ class ResidueRing(Record, RingHandle):
     def _is_unit(self, x):
         return math.gcd(x, self.modulus) == 1
 
-    def _zero_raw(self):
-        return 0
-
-    def _one_raw(self):
-        return 1
-
-    def maximal_spectrum(self):
-        return tuple(MaxIdealId(self, p) for p in self._primes)
-
-    def maximal_ideals_up_to(self, bound: int):
-        return self.maximal_spectrum()
-
     def max_ideal(self, generator):
-        generator = int(generator)
-        if generator not in self._primes:
+        generator = _as_int(generator)
+        if generator not in self.primes:
             raise InconsistentInput(
                 f"{generator} is not a prime divisor of {self.modulus}")
         return MaxIdealId(self, generator)
 
     def nonzero_nonunit(self):
-        p = self._primes[0]
+        p = self.primes[0]
         return None if p == self.modulus else self.element(p)
 
-    def _in_max_ideal(self, raw, gen):
-        return raw % gen == 0
-
-    def vset(self, elem, budget: int = DEFAULT_FACTOR_BUDGET):
-        elem = self.element(elem)
-        return FinCofSet.finite(
-            self, (MaxIdealId(self, p) for p in self._primes if elem.raw % p == 0))
+    def valuation(self, elem, ideal):
+        raise UnsupportedRing(f"{self.short_name} carries no discrete valuations")
 
 
 class LocalizedIntegersRing(Record, RingHandle):
@@ -622,20 +611,15 @@ class LocalizedIntegersRing(Record, RingHandle):
         object.__setattr__(self, "primes", ps)
 
     @property
-    def spectrum_finite(self):
-        return True
-
-    @property
-    def is_domain(self):
-        return True
-
-    @property
     def short_name(self):
         return "Z_(" + ",".join(str(p) for p in self.primes) + ")"
 
     def normalize(self, value):
         if isinstance(value, str):
-            value = Fraction(value)
+            try:
+                value = Fraction(value)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator: {value!r}") from None
         if isinstance(value, int) and not isinstance(value, bool):
             value = Fraction(value)
         if not isinstance(value, Fraction):
@@ -646,15 +630,6 @@ class LocalizedIntegersRing(Record, RingHandle):
                     f"denominator of {value} is not invertible here (divisible by {p})")
         return value
 
-    def _add(self, x, y):
-        return x + y
-
-    def _neg(self, x):
-        return -x
-
-    def _mul(self, x, y):
-        return x * y
-
     def _is_unit(self, x):
         return x != 0 and all(x.numerator % p for p in self.primes)
 
@@ -664,14 +639,8 @@ class LocalizedIntegersRing(Record, RingHandle):
     def _one_raw(self):
         return Fraction(1)
 
-    def maximal_spectrum(self):
-        return tuple(MaxIdealId(self, p) for p in self.primes)
-
-    def maximal_ideals_up_to(self, bound: int):
-        return self.maximal_spectrum()
-
     def max_ideal(self, generator):
-        generator = int(generator)
+        generator = _as_int(generator)
         if generator not in self.primes:
             raise InconsistentInput(f"{generator} is not in the prime set")
         return MaxIdealId(self, generator)
@@ -679,28 +648,12 @@ class LocalizedIntegersRing(Record, RingHandle):
     def nonzero_nonunit(self):
         return self.element(self.primes[0])
 
-    def _repr_raw(self, x):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-    def _in_max_ideal(self, raw, gen):
-        return raw.numerator % gen == 0
-
-    def vset(self, elem, budget: int = DEFAULT_FACTOR_BUDGET):
-        elem = self.element(elem)
-        if elem.raw == 0:
-            return FinCofSet.finite(self, self.maximal_spectrum())
-        return FinCofSet.finite(
-            self, (MaxIdealId(self, p) for p in self.primes
-                   if elem.raw.numerator % p == 0))
-
-    def valuation(self, elem, ideal):
-        elem = self.element(elem)
-        return int_valuation(elem.raw.numerator, ideal.generator)
-
     def s_part(self, raw: Fraction) -> int:
-        """The part of a nonzero element supported on the spectrum primes."""
+        """The part of an element supported on the spectrum primes; 0 for zero."""
         out = 1
         n = abs(raw.numerator)
+        if n == 0:
+            return 0
         for p in self.primes:
             while n % p == 0:
                 n //= p
@@ -713,6 +666,8 @@ class PolynomialRing(Record, RingHandle):
 
     q: int
 
+    spectrum_finite = False
+
     def __post_init__(self):
         if fqpoly.prime_power(self.q) is None:
             raise ValueError(f"{self.q} is not a prime power")
@@ -720,14 +675,6 @@ class PolynomialRing(Record, RingHandle):
     @property
     def K(self) -> fqpoly.GF:
         return fqpoly.field(self.q)
-
-    @property
-    def spectrum_finite(self):
-        return False
-
-    @property
-    def is_domain(self):
-        return True
 
     @property
     def short_name(self):
@@ -752,6 +699,9 @@ class PolynomialRing(Record, RingHandle):
 
     def _mul(self, x, y):
         return fqpoly.pmul(self.K, x, y)
+
+    def _gcd(self, x, y):
+        return fqpoly.pgcd(self.K, x, y)
 
     def _is_unit(self, x):
         return fqpoly.deg(x) == 0
@@ -843,23 +793,14 @@ def dset(ring: RingHandle, elem, budget: int = DEFAULT_FACTOR_BUDGET) -> FinCofS
 def vset_pair(ring: RingHandle, a, b, budget: int = DEFAULT_FACTOR_BUDGET) -> FinCofSet:
     """The maximal ideals containing the ideal generated by both elements."""
     a, b = ring.element(a), ring.element(b)
-    if isinstance(ring, IntegerRing):
-        return ring.vset(ring.element(math.gcd(a.raw, b.raw)), budget)
-    if isinstance(ring, ResidueRing):
-        g = math.gcd(math.gcd(a.raw, b.raw), ring.modulus)
-        return ring.vset(ring.element(g), budget)
-    if isinstance(ring, LocalizedIntegersRing):
-        ids = [m for m in ring.maximal_spectrum() if m.contains(a) and m.contains(b)]
-        return FinCofSet.finite(ring, ids)
-    if isinstance(ring, PolynomialRing):
-        g = fqpoly.pgcd(ring.K, a.raw, b.raw)
-        return ring.vset(ring.element(g), budget)
-    raise UnsupportedRing(ring.short_name)
+    if ring.spectrum_finite:
+        return ring.vset(a, budget) & ring.vset(b, budget)
+    return ring.vset(ring.element(ring._gcd(a.raw, b.raw)), budget)
 
 
 def valuation(ring: RingHandle, elem, ideal: MaxIdealId):
     """Exact exponent of the ideal's generator in the element; INF at zero."""
-    if isinstance(ring, ResidueRing):
+    if ring.dimension == 0:
         raise UnsupportedRing("residue rings carry no discrete valuations")
     if ideal.ring != ring:
         raise InconsistentInput(f"{ideal} is not a maximal ideal of {ring.short_name}")
@@ -873,7 +814,7 @@ def crt_solve(ring: RingHandle, congruences: Sequence) -> RingElement:
     pairwise distinct ideals.  The result is the canonical representative:
     smallest non-negative integer, or the remainder of least degree.
     """
-    if isinstance(ring, ResidueRing):
+    if ring.dimension == 0:
         raise UnsupportedRing("residue rings are not PID kinds here")
     gens = [m.generator for m, _, _ in congruences]
     if len(set(gens)) != len(gens):
@@ -928,44 +869,6 @@ def bezout_certificate(ring: RingHandle, elems: Sequence) -> list:
     if not elems:
         raise NotUnitIdeal(ring.smallest_max_ideal())
 
-    if isinstance(ring, (IntegerRing, ResidueRing)):
-        raws = [e.raw for e in elems]
-        values = raws + [ring.modulus] if isinstance(ring, ResidueRing) else raws
-        g, coeffs = values[0], [1]
-        for v in values[1:]:
-            g2, x, y = xgcd(g, v)
-            coeffs = [c * x for c in coeffs] + [y]
-            g = g2
-        if g != 1:
-            if g == 0:
-                witness = ring.smallest_max_ideal() if not isinstance(ring, ResidueRing) \
-                    else ring.maximal_spectrum()[0]
-            else:
-                p = prime_factors(g)[0]
-                witness = MaxIdealId(ring, p)
-            raise NotUnitIdeal(witness)
-        if isinstance(ring, ResidueRing):
-            coeffs = coeffs[:-1]  # drop the modulus coefficient
-        return [ring.element(c) for c in coeffs]
-
-    if isinstance(ring, LocalizedIntegersRing):
-        nonzero = [(i, e) for i, e in enumerate(elems) if e.raw != 0]
-        if not nonzero:
-            raise NotUnitIdeal(ring.maximal_spectrum()[0])
-        parts = [(i, e, ring.s_part(e.raw)) for i, e in nonzero]
-        g, coeffs = parts[0][2], [1]
-        for _, _, m in parts[1:]:
-            g2, x, y = xgcd(g, m)
-            coeffs = [c * x for c in coeffs] + [y]
-            g = g2
-        if g != 1:
-            p = next(p for p in ring.primes if g % p == 0)
-            raise NotUnitIdeal(MaxIdealId(ring, p))
-        out = [ring.zero for _ in elems]
-        for (i, e, m), c in zip(parts, coeffs):
-            out[i] = ring.element(Fraction(c) * Fraction(m) / e.raw)
-        return out
-
     if isinstance(ring, PolynomialRing):
         K = ring.K
         g, coeffs = elems[0].raw, [(1,)]
@@ -982,7 +885,25 @@ def bezout_certificate(ring: RingHandle, elems: Sequence) -> list:
         inv = K.inv(g[0])
         return [ring.element(fqpoly.pscale(K, inv, c)) for c in coeffs]
 
-    raise UnsupportedRing(ring.short_name)
+    # the integer kinds: one Bezout chain over the integers, of the raw
+    # values over Z and Z/n (the modulus of Z/n joins last, and its
+    # coefficient is dropped), or over Z_(S) of the S-parts m, each a unit
+    # times its element (0 for a zero element, whose coefficient is then 0)
+    local = isinstance(ring, LocalizedIntegersRing)
+    values = [ring.s_part(e.raw) if local else e.raw for e in elems]
+    if ring.dimension == 0:
+        values.append(ring.modulus)
+    g, coeffs = values[0], [1]
+    for v in values[1:]:
+        g, x, y = xgcd(g, v)
+        coeffs = [c * x for c in coeffs] + [y]
+    if g != 1:
+        raise NotUnitIdeal(ring.smallest_max_ideal() if g == 0
+                           else MaxIdealId(ring, prime_factors(g)[0]))
+    if local:
+        return [ring.element(Fraction(c * m) / e.raw if m else 0)
+                for c, m, e in zip(coeffs, values, elems)]
+    return [ring.element(c) for c in coeffs[:len(elems)]]
 
 
 class ZeroMarker:
@@ -1003,11 +924,6 @@ ZERO_MARKER = ZeroMarker()
 
 def jacobson_radical_generator(ring: RingHandle):
     """A generator of the intersection of all maximal ideals."""
-    if isinstance(ring, (IntegerRing, PolynomialRing)):
+    if not ring.spectrum_finite:
         return ZERO_MARKER
-    if isinstance(ring, ResidueRing):
-        rad = math.prod(ring._primes)
-        return ring.element(rad)
-    if isinstance(ring, LocalizedIntegersRing):
-        return ring.element(math.prod(ring.primes))
-    raise UnsupportedRing(ring.short_name)
+    return ring.element(math.prod(m.generator for m in ring.maximal_spectrum()))

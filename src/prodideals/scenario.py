@@ -88,22 +88,31 @@ def _decode_positive_int(obj, where):
     return value
 
 
-def decode_ring_element(ring: RingHandle, obj, where="element") -> RingElement:
-    if isinstance(ring, PolynomialRing) and isinstance(obj, dict) and "poly" in obj:
+def _read(read, obj, where):
+    """``read`` (a ring's ``element`` or ``max_ideal``) of a JSON value:
+    ``{"poly": [...]}`` gives a coefficient tuple, a ``"p/q"`` string is
+    passed on for the ring to parse, and anything else must be an integer."""
+    if isinstance(obj, dict) and "poly" in obj:
+        if not isinstance(obj["poly"], list):
+            raise ValidationError(where, f"\"poly\" must be a list, got {obj['poly']!r}")
         raw = tuple(_decode_int(c, where) for c in obj["poly"])
-    elif isinstance(ring, LocalizedIntegersRing) and isinstance(obj, str) and "/" in obj:
-        try:
-            raw = Fraction(obj)
-        except ZeroDivisionError:
-            raise ValidationError(where, f"zero denominator: {obj!r}")
-        except ValueError as exc:
-            raise ValidationError(where, str(exc))
+    elif isinstance(obj, str) and "/" in obj:
+        raw = obj
     else:
         raw = _decode_int(obj, where)
+    return _located(where, read, raw)
+
+
+def _located(where, make, *args):
+    """``make(*args)``, with the ValueError it raises located at ``where``."""
     try:
-        return ring.element(raw)
+        return make(*args)
     except ValueError as exc:
         raise ValidationError(where, str(exc))
+
+
+def decode_ring_element(ring: RingHandle, obj, where="element") -> RingElement:
+    return _read(ring.element, obj, where)
 
 
 def encode_ring_element(elem: RingElement):
@@ -121,14 +130,6 @@ def _encode_int(v: int):
     return v if abs(v) <= 2**53 - 1 else str(v)
 
 
-def decode_generator(ring: RingHandle, obj, where="ideal"):
-    if isinstance(ring, PolynomialRing):
-        if isinstance(obj, dict) and "poly" in obj:
-            return tuple(_decode_int(c, where) for c in obj["poly"])
-        raise ValidationError(where, "polynomial generator must be {\"poly\": [...]}")
-    return _decode_int(obj, where)
-
-
 def encode_generator(m: MaxIdealId):
     if isinstance(m.generator, tuple):
         return {"poly": list(m.generator)}
@@ -136,11 +137,7 @@ def encode_generator(m: MaxIdealId):
 
 
 def decode_max_ideal(ring: RingHandle, obj, where="ideal") -> MaxIdealId:
-    generator = decode_generator(ring, obj, where)
-    try:
-        return ring.max_ideal(generator)
-    except ValueError as exc:
-        raise ValidationError(where, str(exc))
+    return _read(ring.max_ideal, obj, where)
 
 
 def decode_fincof(ring: RingHandle, obj, where="set") -> FinCofSet:
@@ -165,10 +162,7 @@ def decode_ultrafilter(shape, obj, where="ultrafilter") -> boolalg.UltrafilterDe
     if not 0 <= coord < len(shape):
         raise ValidationError(where, f"coordinate {coord} out of range")
     if obj.get("cofinite_frechet"):
-        try:
-            return boolalg.UltrafilterDescriptor(shape, coord, None)
-        except ValueError as exc:
-            raise ValidationError(where, str(exc))
+        return _located(where, boolalg.UltrafilterDescriptor, shape, coord, None)
     if "principal" not in obj:
         raise ValidationError(where, "need \"principal\" or \"cofinite_frechet\"")
     m = decode_max_ideal(shape[coord], obj["principal"], where)
@@ -200,10 +194,7 @@ def decode_value_vector(shape, obj, where="value_vector") -> valuations.ValueVec
             raise ValidationError(where, f"coordinate {coord} out of range")
         m = decode_max_ideal(shape[coord], rec["ideal"], where)
         exceptions.append((coord, m, decode_value(rec["value"], where)))
-    try:
-        return valuations.ValueVector(shape, defaults, tuple(exceptions))
-    except ValueError as exc:
-        raise ValidationError(where, str(exc))
+    return _located(where, valuations.ValueVector, shape, defaults, tuple(exceptions))
 
 
 def encode_value_vector(g: valuations.ValueVector) -> dict:
@@ -242,15 +233,15 @@ def decode_ideal(product, obj, objects, where="ideal"):
         return products.UltrafilterIdeal(product, u)
     if kind == "kernel_ideal":
         coord = _decode_int(obj.get("coordinate"), where)
-        return products.KernelIdeal(product, products.IndexUltrafilter(coord))
+        return _located(where, products.KernelIdeal, product, products.IndexUltrafilter(coord))
     if kind == "pointwise_max_ideal":
         coord = _decode_int(obj.get("coordinate"), where)
         if not isinstance(obj.get("ideals"), list):
             raise ValidationError(where, "\"ideals\" must be a list of generators")
         ideals = tuple(decode_max_ideal(r, g, where)
                        for r, g in zip(product.components, obj["ideals"]))
-        return products.PointwiseMaxIdeal(
-            product, products.IndexUltrafilter(coord), ideals)
+        return _located(where, products.PointwiseMaxIdeal,
+                        product, products.IndexUltrafilter(coord), ideals)
     if kind == "valuation_ideal":
         u = _resolve_ultrafilter(product, obj.get("ultrafilter"), objects, where)
         g = obj.get("g")
@@ -503,7 +494,7 @@ def _check_plusplus(scn, query, where):
     if "r" in query:
         r = decode_ring_element(ring, query["r"], where)
         rec["witness"] = encode_ring_element(properties.plusplus_witness(ring, r, budget))
-    elif isinstance(ring, ResidueRing):
+    elif ring.dimension == 0:
         table = []
         for r in range(ring.modulus):
             d = properties.plusplus_witness(ring, ring.element(r), budget)
@@ -562,6 +553,9 @@ def _interpolate(scn, query, where):
         n_max = _decode_positive_int(query["n_max"], f"{where}.n_max")
     if "doubling" in query:
         count = _decode_int(query["doubling"], where)
+        if count > valuations.INTERPOLATION_CAP:
+            raise BudgetExceeded(f"doubling sample of length {count} exceeds the "
+                                 f"interpolation cap {valuations.INTERPOLATION_CAP}")
         sample = valuations.PrefixSample(
             tuple(1 for _ in range(count)),
             tuple(2**i + 1 for i in range(1, count + 1)),
@@ -602,7 +596,10 @@ def _oracle(scn, query, where):
 
 
 def _skolem(scn, query, where):
-    elems = [_element(scn, obj, where) for obj in query.get("elements", ())]
+    objs = query.get("elements", [])
+    if not isinstance(objs, list):
+        raise ValidationError(f"{where}.elements", "must be a list")
+    elems = [_element(scn, obj, where) for obj in objs]
     result = products.skolem_check(elems, scn.options.factor_budget)
     rec = {"verdict": result.holds, "provenance": "rule:coordinatewise-bezout"}
     if result.holds:

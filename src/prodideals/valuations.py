@@ -13,6 +13,7 @@ import itertools
 
 from .boolalg import UltrafilterDescriptor
 from .errors import (
+    BudgetExceeded,
     InconsistentInput,
     InvalidSample,
     NonPositiveValueVector,
@@ -22,8 +23,12 @@ from .errors import (
     UnsupportedRing,
 )
 from .record import Record
-from .rings import INF, MaxIdealId, ResidueRing, valuation
+from .rings import INF, MaxIdealId, valuation
 from .values import check_value, is_value
+
+#: The largest ``n_max`` of ``interpolate_chain``, and the longest built-in
+#: doubling sample; the report holds one witness triple per scale.
+INTERPOLATION_CAP = 4096
 
 
 class ValueVector(Record):
@@ -85,7 +90,7 @@ class ValueVector(Record):
 
 def _check_domain_shape(u: UltrafilterDescriptor):
     for ring in u.shape:
-        if isinstance(ring, ResidueRing):
+        if ring.dimension == 0:
             raise UnsupportedRing(
                 f"{ring.short_name} carries no discrete valuations")
 
@@ -357,10 +362,12 @@ def interpolate_chain(sample: PrefixSample, branch: str,
     middle value exceeds n*g (obligation "scale") and one where n times the
     middle value stays below h (obligation "headroom").  A missing witness
     is expected when the sampled scales are bounded; the first such scale is
-    reported.
+    reported.  An ``n_max`` above ``INTERPOLATION_CAP`` raises BudgetExceeded.
     """
     if branch not in ("V", "W"):
         raise InvalidSample("branch must be 'V' or 'W'")
+    if n_max > INTERPOLATION_CAP:
+        raise BudgetExceeded(f"n_max {n_max} exceeds the interpolation cap {INTERPOLATION_CAP}")
     k = []
     if branch == "W":
         for i, (gv, hv, nv) in enumerate(zip(sample.g, sample.h, sample.n)):

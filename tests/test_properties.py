@@ -1,10 +1,16 @@
+import contextlib
+import io
+import json
+
 import pytest
 
 from conftest import random_element, random_nonzero, rng_for
-from prodideals.boolalg import enumerate_ultrafilters
+from prodideals import cli
+from prodideals.boolalg import UltrafilterDescriptor, enumerate_ultrafilters
 from prodideals.errors import NoWitness, UnsupportedRing, ZeroElement
 from prodideals.products import ProductRing, UltrafilterIdeal, is_maximal
 from prodideals.properties import (
+    RULE_PLUSPLUS_ZERO_DIMENSIONAL,
     one_dim_plus_witness,
     plus_witness,
     plusplus_check,
@@ -13,11 +19,16 @@ from prodideals.properties import (
 from prodideals.rings import (
     IntegerRing,
     LocalizedIntegersRing,
+    MaxIdealId,
     PolynomialRing,
     ResidueRing,
+    crt_solve,
     dset,
+    jacobson_radical_generator,
+    valuation,
     vset,
 )
+from prodideals.valuations import valuation_compare
 
 ZZ = IntegerRing()
 
@@ -176,3 +187,45 @@ class TestMaximalityAcrossCatalog:
         assert all(ok for frechet, ok in verdicts if not frechet)
         assert all(not ok for frechet, ok in verdicts if frechet)
         assert any(frechet for frechet, _ in verdicts)
+
+
+class TestResidueField:
+    """Z/5 is a domain of dimension 0: every kind decision that sets Z/n
+    apart must treat it as Z/n, not as a domain kind."""
+
+    F5 = ResidueRing(5)
+
+    def test_kind_facts(self):
+        assert self.F5.is_domain and self.F5.dimension == 0 and self.F5.spectrum_finite
+        assert ResidueRing(12).dimension == 0 and not ResidueRing(12).is_domain
+        for ring in (ZZ, LocalizedIntegersRing((2, 5)), PolynomialRing(2)):
+            assert ring.is_domain and ring.dimension == 1
+
+    def test_plusplus_is_zero_dimensional(self):
+        verdict = plusplus_check(self.F5)
+        assert verdict.holds and verdict.rule == RULE_PLUSPLUS_ZERO_DIMENSIONAL
+
+    def test_check_plusplus_prints_a_witness_table(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["--format", "machine", "check-plusplus", "-r", "Z/5"]) == 0
+        rec = json.loads(out.getvalue().splitlines()[1])
+        assert rec["provenance"] == RULE_PLUSPLUS_ZERO_DIMENSIONAL
+        assert rec["witness_table"] == [{"r": 0, "d": 1}] + [
+            {"r": r, "d": 0} for r in range(1, 5)]
+
+    def test_valuation_kinds_reject_it(self):
+        m = MaxIdealId(self.F5, 5)
+        with pytest.raises(UnsupportedRing):
+            one_dim_plus_witness(self.F5, 1, 2)
+        with pytest.raises(UnsupportedRing):
+            valuation(self.F5, self.F5.element(2), m)
+        with pytest.raises(UnsupportedRing):
+            crt_solve(self.F5, [(m, 1, 1)])
+        product = ProductRing((self.F5,))
+        u = UltrafilterDescriptor(product.shape, 0, m)
+        with pytest.raises(UnsupportedRing):
+            valuation_compare(u, product.element([2]), product.element([3]))
+
+    def test_jacobson_radical_is_zero(self):
+        assert jacobson_radical_generator(self.F5) == self.F5.zero

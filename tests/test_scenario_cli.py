@@ -246,6 +246,22 @@ class TestCli:
                     "ultrafilter": {"coordinate": 0, "principal": 2}}}, "queries[0]"),
         ({"query": ["x"]}, "queries[0].query"),
         ({"query": "assert", "of": {"query": {}}}, "queries[0].of"),
+        # errors of the descriptor constructors
+        ({"query": "ideal-member", "element": [2, 1],
+          "ideal": {"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": [2]}},
+         "queries[0]"),
+        ({"query": "ideal-member", "ideal": {"kind": "kernel_ideal", "coordinate": 3},
+          "element": [2, 1]}, "queries[0]"),
+        # a "poly" that is not a list, and a generator of the wrong form
+        ({"query": "ideal-member", "ideal": {"kind": "kernel_ideal", "coordinate": 0},
+          "element": [{"poly": 5}, 1]}, "queries[0]"),
+        ({"query": "minimal-prime",
+          "ultrafilter": {"coordinate": 0, "principal": {"poly": "101"}}}, "queries[0]"),
+        ({"query": "minimal-prime",
+          "ultrafilter": {"coordinate": 0, "principal": {"poly": [1, 1]}}}, "queries[0]"),
+        ({"query": "skolem", "elements": 1.5}, "queries[0].elements"),
+        ({"query": "interpolate", "doubling": 10**30}, "queries[0]"),
+        ({"query": "interpolate", "doubling": 4, "n_max": 10**30}, "queries[0]"),
     ])
     def test_bad_query_field_is_located(self, tmp_path, query, field):
         path = tmp_path / "bad.json"
@@ -267,6 +283,28 @@ class TestCli:
         # the ring tokens are read before any JSON flag
         (["check-plus", "-r", "Q", "--r-elem", "nonsense", "--a-elem", "1"],
          "ring: cannot parse ring token 'Q'"),
+        # a "poly" that is not a list, a value of the wrong form for its
+        # ring, a descriptor its constructor rejects, interpolation caps
+        (["minimal-prime", "-r", "F2[x]", "--ultrafilter",
+          '{"coordinate":0,"principal":{"poly":5}}'],
+         'queries[0]: "poly" must be a list, got 5'),
+        (["ideal-member", "-r", "F2[x]", "--ideal", '{"kind":"kernel_ideal","coordinate":0}',
+          "--element", '[{"poly":5}]'], 'queries[0]: "poly" must be a list, got 5'),
+        (["check-plus", "-r", "F2[x]", "--r-elem", '{"poly":"101"}', "--a-elem", "1"],
+         "queries[0]: \"poly\" must be a list, got '101'"),
+        (["minimal-prime", "-r", "Z", "--ultrafilter",
+          '{"coordinate":0,"principal":{"poly":[1,1]}}'],
+         "queries[0]: not an integer: (1, 1)"),
+        (["ideal-member", "-r", "Z", "-r", "Z", "--ideal",
+          '{"kind":"pointwise_max_ideal","coordinate":0,"ideals":[2]}', "--element", "[2,1]"],
+         "queries[0]: need one maximal ideal per coordinate"),
+        (["ideal-member", "-r", "Z", "-r", "Z", "--ideal",
+          '{"kind":"kernel_ideal","coordinate":3}', "--element", "[2,1]"],
+         "queries[0]: index out of range"),
+        (["interpolate", "--doubling", "5000"],
+         "queries[0]: doubling sample of length 5000 exceeds the interpolation cap 4096"),
+        (["interpolate", "--doubling", "4", "--n-max", "5000"],
+         "queries[0]: n_max 5000 exceeds the interpolation cap 4096"),
     ])
     def test_cli_error_is_located(self, argv, message):
         assert run_cli(argv) == (1, "", f"error: {message}\n")
