@@ -108,13 +108,13 @@ def _trial_divisors(lo: int, hi: int):
         range(max(DEFAULT_FACTOR_BUDGET + 1, (lo + 1) | 1), hi + 1, 2))
 
 
-def icbrt(n: int) -> int:
-    """floor(n ** (1/3)) for n >= 0, by Newton's iteration from above."""
+def iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 0 and k >= 1, by Newton's iteration from above."""
     if n == 0:
         return 0
-    x = 1 << -(-n.bit_length() // 3)
+    x = 1 << -(-n.bit_length() // k)
     while True:
-        y = (2 * x + n // (x * x)) // 3
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
             return x
         x = y
@@ -123,7 +123,7 @@ def icbrt(n: int) -> int:
 def _cube_root_stop(m: int) -> int:
     # past the cube root of m at most two primes remain; above the range
     # where Miller-Rabin is proven, trial division runs to the square root
-    return icbrt(m) if m < fqpoly.MILLER_RABIN_LIMIT else math.isqrt(m)
+    return iroot(m, 3) if m < fqpoly.MILLER_RABIN_LIMIT else math.isqrt(m)
 
 
 def _divide_out(m: int, out: list, lo: int, budget: int, root) -> tuple:

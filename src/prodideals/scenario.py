@@ -121,19 +121,15 @@ def encode_ring_element(elem: RingElement):
         return {"poly": list(raw)}
     if isinstance(raw, Fraction):
         if raw.denominator == 1:
-            return encode_value(int(raw)) if raw >= 0 else _encode_int(int(raw))
+            return encode_value(int(raw))
         return f"{raw.numerator}/{raw.denominator}"
-    return _encode_int(raw)
-
-
-def _encode_int(v: int):
-    return v if abs(v) <= 2**53 - 1 else str(v)
+    return encode_value(raw)
 
 
 def encode_generator(m: MaxIdealId):
     if isinstance(m.generator, tuple):
         return {"poly": list(m.generator)}
-    return _encode_int(m.generator)
+    return encode_value(m.generator)
 
 
 def decode_max_ideal(ring: RingHandle, obj, where="ideal") -> MaxIdealId:
@@ -223,7 +219,7 @@ def encode_element(a) -> list:
 
 def decode_ideal(product, obj, objects, where="ideal"):
     if isinstance(obj, str):
-        return _resolve(objects, obj, where)
+        return _resolve(objects, obj, where, _IDEALS, "ideal")
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError(where, f"expected an ideal descriptor, got {obj!r}")
     kind = obj["kind"]
@@ -246,7 +242,8 @@ def decode_ideal(product, obj, objects, where="ideal"):
         u = _resolve_ultrafilter(product, obj.get("ultrafilter"), objects, where)
         g = obj.get("g")
         if isinstance(g, str):
-            g = _resolve(objects, g, where)
+            from . import valuations
+            g = _resolve(objects, g, where, valuations.ValueVector, "value_vector")
         else:
             g = decode_value_vector(shape, g, where)
         return products.ValuationIdeal(product, u, g)
@@ -268,15 +265,23 @@ def encode_ideal(ideal) -> dict:
     raise ValidationError("ideal", f"cannot encode {ideal!r}")
 
 
-def _resolve(objects, name, where):
+_IDEALS = (products.UltrafilterIdeal, products.KernelIdeal, products.PointwiseMaxIdeal,
+           products.ValuationIdeal)
+
+
+def _resolve(objects, name, where, cls, declared):
+    """The object named ``name``, which must be a ``cls``: one declared with
+    ``"type": declared``."""
     if name not in objects:
         raise ValidationError(where, f"unknown object name {name!r}")
+    if not isinstance(objects[name], cls):
+        raise ValidationError(where, f"object {name!r} is not of type {declared!r}")
     return objects[name]
 
 
 def _resolve_ultrafilter(product, obj, objects, where):
     if isinstance(obj, str):
-        return _resolve(objects, obj, where)
+        return _resolve(objects, obj, where, boolalg.UltrafilterDescriptor, "ultrafilter")
     return decode_ultrafilter(product.shape, obj, where)
 
 
@@ -419,7 +424,7 @@ def _ring_at(scn: Scenario, query: dict, where):
 def _element(scn: Scenario, obj, where):
     """A product element: the name of an element object, or a list of entries."""
     if isinstance(obj, str):
-        return _resolve(scn.objects, obj, where)
+        return _resolve(scn.objects, obj, where, products.ProductElement, "element")
     return decode_element(scn.product, obj, where)
 
 
@@ -428,9 +433,10 @@ def _ultrafilter(scn: Scenario, query: dict, where):
 
 
 def _value_vector(scn: Scenario, query: dict, key, where):
+    from . import valuations
     obj = query.get(key)
     if isinstance(obj, str):
-        return _resolve(scn.objects, obj, where)
+        return _resolve(scn.objects, obj, where, valuations.ValueVector, "value_vector")
     return decode_value_vector(scn.product.shape, obj, f"{where}.{key}")
 
 
@@ -584,7 +590,9 @@ def _interpolate(scn, query, where):
 
 def _oracle(scn, query, where):
     from . import oracle
-    mark = bool(query.get("mark_primes", True))
+    mark = query.get("mark_primes", True)
+    if not isinstance(mark, bool):
+        raise ValidationError(f"{where}.mark_primes", f"must be true or false, got {mark!r}")
     rep = oracle.oracle_run(scn.product.components, scn.options.oracle_budget, mark)
     ultra = {oracle.descriptor_elements(i)
              for i in products.enumerate_maximal_ideals(scn.product)}

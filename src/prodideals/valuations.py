@@ -9,6 +9,7 @@ the test suite re-checks them against bounded quantifier searches.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .boolalg import UltrafilterDescriptor
@@ -23,7 +24,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .record import Record
-from .rings import INF, MaxIdealId, valuation
+from .rings import INF, MaxIdealId, iroot, valuation
 from .values import check_value, is_value
 
 #: The largest ``n_max`` of ``interpolate_chain``, and the longest built-in
@@ -250,24 +251,51 @@ def chain_strictness(u: UltrafilterDescriptor, g: ValueVector, h: ValueVector) -
 
 def _primitive_power(n: int):
     """Write n = c**e with maximal e (so c is not a proper power)."""
-    if n < 2:
-        return n, 1
-    for e in range(n.bit_length(), 1, -1):
-        c = round(n ** (1.0 / e))
-        for cand in (c - 1, c, c + 1):
-            if cand >= 2 and cand**e == n:
-                return cand, e
+    for e in range(n.bit_length() - 1, 1, -1):
+        c = iroot(n, e)
+        if c**e == n:
+            return c, e
     return n, 1
+
+
+def _atanh_bounds(p: int, q: int, w: int):
+    """Integers lo <= 2**w * atanh(p/q) < hi, for 0 <= p/q <= 1/3.
+
+    Sums t_j // (2j+1) over the fixed-point powers t_j = floor(t_(j-1) p^2/q^2)
+    of (p/q)**(2j+1) until t_K = 0.  Each t_j lies below its exact value by less
+    than j+1, so each of the K summands by less than 2; the exact tail from
+    j = K is below (K+1)/(2K+1) / (1 - 1/9) <= 9/8.
+    """
+    term, total, j = (p << w) // q, 0, 0
+    while term:
+        total += term // (2 * j + 1)
+        term = term * p * p // (q * q)
+        j += 1
+    return total, total + 2 * j + 2
+
+
+@functools.lru_cache(maxsize=64)
+def _ln_bounds(x: int, w: int):
+    """Integers lo < 2**w * ln(x) < hi for x >= 2, rounded outward: with
+    2**e <= x < 2**(e+1), ln x = e ln 2 + 2 atanh((x - 2**e)/(x + 2**e)), and
+    ln 2 = 2 atanh(1/3).  Cached, so ln 2 is summed once per precision w."""
+    if x == 2:
+        lo, hi = _atanh_bounds(1, 3, w)
+        return 2 * lo, 2 * hi
+    e = x.bit_length() - 1
+    lo2, hi2 = _ln_bounds(2, w)
+    lo, hi = _atanh_bounds(x - (1 << e), x + (1 << e), w)
+    return e * lo2 + 2 * lo, e * hi2 + 2 * hi
 
 
 def floor_div_log(n: int, base: int = None):
     """Exact floor(n / log_base(n)); natural log when base is None.
 
-    The defining equivalence floor(n/log n) = max{k : k*log n <= n} is
-    decided with certified interval arithmetic at increasing precision.
-    The loop terminates because n/log n is irrational in the natural-log
-    case; for an integer base the only rational values arise when n and
-    base are powers of a common integer, which is handled exactly first.
+    n / log_b(n) = n ln(b) / ln(n) lies between two integer quotients of the
+    enclosures ``_ln_bounds`` of 2**w ln(n) and 2**w ln(b) (2**w itself for
+    the natural log); w doubles until the floors of both ends agree.  That
+    terminates because the ratio is irrational, except when n and base are
+    powers of one integer, which is decided exactly first.
     Returns infinity at n = 1 where the logarithm vanishes.
     """
     if n < 1:
@@ -277,33 +305,20 @@ def floor_div_log(n: int, base: int = None):
     if base is not None:
         if base < 2:
             raise InconsistentInput("logarithm base must be an integer >= 2")
-        cn, en = _primitive_power(n)
         cb, eb = _primitive_power(base)
-        if cn == cb:
-            # log_base(n) = en/eb exactly
-            return (n * eb) // en
-    import mpmath  # lazily: only the interpolation path needs it
-
-    prec = max(n.bit_length() + 64, 128)
+        if n % cb == 0:
+            cn, en = _primitive_power(n)
+            if cn == cb:
+                # log_base(n) = en/eb exactly
+                return (n * eb) // en
+    w = 1 << (n.bit_length() + 63).bit_length()
     while True:
-        saved = mpmath.iv.prec
-        mpmath.iv.prec = prec
-        try:
-            x = mpmath.iv.mpf(n)
-            log_x = mpmath.iv.log(x)
-            if base is not None:
-                log_x = log_x / mpmath.iv.log(mpmath.iv.mpf(base))
-            ratio = x / log_x
-            # extract the endpoints at matching precision: the ambient
-            # context would silently round the floors to its own precision
-            with mpmath.workprec(prec):
-                lo = int(mpmath.floor(ratio.a))
-                hi = int(mpmath.floor(ratio.b))
-        finally:
-            mpmath.iv.prec = saved
+        n_lo, n_hi = _ln_bounds(n, w)
+        b_lo, b_hi = (1 << w, 1 << w) if base is None else _ln_bounds(base, w)
+        lo, hi = n * b_lo // n_hi, n * b_hi // n_lo
         if lo == hi:
             return lo
-        prec *= 2
+        w *= 2
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,10 @@ def check_value(v, what="value"):
 
 
 def encode_value(v):
-    """JSON form: ints stay ints (strings above 2**53-1), INF becomes \"inf\"."""
+    """JSON form: ints stay ints (strings beyond +-(2**53-1)), INF becomes \"inf\".
+
+    Also the JSON form of integer ring elements and generators, negative ones
+    included."""
     if v is INF:
         return "inf"
     if abs(v) > 2**53 - 1:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -59,3 +60,45 @@ def random_nonzero(ring, rng, small=False):
         e = random_element(ring, rng, small)
         if not e.is_zero:
             return e
+
+
+def exhaustive_prime_closure(moduli, member) -> tuple:
+    """Scan all pairs (a, b) with a*b in the ideal given by the membership
+    predicate; returns (pairs_checked, violations) where a violation is a
+    pair with product inside but neither factor inside.
+
+    Used to verify primality claims of descriptor-backed ideals on finite
+    rings, independently of how the descriptor decides membership.
+    """
+    import numpy as np
+
+    moduli = tuple(int(n) for n in moduli)
+    size = math.prod(moduli)
+    codes = np.arange(size, dtype=np.int64)
+    digits, rest = [], codes
+    for n in moduli:
+        digits.append(rest % n)
+        rest = rest // n
+    member_mask = np.zeros(size, dtype=bool)
+    for code in range(size):
+        elem = tuple(int(d[code]) for d in digits)
+        member_mask[code] = member(elem)
+    violations = []
+    pairs = 0
+    non_members = codes[~member_mask]
+    for a_code in non_members:
+        a_digits = [int(d[a_code]) for d in digits]
+        prod_code = np.zeros(len(non_members), dtype=np.int64)
+        stride = 1
+        for i, n in enumerate(moduli):
+            prod_code += ((a_digits[i] * digits[i][non_members]) % n) * stride
+            stride *= n
+        bad = member_mask[prod_code]
+        pairs += len(non_members)
+        if bad.any():
+            b_code = int(non_members[np.argmax(bad)])
+            violations.append((tuple(a_digits),
+                               tuple(int(d[b_code]) for d in digits)))
+    # pairs with a member factor can never violate primality
+    pairs += size * size - len(non_members) * len(non_members)
+    return pairs, violations

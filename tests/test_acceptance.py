@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import random_element, random_nonzero, rng_for
+from conftest import exhaustive_prime_closure, random_element, random_nonzero, rng_for
 from prodideals import oracle
 from prodideals.boolalg import (
     AlgebraElement,
@@ -207,7 +207,7 @@ def test_criterion_04_prime_closure():
         else:
             ideal = KernelIdeal(product, IndexUltrafilter(args))
         assert is_prime(ideal)
-        pairs, violations = oracle.exhaustive_prime_closure(
+        pairs, violations = exhaustive_prime_closure(
             moduli, lambda e: ideal_member(ideal, product.element(list(e))))
         assert pairs == math.prod(moduli) ** 2
         assert violations == []

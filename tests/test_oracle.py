@@ -3,11 +3,11 @@ import math
 
 import pytest
 
+from conftest import exhaustive_prime_closure
 from prodideals.errors import BudgetExceeded, UnsupportedRing
 from prodideals.oracle import (
     all_ideals,
     descriptor_elements,
-    exhaustive_prime_closure,
     is_prime_ideal,
     maximal_ideals,
     oracle_run,

@@ -447,10 +447,19 @@ def test_miller_rabin_strong_pseudoprimes():
 
 
 def test_icbrt_is_the_floor_cube_root():
-    from prodideals.rings import icbrt
+    from prodideals.rings import iroot
     for n in list(range(2000)) + [10**18 - 1, 10**18, 2**300, 3**200 - 1]:
-        r = icbrt(n)
+        r = iroot(n, 3)
         assert r**3 <= n < (r + 1) ** 3
+
+
+def test_iroot_is_the_floor_kth_root():
+    from prodideals.rings import iroot
+    for k in range(1, 12):
+        for n in list(range(300)) + [2**4096, 2**4096 - 1, 3**1000 + 1, 10**50]:
+            r = iroot(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)
+    assert iroot(2**4096, 4096) == 2 and iroot(2**4096 - 1, 4096) == 1
 
 
 def test_trial_sieve_is_lazy_and_capped(monkeypatch):

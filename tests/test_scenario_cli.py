@@ -26,6 +26,18 @@ SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 Z = {"kind": "integers"}
 Z12 = {"kind": "residue", "n": 12}
 U2 = {"coordinate": 0, "principal": 2}
+# one named object of each declared type, and queries naming one of the wrong
+# type, with the type each one needs
+NAMED = {"U": {"type": "ultrafilter", "coordinate": 0, "principal": 2},
+         "e": {"type": "element", "entries": [2, 1]},
+         "g": {"type": "value_vector", "defaults": [1, 1]}}
+WRONG_TYPE = [
+    ({"query": "minimal-prime", "ultrafilter": "e"}, "ultrafilter"),
+    ({"query": "ug-member", "ultrafilter": "U", "g": "e", "x": "e"}, "value_vector"),
+    ({"query": "valuation-compare", "ultrafilter": "g", "a": "e", "b": "e"}, "ultrafilter"),
+    ({"query": "skolem", "elements": ["U"]}, "element"),
+    ({"query": "ideal-member", "ideal": "U", "element": "e"}, "ideal"),
+]
 
 
 def minimal_scenario(**overrides):
@@ -48,15 +60,25 @@ def run_cli(argv):
 
 
 def test_cli_import_loads_no_numpy_or_mpmath():
-    # numpy serves only the test-side closure scan and mpmath only
-    # interpolation; every CLI process would pay their import otherwise
+    # the package uses the standard library only: numpy and mpmath serve the
+    # tests, and every CLI process would pay their import otherwise
     src = str(pathlib.Path(prodideals.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, prodideals.cli; "
-            "print(sorted(m for m in ('numpy', 'mpmath') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    probe = "\nimport sys\nprint(sorted(m for m in ('numpy', 'mpmath') if m in sys.modules))"
+    for code in (
+            "import prodideals.cli",
+            # an interpolation run, which needs the exact floor(n / log n)
+            "import contextlib, io\n"
+            "from prodideals.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['interpolate', '--doubling', '64', '--n-max', '5']) == 0",
+            # every module of the package
+            "import importlib, pkgutil, prodideals\n"
+            "for m in pkgutil.iter_modules(prodideals.__path__):\n"
+            "    importlib.import_module('prodideals.' + m.name)"):
+        out = subprocess.run([sys.executable, "-c", code + probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]", code
 
 
 class TestParsing:
@@ -262,15 +284,34 @@ class TestCli:
         ({"query": "skolem", "elements": 1.5}, "queries[0].elements"),
         ({"query": "interpolate", "doubling": 10**30}, "queries[0]"),
         ({"query": "interpolate", "doubling": 4, "n_max": 10**30}, "queries[0]"),
+        # a "mark_primes" that is not a JSON boolean
+        ({"query": "oracle", "mark_primes": "false"}, "queries[0].mark_primes"),
+        ({"query": "oracle", "mark_primes": [0]}, "queries[0].mark_primes"),
+        ({"query": "oracle", "mark_primes": 0}, "queries[0].mark_primes"),
+        # a named object of the wrong declared type
+        *[(query, "queries[0]") for query, _ in WRONG_TYPE],
     ])
     def test_bad_query_field_is_located(self, tmp_path, query, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(minimal_scenario(
             rings=[{"kind": "integers"}, {"kind": "residue", "n": 12}],
-            product=[0, 1], queries=[query])))
+            product=[0, 1], objects=NAMED, queries=[query])))
         code, out, err = run_cli(["run", str(path)])
         assert code == 1 and out == ""
         assert err.startswith(f"error: {field}:")
+
+    @pytest.mark.parametrize("query, declared", WRONG_TYPE)
+    def test_wrong_object_type_names_the_expected_type(self, query, declared):
+        with pytest.raises(ValidationError, match=f"is not of type '{declared}'$"):
+            run_scenario(json.dumps(minimal_scenario(
+                rings=[Z, Z12], product=[0, 1], objects=NAMED, queries=[query])))
+
+    @pytest.mark.parametrize("mark, prime_count", [(True, 2), (False, None)])
+    def test_mark_primes_boolean(self, mark, prime_count):
+        report = run_scenario(json.dumps(minimal_scenario(
+            rings=[{"kind": "residue", "n": 6}], product=[0],
+            queries=[{"query": "oracle", "mark_primes": mark}])))
+        assert report.records[0]["verdict"]["prime_count"] == prime_count
 
     @pytest.mark.parametrize("argv, message", [
         # a decoding error inside a located decoder is located once
@@ -372,6 +413,13 @@ class TestCli:
         rec = json.loads(out.splitlines()[1])
         assert code == 0 and rec["verdict"] is True
 
+    @pytest.mark.parametrize("doubling, base", [(1100, 2), (1100, 3), (4096, 2), (4096, 16)])
+    def test_interpolate_large_doubling_with_integer_base(self, doubling, base):
+        code, out, err = run_cli(["--format", "machine", "--log-base", str(base),
+                                  "interpolate", "--doubling", str(doubling), "--n-max", "4"])
+        assert (code, err) == (0, "")
+        assert json.loads(out.splitlines()[1])["log_base"] == base
+
     def test_oracle_cli(self):
         code, out, _ = run_cli(["--format", "machine", "oracle",
                                 "-r", "Z/4", "-r", "Z/9"])
@@ -414,6 +462,8 @@ class TestCli:
         (["oracle", "-r", "Z/4", "-r", "Z/9"], [{"kind": "residue", "n": 4},
                                                {"kind": "residue", "n": 9}],
          {"query": "oracle"}),
+        (["oracle", "-r", "Z/6", "--no-primes"], [{"kind": "residue", "n": 6}],
+         {"query": "oracle", "mark_primes": False}),
     ])
     def test_subcommand_is_its_scenario_query(self, argv, rings, query):
         # with no optional flag given, a subcommand runs its query under the

@@ -365,6 +365,21 @@ class TestFloorDivLog:
             floor_div_log(5, base=1)
 
 
+def test_integer_base_is_exact_on_doubling_scales():
+    # log_2(2**i) = i and log_4(2**i) = i/2 exactly, up to the interpolation cap
+    for i in range(1, 4097):
+        assert floor_div_log(2**i, base=2) == 2**i // i
+        assert floor_div_log(2**i, base=4) == 2**(i + 1) // i
+
+
+def test_integer_base_against_the_definition():
+    # floor(n / log_b n) is the largest k with n**k <= b**n
+    for b in range(2, 17):
+        for n in range(2, 400):
+            k = floor_div_log(n, base=b)
+            assert n**k <= b**n < n**(k + 1), (n, b)
+
+
 class TestInterpolation:
     def test_floor_worked_example(self):
         sample = PrefixSample((1,), (9,), (8,))
