@@ -27,7 +27,8 @@ from fractions import Fraction
 
 from . import __version__ as _version
 from . import boolalg, products
-from .errors import BudgetExceeded, FactorizationBudgetExceeded, ParseError, ValidationError
+from .errors import (BudgetExceeded, FactorizationBudgetExceeded, ParseError,
+                     UnsupportedRing, ValidationError)
 from .record import Record
 from .rings import (
     DEFAULT_FACTOR_BUDGET,
@@ -63,7 +64,9 @@ def decode_ring(obj, where="rings") -> RingHandle:
             return LocalizedIntegersRing(tuple(int(p) for p in obj["primes"]))
         if kind == "poly_fq":
             return PolynomialRing(int(obj["q"]))
-    except (KeyError, ValueError, TypeError) as exc:
+    except KeyError as exc:
+        raise ValidationError(where, f"missing field {exc.args[0]!r}")
+    except (ValueError, TypeError) as exc:
         raise ValidationError(where, str(exc))
     except FactorizationBudgetExceeded as exc:
         raise FactorizationBudgetExceeded(f"{where}: {exc}") from None
@@ -593,7 +596,10 @@ def _oracle(scn, query, where):
     mark = query.get("mark_primes", True)
     if not isinstance(mark, bool):
         raise ValidationError(f"{where}.mark_primes", f"must be true or false, got {mark!r}")
-    rep = oracle.oracle_run(scn.product.components, scn.options.oracle_budget, mark)
+    try:
+        rep = oracle.oracle_run(scn.product.components, scn.options.oracle_budget, mark)
+    except UnsupportedRing as exc:
+        raise ValidationError(where, str(exc))
     ultra = {oracle.descriptor_elements(i)
              for i in products.enumerate_maximal_ideals(scn.product)}
     return {"verdict": {"ideal_count": rep.ideal_count,

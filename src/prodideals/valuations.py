@@ -306,11 +306,17 @@ def floor_div_log(n: int, base: int = None):
         if base < 2:
             raise InconsistentInput("logarithm base must be an integer >= 2")
         cb, eb = _primitive_power(base)
-        if n % cb == 0:
-            cn, en = _primitive_power(n)
-            if cn == cb:
-                # log_base(n) = en/eb exactly
-                return (n * eb) // en
+        # n is a power of cb iff dividing out cb leaves 1, since cb is not a
+        # proper power; cb, cb**2, cb**4, ... are divided out while they divide
+        m, en = n, 0
+        while m % cb == 0:
+            p, k = cb, 1
+            while m % p == 0:
+                m, en = m // p, en + k
+                p, k = p * p, 2 * k
+        if m == 1:
+            # log_base(n) = en/eb exactly
+            return (n * eb) // en
     w = 1 << (n.bit_length() + 63).bit_length()
     while True:
         n_lo, n_hi = _ln_bounds(n, w)

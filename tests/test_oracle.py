@@ -15,6 +15,7 @@ from prodideals.oracle import (
 from prodideals.products import (
     IndexUltrafilter,
     KernelIdeal,
+    PointwiseMaxIdeal,
     ProductRing,
     UltrafilterIdeal,
     enumerate_maximal_ideals,
@@ -26,6 +27,41 @@ from prodideals.rings import IntegerRing, ResidueRing
 
 def divisor_count(n):
     return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def literal_ideal_closure(moduli):
+    """Every ideal of the product as a set of element tuples: the multiples of
+    every element, closed under element-wise sums of pairs in rounds until a
+    round adds nothing.  Elements are row-major indices; numpy tables and
+    scatters into membership masks keep the element work fast."""
+    import numpy as np
+
+    digits = np.array(list(itertools.product(*(range(n) for n in moduli))), np.int32).T
+    size = digits.shape[1]
+
+    def table(op):  # table[a, b] is the index of op(element a, element b)
+        index = np.zeros((size, size), np.int32)
+        for d, n in zip(digits, moduli):
+            index = index * n + op(d[:, None], d[None, :]) % n
+        return index
+
+    def masks(rows, indices):  # the set of membership masks, one per row number
+        out = np.zeros((rows.max() + 1, size), bool)
+        out[rows, indices] = True
+        return {m.tobytes() for m in out}
+    add, mul = table(np.add), table(np.multiply)
+    pool = masks(np.arange(size)[:, None], mul)
+    while True:
+        sets = [np.flatnonzero(np.frombuffer(k, bool)) for k in pool]
+        sums = set()
+        for i in range(1, len(sets)):
+            # sets[i] + sets[j] for every j < i in one scatter, as row j
+            rows = np.repeat(np.arange(i), [len(b) for b in sets[:i]])
+            sums |= masks(rows[None, :], add[sets[i]][:, np.concatenate(sets[:i])])
+        if sums <= pool:
+            return {frozenset(map(tuple, digits.T[np.frombuffer(k, bool)].tolist()))
+                    for k in pool}
+        pool |= sums
 
 
 class TestAllIdeals:
@@ -50,6 +86,16 @@ class TestAllIdeals:
                 for r in itertools.product(range(6), range(4)):
                     p = tuple((x * y) % n for x, y, n in zip(a, r, moduli))
                     assert p in elems
+
+    def test_matches_a_literal_pairwise_closure(self):
+        # every product of at most three moduli with at most 400 elements
+        for moduli in itertools.chain(
+                ((a,) for a in range(2, 401)),
+                ((a, b) for a in range(2, 21) for b in range(a, 400 // a + 1)),
+                ((a, b, c) for a in range(2, 8) for b in range(a, 201)
+                 for c in range(b, 400 // (a * b) + 1))):
+            found = {i.elements() for i in all_ideals(moduli)}
+            assert found == literal_ideal_closure(moduli), moduli
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
@@ -109,6 +155,24 @@ class TestDescriptorComparison:
             product = ProductRing(tuple(ResidueRing(n) for n in moduli))
             ours = {descriptor_elements(i) for i in enumerate_maximal_ideals(product)}
             assert ours == set(oracle_run(list(moduli), mark_primes=False).maximal)
+
+    def test_materialisation_matches_a_full_product_scan(self):
+        # every element of the product through ideal_member; a predicate that
+        # is not an ideal would differ from the per-coordinate parts
+        for moduli in ((4, 9), (12, 10), (6, 5, 4), (8,)):
+            product = ProductRing(tuple(ResidueRing(n) for n in moduli))
+            comps = product.components
+            descriptors = [KernelIdeal(product, IndexUltrafilter(i))
+                           for i in range(len(moduli))]
+            descriptors += [PointwiseMaxIdeal(product, IndexUltrafilter(i), tuple(
+                r.max_ideal(r.primes[-1]) for r in comps)) for i in range(len(moduli))]
+            descriptors += [UltrafilterIdeal(product, UltrafilterDescriptor(
+                product.shape, i, r.max_ideal(p))) for i, r in enumerate(comps)
+                for p in r.primes]
+            for ideal in descriptors:
+                full = frozenset(e for e in itertools.product(*(range(n) for n in moduli))
+                                 if ideal_member(ideal, product.element(list(e))))
+                assert descriptor_elements(ideal) == full, ideal
 
     def test_non_residue_rejected(self):
         with pytest.raises(UnsupportedRing):

@@ -29,13 +29,13 @@ HEAVY = ("dataclasses", "inspect", "prodideals.oracle", "prodideals.properties",
          "prodideals.valuations")
 
 
-def loaded_after(code):
-    """The modules of HEAVY loaded once ``code`` has run in a fresh interpreter.
+def loaded_after(code, modules=HEAVY):
+    """The ``modules`` loaded once ``code`` has run in a fresh interpreter.
 
     ``-S`` keeps site hooks out, so what is counted is what prodideals imports.
     """
     probe = (f"import io, contextlib, json, sys\n{code}\n"
-             f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))")
+             f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -57,6 +57,11 @@ class TestFootprint:
 
     def test_oracle_loads_neither_properties_nor_valuations(self):
         assert loaded_after(cli_run(["oracle", "-r", "Z/12"])) == ["prodideals.oracle"]
+
+    def test_oracle_run_loads_no_ultrafilter_machinery(self):
+        # the oracle is the independent check: it works on element sets alone
+        assert loaded_after("from prodideals import oracle\noracle.oracle_run([12, 10])",
+                            ("prodideals.boolalg", "prodideals.products")) == []
 
 
 # every name the package exported when it imported its modules eagerly

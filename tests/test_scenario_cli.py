@@ -346,6 +346,13 @@ class TestCli:
          "queries[0]: doubling sample of length 5000 exceeds the interpolation cap 4096"),
         (["interpolate", "--doubling", "4", "--n-max", "5000"],
          "queries[0]: n_max 5000 exceeds the interpolation cap 4096"),
+        # a ring the oracle does not handle, and a ring with a missing field
+        (["oracle", "-r", "Z", "-r", "Z/6"],
+         "queries[0]: the oracle handles residue rings only, got IntegerRing()"),
+        *[(["run", json.dumps(minimal_scenario(rings=[{"kind": kind}], product=[0]))],
+           f"rings[0]: missing field '{field}'")
+          for kind, field in (("residue", "n"), ("localized_integers", "primes"),
+                              ("poly_fq", "q"))],
     ])
     def test_cli_error_is_located(self, argv, message):
         assert run_cli(argv) == (1, "", f"error: {message}\n")
@@ -427,6 +434,14 @@ class TestCli:
         assert code == 0
         assert rec["verdict"]["maximal_count"] == 2
         assert rec["verdict"]["matches_ultrafilter_enumeration"] is True
+
+    def test_oracle_cli_at_5040(self):
+        # 5040 = 2^4 3^2 5 7: (4+1)(2+1)(1+1)(1+1) divisors, one ideal each
+        code, out, _ = run_cli(["--format", "machine", "oracle", "-r", "Z/5040"])
+        assert code == 0
+        assert json.loads(out.splitlines()[1])["verdict"] == {
+            "ideal_count": 60, "maximal_count": 4, "prime_count": 4,
+            "matches_ultrafilter_enumeration": True}
 
     @pytest.mark.parametrize("argv, rings, query", [
         (["maxideals", "-r", "Z", "-r", "Z/12"], [Z, Z12], {"query": "maxideals"}),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -370,6 +371,17 @@ def test_integer_base_is_exact_on_doubling_scales():
     for i in range(1, 4097):
         assert floor_div_log(2**i, base=2) == 2**i // i
         assert floor_div_log(2**i, base=4) == 2**(i + 1) // i
+
+
+def test_integer_base_on_large_non_powers():
+    # n divisible by the base's primitive root but not a power of it; the
+    # pinned values are those of the exponent-by-exponent search
+    def digest(k):
+        return hashlib.sha256(str(k).encode()).hexdigest()[:16]
+    assert floor_div_log(2**4096, base=2) == 2**4084
+    assert floor_div_log(2**4096 + 2, base=2) == 2**4084
+    assert digest(floor_div_log(3**2000 * 2, base=3)) == "526a026b2663ceb7"
+    assert digest(floor_div_log(6**1500 * 5, base=2)) == "6b7ec79bd313f3da"
 
 
 def test_integer_base_against_the_definition():
