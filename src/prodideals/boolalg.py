@@ -159,18 +159,18 @@ def enumerate_ultrafilters(shape: Sequence[RingHandle], bound: int = None) -> li
     shape = tuple(shape)
     out = []
     for i, ring in enumerate(shape):
-        if ring.spectrum_finite:
-            ideals = ring.maximal_spectrum()
-        else:
-            if bound is None:
-                raise InconsistentInput(
-                    f"a generator bound is required for {ring.short_name}")
-            ideals = ring.maximal_ideals_up_to(bound)
-        for m in sorted(ideals, key=lambda m: m.sort_key):
-            out.append(UltrafilterDescriptor(shape, i, m))
+        out.extend(UltrafilterDescriptor(shape, i, m) for m in principal_ideals(ring, bound))
         if not ring.spectrum_finite:
             out.append(UltrafilterDescriptor(shape, i, None))
     return out
+
+
+def principal_ideals(ring: RingHandle, bound: int = None) -> list:
+    """The fixed ideals of the principal descriptors at a coordinate ``ring``
+    in enumeration order; ``bound`` limits an infinite spectrum's generators."""
+    if bound is None and not ring.spectrum_finite:
+        raise InconsistentInput(f"a generator bound is required for {ring.short_name}")
+    return sorted(ring.maximal_ideals_up_to(bound), key=lambda m: m.sort_key)
 
 
 # ---------------------------------------------------------------------------

@@ -202,8 +202,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     report = sc.run_scenario(args.scenario if args.command == "run" else _scenario_for(args))
-    sys.stdout.write(report.render_machine() if args.format == "machine"
-                     else report.render_text())
+    report.write(sys.stdout.write, args.format == "machine")
     return report.exit_code
 
 

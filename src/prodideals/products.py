@@ -282,6 +282,19 @@ def witness_fillers(product: ProductRing) -> tuple:
     return tuple(fillers)
 
 
+def witness_entry(m):
+    """The witness entry of the principal descriptor fixing ``m``: its
+    generator, checked by division (an explicit ``raise``, kept by ``python
+    -O``); None at a field coordinate, where the generator is zero.  The
+    one copy of the check, for ``is_maximal`` and the ``maxideals`` query."""
+    gen = m.ring.element(m.generator)
+    if gen.is_zero:
+        return None
+    if not m.contains(gen):
+        raise AssertionError(f"witness entry {gen} is not in {m}")
+    return gen
+
+
 def is_maximal(ideal: UltrafilterIdeal) -> MaximalityVerdict:
     """Decide maximality of an ultrafilter ideal, with witness or obstruction.
 
@@ -294,10 +307,10 @@ def is_maximal(ideal: UltrafilterIdeal) -> MaximalityVerdict:
     concentration coordinate no such tuple exists and the verdict rests on
     the quotient argument alone.
 
-    The witness condition is checked by division: at a principal
-    descriptor the vanishing tuple lies in the ultrafilter exactly when the
-    concentration entry lies in the fixed maximal ideal, so no entry is
-    factored.  The tests cross-check accepted witnesses against the
+    The witness condition is checked by division (``witness_entry``): at a
+    principal descriptor the vanishing tuple lies in the ultrafilter exactly
+    when the concentration entry lies in the fixed maximal ideal, so no
+    entry is factored.  The tests cross-check accepted witnesses against the
     definition, through ``vset_vector`` and ``membership``.
 
     Cofinite descriptor: membership forces a cofinite vanishing set at the
@@ -314,16 +327,12 @@ def is_maximal(ideal: UltrafilterIdeal) -> MaximalityVerdict:
             f"no nonzero element of {ring.short_name} vanishes on a cofinite "
             f"set of maximal ideals; the ideal is the kernel of the projection "
             f"and the quotient {ring.short_name} is not a field")
-    gen_elem = ring.element(u.principal.generator)
-    if gen_elem.is_zero:
-        # field component: the generator reduces to zero and no nonzero
-        # element lies in the maximal ideal
+    gen_elem = witness_entry(u.principal)
+    if gen_elem is None:
         return MaximalityVerdict(
             True, RULE_PRINCIPAL_QUOTIENT_FIELD, None,
             "concentration coordinate is a field: maximality holds via the "
             "field quotient, no nonzero-entry witness exists")
-    if not u.principal.contains(gen_elem):
-        raise AssertionError(f"witness entry {gen_elem} is not in {u.principal}")
     entries = list(witness_fillers(product))
     entries[u.coordinate] = gen_elem
     return MaximalityVerdict(
@@ -352,8 +361,8 @@ def minimal_prime_below(ideal: UltrafilterIdeal) -> KernelIdeal:
     kernel = KernelIdeal(ideal.product, f)
     others = [i for i in range(ideal.product.size) if i != f.coordinate]
     chi = ideal.product.indicator(others)
-    assert ideal_member(kernel, chi)
-    assert ideal_member(ideal, chi)
+    if not (ideal_member(kernel, chi) and ideal_member(ideal, chi)):
+        raise AssertionError(f"{chi!r} is not in both the kernel and the ideal")
     return kernel
 
 
@@ -407,5 +416,6 @@ def skolem_check(elems: Sequence[ProductElement],
     total = product.zero
     for c, e in zip(certificate, elems):
         total = total + c * e
-    assert total == product.one
+    if total != product.one:
+        raise AssertionError(f"certificate sums to {total!r}, not one")
     return SkolemResult(True, certificate, ())

@@ -42,8 +42,8 @@ class PlusWitness(Record):
     vset_d: FinCofSet
 
     def __post_init__(self):
-        assert self.lower.issubset(self.vset_d)
-        assert self.vset_d.issubset(self.upper)
+        if not (self.lower.issubset(self.vset_d) and self.vset_d.issubset(self.upper)):
+            raise AssertionError("the vanishing set lies outside the witness bounds")
 
 
 def _generator_product(ring: RingHandle, ideals) -> RingElement:
@@ -119,7 +119,8 @@ def plusplus_witness(ring: RingHandle, r,
     d = crt_solve(ZZ, [(MaxIdealId(ZZ, m.generator), 1, 1 if m.contains(r) else 0)
                        for m in ring.maximal_spectrum()]).raw
     witness = ring.element(d)
-    assert ring.vset(witness, budget) == ring.vset(r, budget).complement()
+    if ring.vset(witness, budget) != ring.vset(r, budget).complement():
+        raise AssertionError(f"{witness!r} does not vanish exactly off {r!r}")
     return witness
 
 

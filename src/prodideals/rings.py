@@ -836,7 +836,8 @@ def crt_solve(ring: RingHandle, congruences: Sequence) -> RingElement:
             r = ring.element(r).raw
             # solve x + modulus*t = r (mod step)
             d, u, _ = fqpoly.pxgcd(K, modulus, step)
-            assert d == (1,), "moduli of distinct irreducibles are coprime"
+            if d != (1,):
+                raise AssertionError("moduli of distinct irreducibles are coprime")
             diff = fqpoly.pmod(K, fqpoly.psub(K, r, x), step)
             t = fqpoly.pmod(K, fqpoly.pmul(K, diff, u), step)
             x = fqpoly.padd(K, x, fqpoly.pmul(K, modulus, t))
@@ -852,7 +853,8 @@ def crt_solve(ring: RingHandle, congruences: Sequence) -> RingElement:
         if isinstance(r, Fraction):
             r = r.numerator * pow(r.denominator, -1, step) % step
         g, u, _ = xgcd(modulus, step)
-        assert g == 1
+        if g != 1:
+            raise AssertionError(f"moduli {modulus} and {step} are not coprime")
         t = ((r - x) * u) % step
         x = (x + modulus * t) % (modulus * step)
         modulus *= step

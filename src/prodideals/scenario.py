@@ -10,9 +10,10 @@ byte-identical output.
 
 ``QUERIES`` maps each query kind to its handler, a function of the scenario,
 the query object and its location (``queries[i]``) that returns the record's
-fields: ``verdict``, ``provenance`` and any witness material.  To add a kind,
-write its handler, add a ``QUERIES`` row, and, if the kind has a command-line
-form, add a row to ``cli.COMMANDS``.
+fields: ``verdict``, ``provenance`` and any witness material; a long list
+among them can be a ``Stream``, which the report writes entry by entry.  To
+add a kind, write its handler, add a ``QUERIES`` row, and, if the kind has a
+command-line form, add a row to ``cli.COMMANDS``.
 
 Each CLI process answers one command, so this module imports only what every
 scenario needs (``rings``, ``boolalg``, ``products``).  ``oracle``,
@@ -22,6 +23,7 @@ value-vector decoder, that use them.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -391,28 +393,104 @@ def parse_scenario(source) -> Scenario:
 # Execution
 
 
+class Stream:
+    """A list in a report record, made afresh by ``make()`` on each
+    iteration, so that the report is written without holding it."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __iter__(self):
+        return self.make()
+
+
+def _plain(value):
+    """``value`` with each ``Stream`` in it made a list."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return [_plain(v) for v in value] if isinstance(value, Stream) else value
+
+
+#: what a ``Stream`` is written as, until the writer expands it
+_MARK = "\x00stream\x00"
+_MARK_JSON = json.dumps(_MARK)
+
+
+def _mark(obj):
+    if not isinstance(obj, Stream):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return _MARK
+
+
+#: the sorted-key JSON encoders of the two formats, and the characters per
+#: write: blocks keep the writes (system calls on an unbuffered stdout) few
+_MACHINE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_mark)
+_TEXT = json.JSONEncoder(sort_keys=True, default=_mark)
+WRITE_BLOCK = 1 << 16
+
+
+def _json_pieces(head, value, encoder):
+    """``head`` and ``encoder.encode(value)`` in pieces, each ``Stream`` in
+    ``value`` encoded 256 entries at a time."""
+    text = encoder.encode(value)
+    return (head + text,) if _MARK_JSON not in text else _streamed(head, value, encoder)
+
+
+def _streamed(head, value, encoder):
+    """The pieces of ``_json_pieces`` for a ``value`` that holds a ``Stream``."""
+    streams = []  # in the order they are written
+    parts = json.dumps(value, sort_keys=True, default=lambda obj: streams.append(obj) or _mark(obj),
+                       separators=(encoder.item_separator, encoder.key_separator)
+                       ).split(_MARK_JSON)
+    if len(parts) != len(streams) + 1:  # the mark is also a string in value
+        streams, parts = [], [encoder.encode(_plain(value))]
+    yield head + parts[0]
+    for stream, part in zip(streams, parts[1:]):
+        yield "["
+        entries, sep = iter(stream), ""
+        while chunk := list(itertools.islice(entries, 256)):
+            yield sep + encoder.encode(chunk)[1:-1]
+            sep = encoder.item_separator
+        yield "]" + part
+
+
 class Report(Record, frozen=False):
     records: list
     exit_code: int
 
+    def write(self, emit, machine: bool) -> None:
+        """Pass the machine or text rendering to ``emit`` in blocks of
+        about ``WRITE_BLOCK`` characters."""
+        block, size = [], 0
+        for piece in self._pieces(machine):
+            block.append(piece)
+            size += len(piece)
+            if size >= WRITE_BLOCK:
+                emit("".join(block))
+                block, size = [], 0
+        if block:
+            emit("".join(block))
+
+    def _pieces(self, machine):
+        if machine:
+            yield from _json_pieces("", {"schema_version": SCHEMA_VERSION, "tool": "prodideals",
+                                         "type": "header", "version": _version}, _MACHINE)
+            for rec in self.records:
+                yield from _json_pieces("\n", rec, _MACHINE)
+        else:
+            yield f"prodideals {_version} report"
+            for rec in self.records:
+                yield from _json_pieces(f"\n[{rec['index']}] {rec['query']}: ",
+                                        rec["verdict"], _TEXT)
+                for key in sorted(rec.keys() - {"index", "query", "verdict"}):
+                    yield from _json_pieces(f"\n    {key}: ", rec[key], _TEXT)
+        yield "\n"
+
     def render_machine(self) -> str:
-        lines = [json.dumps({"schema_version": SCHEMA_VERSION, "tool": "prodideals",
-                             "type": "header", "version": _version},
-                            sort_keys=True, separators=(",", ":"))]
-        for rec in self.records:
-            lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-        return "\n".join(lines) + "\n"
+        return "".join(self._pieces(True))
 
     def render_text(self) -> str:
-        lines = [f"prodideals {_version} report"]
-        for rec in self.records:
-            head = f"[{rec['index']}] {rec['query']}: {json.dumps(rec['verdict'], sort_keys=True)}"
-            lines.append(head)
-            for key in sorted(rec):
-                if key in ("index", "query", "verdict"):
-                    continue
-                lines.append(f"    {key}: {json.dumps(rec[key], sort_keys=True)}")
-        return "\n".join(lines) + "\n"
+        return "".join(self._pieces(False))
 
 
 def _ring_at(scn: Scenario, query: dict, where):
@@ -448,23 +526,31 @@ def _maxideals(scn, query, where):
     bound = scn.options.bound
     if "bound" in query:
         bound = _decode_positive_int(query["bound"], f"{where}.bound")
-    # every witness is these entries with the generator at u's coordinate
+    # listed here, so that an enumeration cap raises inside the handler
+    columns = [boolalg.principal_ideals(ring, bound) for ring in product.shape]
+    # every principal descriptor is maximal by one rule, and its witness is
+    # these entries with its checked generator at the coordinate
     fillers = [encode_ring_element(e) for e in products.witness_fillers(product)]
-    accepted, rejected = [], []
-    for u in boolalg.enumerate_ultrafilters(product.shape, bound):
-        verdict = products.is_maximal(products.UltrafilterIdeal(product, u))
-        entry = {"ultrafilter": encode_ultrafilter(u), "rule": verdict.rule}
-        if verdict.is_maximal:
-            if verdict.witness is not None:
-                witness = fillers.copy()
-                witness[u.coordinate] = encode_ring_element(
-                    verdict.witness.entries[u.coordinate])
-                entry["witness"] = witness
-            accepted.append(entry)
-        else:
-            entry["reason"] = verdict.detail
-            rejected.append(entry)
-    return {"verdict": {"maximal": accepted, "rejected": rejected},
+
+    def maximal():
+        for i, ideals in enumerate(columns):
+            for m in ideals:
+                entry = {"rule": products.RULE_PRINCIPAL_QUOTIENT_FIELD,
+                         "ultrafilter": {"coordinate": i, "principal": encode_generator(m)}}
+                gen = products.witness_entry(m)
+                if gen is not None:
+                    entry["witness"] = witness = fillers.copy()
+                    witness[i] = encode_ring_element(gen)
+                yield entry
+
+    rejected = []
+    for i, ring in enumerate(product.shape):
+        if not ring.spectrum_finite:
+            u = boolalg.UltrafilterDescriptor(product.shape, i, None)
+            verdict = products.is_maximal(products.UltrafilterIdeal(product, u))
+            rejected.append({"ultrafilter": encode_ultrafilter(u), "rule": verdict.rule,
+                             "reason": verdict.detail})
+    return {"verdict": {"maximal": Stream(maximal), "rejected": rejected},
             "provenance": "rule:bounded-ultrafilter-enumeration"}
 
 
@@ -629,7 +715,7 @@ def _assert(scn, query, where):
     kind = inner.get("query") if isinstance(inner, dict) else None
     if not _is_kind(kind) or kind == "assert":
         raise ValidationError(f"{where}.of", "need a non-assert inner query")
-    actual = QUERIES[kind](scn, inner, where)
+    actual = _plain(QUERIES[kind](scn, inner, where))
     expected = query.get("expect")
     return {"verdict": actual["verdict"] == expected, "expected": expected,
             "actual": actual["verdict"], "provenance": actual["provenance"]}

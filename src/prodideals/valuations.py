@@ -183,7 +183,8 @@ def min_prime_over(u: UltrafilterDescriptor, x):
             exceptions.append((i, m, valuation(ring, entry, m)))
     g = ValueVector(u.shape, tuple(INF for _ in u.shape), tuple(exceptions))
     descriptor = ValuationIdeal(product, u, g)
-    assert ug_member(u, g, x)
+    if not ug_member(u, g, x):
+        raise AssertionError(f"{x!r} is not in its own threshold ideal")
     return g, descriptor
 
 
@@ -249,6 +250,7 @@ def chain_strictness(u: UltrafilterDescriptor, g: ValueVector, h: ValueVector) -
 # Exact floor(N / log N)
 
 
+@functools.lru_cache(maxsize=64)
 def _primitive_power(n: int):
     """Write n = c**e with maximal e (so c is not a proper power)."""
     for e in range(n.bit_length() - 1, 1, -1):

@@ -1,5 +1,6 @@
 """Start-up footprint, lazy package exports, and the shared record base."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -116,6 +117,16 @@ class TestExports:
         for path in (SRC / "prodideals").glob("*.py"):
             text = path.read_text()
             assert "import dataclasses" not in text and "from dataclasses" not in text, path
+
+    def test_self_checks_survive_optimize_flag(self):
+        # python -O strips assert statements, so a result is re-verified by an
+        # explicit raise; the one assert left states a caller's precondition
+        found = []
+        for path in sorted((SRC / "prodideals").glob("*.py")):
+            text = path.read_text()
+            found += [(path.name, ast.get_source_segment(text, node))
+                      for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Assert)]
+        assert found == [("fqpoly.py", "assert f and f[-1] == 1")]
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,8 @@ def test_enumeration_caps_raise_before_allocating(monkeypatch):
 
 def test_caches_are_bounded():
     from prodideals.products import witness_fillers
-    for cache in (prime_factors, witness_fillers):
+    from prodideals.valuations import _primitive_power
+    for cache in (prime_factors, witness_fillers, _primitive_power):
         assert cache.cache_info().maxsize is not None
 
 

@@ -563,3 +563,129 @@ class TestCli:
         assert code == 0
         assert json.loads(out.splitlines()[1])["verdict"] == {"coordinate": 0,
                                                               "kind": "kernel_ideal"}
+
+
+def maxideals_scenario(rings, bound):
+    return json.dumps(minimal_scenario(
+        rings=[parse_ring_token(r) for r in rings], product=list(range(len(rings))),
+        queries=[{"query": "maxideals", "bound": bound}]))
+
+
+# runs the CLI in a child and reads its stdout in chunks; a child forked from
+# pytest would inherit pytest's resident high-water mark, this small one's not
+SPAWNER = """
+import hashlib, os, sys
+r, w = os.pipe()
+pid = os.fork()
+if pid == 0:
+    os.dup2(w, 1)
+    os.execv(sys.executable, [sys.executable, "-c",
+             "import sys; from prodideals.cli import main; sys.exit(main(sys.argv[1:]))"]
+             + sys.argv[1:])
+os.close(w)
+digest = hashlib.sha256()
+while chunk := os.read(r, 1 << 16):
+    digest.update(chunk)
+_, status, usage = os.wait4(pid, 0)
+print(digest.hexdigest(), os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+class TestStreamedReport:
+    """The ``maxideals`` verdict is a ``Stream``; reports write it entry by entry."""
+
+    def test_assert_over_maxideals(self):
+        expected = json.loads(run_scenario(maxideals_scenario(["Z", "Z/6"], 10))
+                              .render_machine().splitlines()[1])["verdict"]
+        assert len(expected["maximal"]) == 4 + 2 and len(expected["rejected"]) == 1
+        inner = {"query": "maxideals", "bound": 10}
+        for expect, code in ((expected, 0),
+                             ({**expected, "maximal": expected["maximal"][1:]}, 2)):
+            report = run_scenario(json.dumps(minimal_scenario(
+                rings=[Z, {"kind": "residue", "n": 6}], product=[0, 1],
+                queries=[{"query": "assert", "of": inner, "expect": expect}])))
+            assert report.exit_code == code
+            actual = report.records[0]["actual"]
+            assert type(actual["maximal"]) is list
+            assert actual == expected
+
+    def test_rendering_twice_gives_the_same_bytes(self):
+        report = run_scenario(maxideals_scenario(["Z", "F2[x]", "Z_(2,3)"], 8))
+        for render in (report.render_machine, report.render_text):
+            first = render()
+            assert first.count("rule:principal-quotient-field") == 4 + 71 + 2
+            assert render() == first
+
+    def test_strings_that_look_like_the_stream_mark(self):
+        # the writer finds a Stream by a placeholder string; a scenario value
+        # equal to it is still written as it is
+        mark = "\x00stream\x00"
+        scenario = json.dumps(minimal_scenario(rings=[Z12], product=[0], queries=[
+            {"query": "assert", "of": {"query": "maxideals"}, "expect": mark},
+            {"query": "assert", "of": {"query": "maxideals"}, "expect": [mark, mark]}]))
+        report = run_scenario(scenario)
+        lines = report.render_machine().splitlines()[1:]
+        assert [json.loads(line)["expected"] for line in lines] == [mark, [mark, mark]]
+        assert report.render_text().count(json.dumps(mark)) == 3
+
+    @pytest.mark.parametrize("rings, bound", [(["Z"], 200000), (["Z/6", "F3[x]"], 2)])
+    def test_report_is_written_in_blocks(self, rings, bound):
+        # the number of writes follows the size, not the number of entries
+        from prodideals.scenario import WRITE_BLOCK
+        report = run_scenario(maxideals_scenario(rings, bound))
+        for machine, render in ((True, report.render_machine), (False, report.render_text)):
+            written, text = [], render()
+            report.write(written.append, machine)
+            assert "".join(written) == text
+            assert all(len(b) >= WRITE_BLOCK for b in written[:-1])
+            assert len(written) <= len(text) // WRITE_BLOCK + 1
+
+    def test_division_check_is_shared(self, monkeypatch):
+        # is_maximal and the streamed entries both call products.witness_entry
+        from prodideals import products
+
+        def fail(m):
+            raise AssertionError(f"checked {m}")
+        monkeypatch.setattr(products, "witness_entry", fail)
+        for query in ({"query": "maxideals"}, {"query": "is-maximal", "ultrafilter": U2}):
+            scenario = minimal_scenario(rings=[{"kind": "residue", "n": 6}], product=[0],
+                                        queries=[query])
+            with pytest.raises(AssertionError, match=r"checked \(2\)"):
+                run_scenario(json.dumps(scenario)).render_machine()
+
+    def test_streamed_check_survives_optimize_flag(self):
+        # with the division forced to fail, the maxideals run must fail even
+        # under python -O, which strips assert statements
+        code = "\n".join([
+            "import io, sys",
+            "from prodideals.cli import main",
+            "from prodideals.rings import MaxIdealId",
+            "MaxIdealId.contains = lambda self, elem: False",
+            "sys.stdout = io.StringIO()",
+            "try:",
+            "    main(['maxideals', '-r', 'Z', '-r', 'Z/7', '--bound', '10'])",
+            "except AssertionError as exc:",
+            "    print('raised', sys.flags.optimize, exc, file=sys.stderr)",
+        ])
+        src = str(pathlib.Path(prodideals.__file__).resolve().parent.parent)
+        err = subprocess.run([sys.executable, "-O", "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             check=True, capture_output=True, text=True).stderr
+        assert err.startswith("raised 1 witness entry 2 in Z is not in (2)")
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--format", "machine", "maxideals", "-r", "Z", "-r", "Z", "--bound", "1000000"],
+         "3b3e79c0e45d9154d865f4c3c19cb21bbba0796ad01c46d2ec28d886bb1c0e8e"),
+        (["maxideals", "-r", "Z", "-r", "Z", "--bound", "100000"],
+         "d60db845c89028b8ca750dc08cb89d38de117fb90cb71f02989c6a3969bd38ce"),
+    ])
+    def test_large_report_in_bounded_memory(self, argv, digest):
+        # 157,000 entries (17.5 MB) at the larger bound; holding the report
+        # took 160 MB, streaming it about 44 MB
+        src = str(pathlib.Path(prodideals.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-S", "-c", SPAWNER] + argv,
+                             env=dict(os.environ, PYTHONPATH=src),
+                             check=True, capture_output=True, text=True).stdout
+        sha, code, maxrss_kb = out.split()
+        assert (sha, code) == (digest, "0")
+        assert int(maxrss_kb) < 60 * 1024

@@ -384,6 +384,18 @@ def test_integer_base_on_large_non_powers():
     assert digest(floor_div_log(6**1500 * 5, base=2)) == "6b7ec79bd313f3da"
 
 
+def test_interpolation_finds_the_base_root_once():
+    # every sample entry takes floor(N / log_base N); the base's primitive
+    # root is computed for the first one only
+    from prodideals import valuations
+    sample = PrefixSample((1,) * 8, tuple(2**i + 1 for i in range(1, 9)),
+                          tuple(2**i for i in range(1, 9)))
+    valuations._primitive_power.cache_clear()
+    interpolate_chain(sample, "W", n_max=4, log_base=2**512 + 2)
+    info = valuations._primitive_power.cache_info()
+    assert (info.misses, info.hits) == (1, 7)
+
+
 def test_integer_base_against_the_definition():
     # floor(n / log_b n) is the largest k with n**k <= b**n
     for b in range(2, 17):
