@@ -12,6 +12,7 @@ on a single coordinate, so these descriptors are exhaustive.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 from .errors import FiniteIntersectionViolation, InconsistentInput, ShapeMismatch
@@ -190,25 +191,16 @@ def fip_check(elems: Iterable[AlgebraElement]) -> FipResult:
     failure the witness is a sublist with empty meet, pruned to be minimal.
     """
     elems = list(elems)
-    if not elems:
+    if not elems or not is_zero(functools.reduce(meet, elems)):
         return FipResult(True, ())
-    total = elems[0]
-    for e in elems[1:]:
-        total = meet(total, e)
-    if not is_zero(total):
-        return FipResult(True, ())
-    witness = list(elems)
+    witness = elems
     i = 0
     while i < len(witness):
         trial = witness[:i] + witness[i + 1:]
-        if trial:
-            m = trial[0]
-            for e in trial[1:]:
-                m = meet(m, e)
-            if is_zero(m):
-                witness = trial
-                continue
-        i += 1
+        if trial and is_zero(functools.reduce(meet, trial)):
+            witness = trial
+        else:
+            i += 1
     return FipResult(False, tuple(witness))
 
 
@@ -236,10 +228,7 @@ class FilterDescriptor(Record):
         return self.generators[0].shape
 
     def meet_of_generators(self) -> AlgebraElement:
-        total = self.generators[0]
-        for g in self.generators[1:]:
-            total = meet(total, g)
-        return total
+        return functools.reduce(meet, self.generators)
 
 
 class FilterExtension(Record):

@@ -1,15 +1,13 @@
 """Finite products of catalog rings and their induced ideals.
 
-Ideal descriptors come in four kinds:
-
-* ``UltrafilterIdeal(u)`` -- elements whose tuple of vanishing sets belongs
-  to the ultrafilter ``u``.
-* ``KernelIdeal(f)`` -- elements vanishing at the concentration coordinate
-  of the index ultrafilter ``f`` (the prototype of a minimal prime).
-* ``PointwiseMaxIdeal(f, M)`` -- elements lying in M at the concentration
-  coordinate.
-* ``ValuationIdeal(u, g)`` -- the valuation-threshold ideal attached to an
-  ultrafilter and a positive value vector.
+An ideal descriptor is a ``Descriptor``, one subclass per kind:
+``UltrafilterIdeal`` (the ideals induced by ultrafilters, which are the
+maximal ideals), ``KernelIdeal`` (the minimal primes), and
+``PointwiseMaxIdeal`` and ``ValuationIdeal`` (the primes of products of
+Prufer domains).  Each class owns its kind's semantics: the JSON name
+``kind``, membership ``contains(a)`` and the verdict ``is_prime()``, which
+``ideal_member`` and ``is_prime`` call for a descriptor of any kind.  To add
+a kind, write its class here and its row of ``scenario.IDEAL_KINDS``.
 
 The index set is finite, so every ultrafilter on it is principal and every
 descriptor is decidable by a closed form; the test suite re-verifies the
@@ -132,7 +130,31 @@ class IndexUltrafilter(Record):
 # Ideal descriptors
 
 
-class UltrafilterIdeal(Record):
+class Descriptor:
+    """Base of the ideal descriptors (see the module docstring); a kind is
+    prime unless its class overrides ``is_prime``."""
+
+    kind = None
+
+    def contains(self, a: "ProductElement") -> bool:
+        raise NotImplementedError
+
+    def is_prime(self) -> bool:
+        return True
+
+    def _check_product(self, a: "ProductElement"):
+        if a.ring != self.product:
+            raise ShapeMismatch("element of a different product")
+
+
+class UltrafilterIdeal(Record, Descriptor):
+    """Elements whose tuple of vanishing sets lies in the ultrafilter ``u``:
+    over the catalog, a division test at a principal ``u`` and a zero test at
+    a cofinite one (only zero vanishes on a cofinite set, by finite
+    character).  Prime: the tuple of ab is the join of those of a and b, and
+    ``u`` picks a side of every join."""
+
+    kind = "ultrafilter_ideal"
     product: ProductRing
     u: UltrafilterDescriptor
 
@@ -142,8 +164,17 @@ class UltrafilterIdeal(Record):
         set_field(self, "product", product)
         set_field(self, "u", u)
 
+    def contains(self, a):
+        self._check_product(a)
+        entry = a.entries[self.u.coordinate]
+        return entry.is_zero if self.u.is_frechet else self.u.principal.contains(entry)
 
-class KernelIdeal(Record):
+
+class KernelIdeal(Record, Descriptor):
+    """Elements vanishing at the concentration coordinate of the index
+    ultrafilter ``f``; prime exactly when that coordinate's ring is a domain."""
+
+    kind = "kernel_ideal"
     product: ProductRing
     f: IndexUltrafilter
 
@@ -151,8 +182,19 @@ class KernelIdeal(Record):
         if not 0 <= self.f.coordinate < self.product.size:
             raise ShapeMismatch("index out of range")
 
+    def contains(self, a):
+        self._check_product(a)
+        return a.entries[self.f.coordinate].is_zero
 
-class PointwiseMaxIdeal(Record):
+    def is_prime(self):
+        return self.product.components[self.f.coordinate].is_domain
+
+
+class PointwiseMaxIdeal(Record, Descriptor):
+    """Elements lying in M at the concentration coordinate; prime, since the
+    quotient is the residue field there."""
+
+    kind = "pointwise_max_ideal"
     product: ProductRing
     f: IndexUltrafilter
     ideals: tuple  # one MaxIdealId per coordinate
@@ -167,8 +209,18 @@ class PointwiseMaxIdeal(Record):
         if not 0 <= self.f.coordinate < self.product.size:
             raise ShapeMismatch("index out of range")
 
+    def contains(self, a):
+        self._check_product(a)
+        i = self.f.coordinate
+        return self.ideals[i].contains(a.entries[i])
 
-class ValuationIdeal(Record):
+
+class ValuationIdeal(Record, Descriptor):
+    """The valuation-threshold ideal of an ultrafilter and a value vector
+    (``valuations.ug_member``); prime for a positive vector, and a vector
+    with a zero position is rejected."""
+
+    kind = "valuation_ideal"
     product: ProductRing
     u: UltrafilterDescriptor
     g: object  # ValueVector
@@ -178,6 +230,16 @@ class ValuationIdeal(Record):
             raise ShapeMismatch("ultrafilter over a different shape")
         if self.g.shape != self.product.shape:
             raise ShapeMismatch("value vector over a different shape")
+
+    def contains(self, a):
+        from .valuations import ug_member
+        return ug_member(self.u, self.g, a)
+
+    def is_prime(self):
+        if not self.g.everywhere_positive:
+            raise UnsupportedDescriptor(
+                "valuation-threshold ideals need a positive value vector")
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -191,59 +253,17 @@ def vset_vector(a: ProductElement, budget: int = DEFAULT_FACTOR_BUDGET) -> Algeb
 
 
 def ideal_member(ideal, a: ProductElement) -> bool:
-    """Exact membership test for each descriptor kind.
-
-    For ultrafilter ideals the defining test is membership of the vanishing
-    tuple in the ultrafilter; over the catalog this reduces to a division
-    test at a principal descriptor and to a zero test at a cofinite one
-    (a vanishing set is cofinite exactly for the zero element, by finite
-    character), so no factorization is needed.
-    """
-    if isinstance(ideal, UltrafilterIdeal):
-        if a.ring != ideal.product:
-            raise ShapeMismatch("element of a different product")
-        u = ideal.u
-        entry = a.entries[u.coordinate]
-        if u.is_frechet:
-            return entry.is_zero
-        return u.principal.contains(entry)
-    if isinstance(ideal, KernelIdeal):
-        if a.ring != ideal.product:
-            raise ShapeMismatch("element of a different product")
-        return a.entries[ideal.f.coordinate].is_zero
-    if isinstance(ideal, PointwiseMaxIdeal):
-        if a.ring != ideal.product:
-            raise ShapeMismatch("element of a different product")
-        i = ideal.f.coordinate
-        return ideal.ideals[i].contains(a.entries[i])
-    if isinstance(ideal, ValuationIdeal):
-        from .valuations import ug_member
-        return ug_member(ideal.u, ideal.g, a)
-    raise UnsupportedDescriptor(f"unknown descriptor {ideal!r}")
+    """Exact membership test for a descriptor of any kind (``contains``)."""
+    if not isinstance(ideal, Descriptor):
+        raise UnsupportedDescriptor(f"unknown descriptor {ideal!r}")
+    return ideal.contains(a)
 
 
 def is_prime(ideal) -> bool:
-    """Primality verdict for a descriptor.
-
-    Ultrafilter ideals are prime (the vanishing tuple of a product is the
-    join of the factors' tuples, and an ultrafilter picks a side of every
-    join).  Kernel and pointwise ideals are prime exactly when the quotient
-    they induce -- the concentration-coordinate ring, or its residue field
-    -- has no zero divisors.  Valuation-threshold ideals are prime for
-    positive vectors; a vector with a zero position is rejected.
-    """
-    if isinstance(ideal, UltrafilterIdeal):
-        return True
-    if isinstance(ideal, KernelIdeal):
-        return ideal.product.components[ideal.f.coordinate].is_domain
-    if isinstance(ideal, PointwiseMaxIdeal):
-        return True  # quotient is the residue field at the concentration coordinate
-    if isinstance(ideal, ValuationIdeal):
-        if not ideal.g.everywhere_positive:
-            raise UnsupportedDescriptor(
-                "valuation-threshold ideals need a positive value vector")
-        return True
-    raise UnsupportedDescriptor(f"unknown descriptor {ideal!r}")
+    """Primality verdict for a descriptor of any kind (``is_prime``)."""
+    if not isinstance(ideal, Descriptor):
+        raise UnsupportedDescriptor(f"unknown descriptor {ideal!r}")
+    return ideal.is_prime()
 
 
 class MaximalityVerdict(Record):

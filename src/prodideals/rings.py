@@ -456,29 +456,13 @@ class FinCofSet(Record):
         return FinCofSet(self.ring, True, a.support | b.support)
 
     def union(self, other: "FinCofSet") -> "FinCofSet":
-        self._check(other)
-        a, b = self, other
-        if not a.is_cofinite and not b.is_cofinite:
-            return FinCofSet(self.ring, False, a.support | b.support)
-        if not a.is_cofinite:
-            return FinCofSet(self.ring, True, b.support - a.support)
-        if not b.is_cofinite:
-            return FinCofSet(self.ring, True, a.support - b.support)
-        return FinCofSet(self.ring, True, a.support & b.support)
+        return self.complement().intersection(other.complement()).complement()
 
     def complement(self) -> "FinCofSet":
         return FinCofSet(self.ring, not self.is_cofinite, self.support)
 
     def issubset(self, other: "FinCofSet") -> bool:
-        self._check(other)
-        a, b = self, other
-        if not a.is_cofinite and not b.is_cofinite:
-            return a.support <= b.support
-        if not a.is_cofinite and b.is_cofinite:
-            return not (a.support & b.support)
-        if a.is_cofinite and not b.is_cofinite:
-            return False  # a is infinite here, b finite
-        return b.support <= a.support
+        return self.intersection(other.complement()).is_empty
 
     __and__ = intersection
     __or__ = union

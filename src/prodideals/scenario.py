@@ -15,6 +15,12 @@ among them can be a ``Stream``, which the report writes entry by entry.  To
 add a kind, write its handler, add a ``QUERIES`` row, and, if the kind has a
 command-line form, add a row to ``cli.COMMANDS``.
 
+A field that holds an ultrafilter, element, value vector or ideal descriptor
+takes a literal or the name of a declared object of that ``"type"``, and
+``resolve`` reads both.  To add a descriptor kind, write its class in
+``products`` and add an ``IDEAL_KINDS`` row with its decoder and encoder; to
+add an object type, add an ``OBJECT_TYPES`` row with its literal's decoder.
+
 Each CLI process answers one command, so this module imports only what every
 scenario needs (``rings``, ``boolalg``, ``products``).  ``oracle``,
 ``properties`` and ``valuations`` are imported by the query kinds, and the
@@ -106,6 +112,11 @@ def _read(read, obj, where):
     else:
         raw = _decode_int(obj, where)
     return _located(where, read, raw)
+
+
+def _listed(table, key) -> bool:
+    # a key read from JSON may be a list or an object, which no dict can look up
+    return isinstance(key, str) and key in table
 
 
 def _located(where, make, *args):
@@ -222,72 +233,81 @@ def encode_element(a) -> list:
     return [encode_ring_element(e) for e in a.entries]
 
 
-def decode_ideal(product, obj, objects, where="ideal"):
-    if isinstance(obj, str):
-        return _resolve(objects, obj, where, _IDEALS, "ideal")
+def _index_filter(obj, where):
+    return products.IndexUltrafilter(_decode_int(obj.get("coordinate"), where))
+
+
+def _decode_pointwise_max_ideal(scn, obj, where):
+    f = _index_filter(obj, where)
+    if not isinstance(obj.get("ideals"), list):
+        raise ValidationError(where, "\"ideals\" must be a list of generators")
+    ideals = tuple(decode_max_ideal(r, g, where)
+                   for r, g in zip(scn.product.components, obj["ideals"]))
+    return _located(where, products.PointwiseMaxIdeal, scn.product, f, ideals)
+
+
+#: One row per ideal descriptor kind, keyed by its ``kind``: (decoder,
+#: encoder).  A decoder reads the kind's JSON object in the scenario ``scn``,
+#: located at ``where``, and reads the names in it with ``resolve``; an
+#: encoder gives the fields of a descriptor besides ``"kind"``.
+IDEAL_KINDS = {
+    products.UltrafilterIdeal.kind: (
+        lambda scn, obj, where: products.UltrafilterIdeal(
+            scn.product, resolve(scn, obj.get("ultrafilter"), "ultrafilter", where)),
+        lambda ideal: {"ultrafilter": encode_ultrafilter(ideal.u)}),
+    products.KernelIdeal.kind: (
+        lambda scn, obj, where: _located(where, products.KernelIdeal, scn.product,
+                                         _index_filter(obj, where)),
+        lambda ideal: {"coordinate": ideal.f.coordinate}),
+    products.PointwiseMaxIdeal.kind: (
+        _decode_pointwise_max_ideal,
+        lambda ideal: {"coordinate": ideal.f.coordinate,
+                       "ideals": [encode_generator(m) for m in ideal.ideals]}),
+    products.ValuationIdeal.kind: (
+        lambda scn, obj, where: products.ValuationIdeal(
+            scn.product, resolve(scn, obj.get("ultrafilter"), "ultrafilter", where),
+            resolve(scn, obj.get("g"), "value_vector", where)),
+        lambda ideal: {"ultrafilter": encode_ultrafilter(ideal.u),
+                       "g": encode_value_vector(ideal.g)}),
+}
+
+
+def decode_ideal(scn, obj, where="ideal"):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError(where, f"expected an ideal descriptor, got {obj!r}")
     kind = obj["kind"]
-    shape = product.shape
-    if kind == "ultrafilter_ideal":
-        u = _resolve_ultrafilter(product, obj.get("ultrafilter"), objects, where)
-        return products.UltrafilterIdeal(product, u)
-    if kind == "kernel_ideal":
-        coord = _decode_int(obj.get("coordinate"), where)
-        return _located(where, products.KernelIdeal, product, products.IndexUltrafilter(coord))
-    if kind == "pointwise_max_ideal":
-        coord = _decode_int(obj.get("coordinate"), where)
-        if not isinstance(obj.get("ideals"), list):
-            raise ValidationError(where, "\"ideals\" must be a list of generators")
-        ideals = tuple(decode_max_ideal(r, g, where)
-                       for r, g in zip(product.components, obj["ideals"]))
-        return _located(where, products.PointwiseMaxIdeal,
-                        product, products.IndexUltrafilter(coord), ideals)
-    if kind == "valuation_ideal":
-        u = _resolve_ultrafilter(product, obj.get("ultrafilter"), objects, where)
-        g = obj.get("g")
-        if isinstance(g, str):
-            from . import valuations
-            g = _resolve(objects, g, where, valuations.ValueVector, "value_vector")
-        else:
-            g = decode_value_vector(shape, g, where)
-        return products.ValuationIdeal(product, u, g)
-    raise ValidationError(where, f"unknown ideal kind {kind!r}")
+    if not _listed(IDEAL_KINDS, kind):
+        raise ValidationError(where, f"unknown ideal kind {kind!r}")
+    return IDEAL_KINDS[kind][0](scn, obj, where)
 
 
 def encode_ideal(ideal) -> dict:
-    if isinstance(ideal, products.UltrafilterIdeal):
-        return {"kind": "ultrafilter_ideal",
-                "ultrafilter": encode_ultrafilter(ideal.u)}
-    if isinstance(ideal, products.KernelIdeal):
-        return {"kind": "kernel_ideal", "coordinate": ideal.f.coordinate}
-    if isinstance(ideal, products.PointwiseMaxIdeal):
-        return {"kind": "pointwise_max_ideal", "coordinate": ideal.f.coordinate,
-                "ideals": [encode_generator(m) for m in ideal.ideals]}
-    if isinstance(ideal, products.ValuationIdeal):
-        return {"kind": "valuation_ideal", "ultrafilter": encode_ultrafilter(ideal.u),
-                "g": encode_value_vector(ideal.g)}
-    raise ValidationError("ideal", f"cannot encode {ideal!r}")
+    return {"kind": ideal.kind, **IDEAL_KINDS[ideal.kind][1](ideal)}
 
 
-_IDEALS = (products.UltrafilterIdeal, products.KernelIdeal, products.PointwiseMaxIdeal,
-           products.ValuationIdeal)
+#: One row per declared object type, keyed by its ``"type"``: (decoder of a
+#: literal, as in ``IDEAL_KINDS``; the field of a declared object that holds
+#: its literal, or None when the object itself is the literal).
+OBJECT_TYPES = {
+    "ultrafilter": (lambda scn, obj, where: decode_ultrafilter(scn.product.shape, obj, where),
+                    None),
+    "element": (lambda scn, obj, where: decode_element(scn.product, obj, where), "entries"),
+    "value_vector": (lambda scn, obj, where: decode_value_vector(scn.product.shape, obj, where),
+                     None),
+    "ideal": (decode_ideal, None),
+}
 
 
-def _resolve(objects, name, where, cls, declared):
-    """The object named ``name``, which must be a ``cls``: one declared with
-    ``"type": declared``."""
-    if name not in objects:
-        raise ValidationError(where, f"unknown object name {name!r}")
-    if not isinstance(objects[name], cls):
-        raise ValidationError(where, f"object {name!r} is not of type {declared!r}")
-    return objects[name]
-
-
-def _resolve_ultrafilter(product, obj, objects, where):
-    if isinstance(obj, str):
-        return _resolve(objects, obj, where, boolalg.UltrafilterDescriptor, "ultrafilter")
-    return decode_ultrafilter(product.shape, obj, where)
+def resolve(scn, obj, declared, where):
+    """A value of the object type ``declared``: the name of an object the
+    scenario declares with that ``"type"``, or a literal, decoded here."""
+    if not isinstance(obj, str):
+        return OBJECT_TYPES[declared][0](scn, obj, where)
+    if obj not in scn.types:
+        raise ValidationError(where, f"unknown object name {obj!r}")
+    if scn.types[obj] != declared:
+        raise ValidationError(where, f"object {obj!r} is not of type {declared!r}")
+    return scn.objects[obj]
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +337,8 @@ class Options(Record, frozen=False):
 class Scenario(Record, frozen=False):
     rings: list
     product: products.ProductRing
-    objects: dict
+    objects: dict  # name -> decoded value
+    types: dict  # name -> declared "type"
     queries: list
     options: Options
 
@@ -351,13 +372,12 @@ def parse_scenario(source) -> Scenario:
             raise ValidationError(f"product[{i}]", f"ring index {idx} out of range")
         comps.append(rings[idx])
     product = products.ProductRing(tuple(comps))
-    options = Options.from_obj(data.get("options", {}))
+    scn = Scenario(rings, product, {}, {}, [], Options.from_obj(data.get("options", {})))
 
     # ideals may reference other named objects, so decode them second
     raw_objects = data.get("objects", {})
     if not isinstance(raw_objects, dict):
         raise ValidationError("objects", "must be an object")
-    objects = {}
     items = sorted(raw_objects.items())
     for pass_ideals in (False, True):
         for name, obj in items:
@@ -365,18 +385,12 @@ def parse_scenario(source) -> Scenario:
             if not isinstance(obj, dict) or "type" not in obj:
                 raise ValidationError(where, "objects need a \"type\" field")
             t = obj["type"]
-            if (t == "ideal") != pass_ideals:
-                continue
-            if t == "ultrafilter":
-                objects[name] = decode_ultrafilter(product.shape, obj, where)
-            elif t == "element":
-                objects[name] = decode_element(product, obj.get("entries"), where)
-            elif t == "value_vector":
-                objects[name] = decode_value_vector(product.shape, obj, where)
-            elif t == "ideal":
-                objects[name] = decode_ideal(product, obj, objects, where)
-            else:
+            if not _listed(OBJECT_TYPES, t):
                 raise ValidationError(where, f"unknown object type {t!r}")
+            scn.types[name] = t
+            if (t == "ideal") == pass_ideals:
+                decode, field = OBJECT_TYPES[t]
+                scn.objects[name] = decode(scn, obj if field is None else obj.get(field), where)
 
     queries = data.get("queries", [])
     if not isinstance(queries, list):
@@ -384,9 +398,10 @@ def parse_scenario(source) -> Scenario:
     for i, q in enumerate(queries):
         if not isinstance(q, dict) or "query" not in q:
             raise ValidationError(f"queries[{i}]", "each query needs a \"query\" field")
-        if not _is_kind(q["query"]):
+        if not _listed(QUERIES, q["query"]):
             raise ValidationError(f"queries[{i}].query", f"unknown kind {q['query']!r}")
-    return Scenario(rings, product, objects, queries, options)
+    scn.queries = queries
+    return scn
 
 
 # ---------------------------------------------------------------------------
@@ -502,23 +517,10 @@ def _ring_at(scn: Scenario, query: dict, where):
     return scn.rings[idx]
 
 
-def _element(scn: Scenario, obj, where):
-    """A product element: the name of an element object, or a list of entries."""
-    if isinstance(obj, str):
-        return _resolve(scn.objects, obj, where, products.ProductElement, "element")
-    return decode_element(scn.product, obj, where)
-
-
-def _ultrafilter(scn: Scenario, query: dict, where):
-    return _resolve_ultrafilter(scn.product, query.get("ultrafilter"), scn.objects, where)
-
-
 def _value_vector(scn: Scenario, query: dict, key, where):
-    from . import valuations
+    # a literal's errors are located at its field, a name's at the query
     obj = query.get(key)
-    if isinstance(obj, str):
-        return _resolve(scn.objects, obj, where, valuations.ValueVector, "value_vector")
-    return decode_value_vector(scn.product.shape, obj, f"{where}.{key}")
+    return resolve(scn, obj, "value_vector", where if isinstance(obj, str) else f"{where}.{key}")
 
 
 def _maxideals(scn, query, where):
@@ -555,7 +557,7 @@ def _maxideals(scn, query, where):
 
 
 def _is_maximal(scn, query, where):
-    u = _ultrafilter(scn, query, where)
+    u = resolve(scn, query.get("ultrafilter"), "ultrafilter", where)
     verdict = products.is_maximal(products.UltrafilterIdeal(scn.product, u))
     rec = {"verdict": verdict.is_maximal, "provenance": verdict.rule,
            "detail": verdict.detail}
@@ -599,14 +601,14 @@ def _check_plusplus(scn, query, where):
 
 
 def _ideal_member(scn, query, where):
-    ideal = decode_ideal(scn.product, query.get("ideal"), scn.objects, where)
-    a = _element(scn, query.get("element"), where)
+    ideal = resolve(scn, query.get("ideal"), "ideal", where)
+    a = resolve(scn, query.get("element"), "element", where)
     return {"verdict": products.ideal_member(ideal, a), "ideal": encode_ideal(ideal),
             "provenance": "rule:descriptor-membership"}
 
 
 def _minimal_prime(scn, query, where):
-    u = _ultrafilter(scn, query, where)
+    u = resolve(scn, query.get("ultrafilter"), "ultrafilter", where)
     kernel = products.minimal_prime_below(products.UltrafilterIdeal(scn.product, u))
     return {"verdict": encode_ideal(kernel),
             "provenance": "rule:index-filter-concentration"}
@@ -614,9 +616,9 @@ def _minimal_prime(scn, query, where):
 
 def _valuation_compare(scn, query, where):
     from . import valuations
-    u = _ultrafilter(scn, query, where)
-    a = _element(scn, query.get("a"), where)
-    b = _element(scn, query.get("b"), where)
+    u = resolve(scn, query.get("ultrafilter"), "ultrafilter", where)
+    a = resolve(scn, query.get("a"), "element", where)
+    b = resolve(scn, query.get("b"), "element", where)
     return {"verdict": valuations.valuation_compare(u, a, b),
             "provenance": ("rule:principal-valuation-restriction"
                            if not u.is_frechet else "rule:frechet-exception-scan")}
@@ -624,16 +626,16 @@ def _valuation_compare(scn, query, where):
 
 def _ug_member(scn, query, where):
     from . import valuations
-    u = _ultrafilter(scn, query, where)
+    u = resolve(scn, query.get("ultrafilter"), "ultrafilter", where)
     g = _value_vector(scn, query, "g", where)
-    x = _element(scn, query.get("x"), where)
+    x = resolve(scn, query.get("x"), "element", where)
     return {"verdict": valuations.ug_member(u, g, x),
             "provenance": "rule:threshold-closed-form"}
 
 
 def _ll(scn, query, where):
     from . import valuations
-    u = _ultrafilter(scn, query, where)
+    u = resolve(scn, query.get("ultrafilter"), "ultrafilter", where)
     g = _value_vector(scn, query, "g", where)
     h = _value_vector(scn, query, "h", where)
     return {"verdict": valuations.ll_relation(u, g, h),
@@ -699,7 +701,7 @@ def _skolem(scn, query, where):
     objs = query.get("elements", [])
     if not isinstance(objs, list):
         raise ValidationError(f"{where}.elements", "must be a list")
-    elems = [_element(scn, obj, where) for obj in objs]
+    elems = [resolve(scn, obj, "element", where) for obj in objs]
     result = products.skolem_check(elems, scn.options.factor_budget)
     rec = {"verdict": result.holds, "provenance": "rule:coordinatewise-bezout"}
     if result.holds:
@@ -713,7 +715,7 @@ def _skolem(scn, query, where):
 def _assert(scn, query, where):
     inner = query.get("of")
     kind = inner.get("query") if isinstance(inner, dict) else None
-    if not _is_kind(kind) or kind == "assert":
+    if not _listed(QUERIES, kind) or kind == "assert":
         raise ValidationError(f"{where}.of", "need a non-assert inner query")
     actual = _plain(QUERIES[kind](scn, inner, where))
     expected = query.get("expect")
@@ -736,11 +738,6 @@ QUERIES = {
     "skolem": _skolem,
     "assert": _assert,
 }
-
-
-def _is_kind(kind) -> bool:
-    # a kind read from JSON may be a list or an object, which no dict can look up
-    return isinstance(kind, str) and kind in QUERIES
 
 
 def execute_query(scn: Scenario, query: dict, index: int) -> dict:

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .record import Record
-from .rings import INF, MaxIdealId, iroot, valuation
+from .rings import INF, MaxIdealId, iroot, primes_up_to, valuation
 from .values import check_value, is_value
 
 #: The largest ``n_max`` of ``interpolate_chain``, and the longest built-in
@@ -252,11 +252,18 @@ def chain_strictness(u: UltrafilterDescriptor, g: ValueVector, h: ValueVector) -
 
 @functools.lru_cache(maxsize=64)
 def _primitive_power(n: int):
-    """Write n = c**e with maximal e (so c is not a proper power)."""
-    for e in range(n.bit_length() - 1, 1, -1):
-        c = iroot(n, e)
-        if c**e == n:
-            return c, e
+    """Write n = c**e with maximal e (so c is not a proper power).
+
+    n is a proper power exactly when it is a p-th power for a prime p below
+    its bit length, and then c**e = r**p for its p-th root r, whose own
+    primitive power is c**(e/p); so one root is taken per prime until one is
+    exact, and the search goes on from that root.
+    """
+    for p in primes_up_to(n.bit_length() - 1):
+        r = iroot(n, p)
+        if r**p == n:
+            c, e = _primitive_power(r)
+            return c, e * p
     return n, 1
 
 

@@ -174,6 +174,24 @@ class TestExecution:
         with pytest.raises(ValidationError):
             decode_fincof(ring, {"neither": []})
 
+    def test_every_descriptor_kind_has_a_codec_row(self):
+        # a kind is its class in products plus its IDEAL_KINDS row, and the
+        # row's encoder gives back what its decoder read
+        from prodideals.products import Descriptor
+        from prodideals.scenario import IDEAL_KINDS, decode_ideal, encode_ideal
+        scn = parse_scenario(minimal_scenario(rings=[Z, Z12], product=[0, 1]))
+        literals = [
+            {"kind": "ultrafilter_ideal", "ultrafilter": U2},
+            {"kind": "kernel_ideal", "coordinate": 1},
+            {"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": [3, 2]},
+            {"kind": "valuation_ideal", "ultrafilter": U2,
+             "g": {"defaults": [1, 2], "exceptions": [{"coord": 0, "ideal": 3, "value": 4}]}},
+        ]
+        kinds = {cls.kind for cls in Descriptor.__subclasses__()}
+        assert set(IDEAL_KINDS) == kinds == {obj["kind"] for obj in literals}
+        for obj in literals:
+            assert encode_ideal(decode_ideal(scn, obj)) == obj
+
     def test_corpus_runs_clean(self):
         for path in sorted(SCENARIO_DIR.glob("*.json")):
             report = run_scenario(str(path))
@@ -689,3 +707,133 @@ class TestStreamedReport:
         sha, code, maxrss_kb = out.split()
         assert (sha, code) == (digest, "0")
         assert int(maxrss_kb) < 60 * 1024
+
+
+# ---------------------------------------------------------------------------
+# Pinned output bytes: the corpus reports, and the errors of malformed
+# descriptors and named objects, byte for byte
+
+@pytest.mark.parametrize("name, fmt, code, digest", [
+    ("integers_squared.json", "text", 0,
+     "f93064ac3e949fe344c4f0c9b0f043991a728e32da4fb5d7a5993d63d83c7b6c"),
+    ("integers_squared.json", "machine", 0,
+     "2b79056b88760cbf43b84f006d9fdc2e39657c6357e359047e83c7e81a053599"),
+    ("mixed_catalog.json", "text", 0,
+     "2bf2a7470faa3f3abe1aa2d063a64f88b94208c391284f3b1635b5e13e711619"),
+    ("mixed_catalog.json", "machine", 0,
+     "bdf0a118c69dfc524411c8ec6392202dbac6a23f0df57b40f9e449d8852df4b1"),
+    ("residue_products.json", "text", 0,
+     "f44095c7fc15e0524208eafc74489b171499e81fbf1f400c518de7a96d94a4e2"),
+    ("residue_products.json", "machine", 0,
+     "de09025a595e97188704313d4689e166a8966e20fd9f5c48c64f4ccf47b87c05"),
+])
+def test_corpus_report_pinned(name, fmt, code, digest):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["--format", fmt, "run", str(SCENARIO_DIR / name)]) == code
+    assert err.getvalue() == ""
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+KERNEL = {"type": "ideal", "kind": "kernel_ideal", "coordinate": 0}
+
+
+def ideal_named(ultrafilter):
+    return {"type": "ideal", "kind": "ultrafilter_ideal", "ultrafilter": ultrafilter}
+
+
+def member(ideal):
+    return {"query": "ideal-member", "ideal": ideal, "element": "e"}
+
+
+def valuation(**fields):
+    return {"kind": "valuation_ideal", "ultrafilter": "U", **fields}
+
+
+@pytest.mark.parametrize("objects, query, message", [
+    # descriptors in a query: kind, coordinate, ideals, ultrafilter, g
+    ({}, member({"kind": ["x"]}), "queries[0]: unknown ideal kind ['x']"),
+    ({}, member({"kind": {"k": 1}}), "queries[0]: unknown ideal kind {'k': 1}"),
+    ({}, member({"kind": "prime_ideal"}), "queries[0]: unknown ideal kind 'prime_ideal'"),
+    ({}, member({"coordinate": 0}),
+     "queries[0]: expected an ideal descriptor, got {'coordinate': 0}"),
+    ({}, member(7), "queries[0]: expected an ideal descriptor, got 7"),
+    ({}, member("nope"), "queries[0]: unknown object name 'nope'"),
+    ({}, member({"kind": "kernel_ideal"}), "queries[0]: not an integer: None"),
+    ({}, member({"kind": "kernel_ideal", "coordinate": "x"}),
+     "queries[0]: not an integer: 'x'"),
+    ({}, member({"kind": "kernel_ideal", "coordinate": 3}), "queries[0]: index out of range"),
+    ({}, member({"kind": "pointwise_max_ideal", "coordinate": 5, "ideals": [2, 3]}),
+     "queries[0]: index out of range"),
+    ({}, member({"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": [2]}),
+     "queries[0]: need one maximal ideal per coordinate"),
+    ({}, member({"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": 7}),
+     "queries[0]: \"ideals\" must be a list of generators"),
+    ({}, member({"kind": "pointwise_max_ideal", "ideals": [2, 3]}),
+     "queries[0]: not an integer: None"),
+    ({}, member({"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": [2, 5]}),
+     "queries[0]: 5 is not a prime divisor of 12"),
+    ({}, member({"kind": "ultrafilter_ideal"}),
+     "queries[0]: expected an ultrafilter description, got None"),
+    ({}, member({"kind": "ultrafilter_ideal", "ultrafilter": {"coordinate": 2, "principal": 2}}),
+     "queries[0]: coordinate 2 out of range"),
+    ({}, member({"kind": "ultrafilter_ideal", "ultrafilter": "e"}),
+     "queries[0]: object 'e' is not of type 'ultrafilter'"),
+    ({}, member({"kind": "ultrafilter_ideal", "ultrafilter": "nope"}),
+     "queries[0]: unknown object name 'nope'"),
+    ({}, member(valuation()), "queries[0]: expected a value vector, got None"),
+    ({}, member(valuation(g=5)), "queries[0]: expected a value vector, got 5"),
+    ({}, member(valuation(g="U")), "queries[0]: object 'U' is not of type 'value_vector'"),
+    ({}, member(valuation(g={"defaults": [1]})),
+     "queries[0]: one default per coordinate required"),
+    ({}, member(valuation(ultrafilter="g", g="g")),
+     "queries[0]: object 'g' is not of type 'ultrafilter'"),
+    # names and literals in the other query fields
+    ({"I": KERNEL}, member("U"), "queries[0]: object 'U' is not of type 'ideal'"),
+    ({"I": KERNEL}, {"query": "minimal-prime", "ultrafilter": "I"},
+     "queries[0]: object 'I' is not of type 'ultrafilter'"),
+    ({}, {"query": "ug-member", "ultrafilter": "U", "g": 5, "x": "e"},
+     "queries[0].g: expected a value vector, got 5"),
+    ({}, {"query": "ug-member", "ultrafilter": "U", "g": "nope", "x": "e"},
+     "queries[0]: unknown object name 'nope'"),
+    ({}, {"query": "ll", "ultrafilter": "U", "g": "g", "h": "e"},
+     "queries[0]: object 'e' is not of type 'value_vector'"),
+    ({}, {"query": "valuation-compare", "ultrafilter": "U", "a": "e", "b": "x"},
+     "queries[0]: unknown object name 'x'"),
+    ({}, {"query": "skolem", "elements": ["e", "g"]},
+     "queries[0]: object 'g' is not of type 'element'"),
+    ({}, {"query": "skolem", "elements": ["e", [1]]}, "queries[0]: expected 2 entries"),
+    # declared objects: their type, their literal, the names in an ideal
+    ({"X": {"type": ["x"]}}, None, "objects.X: unknown object type ['x']"),
+    ({"X": {"type": {}}}, None, "objects.X: unknown object type {}"),
+    ({"X": {"type": "prime"}}, None, "objects.X: unknown object type 'prime'"),
+    ({"X": 5}, None, "objects.X: objects need a \"type\" field"),
+    ({"X": {"entries": [1, 2]}}, None, "objects.X: objects need a \"type\" field"),
+    ({"X": {"type": "element", "entries": "e"}}, None,
+     "objects.X: a product element is a list of entries"),
+    ({"X": {"type": "element"}}, None, "objects.X: a product element is a list of entries"),
+    ({"X": {"type": "ultrafilter", "coordinate": 0}}, None,
+     "objects.X: need \"principal\" or \"cofinite_frechet\""),
+    ({"X": {"type": "value_vector"}}, None,
+     "objects.X: expected a value vector, got {'type': 'value_vector'}"),
+    ({"I": {"type": "ideal", "kind": ["x"]}}, None, "objects.I: unknown ideal kind ['x']"),
+    ({"I": ideal_named("e")}, None, "objects.I: object 'e' is not of type 'ultrafilter'"),
+    ({"I": ideal_named("nope")}, None, "objects.I: unknown object name 'nope'"),
+    ({"I": ideal_named("J"), "J": KERNEL}, None,
+     "objects.I: object 'J' is not of type 'ultrafilter'"),
+    ({"H": KERNEL, "I": ideal_named("H")}, None,
+     "objects.I: object 'H' is not of type 'ultrafilter'"),
+    # non-ideal objects in name order, then ideals
+    ({"A": ideal_named("e"), "B": {"type": "ultrafilter"}}, None,
+     "objects.B: expected an ultrafilter description, got {'type': 'ultrafilter'}"),
+    ({"A": {"type": "element", "entries": [1]}, "B": {"type": "prime"}}, None,
+     "objects.A: expected 2 entries"),
+    ({"A": {"type": "prime"}, "B": {"type": "element", "entries": [1]}}, None,
+     "objects.A: unknown object type 'prime'"),
+    ({"A": ideal_named("nope"), "B": KERNEL | {"coordinate": 9}}, None,
+     "objects.A: unknown object name 'nope'"),
+])
+def test_malformed_input_message_pinned(objects, query, message):
+    scenario = minimal_scenario(rings=[Z, Z12], product=[0, 1], objects=NAMED | objects,
+                                queries=[] if query is None else [query])
+    assert run_cli(["run", json.dumps(scenario)]) == (1, "", f"error: {message}\n")

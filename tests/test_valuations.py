@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -382,6 +383,24 @@ def test_integer_base_on_large_non_powers():
     assert floor_div_log(2**4096 + 2, base=2) == 2**4084
     assert digest(floor_div_log(3**2000 * 2, base=3)) == "526a026b2663ceb7"
     assert digest(floor_div_log(6**1500 * 5, base=2)) == "6b7ec79bd313f3da"
+
+
+def test_primitive_power_against_the_definition():
+    # n = c**e with e maximal: below the limit, from the list of every power
+    # c**e; above it, for powers of bases that are no proper powers
+    from prodideals.valuations import _primitive_power
+    limit = 20000
+    best = {n: (n, 1) for n in range(2, limit)}
+    for c in range(2, math.isqrt(limit) + 1):
+        e, n = 2, c * c
+        while n < limit:
+            if e > best[n][1]:
+                best[n] = (c, e)
+            e, n = e + 1, n * c
+    assert {n: _primitive_power(n) for n in best} == best
+    for c, e in ((2, 4096), (6, 1500), (12, 210), (2**61 - 1, 60), (10**6 + 3, 1)):
+        assert _primitive_power(c**e) == (c, e)
+        assert _primitive_power(c**e + 2) == (c**e + 2, 1)
 
 
 def test_interpolation_finds_the_base_root_once():
