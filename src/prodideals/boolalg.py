@@ -45,18 +45,6 @@ class AlgebraElement(Record):
     def __repr__(self):
         return "(" + ", ".join(repr(c) for c in self.coords) + ")"
 
-    def __and__(self, other):
-        return meet(self, other)
-
-    def __or__(self, other):
-        return join(self, other)
-
-    def __invert__(self):
-        return complement(self)
-
-    def __le__(self, other):
-        return leq(self, other)
-
 
 def _check_shapes(y: AlgebraElement, z: AlgebraElement):
     if y.shape != z.shape:
@@ -120,12 +108,6 @@ class UltrafilterDescriptor(Record):
     @property
     def is_frechet(self) -> bool:
         return self.principal is None
-
-    @property
-    def sort_key(self):
-        if self.is_frechet:
-            return (self.coordinate, 1, ())
-        return (self.coordinate, 0, self.principal.sort_key)
 
     def __repr__(self):
         if self.is_frechet:

@@ -16,17 +16,7 @@ import re
 import sys
 
 from . import scenario as sc
-from .errors import (
-    BudgetExceeded,
-    FactorizationBudgetExceeded,
-    UnsupportedDescriptor,
-    UnsupportedRing,
-    ValidationError,
-)
-
-# every other error type of the toolkit is a ValueError
-_INPUT_ERRORS = (BudgetExceeded, FactorizationBudgetExceeded, UnsupportedDescriptor,
-                 UnsupportedRing, ValueError, OSError)
+from .errors import INPUT_ERRORS, ValidationError
 
 INFINITE_INDEX_MESSAGE = (
     "refused: constructions over an infinite index set are out of scope. "
@@ -195,7 +185,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return _dispatch(args)
-    except _INPUT_ERRORS as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -81,3 +81,9 @@ class ValidationError(ValueError):
     def __init__(self, field, message):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+#: The error types a run reports as an input error: a message and exit code
+#: 1.  Every error type above that is not listed is a ValueError.
+INPUT_ERRORS = (BudgetExceeded, FactorizationBudgetExceeded, UnsupportedDescriptor,
+                UnsupportedRing, ValueError, OSError)

@@ -6,16 +6,16 @@ tuples.  Each step works per coordinate, so it costs the sum of the
 coordinate sizes, not their product: an ideal of a finite product is the
 product of its parts, as ``a = sum a*e_i`` over the idempotents ``e_i``.
 
-Ideals.  A principal ideal is the product of the per-coordinate multiple sets
-of its generator, so the principal ideals are the products of each
-coordinate's distinct principal subgroups.  Each subgroup is stepped once,
-``0, a, 2a, ...`` back to 0: every ``k*a`` with ``k`` coprime to the orbit
-length generates the same subgroup (a group fact about the multiplier, not a
-test on the residue).  A worklist closes the pool under pairwise sums, again
-per coordinate, with each part a bit mask (bit ``x`` for residue ``x``).  A
-part is a subgroup, so ``pa + y`` is covered as soon as ``y`` is: a sumset
-adds the coset of every ``y`` not yet covered, the mask of ``pa`` rotated by
-``y``.  Maximal ideals are the maximal elements among proper ideals.
+Ideals.  Every ideal is the product of its parts (above), and each part is an
+additive subgroup of the cyclic group ``Z/n_j``.  A subgroup of a cyclic
+group is cyclic, so each part is generated by one residue ``a`` and is the
+principal ideal ``(a)``.  So the ideals are exactly the products of each
+coordinate's distinct principal ideals, and no closure under sums can add
+one.  Each principal ideal is stepped once, ``0, a, 2a, ...`` back to 0.
+Its generators are exactly the ``k*a`` with ``k`` coprime to the orbit
+length (a group fact about the multiplier, not a test on the residue); they
+are all marked covered, so no subgroup is listed twice.  Maximal ideals are
+the maximal elements among proper ideals.
 
 Primality.  ``a*b`` lies in the ideal iff ``a_i*b_i`` lies in the part ``I_i``
 at every coordinate.  So a non-member ``a``, with ``a_k`` outside ``I_k``, has
@@ -57,15 +57,8 @@ class OracleIdeal(Record):
         set_field(self, "parts", parts)
 
     @property
-    def size(self) -> int:
-        return math.prod(len(p) for p in self.parts)
-
-    @property
     def is_proper(self) -> bool:
         return any(len(p) != n for p, n in zip(self.parts, self.moduli))
-
-    def __contains__(self, elem) -> bool:
-        return all(e in p for e, p in zip(elem, self.parts))
 
     def issubset(self, other: "OracleIdeal") -> bool:
         return all(a <= b for a, b in zip(self.parts, other.parts))
@@ -78,68 +71,36 @@ class OracleIdeal(Record):
 
 
 def _orbit_tables(moduli):
-    # per coordinate, {bit mask: frozenset} of the distinct principal
-    # subgroups of Z/n, each stepped once from 0; equal moduli share one table
+    # per coordinate, the distinct principal subgroups of Z/n as frozensets,
+    # each stepped once from 0; equal moduli share one list
     tables = {}
     for n in set(moduli):
-        tables[n], covered = {}, set()
+        tables[n], covered = [], set()
         for a in range(n):
             if a not in covered:
                 orbit, x = [0], a
                 while x:
                     orbit.append(x)
                     x = (x + a) % n
-                tables[n][sum(1 << v for v in orbit)] = frozenset(orbit)
+                tables[n].append(frozenset(orbit))
                 covered.update(kx for k, kx in enumerate(orbit)
                                if math.gcd(k, len(orbit)) == 1)
     return [tables[n] for n in moduli]
 
 
-def _sumset(ma: int, mb: int, n: int) -> int:
-    # ma is a subgroup, so the coset ma + y is ma rotated by y; rotating the
-    # larger part adds fewer cosets
-    if ma.bit_count() < mb.bit_count():
-        ma, mb = mb, ma
-    out, rest, full = ma, mb & ~ma, (1 << n) - 1
-    while rest:
-        y = (rest & -rest).bit_length() - 1  # the least residue not covered
-        out |= ((ma << y) | (ma >> (n - y))) & full
-        rest &= ~out
-    return out
-
-
 def all_ideals(moduli: Sequence[int], budget: int = DEFAULT_ORACLE_BUDGET) -> list:
-    """Every ideal of the product of residue rings, by closure of principal
-    ideals under sums.  Exact and exhaustive; raises BudgetExceeded when the
-    ring has more than ``budget`` elements.
+    """Every ideal of the product of residue rings: the products of each
+    coordinate's principal ideals, which is all of them because every
+    ideal is the product of its parts and every part, a subgroup of a cyclic
+    group, is principal.  Exact and exhaustive; raises BudgetExceeded when
+    the ring has more than ``budget`` elements.
     """
     moduli = tuple(int(n) for n in moduli)
     size = math.prod(moduli)
     if size > budget:
         raise BudgetExceeded(f"ring has {size} elements (budget {budget})")
-    subgroups = _orbit_tables(moduli)
-    pool = set(itertools.product(*subgroups))
-    # worklist closure under pairwise sums, per coordinate: every pair is
-    # summed once, when the later of the two leaves the worklist
-    sums = [{} for _ in moduli]
-    done, todo = [], list(pool)
-    while todo:
-        a = todo.pop()
-        for b in done:
-            masks = []
-            for pa, pb, n, memo in zip(a, b, moduli, sums):
-                s = memo.get((pa, pb))
-                if s is None:
-                    s = memo[pa, pb] = memo[pb, pa] = _sumset(pa, pb, n)
-                masks.append(s)
-            masks = tuple(masks)
-            if masks not in pool:
-                pool.add(masks)
-                todo.append(masks)
-        done.append(a)
-    ideals = [OracleIdeal(moduli, tuple(
-        known[m] if m in known else frozenset(x for x in range(n) if m >> x & 1)
-        for m, known, n in zip(masks, subgroups, moduli))) for masks in pool]
+    ideals = [OracleIdeal(moduli, parts)
+              for parts in itertools.product(*_orbit_tables(moduli))]
     return sorted(ideals, key=OracleIdeal.sorted_parts_key)
 
 

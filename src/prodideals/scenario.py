@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from . import __version__ as _version
 from . import boolalg, products
-from .errors import (BudgetExceeded, FactorizationBudgetExceeded, ParseError,
+from .errors import (INPUT_ERRORS, BudgetExceeded, FactorizationBudgetExceeded, ParseError,
                      UnsupportedRing, ValidationError)
 from .record import Record
 from .rings import (
@@ -331,6 +331,8 @@ class Options(Record, frozen=False):
                 setattr(opts, key, _decode_positive_int(obj[key], f"options.{key}"))
         if obj.get("log_base") is not None:
             opts.log_base = _decode_int(obj["log_base"], "options.log_base")
+            if opts.log_base < 2:
+                raise ValidationError("options.log_base", "must be an integer >= 2")
         return opts
 
 
@@ -649,7 +651,7 @@ def _interpolate(scn, query, where):
     if "n_max" in query:
         n_max = _decode_positive_int(query["n_max"], f"{where}.n_max")
     if "doubling" in query:
-        count = _decode_int(query["doubling"], where)
+        count = _decode_positive_int(query["doubling"], f"{where}.doubling")
         if count > valuations.INTERPOLATION_CAP:
             raise BudgetExceeded(f"doubling sample of length {count} exceeds the "
                                  f"interpolation cap {valuations.INTERPOLATION_CAP}")
@@ -749,9 +751,10 @@ def run_scenario(source) -> Report:
     """Execute a scenario (JSON text, dict, or file path) and build a report.
 
     Exit codes: 0 on success, 2 when an assert query fails; parse and
-    validation errors raise and map to exit code 1 in the CLI.  A budget
-    error from query i is raised again as the same type, its message
-    prefixed with ``queries[i]: ``.
+    validation errors raise and map to exit code 1 in the CLI.  An input
+    error from query i that is not yet located (any of ``INPUT_ERRORS``
+    but a ValidationError) is raised again as the same object, with its
+    message prefixed by ``queries[i]: ``.
     """
     if isinstance(source, str) and not source.lstrip().startswith("{"):
         with open(source, "r", encoding="utf-8") as fh:
@@ -762,8 +765,12 @@ def run_scenario(source) -> Report:
     for i, q in enumerate(scn.queries):
         try:
             rec = execute_query(scn, q, i)
-        except (BudgetExceeded, FactorizationBudgetExceeded) as exc:
-            raise type(exc)(f"queries[{i}]: {exc}") from None
+        except ValidationError:
+            raise
+        except INPUT_ERRORS as exc:
+            # the same object, so that its type and attributes are kept
+            exc.args = (f"queries[{i}]: {exc}",)
+            raise
         records.append(rec)
         if q["query"] == "assert" and rec["verdict"] is False:
             exit_code = 2

@@ -7,6 +7,8 @@ undefined product ``0 * INF``.  All arithmetic stays exact.
 
 from __future__ import annotations
 
+from .errors import ValidationError
+
 
 class Infinity:
     __slots__ = ()
@@ -82,11 +84,15 @@ def encode_value(v):
 
 
 def decode_value(obj, what="value"):
+    """A value from its JSON form; a malformed one raises a ValidationError
+    located at ``what``."""
     if obj == "inf":
         return INF
     if isinstance(obj, str):
         try:
             obj = int(obj)
         except ValueError:
-            raise ValueError(f"{what}: expected an integer or \"inf\", got {obj!r}")
-    return check_value(obj, what)
+            raise ValidationError(what, f"expected an integer or \"inf\", got {obj!r}")
+    if not is_value(obj):
+        raise ValidationError(what, f"must be a non-negative integer or INF, got {obj!r}")
+    return obj

@@ -837,3 +837,55 @@ def test_malformed_input_message_pinned(objects, query, message):
     scenario = minimal_scenario(rings=[Z, Z12], product=[0, 1], objects=NAMED | objects,
                                 queries=[] if query is None else [query])
     assert run_cli(["run", json.dumps(scenario)]) == (1, "", f"error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# Every input error raised while a query runs names the query; a bad
+# "doubling" or options.log_base names its field
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-plus", "-r", "Z", "--r-elem", "2", "--a-elem", "0"],
+     "queries[0]: a must be nonzero"),
+    (["valuation-compare", "-r", "Z/12", "--ultrafilter", '{"coordinate":0,"principal":2}',
+      "-a", "[1]", "-b", "[2]"], "queries[0]: Z/12 carries no discrete valuations"),
+    (["ug-member", "-r", "Z", "--ultrafilter", '{"coordinate":0,"principal":2}',
+      "-g", '{"defaults":[0]}', "-x", "[2]"],
+     "queries[0]: value vector must be positive everywhere"),
+    (["interpolate", "--sample", '{"g":[1],"h":[5],"n":[1]}'],
+     "queries[0]: index 0: bracketing N*g < h <= (N+1)*g fails (N=1, g=1, h=5)"),
+    (["interpolate", "--sample", '{"g":[1],"h":[5],"n":[]}'],
+     "queries[0]: g, h, n must be nonempty and of equal length"),
+    (["run", json.dumps(minimal_scenario(product=[0], queries=[
+        {"query": "maxideals", "bound": 3}, {"query": "check-plus", "r": 2, "a": 0}]))],
+     "queries[1]: a must be nonzero"),
+    # a value's own error is located once
+    (["ug-member", "-r", "Z", "--ultrafilter", '{"coordinate":0,"principal":2}',
+      "-g", '{"defaults":[-1]}', "-x", "[2]"],
+     "queries[0].g: must be a non-negative integer or INF, got -1"),
+    (["interpolate", "--sample", '{"g":["x"],"h":[5],"n":[1]}'],
+     "queries[0]: expected an integer or \"inf\", got 'x'"),
+    (["interpolate", "--doubling", "0"], "queries[0].doubling: must be positive"),
+    (["interpolate", "--doubling", "-1"], "queries[0].doubling: must be positive"),
+    (["run", json.dumps(minimal_scenario(product=[0], queries=[
+        {"query": "interpolate", "doubling": "x"}]))],
+     "queries[0].doubling: not an integer: 'x'"),
+    (["interpolate", "--doubling", "4", "--log-base", "1"],
+     "options.log_base: must be an integer >= 2"),
+    (["maxideals", "-r", "Z", "--log-base", "0"], "options.log_base: must be an integer >= 2"),
+])
+def test_query_input_error_is_located(argv, message):
+    assert run_cli(argv) == (1, "", f"error: {message}\n")
+
+
+def test_located_query_error_keeps_its_object(monkeypatch):
+    from prodideals import scenario
+    from prodideals.errors import NotUnitIdeal
+    raised = NotUnitIdeal("(2)")
+
+    def fail(scn, query, where):
+        raise raised
+    monkeypatch.setitem(scenario.QUERIES, "maxideals", fail)
+    with pytest.raises(NotUnitIdeal) as exc:
+        run_scenario(json.dumps(minimal_scenario(product=[0], queries=[{"query": "maxideals"}])))
+    assert exc.value is raised and exc.value.witness == "(2)"
+    assert str(exc.value) == "queries[0]: elements share the maximal ideal (2)"
