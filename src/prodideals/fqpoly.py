@@ -14,8 +14,9 @@ exact.  Factorization is distinct-degree factorization (von zur Gathen and
 Gerhard, *Modern Computer Algebra*, ch. 14) driven by the Frobenius map
 h -> h**q, with several factors of one degree split by trial division in
 code order; irreducibility is Rabin's test (Rabin 1980); the irreducibles up
-to a degree come from a product sieve.  Integer primality, used here for the
-field order and by ``rings``, is deterministic Miller-Rabin.
+to a degree come from a sieve of products, whose codes are built by XOR in
+characteristic 2.  Integer primality, used here for the field order and by
+``rings``, is deterministic Miller-Rabin.
 """
 
 from __future__ import annotations
@@ -480,8 +481,15 @@ def irreducibles_up_to(K: GF, max_deg: int):
     """All monic irreducibles of degree <= max_deg in (degree, code) order.
 
     A product sieve: the reducible monics of degree d are exactly the
-    products h*g with h irreducible of degree e <= d/2 and g monic of
-    degree d - e; every code not so marked is irreducible.
+    products h*g with h irreducible of degree e <= d/2 and g monic of degree
+    d - e.  Their codes (of the d lower coefficients) are marked, and only
+    the unmarked codes are decoded to tuples.  In
+    characteristic 2 a code is the k-bit coefficient codes side by side, so
+    a sum's code is the XOR of the codes: the products with h are the code
+    of h*x^(d-e) XORed with every combination of the codes of c*h*x^j, for
+    j < d - e and c in the basis 1, y, ..., y^(k-1) of F_q over F_2, a list
+    that doubles once per basis element.  Other characteristics multiply
+    each product out.
     """
     q = K.q
     found = []
@@ -491,9 +499,18 @@ def irreducibles_up_to(K: GF, max_deg: int):
             e = deg(h)
             if 2 * e > d:
                 break
-            for g in all_monic(K, d - e):
-                reducible[_undigits(pmul(K, h, g)[:-1], q)] = 1
-        found.extend(g for g, marked in zip(all_monic(K, d), reducible) if not marked)
+            if K.p == 2:
+                codes = [_undigits(h[:-1], q) * q**(d - e)]
+                for j in range(d - e):
+                    for c in (1 << b for b in range(K.k)):
+                        shifted = _undigits([K._mul_table[c][a] for a in h], q) * q**j
+                        codes += [code ^ shifted for code in codes]
+            else:
+                codes = (_undigits(pmul(K, h, g)[:-1], q) for g in all_monic(K, d - e))
+            for code in codes:
+                reducible[code] = 1
+        found.extend(_digits(code, q, d) + (1,)
+                     for code, marked in enumerate(reducible) if not marked)
     return found
 
 

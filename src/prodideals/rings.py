@@ -288,7 +288,7 @@ class RingHandle:
 
     def element(self, value) -> "RingElement":
         if isinstance(value, RingElement):
-            if value.ring != self:
+            if value.ring is not self and value.ring != self:
                 raise UnsupportedRing(
                     f"element of {value.ring.short_name} used in {self.short_name}")
             return value
@@ -492,11 +492,11 @@ class IntegerRing(Record, RingHandle):
         return "Z"
 
     def normalize(self, value):
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise ValueError(f"{value} is not an integer")
-            return int(value)
-        return _as_int(value)
+        if isinstance(value, int) or not isinstance(value, Fraction):
+            return _as_int(value)
+        if value.denominator != 1:
+            raise ValueError(f"{value} is not an integer")
+        return int(value)
 
     def _is_unit(self, x):
         return x in (1, -1)

@@ -11,9 +11,10 @@ byte-identical output.
 ``QUERIES`` maps each query kind to its handler, a function of the scenario,
 the query object and its location (``queries[i]``) that returns the record's
 fields: ``verdict``, ``provenance`` and any witness material; a long list
-among them can be a ``Stream``, which the report writes entry by entry.  To
-add a kind, write its handler, add a ``QUERIES`` row, and, if the kind has a
-command-line form, add a row to ``cli.COMMANDS``.
+among them can be a ``Stream``, whose entries come as text already encoded
+by the report's encoder and are written one by one.  To add a kind, write
+its handler, add a ``QUERIES`` row, and, if the kind has a command-line
+form, add a row to ``cli.COMMANDS``.
 
 A field that holds an ultrafilter, element, value vector or ideal descriptor
 takes a literal or the name of a declared object of that ``"type"``, and
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from fractions import Fraction
 
 from . import __version__ as _version
 from . import boolalg, products
@@ -135,11 +135,9 @@ def encode_ring_element(elem: RingElement):
     raw = elem.raw
     if isinstance(raw, tuple):
         return {"poly": list(raw)}
-    if isinstance(raw, Fraction):
-        if raw.denominator == 1:
-            return encode_value(int(raw))
-        return f"{raw.numerator}/{raw.denominator}"
-    return encode_value(raw)
+    if isinstance(raw, int) or raw.denominator == 1:
+        return encode_value(int(raw))
+    return f"{raw.numerator}/{raw.denominator}"
 
 
 def encode_generator(m: MaxIdealId):
@@ -411,24 +409,23 @@ def parse_scenario(source) -> Scenario:
 
 
 class Stream:
-    """A list in a report record, made afresh by ``make()`` on each
-    iteration, so that the report is written without holding it."""
+    """A list in a report record whose entries ``make(encoder)`` yields as
+    text, already encoded by the report's ``encoder`` and made afresh on
+    each call, so that the report is written without holding it."""
 
     def __init__(self, make):
         self.make = make
 
-    def __iter__(self):
-        return self.make()
-
 
 def _plain(value):
-    """``value`` with each ``Stream`` in it made a list."""
+    """``value`` with each ``Stream`` in it made the list that is written."""
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
-    return [_plain(v) for v in value] if isinstance(value, Stream) else value
+    return [json.loads(t) for t in value.make(_MACHINE)] if isinstance(value, Stream) else value
 
 
-#: what a ``Stream`` is written as, until the writer expands it
+#: what a ``Stream`` is written as, until the writer expands it, and what
+#: marks the slots of an encoded ``maxideals`` entry
 _MARK = "\x00stream\x00"
 _MARK_JSON = json.dumps(_MARK)
 
@@ -447,8 +444,8 @@ WRITE_BLOCK = 1 << 16
 
 
 def _json_pieces(head, value, encoder):
-    """``head`` and ``encoder.encode(value)`` in pieces, each ``Stream`` in
-    ``value`` encoded 256 entries at a time."""
+    """``head`` and ``encoder.encode(value)`` in pieces, one piece per
+    entry of each ``Stream`` in ``value``."""
     text = encoder.encode(value)
     return (head + text,) if _MARK_JSON not in text else _streamed(head, value, encoder)
 
@@ -463,11 +460,9 @@ def _streamed(head, value, encoder):
         streams, parts = [], [encoder.encode(_plain(value))]
     yield head + parts[0]
     for stream, part in zip(streams, parts[1:]):
-        yield "["
-        entries, sep = iter(stream), ""
-        while chunk := list(itertools.islice(entries, 256)):
-            yield sep + encoder.encode(chunk)[1:-1]
-            sep = encoder.item_separator
+        texts = stream.make(encoder)
+        yield "[" + next(texts, "")
+        yield from map(encoder.item_separator.__add__, texts)
         yield "]" + part
 
 
@@ -530,22 +525,39 @@ def _maxideals(scn, query, where):
     bound = scn.options.bound
     if "bound" in query:
         bound = _decode_positive_int(query["bound"], f"{where}.bound")
-    # listed here, so that an enumeration cap raises inside the handler
-    columns = [boolalg.principal_ideals(ring, bound) for ring in product.shape]
-    # every principal descriptor is maximal by one rule, and its witness is
-    # these entries with its checked generator at the coordinate
+    # listed here, so that an enumeration cap raises inside the handler, and
+    # once per distinct ring: equal components share one list
+    columns = {}
+    for ring in product.shape:
+        if ring not in columns:
+            columns[ring] = boolalg.principal_ideals(ring, bound)
     fillers = [encode_ring_element(e) for e in products.witness_fillers(product)]
 
-    def maximal():
-        for i, ideals in enumerate(columns):
-            for m in ideals:
-                entry = {"rule": products.RULE_PRINCIPAL_QUOTIENT_FIELD,
-                         "ultrafilter": {"coordinate": i, "principal": encode_generator(m)}}
-                gen = products.witness_entry(m)
-                if gen is not None:
-                    entry["witness"] = witness = fillers.copy()
-                    witness[i] = encode_ring_element(gen)
-                yield entry
+    def maximal(encoder):
+        # every principal descriptor is maximal by one rule, and its witness
+        # is the fillers with its checked generator at the coordinate: each
+        # coordinate's entry is encoded once with marks where the generator
+        # and the witness entry go, and cut at them; a chunk's generators and
+        # witness entries are encoded in one call, between marks, and cut too
+        split = encoder.item_separator + _MARK_JSON + encoder.item_separator
+        for i, ring in enumerate(product.shape):
+            entry = {"rule": products.RULE_PRINCIPAL_QUOTIENT_FIELD,
+                     "ultrafilter": {"coordinate": i, "principal": _MARK}}
+            bare = encoder.encode(entry).split(_MARK_JSON)
+            entry["witness"] = fillers.copy()
+            entry["witness"][i] = _MARK
+            full = encoder.encode(entry).split(_MARK_JSON)
+            ideals = iter(columns[ring])
+            while chunk := list(itertools.islice(ideals, 256)):
+                gens = [products.witness_entry(m) for m in chunk]
+                values = []
+                for m, gen in zip(chunk, gens):
+                    values += (_MARK, encode_generator(m), _MARK,
+                               None if gen is None else encode_ring_element(gen))
+                texts = encoder.encode(values[1:])[1:-1].split(split)
+                for gen, text, witness in zip(gens, texts[::2], texts[1::2]):
+                    yield (bare[0] + text + bare[1] if gen is None
+                           else full[0] + text + full[1] + witness + full[2])
 
     rejected = []
     for i, ring in enumerate(product.shape):
@@ -665,10 +677,10 @@ def _interpolate(scn, query, where):
                 isinstance(raw.get(key, ()), (list, tuple)) for key in "ghn"):
             raise ValidationError(f"{where}.sample",
                                   "expected {\"g\": [...], \"h\": [...], \"n\": [...]}")
-        sample = valuations.PrefixSample(
-            tuple(decode_value(v, where) for v in raw.get("g", ())),
-            tuple(decode_value(v, where) for v in raw.get("h", ())),
-            tuple(decode_value(v, where) for v in raw.get("n", ())))
+        sample = valuations.PrefixSample(*(
+            tuple(decode_value(v, f"{where}.sample.{key}[{j}]")
+                  for j, v in enumerate(raw.get(key, ())))
+            for key in "ghn"))
     report = valuations.interpolate_chain(sample, branch, n_max, scn.options.log_base)
     rec = {"verdict": report.ok,
            "log_base": report.log_base if report.log_base == "e" else int(report.log_base),

@@ -220,6 +220,17 @@ def test_irreducible_counts_match_gauss(q):
     assert counts[1:] == [_necklace_count(q, n) for n in range(1, max_deg + 1)]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 16])
+def test_sieve_matches_rabin_in_code_order(q):
+    # the XOR sieve (characteristic 2) and the product sieve (otherwise),
+    # element for element and in (degree, code) order
+    K = field(q)
+    max_deg = max(d for d in range(1, 13) if q**d <= 2**12)
+    rabin = [f for d in range(1, max_deg + 1) for f in all_monic(K, d) if is_irreducible(K, f)]
+    for d in range(1, max_deg + 1):
+        assert irreducibles_up_to(K, d) == [f for f in rabin if deg(f) <= d]
+
+
 def test_field_moduli_pinned():
     # The first irreducible in base-p code order; element codes depend on it.
     moduli = {4: (1, 1, 1), 8: (1, 1, 0, 1), 9: (1, 0, 1),

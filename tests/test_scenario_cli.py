@@ -40,6 +40,11 @@ WRONG_TYPE = [
 ]
 
 
+# both sieve paths, two equal components, a generator above 2**53 (written as
+# a string) and a field coordinate, whose entries carry no witness
+MIXED_RINGS = ["F8[x]", "Z", "F2[x]", "Z_(9007199254740997)", "Z", "F3[x]", "Z/7"]
+
+
 def minimal_scenario(**overrides):
     data = {
         "schema_version": SCHEMA_VERSION,
@@ -405,6 +410,8 @@ class TestCli:
          "0db628fd56a17674dbc8455af61dc6afbb3f3d48232309bf0f2103bfdff6fece"),
         (["F4[x]", "Z", "Z/12"], 4,
          "6feb63eaa3d933e3ed1fea32867f4ebbd3a581c4ec01f1320f5f5a9126ab26b1"),
+        (MIXED_RINGS, 4,
+         "18629a9455e3bb45ec1528fd19cb3a005edc5412b373a89610d23c31a1e55cd8"),
     ])
     def test_maxideals_report_pinned(self, rings, bound, digest):
         # the machine report of each mixed product, byte for byte
@@ -658,6 +665,37 @@ class TestStreamedReport:
             assert all(len(b) >= WRITE_BLOCK for b in written[:-1])
             assert len(written) <= len(text) // WRITE_BLOCK + 1
 
+    def test_text_list_matches_an_independent_encoding(self):
+        # the text report's maximal list, against entries built from
+        # enumerate_ultrafilters and is_maximal and encoded by json.dumps
+        from prodideals import boolalg, products
+
+        def encode(raw):
+            if isinstance(raw, tuple):
+                return {"poly": list(raw)}
+            if raw != int(raw):
+                return f"{raw.numerator}/{raw.denominator}"
+            return int(raw) if abs(raw) < 2**53 else str(int(raw))
+
+        product = products.ProductRing(
+            tuple(decode_ring(parse_ring_token(r)) for r in MIXED_RINGS))
+        entries = []
+        for u in boolalg.enumerate_ultrafilters(product.shape, 4):
+            verdict = products.is_maximal(products.UltrafilterIdeal(product, u))
+            if verdict.is_maximal:
+                entries.append({"rule": verdict.rule, "ultrafilter": {
+                    "coordinate": u.coordinate, "principal": encode(u.principal.generator)}})
+                if verdict.witness is not None:
+                    entries[-1]["witness"] = [encode(e.raw) for e in verdict.witness.entries]
+        assert len(entries) == 1258 and "witness" not in entries[-1]
+        code, out, _ = run_cli(["--format", "text", "maxideals", "--bound", "4"]
+                               + [a for r in MIXED_RINGS for a in ("-r", r)])
+        assert code == 0
+        assert out.splitlines()[1].startswith(
+            '[0] maxideals: {"maximal": ' + json.dumps(entries, sort_keys=True) + ', "rejected": ')
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "e05945350488175071153f186b01cd5dc50cddae4359cc6a5009b56833fc0d64")
+
     def test_division_check_is_shared(self, monkeypatch):
         # is_maximal and the streamed entries both call products.witness_entry
         from prodideals import products
@@ -863,7 +901,7 @@ def test_malformed_input_message_pinned(objects, query, message):
       "-g", '{"defaults":[-1]}', "-x", "[2]"],
      "queries[0].g: must be a non-negative integer or INF, got -1"),
     (["interpolate", "--sample", '{"g":["x"],"h":[5],"n":[1]}'],
-     "queries[0]: expected an integer or \"inf\", got 'x'"),
+     "queries[0].sample.g[0]: expected an integer or \"inf\", got 'x'"),
     (["interpolate", "--doubling", "0"], "queries[0].doubling: must be positive"),
     (["interpolate", "--doubling", "-1"], "queries[0].doubling: must be positive"),
     (["run", json.dumps(minimal_scenario(product=[0], queries=[
