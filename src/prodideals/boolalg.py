@@ -13,7 +13,7 @@ on a single coordinate, so these descriptors are exhaustive.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import FiniteIntersectionViolation, InconsistentInput, ShapeMismatch
 from .record import Record, set_field

@@ -15,8 +15,9 @@ Gerhard, *Modern Computer Algebra*, ch. 14) driven by the Frobenius map
 h -> h**q, with several factors of one degree split by trial division in
 code order; irreducibility is Rabin's test (Rabin 1980); the irreducibles up
 to a degree come from a sieve of products, whose codes are built by XOR in
-characteristic 2.  Integer primality, used here for the field order and by
-``rings``, is deterministic Miller-Rabin.
+characteristic 2.  Rabin's test takes the primality of integers from
+``rings.is_prime_int`` (deterministic Miller-Rabin).  ``rings`` loads this
+module only when the first polynomial ring is made.
 """
 
 from __future__ import annotations
@@ -25,48 +26,11 @@ import functools
 import itertools
 
 from .errors import FactorizationBudgetExceeded
+from .rings import is_prime_int
 
 #: Cap on q**d while a degree-d factor may still need trial division, and
 #: on q**bound when the irreducibles up to a degree bound are listed.
 DEFAULT_POLY_BUDGET = 1 << 16
-
-
-#: The strong-pseudoprime bound psi_13 (Sorenson and Webster, "Strong
-#: pseudoprimes to twelve prime bases", Math. Comp. 86, 2017): below it,
-#: Miller-Rabin to the 13 prime bases 2..41 decides primality exactly.
-MILLER_RABIN_LIMIT = 3317044064679887385961981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def is_prime_int(n: int) -> bool:
-    """Whether the integer n is prime, by deterministic Miller-Rabin.
-
-    A composite verdict is always proven.  A number at or above
-    ``MILLER_RABIN_LIMIT`` that passes every base raises
-    FactorizationBudgetExceeded, because there the test is not a proof.
-    """
-    if n < 2:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    s = ((n - 1) & (1 - n)).bit_length() - 1
-    d = (n - 1) >> s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= MILLER_RABIN_LIMIT:
-        raise FactorizationBudgetExceeded(
-            f"{n} passes Miller-Rabin to the bases 2..41 but is not below "
-            f"{MILLER_RABIN_LIMIT}, where that test is proven")
-    return True
 
 
 def prime_power(q: int):

@@ -1,7 +1,7 @@
 """Brute-force ideal enumeration for finite products of residue rings.
 
 This is the independent verification harness: it works at the level of
-element sets and never consults ultrafilter machinery.  Elements are residue
+residue sets and never consults ultrafilter machinery.  Elements are residue
 tuples.  Each step works per coordinate, so it costs the sum of the
 coordinate sizes, not their product: an ideal of a finite product is the
 product of its parts, as ``a = sum a*e_i`` over the idempotents ``e_i``.
@@ -25,10 +25,16 @@ the value ``a_j`` escapes: some ``y`` outside ``I_j`` has ``a_j*y`` in ``I_j``
 independent; for ``j == k`` they are one value outside ``I_j``.  So each
 coordinate is scanned once: for a proper part, for an escaping value, and for
 an escaping value outside the part.  Whether ``x`` escapes is memoised under
-``gcd(x, n_j)``: ``x`` and the gcd generate the same ideal of ``Z/n_j``.
+``gcd(x, n_j)``: ``x`` and the gcd generate the same ideal of ``Z/n_j``.  The
+flags of one (modulus, part) pair are computed once per ``oracle_run``.
 
-Materialisation.  ``descriptor_elements`` asks the membership predicate once
-per value at each coordinate, with 0 elsewhere, and returns the product.
+Parts, not elements.  Every part contains 0, so a product of parts is
+nonempty and determines its parts: two ideals are equal exactly when their
+parts are.  ``oracle_run`` reports the maximal and prime ideals as
+``OracleIdeal``s; their element sets (``OracleReport.maximal`` and
+``primes``) are built only when read.  ``descriptor_parts`` asks the
+membership predicate once per value at each coordinate, with 0 elsewhere;
+``descriptor_elements`` is the product of those parts.
 
 The module uses the standard library only.  The all-pairs scan over a
 membership predicate that cross-checks descriptor primality, and needs numpy,
@@ -37,9 +43,10 @@ lives with the tests (``tests/conftest.py``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import BudgetExceeded, UnsupportedRing
 from .record import Record, set_field
@@ -66,13 +73,11 @@ class OracleIdeal(Record):
     def elements(self) -> frozenset:
         return frozenset(itertools.product(*(sorted(p) for p in self.parts)))
 
-    def sorted_parts_key(self):
-        return tuple(tuple(sorted(p)) for p in self.parts)
-
 
 def _orbit_tables(moduli):
     # per coordinate, the distinct principal subgroups of Z/n as frozensets,
-    # each stepped once from 0; equal moduli share one list
+    # each stepped once from 0, in the order of their sorted residues; equal
+    # moduli share one list
     tables = {}
     for n in set(moduli):
         tables[n], covered = [], set()
@@ -85,6 +90,7 @@ def _orbit_tables(moduli):
                 tables[n].append(frozenset(orbit))
                 covered.update(kx for k, kx in enumerate(orbit)
                                if math.gcd(k, len(orbit)) == 1)
+        tables[n].sort(key=sorted)
     return [tables[n] for n in moduli]
 
 
@@ -99,17 +105,20 @@ def all_ideals(moduli: Sequence[int], budget: int = DEFAULT_ORACLE_BUDGET) -> li
     size = math.prod(moduli)
     if size > budget:
         raise BudgetExceeded(f"ring has {size} elements (budget {budget})")
-    ideals = [OracleIdeal(moduli, parts)
-              for parts in itertools.product(*_orbit_tables(moduli))]
-    return sorted(ideals, key=OracleIdeal.sorted_parts_key)
+    # ordered by the tuple of sorted parts, as each table is
+    return [OracleIdeal(moduli, parts) for parts in itertools.product(*_orbit_tables(moduli))]
 
 
 def maximal_ideals(ideals: Sequence[OracleIdeal]) -> list:
-    """Maximal elements among the proper ideals, by pairwise inclusion."""
-    proper = [i for i in ideals if i.is_proper]
+    """Maximal elements among the proper ideals, by pairwise inclusion.  An
+    ideal lies only in ideals with at least as many elements, so it is
+    tested against those alone, the largest first."""
+    proper = [(math.prod(map(len, i.parts)), i) for i in ideals if i.is_proper]
+    by_size = sorted(proper, key=lambda pair: pair[0], reverse=True)
     out = []
-    for i in proper:
-        if not any(i is not j and i.issubset(j) for j in proper):
+    for size, i in proper:
+        larger = itertools.takewhile(lambda pair: pair[0] >= size, by_size)
+        if not any(i is not j and i.issubset(j) for _, j in larger):
             out.append(i)
     return out
 
@@ -128,24 +137,46 @@ def _escape_flags(n: int, part: frozenset):
     return bool(outside), any(map(escapes, range(n))), any(map(escapes, outside))
 
 
-def is_prime_ideal(ideal: OracleIdeal) -> bool:
+def is_prime_ideal(ideal: OracleIdeal, memo=None) -> bool:
     """Definition-level primality: no two non-members multiply into the
-    ideal, decided by the coordinatewise reduction in the module docstring."""
+    ideal, decided by the coordinatewise reduction in the module docstring.
+    ``memo``, a dict the caller keeps, shares the flags of each (modulus,
+    part) pair between the ideals of one run."""
     if not ideal.is_proper:
         return False
-    flags = [_escape_flags(n, p) for n, p in zip(ideal.moduli, ideal.parts)]
+    memo = {} if memo is None else memo
+    flags = []
+    for key in zip(ideal.moduli, ideal.parts):
+        if key not in memo:
+            memo[key] = _escape_flags(*key)
+        flags.append(memo[key])
     proper = sum(f[0] for f in flags)  # coordinates with a proper part
     # j == k: a value outside I_j escapes; j != k: a proper part beside j
     return not any(outside_j or (any_j and proper > proper_j)
                    for proper_j, any_j, outside_j in flags)
 
 
+def _element_sets(ideals) -> tuple:
+    return tuple(sorted((i.elements() for i in ideals), key=sorted))
+
+
 class OracleReport(Record):
+    """The oracle's findings; ``maximal`` and ``primes`` are the element sets
+    of the marked ideals, sorted, and are built when first read."""
+
     moduli: tuple
     ideal_count: int
-    maximal: tuple   # element frozensets
-    primes: tuple    # element frozensets, or None when not marked
+    maximal_ideals: tuple  # OracleIdeals
+    prime_ideals: tuple    # OracleIdeals, or None when not marked
     budget: int
+
+    @functools.cached_property
+    def maximal(self) -> tuple:
+        return _element_sets(self.maximal_ideals)
+
+    @functools.cached_property
+    def primes(self):
+        return None if self.prime_ideals is None else _element_sets(self.prime_ideals)
 
 
 def oracle_run(components, budget: int = DEFAULT_ORACLE_BUDGET,
@@ -163,20 +194,17 @@ def oracle_run(components, budget: int = DEFAULT_ORACLE_BUDGET,
                 f"the oracle handles residue rings only, got {comp!r}")
     moduli = tuple(moduli)
     ideals = all_ideals(moduli, budget)
-    maximal = maximal_ideals(ideals)
     primes = None
     if mark_primes:
-        primes = tuple(sorted((i.elements() for i in ideals if is_prime_ideal(i)),
-                              key=sorted))
-    return OracleReport(
-        moduli, len(ideals),
-        tuple(sorted((i.elements() for i in maximal), key=sorted)),
-        primes, budget)
+        memo = {}
+        primes = tuple(i for i in ideals if is_prime_ideal(i, memo))
+    return OracleReport(moduli, len(ideals), tuple(maximal_ideals(ideals)), primes, budget)
 
 
-def descriptor_elements(ideal) -> frozenset:
-    """Materialize a descriptor-backed ideal of a finite residue product as
-    an element set, for comparison against oracle output."""
+def descriptor_parts(ideal) -> tuple:
+    """The parts of a descriptor-backed ideal of a finite residue product,
+    one frozenset of residues per coordinate, for comparison against the
+    parts of oracle ideals."""
     from .products import ProductElement, ideal_member
     product = ideal.product
     if not all(isinstance(ring, ResidueRing) for ring in product.components):
@@ -186,6 +214,11 @@ def descriptor_elements(ideal) -> frozenset:
     def member_at(i, v):  # the element with v at i and 0 elsewhere
         entries = zeros[:i] + (product.components[i].element(v),) + zeros[i + 1:]
         return ideal_member(ideal, ProductElement(product, entries))
-    return frozenset(itertools.product(*(
-        [v for v in range(ring.modulus) if member_at(i, v)]
-        for i, ring in enumerate(product.components))))
+    return tuple(frozenset(v for v in range(ring.modulus) if member_at(i, v))
+                 for i, ring in enumerate(product.components))
+
+
+def descriptor_elements(ideal) -> frozenset:
+    """A descriptor-backed ideal of a finite residue product as an element
+    set: the product of its parts."""
+    return frozenset(itertools.product(*descriptor_parts(ideal)))

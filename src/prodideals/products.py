@@ -17,7 +17,7 @@ closed forms against element-level brute force on finite instances.
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from collections.abc import Sequence
 
 from .boolalg import AlgebraElement, UltrafilterDescriptor
 from .errors import (
@@ -307,7 +307,7 @@ def witness_entry(m):
     generator, checked by division (an explicit ``raise``, kept by ``python
     -O``); None at a field coordinate, where the generator is zero.  The
     one copy of the check, for ``is_maximal`` and the ``maxideals`` query."""
-    gen = m.ring.element(m.generator)
+    gen = m.ring.generator_element(m.generator)
     if gen.is_zero:
         return None
     if not m.contains(gen):

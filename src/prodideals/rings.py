@@ -30,8 +30,9 @@ kind overrides them only where it differs:
   ``_one_raw``); ``primes`` is S.
 * ``PolynomialRing``: an infinite spectrum; coefficient tuples as raw
   values, with their arithmetic, ``_gcd`` and ``_in_max_ideal``;
-  ``maximal_ideals_up_to``, ``smallest_max_ideal``, ``vset`` (factoring) and
-  ``valuation``.
+  ``maximal_ideals_up_to``, ``smallest_max_ideal``, ``vset`` (factoring),
+  ``valuation``, and ``generator_element``, which takes a generator as it
+  is instead of normalising it again.
 
 Only ``crt_solve`` and ``bezout_certificate`` still branch on the class,
 where the raw form (integer, fraction or coefficient tuple) decides the
@@ -41,14 +42,20 @@ Subsets of a maximal spectrum are carried as ``FinCofSet`` values: an explicit
 finite set, or the complement of one.  For rings with finite spectrum the
 cofinite form normalizes away, so equality of sets is equality of values.
 
-Integer factorization is trial division by sieved primes up to the cube root
-of the cofactor; the at most two prime factors left are told apart by
-Miller-Rabin (``fqpoly.is_prime_int``) and an integer square root, and only
-a product of two distinct primes sends trial division on to its square root.
-The budget contract is that of plain trial division (see ``prime_factors``).
-The primes up to a bound come from one Sieve of Eratosthenes,
-``primes_up_to``.  Polynomial factorization and irreducible enumeration live
-in ``fqpoly``.
+Integer primality is deterministic Miller-Rabin, ``is_prime_int``.  Integer
+factorization is trial division by sieved primes up to the cube root of the
+cofactor; the at most two prime factors left are told apart by
+``is_prime_int`` and an integer square root, and only a product of two
+distinct primes sends trial division on to its square root.  The budget
+contract is that of plain trial division (see ``prime_factors``).  The
+primes up to a bound come from one Sieve of Eratosthenes, ``primes_up_to``.
+Polynomial factorization and irreducible enumeration live in ``fqpoly``.
+
+A process over ``Z`` and ``Z/n`` alone loads neither ``fqpoly`` nor
+``fractions``: the module binds ``fqpoly`` when the first ``PolynomialRing``
+is made, and ``Fraction`` when the first ``Z_(S)`` is made or ``Z`` is given
+a value that is not an ``int``.  Integer values carry ``numerator`` and
+``denominator`` too, so the integer forms need no ``Fraction`` test.
 """
 
 from __future__ import annotations
@@ -57,10 +64,8 @@ import bisect
 import functools
 import itertools
 import math
-from fractions import Fraction
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
-from . import fqpoly
 from .errors import (
     BudgetExceeded,
     FactorizationBudgetExceeded,
@@ -77,6 +82,53 @@ DEFAULT_FACTOR_BUDGET = 1_000_000
 
 #: Size budget of the brute-force oracle's ideal enumeration (``oracle``).
 DEFAULT_ORACLE_BUDGET = 10_000
+
+#: The strong-pseudoprime bound psi_13 (Sorenson and Webster, "Strong
+#: pseudoprimes to twelve prime bases", Math. Comp. 86, 2017): below it,
+#: Miller-Rabin to the 13 prime bases 2..41 decides primality exactly.
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# bound on first use (see the module docstring)
+fqpoly = Fraction = None
+
+
+def _load_fraction():
+    global Fraction
+    if Fraction is None:
+        from fractions import Fraction
+    return Fraction
+
+
+def is_prime_int(n: int) -> bool:
+    """Whether the integer n is prime, by deterministic Miller-Rabin.
+
+    A composite verdict is always proven.  A number at or above
+    ``MILLER_RABIN_LIMIT`` that passes every base raises
+    FactorizationBudgetExceeded, because there the test is not a proof.
+    """
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= MILLER_RABIN_LIMIT:
+        raise FactorizationBudgetExceeded(
+            f"{n} passes Miller-Rabin to the bases 2..41 but is not below "
+            f"{MILLER_RABIN_LIMIT}, where that test is proven")
+    return True
 
 
 def primes_up_to(bound: int) -> Iterable[int]:
@@ -123,7 +175,7 @@ def iroot(n: int, k: int) -> int:
 def _cube_root_stop(m: int) -> int:
     # past the cube root of m at most two primes remain; above the range
     # where Miller-Rabin is proven, trial division runs to the square root
-    return iroot(m, 3) if m < fqpoly.MILLER_RABIN_LIMIT else math.isqrt(m)
+    return iroot(m, 3) if m < MILLER_RABIN_LIMIT else math.isqrt(m)
 
 
 def _divide_out(m: int, out: list, lo: int, budget: int, root) -> tuple:
@@ -156,7 +208,7 @@ def prime_factors(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> tuple:
 
     The work is trial division by the primes up to min(budget, cube root of
     the cofactor), which leaves at most two prime factors; that cofactor is
-    1, a prime (deterministic Miller-Rabin, ``fqpoly.is_prime_int``) or a
+    1, a prime (deterministic Miller-Rabin, ``is_prime_int``) or a
     square, and otherwise trial division goes on up to min(budget, square
     root of the cofactor).
     """
@@ -168,7 +220,7 @@ def prime_factors(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> tuple:
     # every prime <= stop is divided out of m, so an m below (stop + 1)**2 is
     # 1 or a prime; otherwise stop is the cube root of m, which then has at
     # most two prime factors
-    if stop < budget and m >= (stop + 1) ** 2 and not fqpoly.is_prime_int(m):
+    if stop < budget and m >= (stop + 1) ** 2 and not is_prime_int(m):
         s = math.isqrt(m)
         if s * s != m:
             m, _ = _divide_out(m, out, stop, budget, math.isqrt)
@@ -294,6 +346,10 @@ class RingHandle:
             return value
         return RingElement(self, self.normalize(value))
 
+    def generator_element(self, generator) -> "RingElement":
+        """The element that a maximal ideal's generator stands for."""
+        return self.element(generator)
+
     @property
     def zero(self) -> "RingElement":
         return RingElement(self, self._zero_raw())
@@ -368,9 +424,7 @@ class MaxIdealId(Record):
         return self.ring._in_max_ideal(elem.raw, self.generator)
 
     def __repr__(self):
-        if isinstance(self.generator, tuple):
-            return f"({fqpoly.poly_str(self.generator)})"
-        return f"({self.generator})"
+        return f"({self.ring._repr_raw(self.generator)})"
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +546,7 @@ class IntegerRing(Record, RingHandle):
         return "Z"
 
     def normalize(self, value):
-        if isinstance(value, int) or not isinstance(value, Fraction):
+        if isinstance(value, int) or not isinstance(value, _load_fraction()):
             return _as_int(value)
         if value.denominator != 1:
             raise ValueError(f"{value} is not an integer")
@@ -503,7 +557,7 @@ class IntegerRing(Record, RingHandle):
 
     def max_ideal(self, generator):
         generator = _as_int(generator)
-        if not fqpoly.is_prime_int(generator):
+        if not is_prime_int(generator):
             raise InconsistentInput(f"{generator} is not prime")
         return MaxIdealId(self, generator)
 
@@ -540,7 +594,7 @@ class ResidueRing(Record, RingHandle):
 
     @property
     def is_domain(self):
-        return fqpoly.is_prime_int(self.modulus)
+        return is_prime_int(self.modulus)
 
     @property
     def short_name(self):
@@ -586,11 +640,12 @@ class LocalizedIntegersRing(Record, RingHandle):
     primes: tuple
 
     def __post_init__(self):
+        _load_fraction()
         ps = tuple(sorted(set(int(p) for p in self.primes)))
         if not ps:
             raise ValueError("prime set must be nonempty")
         for p in ps:
-            if not fqpoly.is_prime_int(p):
+            if not is_prime_int(p):
                 raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "primes", ps)
 
@@ -653,6 +708,9 @@ class PolynomialRing(Record, RingHandle):
     spectrum_finite = False
 
     def __post_init__(self):
+        global fqpoly
+        if fqpoly is None:
+            from . import fqpoly
         if fqpoly.prime_power(self.q) is None:
             raise ValueError(f"{self.q} is not a prime power")
 
@@ -698,6 +756,10 @@ class PolynomialRing(Record, RingHandle):
 
     def _repr_raw(self, x):
         return fqpoly.poly_str(x)
+
+    def generator_element(self, generator):
+        # a generator is a monic irreducible, already a normal coefficient tuple
+        return RingElement(self, generator)
 
     def max_ideal(self, generator):
         gen = self.normalize(generator)
@@ -833,9 +895,8 @@ def crt_solve(ring: RingHandle, congruences: Sequence) -> RingElement:
     x, modulus = 0, 1
     for m, e, r in live:
         step = m.generator**e
-        r = ring.element(r).raw
-        if isinstance(r, Fraction):
-            r = r.numerator * pow(r.denominator, -1, step) % step
+        r = ring.element(r).raw  # an int or a Fraction
+        r = r.numerator * pow(r.denominator, -1, step) % step
         g, u, _ = xgcd(modulus, step)
         if g != 1:
             raise AssertionError(f"moduli {modulus} and {step} are not coprime")

@@ -702,12 +702,15 @@ def _oracle(scn, query, where):
         rep = oracle.oracle_run(scn.product.components, scn.options.oracle_budget, mark)
     except UnsupportedRing as exc:
         raise ValidationError(where, str(exc))
-    ultra = {oracle.descriptor_elements(i)
+    # ideals are equal exactly when their parts are (see ``oracle``)
+    ultra = {oracle.descriptor_parts(i)
              for i in products.enumerate_maximal_ideals(scn.product)}
+    primes = rep.prime_ideals
     return {"verdict": {"ideal_count": rep.ideal_count,
-                        "maximal_count": len(rep.maximal),
-                        "prime_count": None if rep.primes is None else len(rep.primes),
-                        "matches_ultrafilter_enumeration": ultra == set(rep.maximal)},
+                        "maximal_count": len(rep.maximal_ideals),
+                        "prime_count": None if primes is None else len(primes),
+                        "matches_ultrafilter_enumeration":
+                            ultra == {i.parts for i in rep.maximal_ideals}},
             "provenance": "oracle:ideal-closure"}
 
 

@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -102,3 +106,35 @@ def exhaustive_prime_closure(moduli, member) -> tuple:
     # pairs with a member factor can never violate primality
     pairs += size * size - len(non_members) * len(non_members)
     return pairs, violations
+
+
+# runs the CLI in a child and reads its stdout in chunks; a child forked from
+# pytest would inherit pytest's resident high-water mark, this small one's not
+SPAWNER = """
+import hashlib, os, sys
+r, w = os.pipe()
+pid = os.fork()
+if pid == 0:
+    os.dup2(w, 1)
+    os.execv(sys.executable, [sys.executable, "-c",
+             "import sys; from prodideals.cli import main; sys.exit(main(sys.argv[1:]))"]
+             + sys.argv[1:])
+os.close(w)
+digest = hashlib.sha256()
+while chunk := os.read(r, 1 << 16):
+    digest.update(chunk)
+_, status, usage = os.wait4(pid, 0)
+print(digest.hexdigest(), os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def spawn_cli(argv) -> tuple:
+    """(SHA-256 of stdout, exit code, the child's own peak RSS in KiB) of one
+    CLI process run with ``argv``."""
+    import prodideals
+    src = str(pathlib.Path(prodideals.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-S", "-c", SPAWNER] + argv,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    sha, code, maxrss_kb = out.split()
+    return sha, int(code), int(maxrss_kb)

@@ -1,13 +1,19 @@
+import contextlib
+import hashlib
+import io
 import itertools
 import math
 
 import pytest
 
-from conftest import exhaustive_prime_closure
+from conftest import exhaustive_prime_closure, spawn_cli
+from prodideals import oracle
+from prodideals.cli import main
 from prodideals.errors import BudgetExceeded, UnsupportedRing
 from prodideals.oracle import (
     all_ideals,
     descriptor_elements,
+    descriptor_parts,
     is_prime_ideal,
     maximal_ideals,
     oracle_run,
@@ -23,6 +29,17 @@ from prodideals.products import (
 )
 from prodideals.boolalg import UltrafilterDescriptor
 from prodideals.rings import IntegerRing, ResidueRing
+from prodideals.scenario import run_scenario
+
+
+def products_up_to_400():
+    """Every product of at most three moduli with at most 400 elements, the
+    range of ``test_matches_a_literal_pairwise_closure``."""
+    return itertools.chain(
+        ((a,) for a in range(2, 401)),
+        ((a, b) for a in range(2, 21) for b in range(a, 400 // a + 1)),
+        ((a, b, c) for a in range(2, 8) for b in range(a, 201)
+         for c in range(b, 400 // (a * b) + 1)))
 
 
 def divisor_count(n):
@@ -199,3 +216,87 @@ class TestExhaustivePrimeClosure:
         assert violations
         (a, b) = violations[0]
         assert a[0] % 12 != 0 and b[0] % 12 != 0 and (a[0] * b[0]) % 12 == 0
+
+
+def oracle_verdict(moduli):
+    """The verdict of a scenario ``oracle`` query over the residue product."""
+    scenario = {"schema_version": 1,
+                "rings": [{"kind": "residue", "n": n} for n in moduli],
+                "product": list(range(len(moduli))), "queries": [{"query": "oracle"}]}
+    return run_scenario(scenario).records[0]["verdict"]
+
+
+class TestPartLevelReport:
+    """The report counts ideals and compares parts; every part holds 0, so a
+    product of parts determines its parts, and the verdicts must be those
+    of element sets."""
+
+    def test_sets_from_parts_match_element_sets(self):
+        for moduli in products_up_to_400():
+            rep = oracle_run(moduli)
+            elements = [i.elements() for i in all_ideals(moduli)]
+            # maximal by inclusion of element sets, not of parts
+            proper = [e for e in elements if len(e) < math.prod(moduli)]
+            maximal = {e for e in proper if not any(e < f for f in proper)}
+            assert rep.ideal_count == len(set(elements))
+            assert len(rep.maximal_ideals) == len(maximal) == len(rep.maximal)
+            assert {i.elements() for i in rep.maximal_ideals} == set(rep.maximal) == maximal
+            assert len(rep.prime_ideals) == len(set(rep.primes)) == len(rep.primes)
+            assert {i.elements() for i in rep.prime_ideals} == set(rep.primes)
+
+    def test_verdict_from_parts_matches_element_sets(self):
+        for moduli in (m for m in products_up_to_400() if len(m) <= 2):
+            rep = oracle_run(moduli)
+            product = ProductRing(tuple(ResidueRing(n) for n in moduli))
+            ultra = {descriptor_elements(i) for i in enumerate_maximal_ideals(product)}
+            assert oracle_verdict(moduli) == {
+                "ideal_count": len({i.elements() for i in all_ideals(moduli)}),
+                "maximal_count": len(set(rep.maximal)),
+                "prime_count": len(set(rep.primes)),
+                "matches_ultrafilter_enumeration": ultra == set(rep.maximal)}, moduli
+
+    @pytest.mark.parametrize("moduli", [(4, 9), (12, 10), (6, 5, 4), (8,), (2, 3)])
+    def test_a_mutated_part_does_not_match(self, moduli, monkeypatch):
+        # toggle the residue 1 in one part of the first descriptor: at the
+        # concentration coordinate 1 is added, elsewhere it is dropped
+        real = oracle.descriptor_parts
+        for k in range(len(moduli)):
+            calls = []
+
+            def mutated(ideal):
+                parts = list(real(ideal))
+                if not calls:
+                    parts[k] = parts[k] ^ {1}
+                    assert (frozenset(itertools.product(*parts))
+                            not in set(oracle_run(moduli).maximal))
+                calls.append(ideal)
+                return tuple(parts)
+            monkeypatch.setattr(oracle, "descriptor_parts", mutated)
+            assert oracle_verdict(moduli)["matches_ultrafilter_enumeration"] is False
+            monkeypatch.undo()
+            assert len(calls) == sum(len(ResidueRing(n).primes) for n in moduli)
+        assert oracle_verdict(moduli)["matches_ultrafilter_enumeration"] is True
+
+    def test_parts_are_the_membership_of_each_coordinate(self):
+        product = ProductRing((ResidueRing(12), ResidueRing(10)))
+        ideal = UltrafilterIdeal(product, UltrafilterDescriptor(
+            product.shape, 0, product.components[0].max_ideal(3)))
+        assert descriptor_parts(ideal) == (frozenset({0, 3, 6, 9}), frozenset(range(10)))
+
+
+@pytest.mark.parametrize("moduli, budget, digest", [
+    ((360, 360), 200_000, "6972c0f9b0268bcfc11b46fd849c4dca851d2ea4c453b5a4abe276af3a313daf"),
+    ((720, 720), 600_000, "93d937584ed7589b455908332c7b35197345be3da8ea7ba1e7d20b538e8b2731"),
+])
+def test_large_oracle_report_pinned(moduli, budget, digest):
+    # the default text report, byte for byte; building the product's element
+    # sets took 4-5 s and 336 MB at (720, 720), the parts take 0.3 s and 17 MB
+    argv = ["oracle", "--budget", str(budget)] + [a for n in moduli for a in ("-r", f"Z/{n}")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    if moduli == (720, 720):
+        sha, code, maxrss_kb = spawn_cli(argv)
+        assert (sha, code) == (digest, 0)
+        assert maxrss_kb < 40 * 1024

@@ -31,6 +31,7 @@ from prodideals.products import (
     minimal_prime_below,
     skolem_check,
     vset_vector,
+    witness_entry,
     witness_fillers,
 )
 from prodideals.rings import (
@@ -235,6 +236,18 @@ class TestIsMaximal:
         info = witness_fillers.cache_info()
         assert len(accepted) == 15 + 3 + 1
         assert (info.misses, info.hits) == (1, 15 + 3 - 1)
+
+    def test_witness_entry_takes_a_polynomial_generator_as_it_is(self, monkeypatch):
+        # a generator is already a normal coefficient tuple; a Z_(S) generator
+        # still becomes a Fraction
+        F9X, L23 = PolynomialRing(9), LocalizedIntegersRing((2, 3))
+        ideals = F9X.maximal_ideals_up_to(2)
+        monkeypatch.setattr(PolynomialRing, "normalize", None)
+        assert [witness_entry(m).raw for m in ideals] == [m.generator for m in ideals]
+        monkeypatch.undo()
+        assert [witness_entry(m) for m in ideals] == [F9X.element(m.generator) for m in ideals]
+        assert [type(witness_entry(m).raw).__name__ for m in L23.maximal_spectrum()] == [
+            "Fraction", "Fraction"]
 
     def test_witness_check_survives_optimize_flag(self):
         # with the division check forced to fail, is_maximal must raise even

@@ -28,6 +28,8 @@ from prodideals.rings import (
 SRC = pathlib.Path(prodideals.__file__).resolve().parent.parent
 HEAVY = ("dataclasses", "inspect", "prodideals.oracle", "prodideals.properties",
          "prodideals.valuations")
+#: loaded only by the ring kinds that use them: Fq[x], and Z_(S) or non-int values
+LAZY = ("prodideals.fqpoly", "fractions")
 
 
 def loaded_after(code, modules=HEAVY):
@@ -58,6 +60,21 @@ class TestFootprint:
 
     def test_oracle_loads_neither_properties_nor_valuations(self):
         assert loaded_after(cli_run(["oracle", "-r", "Z/12"])) == ["prodideals.oracle"]
+
+    @pytest.mark.parametrize("code", [
+        "import prodideals.cli; prodideals.cli.build_parser()",
+        cli_run(["oracle", "-r", "Z/12"]),
+        cli_run(["maxideals", "-r", "Z", "--bound", "50"]),
+    ], ids=["parser", "oracle", "maxideals"])
+    def test_integer_and_residue_commands_load_neither_fqpoly_nor_fractions(self, code):
+        assert loaded_after(code, LAZY) == []
+
+    def test_polynomial_ring_loads_fqpoly(self):
+        assert loaded_after(cli_run(["maxideals", "-r", "F2[x]", "--bound", "3"]),
+                            LAZY) == ["prodideals.fqpoly"]
+
+    def test_localized_ring_loads_fractions(self):
+        assert loaded_after(cli_run(["maxideals", "-r", "Z_(2,3)"]), LAZY) == ["fractions"]
 
     def test_oracle_run_loads_no_ultrafilter_machinery(self):
         # the oracle is the independent check: it works on element sets alone

@@ -305,7 +305,7 @@ def test_max_ideal_validation(ZZ, R12, L25, F2X):
 
 
 def test_integer_sieve_matches_is_prime_int():
-    from prodideals.fqpoly import is_prime_int
+    from prodideals.rings import is_prime_int
     Z = IntegerRing()
     primes = []
     for bound in range(2001):
@@ -430,7 +430,7 @@ def test_prime_factors_named_budget_cases():
 
 
 def test_miller_rabin_strong_pseudoprimes():
-    is_prime_int = fqpoly.is_prime_int
+    from prodideals.rings import MILLER_RABIN_LIMIT, is_prime_int
     # strong pseudoprimes to the first 1, 4 and 9..11 prime bases
     for n in (2047, 3215031751, 3825123056546413051):
         assert not is_prime_int(n)
@@ -438,7 +438,7 @@ def test_miller_rabin_strong_pseudoprimes():
     assert not is_prime_int(318665857834031151167461)
     # psi_13 passes all 13 bases: it is never reported prime
     psi13 = 3317044064679887385961981
-    assert psi13 == fqpoly.MILLER_RABIN_LIMIT
+    assert psi13 == MILLER_RABIN_LIMIT
     with pytest.raises(FactorizationBudgetExceeded, match=f"^{psi13} "):
         is_prime_int(psi13)
     assert is_prime_int(2**61 - 1) and is_prime_int(2**31 - 1)

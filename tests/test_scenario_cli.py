@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from conftest import spawn_cli
 import prodideals
 from prodideals.cli import INFINITE_INDEX_MESSAGE, main, parse_ring_token
 from prodideals.errors import ParseError, ValidationError
@@ -596,26 +597,6 @@ def maxideals_scenario(rings, bound):
         queries=[{"query": "maxideals", "bound": bound}]))
 
 
-# runs the CLI in a child and reads its stdout in chunks; a child forked from
-# pytest would inherit pytest's resident high-water mark, this small one's not
-SPAWNER = """
-import hashlib, os, sys
-r, w = os.pipe()
-pid = os.fork()
-if pid == 0:
-    os.dup2(w, 1)
-    os.execv(sys.executable, [sys.executable, "-c",
-             "import sys; from prodideals.cli import main; sys.exit(main(sys.argv[1:]))"]
-             + sys.argv[1:])
-os.close(w)
-digest = hashlib.sha256()
-while chunk := os.read(r, 1 << 16):
-    digest.update(chunk)
-_, status, usage = os.wait4(pid, 0)
-print(digest.hexdigest(), os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
-
-
 class TestStreamedReport:
     """The ``maxideals`` verdict is a ``Stream``; reports write it entry by entry."""
 
@@ -737,14 +718,10 @@ class TestStreamedReport:
     ])
     def test_large_report_in_bounded_memory(self, argv, digest):
         # 157,000 entries (17.5 MB) at the larger bound; holding the report
-        # took 160 MB, streaming it about 44 MB
-        src = str(pathlib.Path(prodideals.__file__).resolve().parent.parent)
-        out = subprocess.run([sys.executable, "-S", "-c", SPAWNER] + argv,
-                             env=dict(os.environ, PYTHONPATH=src),
-                             check=True, capture_output=True, text=True).stdout
-        sha, code, maxrss_kb = out.split()
-        assert (sha, code) == (digest, "0")
-        assert int(maxrss_kb) < 60 * 1024
+        # took 160 MB, streaming it about 33 MB
+        sha, code, maxrss_kb = spawn_cli(argv)
+        assert (sha, code) == (digest, 0)
+        assert maxrss_kb < 40 * 1024
 
 
 # ---------------------------------------------------------------------------
