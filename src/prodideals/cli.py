@@ -6,17 +6,28 @@ JSON, in the same encodings scenario files use.  Output is deterministic;
 ``--format machine`` emits one JSON record per line.
 
 Exit codes: 0 success, 1 input error, 2 failed assertion in a scenario.
+
+Importing this module calls ``gc.freeze()`` once: the start-up heap lives
+until the process exits, so later collections skip it and interpreter exit
+no longer collects and frees it object by object.  Only the CLI freezes,
+since it owns its process; a library module never does, because a host
+application's heap is not the library's to freeze.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
 
 from . import scenario as sc
 from .errors import INPUT_ERRORS, ValidationError
+
+# once per process, at import: the start-up heap lives until exit, so no later
+# collection, the one at exit included, needs to scan or free it
+gc.freeze()
 
 INFINITE_INDEX_MESSAGE = (
     "refused: constructions over an infinite index set are out of scope. "

@@ -289,6 +289,12 @@ class RingHandle:
         """The ideals (p) for p in ``primes``, on a finite spectrum."""
         if not self.spectrum_finite:
             raise UnsupportedRing(f"{self.short_name} has an infinite maximal spectrum")
+        return self._spectrum
+
+    @functools.cached_property
+    def _spectrum(self) -> tuple:
+        # built once per instance and kept outside the record fields, so
+        # equality, hash and repr do not see it
         return tuple(MaxIdealId(self, p) for p in self.primes)
 
     def maximal_ideals_up_to(self, bound: int) -> tuple:
@@ -846,8 +852,6 @@ def vset_pair(ring: RingHandle, a, b, budget: int = DEFAULT_FACTOR_BUDGET) -> Fi
 
 def valuation(ring: RingHandle, elem, ideal: MaxIdealId):
     """Exact exponent of the ideal's generator in the element; INF at zero."""
-    if ring.dimension == 0:
-        raise UnsupportedRing("residue rings carry no discrete valuations")
     if ideal.ring != ring:
         raise InconsistentInput(f"{ideal} is not a maximal ideal of {ring.short_name}")
     return ring.valuation(elem, ideal)

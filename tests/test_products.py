@@ -60,6 +60,13 @@ class TestVsetVector:
         assert zero_first.coords[0].is_all
         assert {m.generator for m in zero_first.coords[1].support} == {2, 3}
 
+    def test_only_zero_vanishes_everywhere(self):
+        product = ProductRing((ZZ, ResidueRing(6), PolynomialRing(2)))
+        for values in itertools.product((0, 5), (0, 3), ((), (0, 1))):
+            a = product.element(values)
+            assert a.is_zero == (a == product.zero) == all(
+                c.is_all for c in vset_vector(a).coords)
+
     def test_join_rule_sampled(self):
         # the vanishing tuple of a product is the coordinatewise union
         shapes = [ZXZ, ProductRing((ZZ, ZZ, ZZ)),

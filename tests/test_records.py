@@ -32,17 +32,22 @@ HEAVY = ("dataclasses", "inspect", "prodideals.oracle", "prodideals.properties",
 LAZY = ("prodideals.fqpoly", "fractions")
 
 
-def loaded_after(code, modules=HEAVY):
-    """The ``modules`` loaded once ``code`` has run in a fresh interpreter.
+def last_line_of(code):
+    """The last line that ``code`` prints in a fresh interpreter.
 
-    ``-S`` keeps site hooks out, so what is counted is what prodideals imports.
+    ``-S`` keeps site hooks out, so what is seen is what prodideals does.
     """
-    probe = (f"import io, contextlib, json, sys\n{code}\n"
-             f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))")
+    probe = f"import io, contextlib, gc, json, sys\n{code}"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
+    return out.splitlines()[-1]
+
+
+def loaded_after(code, modules=HEAVY):
+    """The ``modules`` loaded once ``code`` has run in a fresh interpreter."""
+    return json.loads(last_line_of(
+        f"{code}\nprint(json.dumps([m for m in {modules!r} if m in sys.modules]))"))
 
 
 def cli_run(argv):
@@ -104,6 +109,30 @@ PARENT_EXPORTS = """
 """.split()
 
 
+class TestFreeze:
+    """The CLI freezes its start-up heap once; the library never freezes."""
+
+    def test_cli_import_freezes(self):
+        assert int(last_line_of("import prodideals.cli\nprint(gc.get_freeze_count())")) > 0
+
+    def test_library_imports_do_not_freeze(self):
+        code = ("import prodideals\n"
+                "import prodideals.scenario, prodideals.oracle, prodideals.valuations\n"
+                "import prodideals.properties, prodideals.fqpoly\n"
+                "from prodideals import run_scenario, oracle_run\n"
+                "print(gc.get_freeze_count(), 'prodideals.cli' in sys.modules)")
+        assert last_line_of(code) == "0 False"
+
+    def test_main_calls_do_not_freeze_again(self):
+        code = ("from prodideals import cli\n"
+                "frozen = gc.get_freeze_count()\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert cli.main(['maxideals', '-r', 'Z', '--bound', '50']) == 0\n"
+                "    assert cli.main(['oracle', '-r', 'Z/12']) == 0\n"
+                "print(gc.get_freeze_count() - frozen)")
+        assert last_line_of(code) == "0"
+
+
 class TestExports:
     def test_every_export_resolves_to_its_definition(self):
         assert sorted(prodideals.__all__) == sorted(PARENT_EXPORTS)
@@ -112,6 +141,10 @@ class TestExports:
             exec(f"from prodideals import {name}", namespace)
             value = namespace[name]
             assert getattr(sys.modules[value.__module__], name) is value, name
+
+    def test_dir_lists_names_not_yet_loaded(self):
+        names = last_line_of("import prodideals\nprint(json.dumps(dir(prodideals)))")
+        assert set(json.loads(names)) >= set(PARENT_EXPORTS) | {"__all__", "__version__"}
 
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError):

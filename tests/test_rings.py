@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import pathlib
@@ -25,6 +26,7 @@ from prodideals.rings import (
     PolynomialRing,
     ResidueRing,
     ZERO_MARKER,
+    ZeroMarker,
     bezout_certificate,
     crt_solve,
     dset,
@@ -105,6 +107,48 @@ class TestVset:
             vset(ZZ, ZZ.element(big), budget=10**4)
 
 
+class TestElementArithmetic:
+    def test_negation_reduces_mod_n(self, R12):
+        for a in range(12):
+            neg = -R12.element(a)
+            assert 0 <= neg.raw < 12 and (neg + R12.element(a)).is_zero
+        assert R12.element(3) - R12.element(5) == R12.element(10)
+
+    def test_units_are_the_invertible_elements(self, ZZ, R12, F2X):
+        # derived: a unit is an element with an inverse among the candidates
+        polys = [coeffs for d in range(4) for coeffs in itertools.product((0, 1), repeat=d)]
+        for ring, candidates in ((ZZ, range(-6, 7)), (R12, range(12)), (F2X, polys)):
+            for v in candidates:
+                x = ring.element(v)
+                assert x.is_unit == any(x * ring.element(w) == ring.one
+                                        for w in candidates), (ring, v)
+
+    def test_local_units_are_the_invertible_elements(self, L25):
+        for n in range(-12, 13):
+            for d in (1, 3, 7):
+                x = L25.element(Fraction(n, d))
+                try:
+                    inverse = L25.element(1 / x.raw) if n else None
+                except ValueError:  # a denominator divisible by 2 or 5
+                    inverse = None
+                assert x.is_unit == (inverse is not None), x
+                assert inverse is None or x * inverse == L25.one
+
+
+class TestInfinity:
+    def test_absorbs_sums_and_nonzero_multiples(self):
+        for n in (0, 1, 7, INF):
+            assert INF + n is INF and n + INF is INF
+        for n in (1, 7, INF):
+            assert INF * n is INF and n * INF is INF
+        with pytest.raises(ValueError):
+            INF * 0
+        with pytest.raises(ValueError):
+            0 * INF
+        with pytest.raises(TypeError):
+            INF + 1.5
+
+
 class TestValuation:
     def test_examples(self, ZZ, F2X):
         assert valuation(ZZ, ZZ.element(24), ZZ.max_ideal(2)) == 3
@@ -112,7 +156,7 @@ class TestValuation:
         assert valuation(F2X, F2X.element((0, 1, 1)), F2X.max_ideal((1, 1))) == 1
 
     def test_residue_rejected(self, R12):
-        with pytest.raises(UnsupportedRing):
+        with pytest.raises(UnsupportedRing, match="Z/12 carries no discrete valuations"):
             valuation(R12, R12.element(2), MaxIdealId(R12, 2))
 
     def test_additive_and_ultrametric(self, ZZ, L25, F2X):
@@ -229,6 +273,10 @@ class TestJacobson:
         assert jacobson_radical_generator(R12).raw == 6
         assert jacobson_radical_generator(L25).raw == Fraction(10)
         assert jacobson_radical_generator(LocalizedIntegersRing((5,))).raw == 5
+
+    def test_zero_marker_is_one_value(self):
+        assert repr(ZERO_MARKER) == "ZeroMarker"
+        assert {ZERO_MARKER, ZeroMarker()} == {ZERO_MARKER}
 
     def test_radical_is_intersection_residue(self):
         # derived: intersection of the brute-force maximal ideals
