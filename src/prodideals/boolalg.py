@@ -148,12 +148,14 @@ def enumerate_ultrafilters(shape: Sequence[RingHandle], bound: int = None) -> li
     return out
 
 
-def principal_ideals(ring: RingHandle, bound: int = None) -> list:
+def principal_ideals(ring: RingHandle, bound: int = None) -> Sequence:
     """The fixed ideals of the principal descriptors at a coordinate ``ring``
-    in enumeration order; ``bound`` limits an infinite spectrum's generators."""
+    by ``sort_key``, sorted unless ``ring.listed_in_order``; ``bound`` limits
+    an infinite spectrum's generators."""
     if bound is None and not ring.spectrum_finite:
         raise InconsistentInput(f"a generator bound is required for {ring.short_name}")
-    return sorted(ring.maximal_ideals_up_to(bound), key=lambda m: m.sort_key)
+    ideals = ring.maximal_ideals_up_to(bound)
+    return ideals if ring.listed_in_order else sorted(ideals, key=lambda m: m.sort_key)
 
 
 # ---------------------------------------------------------------------------

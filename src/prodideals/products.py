@@ -29,6 +29,7 @@ from .errors import (
 from .record import Record, set_field
 from .rings import (
     DEFAULT_FACTOR_BUDGET,
+    RingElement,
     RingHandle,
     bezout_certificate,
 )
@@ -302,17 +303,21 @@ def witness_fillers(product: ProductRing) -> tuple:
     return tuple(fillers)
 
 
-def witness_entry(m):
-    """The witness entry of the principal descriptor fixing ``m``: its
-    generator, checked by division (an explicit ``raise``, kept by ``python
-    -O``); None at a field coordinate, where the generator is zero.  The
-    one copy of the check, for ``is_maximal`` and the ``maxideals`` query."""
-    gen = m.ring.generator_element(m.generator)
-    if gen.is_zero:
-        return None
-    if not m.contains(gen):
-        raise AssertionError(f"witness entry {gen} is not in {m}")
-    return gen
+def witness_entries(ring, ideals) -> list:
+    """The raw witness entries of the principal descriptors fixing
+    ``ideals`` of ``ring``: the generators as they are (``_generator_raws``),
+    checked by the kind's division ``_in_max_ideal`` (an explicit ``raise``,
+    kept by ``python -O``); None at a field coordinate, where it is zero.  The
+    one copy of the check, for ``is_maximal`` and ``maxideals`` (by chunks)."""
+    raws = ring._generator_raws([m.generator for m in ideals])
+    zero, contains = ring._zero_raw(), ring._in_max_ideal
+    for i, (m, raw) in enumerate(zip(ideals, raws)):
+        if raw == zero:
+            raws[i] = None
+        elif not contains(raw, m.generator):
+            raise AssertionError(
+                f"witness entry {ring._repr_raw(raw)} in {ring.short_name} is not in {m}")
+    return raws
 
 
 def is_maximal(ideal: UltrafilterIdeal) -> MaximalityVerdict:
@@ -327,7 +332,7 @@ def is_maximal(ideal: UltrafilterIdeal) -> MaximalityVerdict:
     concentration coordinate no such tuple exists and the verdict rests on
     the quotient argument alone.
 
-    The witness condition is checked by division (``witness_entry``): at a
+    The witness condition is checked by division (``witness_entries``): at a
     principal descriptor the vanishing tuple lies in the ultrafilter exactly
     when the concentration entry lies in the fixed maximal ideal, so no
     entry is factored.  The tests cross-check accepted witnesses against the
@@ -347,14 +352,14 @@ def is_maximal(ideal: UltrafilterIdeal) -> MaximalityVerdict:
             f"no nonzero element of {ring.short_name} vanishes on a cofinite "
             f"set of maximal ideals; the ideal is the kernel of the projection "
             f"and the quotient {ring.short_name} is not a field")
-    gen_elem = witness_entry(u.principal)
-    if gen_elem is None:
+    [gen] = witness_entries(ring, (u.principal,))
+    if gen is None:
         return MaximalityVerdict(
             True, RULE_PRINCIPAL_QUOTIENT_FIELD, None,
             "concentration coordinate is a field: maximality holds via the "
             "field quotient, no nonzero-entry witness exists")
     entries = list(witness_fillers(product))
-    entries[u.coordinate] = gen_elem
+    entries[u.coordinate] = RingElement(ring, gen)
     return MaximalityVerdict(
         True, RULE_PRINCIPAL_QUOTIENT_FIELD, ProductElement(product, tuple(entries)),
         "witness tuple has nonzero entries and vanishing sets inside the ultrafilter")

@@ -12,27 +12,28 @@ in finitely many maximal ideals):
   maximal ideals generated by monic irreducibles, infinitely many.
 
 Every ring-kind decision is a member of ``RingHandle``.  The kind facts are
-class constants: ``spectrum_finite``, ``is_domain`` and ``dimension``, the
-Krull dimension, which is 0 for ``Z/n`` and 1 for the other kinds.  The
+class constants: ``spectrum_finite``, ``is_domain``, ``listed_in_order``
+(``maximal_ideals_up_to`` lists by ``MaxIdealId.sort_key``) and ``dimension``,
+the Krull dimension, which is 0 for ``Z/n`` and 1 for the other kinds.  The
 module functions that treat ``Z/n`` apart ask for ``dimension == 0``, not for
 ``is_domain``: a field ``Z/p`` is a domain of dimension 0.  Every kind has its
 own ``short_name``, ``normalize``, ``max_ideal``, ``_is_unit`` and
 ``nonzero_nonunit``.  The other members default to the integer forms (raw
-``int`` or ``Fraction`` values, and (p) contains a value when p divides its
-numerator) and to a finite spectrum, the ideals (p) for p in ``primes``; a
-kind overrides them only where it differs:
+``int`` or ``Fraction`` values, each listed generator its own raw value, and
+(p) contains a value when p divides its numerator) and to a finite spectrum,
+the ideals (p) for p in ``primes``; a kind overrides them where it differs:
 
 * ``IntegerRing``: an infinite spectrum, ``maximal_ideals_up_to`` (a sieve)
   and ``vset`` (factoring).
 * ``ResidueRing``: ``dimension`` 0, ``is_domain`` (n is prime), ``primes``
-  (those dividing n), arithmetic mod n, and ``valuation``, which raises.
-* ``LocalizedIntegersRing``: fractions as raw values (``_zero_raw`` and
-  ``_one_raw``); ``primes`` is S.
-* ``PolynomialRing``: an infinite spectrum; coefficient tuples as raw
-  values, with their arithmetic, ``_gcd`` and ``_in_max_ideal``;
-  ``maximal_ideals_up_to``, ``smallest_max_ideal``, ``vset`` (factoring),
-  ``valuation``, and ``generator_element``, which takes a generator as it
-  is instead of normalising it again.
+  (those dividing n), arithmetic mod n, ``_generator_raws`` (reduced mod
+  n, so a field's generator is zero), and ``valuation``, which raises.
+* ``LocalizedIntegersRing``: fractions as raw values (``_zero_raw``,
+  ``_one_raw`` and ``_generator_raws``); ``primes`` is S.
+* ``PolynomialRing``: an infinite spectrum listed by (degree, code);
+  coefficient tuples as raw values, with their arithmetic, ``_gcd`` and
+  ``_in_max_ideal``; ``maximal_ideals_up_to``, ``smallest_max_ideal``,
+  ``vset`` (factoring) and ``valuation``.
 
 Only ``crt_solve`` and ``bezout_certificate`` still branch on the class,
 where the raw form (integer, fraction or coefficient tuple) decides the
@@ -278,6 +279,7 @@ class RingHandle:
     spectrum_finite = True
     is_domain = True
     dimension = 1
+    listed_in_order = True
 
     # -- structure ----------------------------------------------------------
 
@@ -352,9 +354,9 @@ class RingHandle:
             return value
         return RingElement(self, self.normalize(value))
 
-    def generator_element(self, generator) -> "RingElement":
-        """The element that a maximal ideal's generator stands for."""
-        return self.element(generator)
+    def _generator_raws(self, generators) -> list:
+        """The raw values of a list of listed, so normal, generators."""
+        return generators
 
     @property
     def zero(self) -> "RingElement":
@@ -576,7 +578,7 @@ class IntegerRing(Record, RingHandle):
         if bound > DEFAULT_FACTOR_BUDGET:
             raise BudgetExceeded(
                 f"prime bound {bound} exceeds the enumeration cap {DEFAULT_FACTOR_BUDGET}")
-        return tuple(MaxIdealId(self, p) for p in primes_up_to(bound))
+        return tuple(map(MaxIdealId, itertools.repeat(self), primes_up_to(bound)))
 
     def nonzero_nonunit(self):
         return self.element(2)
@@ -631,6 +633,9 @@ class ResidueRing(Record, RingHandle):
             raise InconsistentInput(
                 f"{generator} is not a prime divisor of {self.modulus}")
         return MaxIdealId(self, generator)
+
+    def _generator_raws(self, generators):
+        return [p % self.modulus for p in generators]
 
     def nonzero_nonunit(self):
         p = self.primes[0]
@@ -690,6 +695,9 @@ class LocalizedIntegersRing(Record, RingHandle):
             raise InconsistentInput(f"{generator} is not in the prime set")
         return MaxIdealId(self, generator)
 
+    def _generator_raws(self, generators):
+        return list(map(Fraction, generators))
+
     def nonzero_nonunit(self):
         return self.element(self.primes[0])
 
@@ -712,6 +720,7 @@ class PolynomialRing(Record, RingHandle):
     q: int
 
     spectrum_finite = False
+    listed_in_order = False  # irreducibles come by (degree, code)
 
     def __post_init__(self):
         global fqpoly
@@ -763,10 +772,6 @@ class PolynomialRing(Record, RingHandle):
     def _repr_raw(self, x):
         return fqpoly.poly_str(x)
 
-    def generator_element(self, generator):
-        # a generator is a monic irreducible, already a normal coefficient tuple
-        return RingElement(self, generator)
-
     def max_ideal(self, generator):
         gen = self.normalize(generator)
         if not gen or gen[-1] != 1 or not fqpoly.is_irreducible(self.K, gen):
@@ -786,8 +791,8 @@ class PolynomialRing(Record, RingHandle):
             raise BudgetExceeded(
                 f"degree bound {bound} needs {self.q}**{bound} candidates, "
                 f"above the enumeration cap {cap}")
-        return tuple(MaxIdealId(self, g)
-                     for g in fqpoly.irreducibles_up_to(self.K, bound))
+        return tuple(map(MaxIdealId, itertools.repeat(self),
+                         fqpoly.irreducibles_up_to(self.K, bound)))
 
     def smallest_max_ideal(self):
         return MaxIdealId(self, (0, 1))

@@ -12,9 +12,9 @@ byte-identical output.
 the query object and its location (``queries[i]``) that returns the record's
 fields: ``verdict``, ``provenance`` and any witness material; a long list
 among them can be a ``Stream``, whose entries come as text already encoded
-by the report's encoder and are written one by one.  To add a kind, write
-its handler, add a ``QUERIES`` row, and, if the kind has a command-line
-form, add a row to ``cli.COMMANDS``.
+by the report's encoder and are written a piece at a time.  To add a kind,
+write its handler, add a ``QUERIES`` row, and, if the kind has a
+command-line form, add a row to ``cli.COMMANDS``.
 
 A field that holds an ultrafilter, element, value vector or ideal descriptor
 takes a literal or the name of a declared object of that ``"type"``, and
@@ -30,7 +30,6 @@ value-vector decoder, that use them.
 
 from __future__ import annotations
 
-import itertools
 import json
 
 from . import __version__ as _version
@@ -410,8 +409,9 @@ def parse_scenario(source) -> Scenario:
 
 class Stream:
     """A list in a report record whose entries ``make(encoder)`` yields as
-    text, already encoded by the report's ``encoder`` and made afresh on
-    each call, so that the report is written without holding it."""
+    text, already encoded by the report's ``encoder``, in pieces of one or
+    more entries joined by its item separator, and made afresh on each call,
+    so that the report is written without holding it."""
 
     def __init__(self, make):
         self.make = make
@@ -421,7 +421,9 @@ def _plain(value):
     """``value`` with each ``Stream`` in it made the list that is written."""
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
-    return [json.loads(t) for t in value.make(_MACHINE)] if isinstance(value, Stream) else value
+    if isinstance(value, Stream):
+        return json.loads("[" + ",".join(value.make(_MACHINE)) + "]")
+    return value
 
 
 #: what a ``Stream`` is written as, until the writer expands it, and what
@@ -445,7 +447,7 @@ WRITE_BLOCK = 1 << 16
 
 def _json_pieces(head, value, encoder):
     """``head`` and ``encoder.encode(value)`` in pieces, one piece per
-    entry of each ``Stream`` in ``value``."""
+    piece of each ``Stream`` in ``value``."""
     text = encoder.encode(value)
     return (head + text,) if _MARK_JSON not in text else _streamed(head, value, encoder)
 
@@ -537,8 +539,10 @@ def _maxideals(scn, query, where):
         # every principal descriptor is maximal by one rule, and its witness
         # is the fillers with its checked generator at the coordinate: each
         # coordinate's entry is encoded once with marks where the generator
-        # and the witness entry go, and cut at them; a chunk's generators and
-        # witness entries are encoded in one call, between marks, and cut too
+        # and the witness entry go, and cut at them.  A witness entry encodes
+        # as its generator (a Z_(S) Fraction is an integer), so a chunk's
+        # generators are encoded in one call, between marks, and cut, each
+        # text fills both slots, and the chunk is one piece
         split = encoder.item_separator + _MARK_JSON + encoder.item_separator
         for i, ring in enumerate(product.shape):
             entry = {"rule": products.RULE_PRINCIPAL_QUOTIENT_FIELD,
@@ -547,17 +551,16 @@ def _maxideals(scn, query, where):
             entry["witness"] = fillers.copy()
             entry["witness"][i] = _MARK
             full = encoder.encode(entry).split(_MARK_JSON)
-            ideals = iter(columns[ring])
-            while chunk := list(itertools.islice(ideals, 256)):
-                gens = [products.witness_entry(m) for m in chunk]
-                values = []
-                for m, gen in zip(chunk, gens):
-                    values += (_MARK, encode_generator(m), _MARK,
-                               None if gen is None else encode_ring_element(gen))
-                texts = encoder.encode(values[1:])[1:-1].split(split)
-                for gen, text, witness in zip(gens, texts[::2], texts[1::2]):
-                    yield (bare[0] + text + bare[1] if gen is None
-                           else full[0] + text + full[1] + witness + full[2])
+            ideals = columns[ring]
+            for start in range(0, len(ideals), 256):
+                chunk = ideals[start:start + 256]
+                values = [_MARK] * (2 * len(chunk) - 1)
+                values[::2] = map(encode_generator, chunk)
+                texts = encoder.encode(values)[1:-1].split(split)
+                yield encoder.item_separator.join([
+                    bare[0] + text + bare[1] if witness is None
+                    else full[0] + text + full[1] + text + full[2]
+                    for witness, text in zip(products.witness_entries(ring, chunk), texts)])
 
     rejected = []
     for i, ring in enumerate(product.shape):

@@ -16,13 +16,20 @@ from prodideals.boolalg import (
     leq,
     meet,
     membership,
+    principal_ideals,
 )
 from prodideals.errors import (
     FiniteIntersectionViolation,
     InconsistentInput,
     ShapeMismatch,
 )
-from prodideals.rings import FinCofSet, IntegerRing, PolynomialRing, ResidueRing
+from prodideals.rings import (
+    FinCofSet,
+    IntegerRing,
+    LocalizedIntegersRing,
+    PolynomialRing,
+    ResidueRing,
+)
 
 ZZ = IntegerRing()
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -193,6 +200,27 @@ class TestEnumeration:
         out = enumerate_ultrafilters((f2x,), 2)
         gens = [u.principal.generator for u in out if not u.is_frechet]
         assert gens == [(0, 1), (1, 1), (1, 1, 1)]
+
+    @pytest.mark.parametrize("ring, bound", [
+        (ZZ, 3000), (ResidueRing(2), None), (ResidueRing(7), None), (ResidueRing(360360), None),
+        (ResidueRing(999983), None), (ResidueRing(999983 * 7), None),
+        (LocalizedIntegersRing((9007199254740997, 3, 2)), None),
+    ])
+    def test_listed_in_sort_key_order(self, ring, bound):
+        # principal_ideals takes these listings as they are, unsorted
+        listed = ring.maximal_ideals_up_to(bound)
+        assert ring.listed_in_order
+        assert list(listed) == sorted(listed, key=lambda m: m.sort_key)
+        assert principal_ideals(ring, bound) == listed
+
+    @pytest.mark.parametrize("q, bound", [(2, 7), (3, 4), (4, 3), (8, 2), (9, 2)])
+    def test_polynomial_listing_is_sorted(self, q, bound):
+        # irreducibles come by (degree, code), which differs from sort_key
+        ring = PolynomialRing(q)
+        listed = ring.maximal_ideals_up_to(bound)
+        assert not ring.listed_in_order
+        assert principal_ideals(ring, bound) == sorted(listed, key=lambda m: m.sort_key)
+        assert principal_ideals(ring, bound) != list(listed)
 
 
 class TestFilters:

@@ -14,6 +14,7 @@ from prodideals.boolalg import (
     UltrafilterDescriptor,
     enumerate_ultrafilters,
     membership,
+    principal_ideals,
 )
 from prodideals.errors import ShapeMismatch, UnsupportedDescriptor
 from prodideals.products import (
@@ -31,7 +32,7 @@ from prodideals.products import (
     minimal_prime_below,
     skolem_check,
     vset_vector,
-    witness_entry,
+    witness_entries,
     witness_fillers,
 )
 from prodideals.rings import (
@@ -250,11 +251,32 @@ class TestIsMaximal:
         F9X, L23 = PolynomialRing(9), LocalizedIntegersRing((2, 3))
         ideals = F9X.maximal_ideals_up_to(2)
         monkeypatch.setattr(PolynomialRing, "normalize", None)
-        assert [witness_entry(m).raw for m in ideals] == [m.generator for m in ideals]
+        assert witness_entries(F9X, ideals) == [m.generator for m in ideals]
         monkeypatch.undo()
-        assert [witness_entry(m) for m in ideals] == [F9X.element(m.generator) for m in ideals]
-        assert [type(witness_entry(m).raw).__name__ for m in L23.maximal_spectrum()] == [
+        assert witness_entries(F9X, ideals) == [F9X.element(m.generator).raw for m in ideals]
+        assert [type(raw).__name__ for raw in witness_entries(L23, L23.maximal_spectrum())] == [
             "Fraction", "Fraction"]
+
+    @pytest.mark.parametrize("ring, bound", [
+        (ZZ, 200), (ResidueRing(7), None), (ResidueRing(12), None),
+        (LocalizedIntegersRing((2, 3)), None), (LocalizedIntegersRing((9007199254740997,)), None),
+        (PolynomialRing(2), 7), (PolynomialRing(8), 2), (PolynomialRing(9), 2),
+    ])
+    def test_bulk_entries_are_the_verdicts_witness_entries(self, ring, bound):
+        # the entries maxideals checks a chunk at a time, against the witness
+        # of is_maximal at each listed ideal, built one ideal at a time
+        product = ProductRing((ZZ, ring))
+        ideals = principal_ideals(ring, bound)
+        expected = []
+        for m in ideals:
+            verdict = is_maximal(UltrafilterIdeal(product, UltrafilterDescriptor(
+                product.shape, 1, m)))
+            assert verdict.is_maximal
+            expected.append(None if verdict.witness is None else verdict.witness.entries[1].raw)
+        entries = witness_entries(ring, ideals)
+        assert entries == expected
+        assert [type(e) for e in entries] == [type(e) for e in expected]
+        assert (None in entries) == (ring.nonzero_nonunit() is None)
 
     def test_witness_check_survives_optimize_flag(self):
         # with the division check forced to fail, is_maximal must raise even
@@ -264,8 +286,8 @@ class TestIsMaximal:
             "import sys",
             "from prodideals.boolalg import UltrafilterDescriptor",
             "from prodideals.products import ProductRing, UltrafilterIdeal, is_maximal",
-            "from prodideals.rings import IntegerRing, MaxIdealId",
-            "MaxIdealId.contains = lambda self, elem: False",
+            "from prodideals.rings import IntegerRing",
+            "IntegerRing._in_max_ideal = lambda self, raw, gen: False",
             "ZZ = IntegerRing()",
             "R = ProductRing((ZZ, ZZ))",
             "u = UltrafilterDescriptor(R.shape, 0, ZZ.max_ideal(5))",
@@ -277,7 +299,7 @@ class TestIsMaximal:
         out = subprocess.run([sys.executable, "-O", "-c", code],
                              env=dict(os.environ, PYTHONPATH=src),
                              check=True, capture_output=True, text=True).stdout
-        assert out.startswith("raised 1 ")
+        assert out.startswith("raised 1 witness entry 5 in Z is not in (5)")
 
 
 class TestMinimalPrime:

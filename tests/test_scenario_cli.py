@@ -21,7 +21,7 @@ from prodideals.scenario import (
     parse_scenario,
     run_scenario,
 )
-from prodideals.rings import IntegerRing
+from prodideals.rings import IntegerRing, ResidueRing
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 Z = {"kind": "integers"}
@@ -597,8 +597,33 @@ def maxideals_scenario(rings, bound):
         queries=[{"query": "maxideals", "bound": bound}]))
 
 
+def independent_maxideals_entries(rings, bound) -> list:
+    """The maximal list of a maxideals report over ``rings``, from
+    enumerate_ultrafilters and is_maximal, one ideal at a time, encoded by
+    json.dumps."""
+    from prodideals import boolalg, products
+
+    def encode(raw):
+        if isinstance(raw, tuple):
+            return {"poly": list(raw)}
+        if raw != int(raw):
+            return f"{raw.numerator}/{raw.denominator}"
+        return int(raw) if abs(raw) < 2**53 else str(int(raw))
+
+    product = products.ProductRing(tuple(decode_ring(parse_ring_token(r)) for r in rings))
+    entries = []
+    for u in boolalg.enumerate_ultrafilters(product.shape, bound):
+        verdict = products.is_maximal(products.UltrafilterIdeal(product, u))
+        if verdict.is_maximal:
+            entries.append({"rule": verdict.rule, "ultrafilter": {
+                "coordinate": u.coordinate, "principal": encode(u.principal.generator)}})
+            if verdict.witness is not None:
+                entries[-1]["witness"] = [encode(e.raw) for e in verdict.witness.entries]
+    return entries
+
+
 class TestStreamedReport:
-    """The ``maxideals`` verdict is a ``Stream``; reports write it entry by entry."""
+    """The ``maxideals`` verdict is a ``Stream``; reports write it a chunk at a time."""
 
     def test_assert_over_maxideals(self):
         expected = json.loads(run_scenario(maxideals_scenario(["Z", "Z/6"], 10))
@@ -647,27 +672,7 @@ class TestStreamedReport:
             assert len(written) <= len(text) // WRITE_BLOCK + 1
 
     def test_text_list_matches_an_independent_encoding(self):
-        # the text report's maximal list, against entries built from
-        # enumerate_ultrafilters and is_maximal and encoded by json.dumps
-        from prodideals import boolalg, products
-
-        def encode(raw):
-            if isinstance(raw, tuple):
-                return {"poly": list(raw)}
-            if raw != int(raw):
-                return f"{raw.numerator}/{raw.denominator}"
-            return int(raw) if abs(raw) < 2**53 else str(int(raw))
-
-        product = products.ProductRing(
-            tuple(decode_ring(parse_ring_token(r)) for r in MIXED_RINGS))
-        entries = []
-        for u in boolalg.enumerate_ultrafilters(product.shape, 4):
-            verdict = products.is_maximal(products.UltrafilterIdeal(product, u))
-            if verdict.is_maximal:
-                entries.append({"rule": verdict.rule, "ultrafilter": {
-                    "coordinate": u.coordinate, "principal": encode(u.principal.generator)}})
-                if verdict.witness is not None:
-                    entries[-1]["witness"] = [encode(e.raw) for e in verdict.witness.entries]
+        entries = independent_maxideals_entries(MIXED_RINGS, 4)
         assert len(entries) == 1258 and "witness" not in entries[-1]
         code, out, _ = run_cli(["--format", "text", "maxideals", "--bound", "4"]
                                + [a for r in MIXED_RINGS for a in ("-r", r)])
@@ -677,18 +682,35 @@ class TestStreamedReport:
         assert (hashlib.sha256(out.encode()).hexdigest()
                 == "e05945350488175071153f186b01cd5dc50cddae4359cc6a5009b56833fc0d64")
 
-    def test_division_check_is_shared(self, monkeypatch):
-        # is_maximal and the streamed entries both call products.witness_entry
-        from prodideals import products
+    def test_machine_list_matches_an_independent_encoding(self):
+        entries = independent_maxideals_entries(MIXED_RINGS, 4)
+        code, out, _ = run_cli(["--format", "machine", "maxideals", "--bound", "4"]
+                               + [a for r in MIXED_RINGS for a in ("-r", r)])
+        assert code == 0
+        listed = json.dumps(entries, sort_keys=True, separators=(",", ":"))
+        assert out.splitlines()[1].startswith(
+            '{"index":0,"provenance":"rule:bounded-ultrafilter-enumeration","query":"maxideals",'
+            '"verdict":{"maximal":' + listed + ',"rejected":')
 
-        def fail(m):
-            raise AssertionError(f"checked {m}")
-        monkeypatch.setattr(products, "witness_entry", fail)
-        for query in ({"query": "maxideals"}, {"query": "is-maximal", "ultrafilter": U2}):
+    def test_division_check_is_shared(self, monkeypatch):
+        # is_maximal and the streamed entries both reach the one division
+        # step, products.witness_entries, and a failing division fails both
+        from prodideals import products
+        check, checked = products.witness_entries, []
+
+        def counted(ring, ideals):
+            checked.append(len(ideals))
+            return check(ring, ideals)
+        monkeypatch.setattr(products, "witness_entries", counted)
+        monkeypatch.setattr(ResidueRing, "_in_max_ideal", lambda self, raw, gen: False)
+        for query, sizes in (({"query": "maxideals"}, [2]),
+                             ({"query": "is-maximal", "ultrafilter": U2}, [1])):
+            checked.clear()
             scenario = minimal_scenario(rings=[{"kind": "residue", "n": 6}], product=[0],
                                         queries=[query])
-            with pytest.raises(AssertionError, match=r"checked \(2\)"):
+            with pytest.raises(AssertionError, match=r"^witness entry 2 in Z/6 is not in \(2\)$"):
                 run_scenario(json.dumps(scenario)).render_machine()
+            assert checked == sizes
 
     def test_streamed_check_survives_optimize_flag(self):
         # with the division forced to fail, the maxideals run must fail even
@@ -696,8 +718,8 @@ class TestStreamedReport:
         code = "\n".join([
             "import io, sys",
             "from prodideals.cli import main",
-            "from prodideals.rings import MaxIdealId",
-            "MaxIdealId.contains = lambda self, elem: False",
+            "from prodideals.rings import IntegerRing",
+            "IntegerRing._in_max_ideal = lambda self, raw, gen: False",
             "sys.stdout = io.StringIO()",
             "try:",
             "    main(['maxideals', '-r', 'Z', '-r', 'Z/7', '--bound', '10'])",
@@ -709,6 +731,35 @@ class TestStreamedReport:
                              env=dict(os.environ, PYTHONPATH=src),
                              check=True, capture_output=True, text=True).stderr
         assert err.startswith("raised 1 witness entry 2 in Z is not in (2)")
+
+    def test_no_per_entry_element_or_sort_key(self, monkeypatch):
+        # a listed generator is taken as it is: no RingElement is built and
+        # no sort_key read per entry, so neither count grows with the bound
+        from prodideals import products
+        from prodideals.rings import MaxIdealId, RingElement
+        counts = {"elements": 0, "sort_keys": 0}
+        init, sort_key = RingElement.__init__, MaxIdealId.sort_key
+
+        def counted_init(self, ring, raw):
+            counts["elements"] += 1
+            init(self, ring, raw)
+
+        def counted_sort_key(self):
+            counts["sort_keys"] += 1
+            return sort_key.fget(self)
+        monkeypatch.setattr(RingElement, "__init__", counted_init)
+        monkeypatch.setattr(MaxIdealId, "sort_key", property(counted_sort_key))
+        seen = []
+        for bound, primes in ((1000, 168), (10000, 1229)):
+            counts.update(elements=0, sort_keys=0)
+            products.witness_fillers.cache_clear()
+            code, out, _ = run_cli(["--format", "machine", "maxideals", "-r", "Z", "-r", "Z",
+                                    "--bound", str(bound)])
+            assert code == 0
+            assert len(json.loads(out.splitlines()[1])["verdict"]["maximal"]) == 2 * primes
+            seen.append(dict(counts))
+        # the two witness fillers are the only elements
+        assert seen[0] == seen[1] == {"elements": 2, "sort_keys": 0}
 
     @pytest.mark.parametrize("argv, digest", [
         (["--format", "machine", "maxideals", "-r", "Z", "-r", "Z", "--bound", "1000000"],
