@@ -15,9 +15,9 @@ Gerhard, *Modern Computer Algebra*, ch. 14) driven by the Frobenius map
 h -> h**q, with several factors of one degree split by trial division in
 code order; irreducibility is Rabin's test (Rabin 1980); the irreducibles up
 to a degree come from a sieve of products, whose codes are built by XOR in
-characteristic 2.  Rabin's test takes the primality of integers from
-``rings.is_prime_int`` (deterministic Miller-Rabin).  ``rings`` loads this
-module only when the first polynomial ring is made.
+characteristic 2.  Rabin's test and ``prime_power`` take the primality of
+integers from ``rings.is_prime_int`` (deterministic Miller-Rabin).
+``rings`` loads this module only when the first polynomial ring is made.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import functools
 import itertools
 
 from .errors import FactorizationBudgetExceeded
-from .rings import is_prime_int
+from .rings import _primitive_power, is_prime_int
 
 #: Cap on q**d while a degree-d factor may still need trial division, and
 #: on q**bound when the irreducibles up to a degree bound are listed.
@@ -37,18 +37,8 @@ def prime_power(q: int):
     """Return (p, k) with q = p**k, or None if q is not a prime power."""
     if q < 2:
         return None
-    for p in range(2, q + 1):
-        if p * p > q:
-            return (q, 1) if q > 1 else None
-        if q % p:
-            continue
-        k = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            k += 1
-        return (p, k) if m == 1 else None
-    return None
+    c, e = _primitive_power(q)
+    return (c, e) if is_prime_int(c) else None
 
 
 def _digits(code: int, base: int, length: int):
@@ -287,36 +277,6 @@ def pgcd(K: GF, f, g):
     while g:
         f, g = g, pmod(K, f, g)
     return monic(K, f)[1]
-
-
-def pxgcd(K: GF, f, g):
-    """Return (d, u, v) with u*f + v*g = d; d is the monic gcd (or ())."""
-    r0, r1 = f, g
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = pdivmod(K, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(K, s0, pmul(K, q, s1))
-        t0, t1 = t1, psub(K, t0, pmul(K, q, t1))
-    if not r0:
-        return (), s0, t0
-    lead, d = monic(K, r0)
-    if lead != 1:
-        c = K.inv(lead)
-        s0, t0 = pscale(K, c, s0), pscale(K, c, t0)
-    return d, s0, t0
-
-
-def ppow(K: GF, f, e: int):
-    out = (1,)
-    base = f
-    while e:
-        if e & 1:
-            out = pmul(K, out, base)
-        base = pmul(K, base, base)
-        e >>= 1
-    return out
 
 
 def all_monic(K: GF, d: int):

@@ -431,7 +431,7 @@ def skolem_check(elems: Sequence[ProductElement],
     columns = []
     for i, ring in enumerate(product.components):
         try:
-            coeffs = bezout_certificate(ring, [e.entries[i] for e in elems])
+            coeffs = bezout_certificate(ring, [e.entries[i] for e in elems], budget)
         except NotUnitIdeal as exc:
             return SkolemResult(False, (), (i, exc.witness))
         columns.append(coeffs)

@@ -24,20 +24,28 @@ own ``short_name``, ``normalize``, ``max_ideal``, ``_is_unit`` and
 the ideals (p) for p in ``primes``; a kind overrides them where it differs:
 
 * ``IntegerRing``: an infinite spectrum, ``maximal_ideals_up_to`` (a sieve)
-  and ``vset`` (factoring).
+  and ``_prime_divisors`` (factoring).
 * ``ResidueRing``: ``dimension`` 0, ``is_domain`` (n is prime), ``primes``
   (those dividing n), arithmetic mod n, ``_generator_raws`` (reduced mod
   n, so a field's generator is zero), and ``valuation``, which raises.
 * ``LocalizedIntegersRing``: fractions as raw values (``_zero_raw``,
-  ``_one_raw`` and ``_generator_raws``); ``primes`` is S.
+  ``_one_raw`` and ``_generator_raws``); ``primes`` is S; ``_cover``.
 * ``PolynomialRing``: an infinite spectrum listed by (degree, code);
-  coefficient tuples as raw values, with their arithmetic, ``_gcd`` and
-  ``_in_max_ideal``; ``maximal_ideals_up_to``, ``smallest_max_ideal``,
-  ``vset`` (factoring) and ``valuation``.
+  coefficient tuples as raw values, with their arithmetic, ``_in_max_ideal``
+  and Euclidean hooks; ``maximal_ideals_up_to``, ``smallest_max_ideal`` and
+  ``_prime_divisors`` (factoring).
 
-Only ``crt_solve`` and ``bezout_certificate`` still branch on the class,
-where the raw form (integer, fraction or coefficient tuple) decides the
-arithmetic.
+The Euclidean algorithms are written once, over these hooks: the extended
+gcd ``_xgcd``, ``crt_solve``, the Bezout chain of ``bezout_certificate``,
+``RingHandle.valuation`` and ``RingHandle.vset``.  The hooks are
+``_divmod`` (Euclidean division), ``_normal`` (the unit making a value
+non-negative or monic, and that normal associate), ``_mod`` (the canonical
+residue, inverting a fraction's denominator), ``_cover`` (the associate
+that enters a chain, with its unit: the S-part over ``Z_(S)``, the value
+itself elsewhere) and ``_prime_divisors`` (the generators of the maximal
+ideals containing a nonzero value).  Chains run on covers, which are
+integers or coefficient tuples; ``_add``, ``_neg`` and ``_mul`` work on
+them too.
 
 Subsets of a maximal spectrum are carried as ``FinCofSet`` values: an explicit
 finite set, or the complement of one.  For rings with finite spectrum the
@@ -236,31 +244,21 @@ def prime_factors(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> tuple:
     return tuple(out)
 
 
-def int_valuation(n: int, p: int):
-    """Exponent of p in n; INF for n == 0."""
-    if n == 0:
-        return INF
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+@functools.lru_cache(maxsize=64)
+def _primitive_power(n: int):
+    """Write n = c**e with maximal e (so c is not a proper power).
 
-
-def xgcd(a: int, b: int):
-    """Extended gcd: returns (g, x, y) with x*a + y*b = g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    n is a proper power exactly when it is a p-th power for a prime p below
+    its bit length, and then c**e = r**p for its p-th root r, whose own
+    primitive power is c**(e/p); so one root is taken per prime until one is
+    exact, and the search goes on from that root.
+    """
+    for p in primes_up_to(n.bit_length() - 1):
+        r = iroot(n, p)
+        if r**p == n:
+            c, e = _primitive_power(r)
+            return c, e * p
+    return n, 1
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +324,6 @@ class RingHandle:
     def _mul(self, x, y):
         return x * y
 
-    def _gcd(self, x, y):
-        return math.gcd(x, y)
-
     def _is_unit(self, x) -> bool:
         raise NotImplementedError
 
@@ -343,6 +338,23 @@ class RingHandle:
 
     def _in_max_ideal(self, raw, gen) -> bool:
         return raw.numerator % gen == 0
+
+    # -- Euclidean hooks (see the module docstring) ----------------------------
+
+    def _divmod(self, x, y):
+        return divmod(x.numerator, y)
+
+    def _normal(self, x):
+        return (-1, -x) if x < 0 else (1, x)
+
+    def _mod(self, x, m):
+        return x.numerator * pow(x.denominator, -1, m) % m
+
+    def _cover(self, x):
+        return x, self._one_raw()
+
+    def _prime_divisors(self, raw, budget: int):
+        return [p for p in self.primes if self._in_max_ideal(raw, p)]
 
     # -- public element surface ----------------------------------------------
 
@@ -367,14 +379,22 @@ class RingHandle:
         return RingElement(self, self._one_raw())
 
     def vset(self, elem, budget: int = DEFAULT_FACTOR_BUDGET) -> "FinCofSet":
-        """The maximal ideals containing the element, by a scan of the
-        finite spectrum."""
+        """The maximal ideals containing the element; all of them at zero."""
         raw = self.element(elem).raw
-        return FinCofSet.finite(self, (m for m in self.maximal_spectrum()
-                                       if self._in_max_ideal(raw, m.generator)))
+        if not raw:
+            return FinCofSet.cofinite(self)
+        return FinCofSet.finite(self, map(MaxIdealId, itertools.repeat(self),
+                                          self._prime_divisors(raw, budget)))
 
     def valuation(self, elem, ideal: "MaxIdealId"):
-        return int_valuation(self.element(elem).raw.numerator, ideal.generator)
+        raw, v = self.element(elem).raw, 0
+        if not raw:
+            return INF
+        while True:
+            raw, r = self._divmod(raw, ideal.generator)
+            if r:
+                return v
+            v += 1
 
 
 class RingElement(Record):
@@ -583,12 +603,8 @@ class IntegerRing(Record, RingHandle):
     def nonzero_nonunit(self):
         return self.element(2)
 
-    def vset(self, elem, budget: int = DEFAULT_FACTOR_BUDGET):
-        elem = self.element(elem)
-        if elem.raw == 0:
-            return FinCofSet.cofinite(self)
-        return FinCofSet.finite(
-            self, (MaxIdealId(self, p) for p in prime_factors(elem.raw, budget)))
+    def _prime_divisors(self, raw, budget):
+        return prime_factors(raw, budget)
 
 
 class ResidueRing(Record, RingHandle):
@@ -701,17 +717,16 @@ class LocalizedIntegersRing(Record, RingHandle):
     def nonzero_nonunit(self):
         return self.element(self.primes[0])
 
-    def s_part(self, raw: Fraction) -> int:
-        """The part of an element supported on the spectrum primes; 0 for zero."""
-        out = 1
-        n = abs(raw.numerator)
+    def _cover(self, x):
+        # the S-part m of the numerator, and the unit m/x (1 at zero)
+        m, n = 1, abs(x.numerator)
         if n == 0:
-            return 0
+            return 0, 1
         for p in self.primes:
             while n % p == 0:
                 n //= p
-                out *= p
-        return out
+                m *= p
+        return m, m / x
 
 
 class PolynomialRing(Record, RingHandle):
@@ -757,9 +772,6 @@ class PolynomialRing(Record, RingHandle):
     def _mul(self, x, y):
         return fqpoly.pmul(self.K, x, y)
 
-    def _gcd(self, x, y):
-        return fqpoly.pgcd(self.K, x, y)
-
     def _is_unit(self, x):
         return fqpoly.deg(x) == 0
 
@@ -803,30 +815,19 @@ class PolynomialRing(Record, RingHandle):
     def _in_max_ideal(self, raw, gen):
         return not fqpoly.pmod(self.K, raw, gen)
 
-    def vset(self, elem, budget: int = DEFAULT_FACTOR_BUDGET):
-        elem = self.element(elem)
-        if not elem.raw:
-            return FinCofSet.cofinite(self)
-        if fqpoly.deg(elem.raw) == 0:
-            return FinCofSet.empty(self)
-        _, monic_part = fqpoly.monic(self.K, elem.raw)
-        poly_budget = min(budget, fqpoly.DEFAULT_POLY_BUDGET)
-        return FinCofSet.finite(
-            self, (MaxIdealId(self, g)
-                   for g, _ in fqpoly.factor_monic(self.K, monic_part, poly_budget)))
+    def _divmod(self, x, y):
+        return fqpoly.pdivmod(self.K, x, y)
 
-    def valuation(self, elem, ideal):
-        elem = self.element(elem)
-        raw = elem.raw
-        if not raw:
-            return INF
-        v = 0
-        while True:
-            q, r = fqpoly.pdivmod(self.K, raw, ideal.generator)
-            if r:
-                return v
-            raw = q
-            v += 1
+    def _normal(self, x):
+        lead, f = fqpoly.monic(self.K, x)
+        return (self.K.inv(lead),), f
+
+    def _mod(self, x, m):
+        return fqpoly.pmod(self.K, x, m)
+
+    def _prime_divisors(self, raw, budget):
+        budget = min(budget, fqpoly.DEFAULT_POLY_BUDGET)
+        return [g for g, _ in fqpoly.factor_monic(self.K, self._normal(raw)[1], budget)]
 
 
 #: Convenient shared handle for the integers.
@@ -849,10 +850,8 @@ def dset(ring: RingHandle, elem, budget: int = DEFAULT_FACTOR_BUDGET) -> FinCofS
 
 def vset_pair(ring: RingHandle, a, b, budget: int = DEFAULT_FACTOR_BUDGET) -> FinCofSet:
     """The maximal ideals containing the ideal generated by both elements."""
-    a, b = ring.element(a), ring.element(b)
-    if ring.spectrum_finite:
-        return ring.vset(a, budget) & ring.vset(b, budget)
-    return ring.vset(ring.element(ring._gcd(a.raw, b.raw)), budget)
+    covers = (ring._cover(ring.element(e).raw)[0] for e in (a, b))
+    return ring.vset(ring.element(_xgcd(ring, *covers)[0]), budget)
 
 
 def valuation(ring: RingHandle, elem, ideal: MaxIdealId):
@@ -860,6 +859,25 @@ def valuation(ring: RingHandle, elem, ideal: MaxIdealId):
     if ideal.ring != ring:
         raise InconsistentInput(f"{ideal} is not a maximal ideal of {ring.short_name}")
     return ring.valuation(elem, ideal)
+
+
+def _zero_one(ring: RingHandle) -> tuple:
+    return ring._cover(ring._zero_raw())[0], ring._cover(ring._one_raw())[0]
+
+
+def _xgcd(ring: RingHandle, a, b) -> tuple:
+    """Extended Euclid on two covers: (g, x, y) with x*a + y*b == g, and g
+    normal (non-negative, or monic; zero when a and b are)."""
+    add, neg, mul = ring._add, ring._neg, ring._mul
+    zero, one = _zero_one(ring)
+    r0, r1, s0, s1, t0, t1 = a, b, one, zero, zero, one
+    while r1:
+        q, r = ring._divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, add(s0, neg(mul(q, s1)))
+        t0, t1 = t1, add(t0, neg(mul(q, t1)))
+    u, g = ring._normal(r0)
+    return g, mul(u, s0), mul(u, t0)
 
 
 def crt_solve(ring: RingHandle, congruences: Sequence) -> RingElement:
@@ -879,87 +897,53 @@ def crt_solve(ring: RingHandle, congruences: Sequence) -> RingElement:
             raise InconsistentInput(f"{m} does not belong to {ring.short_name}")
         if e < 0:
             raise InconsistentInput("exponents must be non-negative")
-    live = [(m, e, r) for m, e, r in congruences if e > 0]
-    if not live:
-        return ring.zero
-
-    if isinstance(ring, PolynomialRing):
-        K = ring.K
-        x, modulus = (), (1,)
-        for m, e, r in live:
-            step = fqpoly.ppow(K, m.generator, e)
-            r = ring.element(r).raw
-            # solve x + modulus*t = r (mod step)
-            d, u, _ = fqpoly.pxgcd(K, modulus, step)
-            if d != (1,):
-                raise AssertionError("moduli of distinct irreducibles are coprime")
-            diff = fqpoly.pmod(K, fqpoly.psub(K, r, x), step)
-            t = fqpoly.pmod(K, fqpoly.pmul(K, diff, u), step)
-            x = fqpoly.padd(K, x, fqpoly.pmul(K, modulus, t))
-            modulus = fqpoly.pmul(K, modulus, step)
-            x = fqpoly.pmod(K, x, modulus)
-        return ring.element(x)
-
-    # integer-like kinds
-    x, modulus = 0, 1
-    for m, e, r in live:
-        step = m.generator**e
-        r = ring.element(r).raw  # an int or a Fraction
-        r = r.numerator * pow(r.denominator, -1, step) % step
-        g, u, _ = xgcd(modulus, step)
-        if g != 1:
+    add, neg, mul, mod = ring._add, ring._neg, ring._mul, ring._mod
+    # covers, so that the moduli are integers over Z_(S)
+    zero, one = _zero_one(ring)
+    x, modulus = zero, one
+    for m, e, r in congruences:
+        if e == 0:
+            continue
+        step = functools.reduce(mul, itertools.repeat(m.generator, e))
+        r = mod(ring.element(r).raw, step)
+        # solve x + modulus*t = r (mod step)
+        g, u, _ = _xgcd(ring, modulus, step)
+        if g != one:
             raise AssertionError(f"moduli {modulus} and {step} are not coprime")
-        t = ((r - x) * u) % step
-        x = (x + modulus * t) % (modulus * step)
-        modulus *= step
+        t = mod(mul(add(r, neg(x)), u), step)
+        x = mod(add(x, mul(modulus, t)), mul(modulus, step))
+        modulus = mul(modulus, step)
     return ring.element(x)
 
 
-def bezout_certificate(ring: RingHandle, elems: Sequence) -> list:
+def bezout_certificate(ring: RingHandle, elems: Sequence,
+                       budget: int = DEFAULT_FACTOR_BUDGET) -> list:
     """Coefficients c_i with sum(c_i * elems_i) == 1 exactly.
 
-    Raises NotUnitIdeal (with a common maximal ideal as witness) when the
-    elements do not generate the unit ideal.
+    One Bezout chain over the covers of the elements, each a unit w times its
+    element (the modulus of Z/n joins last, and its coefficient is dropped);
+    the gcd g is made normal at the end, and c_i is the chain's coefficient
+    times the units.  Raises NotUnitIdeal when the elements do not generate
+    the unit ideal, with a maximal ideal containing g (found under the
+    factoring budget) as witness.
     """
     elems = [ring.element(e) for e in elems]
     if not elems:
         raise NotUnitIdeal(ring.smallest_max_ideal())
-
-    if isinstance(ring, PolynomialRing):
-        K = ring.K
-        g, coeffs = elems[0].raw, [(1,)]
-        for e in elems[1:]:
-            g2, x, y = fqpoly.pxgcd(K, g, e.raw)
-            coeffs = [fqpoly.pmul(K, c, x) for c in coeffs] + [y]
-            g = g2
-        if fqpoly.deg(g) != 0:
-            if not g:
-                raise NotUnitIdeal(ring.smallest_max_ideal())
-            _, monic_g = fqpoly.monic(K, g)
-            factor = fqpoly.factor_monic(K, monic_g)[0][0]
-            raise NotUnitIdeal(MaxIdealId(ring, factor))
-        inv = K.inv(g[0])
-        return [ring.element(fqpoly.pscale(K, inv, c)) for c in coeffs]
-
-    # the integer kinds: one Bezout chain over the integers, of the raw
-    # values over Z and Z/n (the modulus of Z/n joins last, and its
-    # coefficient is dropped), or over Z_(S) of the S-parts m, each a unit
-    # times its element (0 for a zero element, whose coefficient is then 0)
-    local = isinstance(ring, LocalizedIntegersRing)
-    values = [ring.s_part(e.raw) if local else e.raw for e in elems]
+    covers, units = zip(*(ring._cover(e.raw) for e in elems))
     if ring.dimension == 0:
-        values.append(ring.modulus)
-    g, coeffs = values[0], [1]
-    for v in values[1:]:
-        g, x, y = xgcd(g, v)
-        coeffs = [c * x for c in coeffs] + [y]
-    if g != 1:
-        raise NotUnitIdeal(ring.smallest_max_ideal() if g == 0
-                           else MaxIdealId(ring, prime_factors(g)[0]))
-    if local:
-        return [ring.element(Fraction(c * m) / e.raw if m else 0)
-                for c, m, e in zip(coeffs, values, elems)]
-    return [ring.element(c) for c in coeffs[:len(elems)]]
+        covers += (ring.modulus,)
+    one = _zero_one(ring)[1]
+    g, coeffs = covers[0], [one]
+    for m in covers[1:]:
+        g, x, y = _xgcd(ring, g, m)
+        coeffs = [ring._mul(c, x) for c in coeffs] + [y]
+    u, g = ring._normal(g)
+    if not g:
+        raise NotUnitIdeal(ring.smallest_max_ideal())
+    if g != one:
+        raise NotUnitIdeal(MaxIdealId(ring, ring._prime_divisors(g, budget)[0]))
+    return [ring.element(ring._mul(ring._mul(c, u), w)) for c, w in zip(coeffs, units)]
 
 
 class ZeroMarker:

@@ -636,7 +636,7 @@ def _valuation_compare(scn, query, where):
     u = resolve(scn, query.get("ultrafilter"), "ultrafilter", where)
     a = resolve(scn, query.get("a"), "element", where)
     b = resolve(scn, query.get("b"), "element", where)
-    return {"verdict": valuations.valuation_compare(u, a, b),
+    return {"verdict": valuations.valuation_compare(u, a, b, scn.options.factor_budget),
             "provenance": ("rule:principal-valuation-restriction"
                            if not u.is_frechet else "rule:frechet-exception-scan")}
 

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .record import Record
-from .rings import INF, MaxIdealId, iroot, primes_up_to, valuation
+from .rings import DEFAULT_FACTOR_BUDGET, INF, MaxIdealId, _primitive_power, valuation
 from .values import check_value, is_value
 
 #: The largest ``n_max`` of ``interpolate_chain``, and the longest built-in
@@ -101,7 +101,8 @@ def _check_element(u: UltrafilterDescriptor, x):
         raise ShapeMismatch("element over a different shape")
 
 
-def valuation_compare(u: UltrafilterDescriptor, a, b) -> str:
+def valuation_compare(u: UltrafilterDescriptor, a, b,
+                      budget: int = DEFAULT_FACTOR_BUDGET) -> str:
     """Compare images of two product elements under the induced valuation.
 
     Returns "GE" when some member of the ultrafilter witnesses a pointwise
@@ -123,7 +124,7 @@ def valuation_compare(u: UltrafilterDescriptor, a, b) -> str:
         return "GE"
     if eb.is_zero:
         return "LT"
-    exceptional = set(ring.vset(ea).sorted_support()) | set(ring.vset(eb).sorted_support())
+    exceptional = ring.vset(ea, budget).support | ring.vset(eb, budget).support
     for m in exceptional:
         if valuation(ring, ea, m) < valuation(ring, eb, m):
             return "LT"
@@ -248,23 +249,6 @@ def chain_strictness(u: UltrafilterDescriptor, g: ValueVector, h: ValueVector) -
 
 # ---------------------------------------------------------------------------
 # Exact floor(N / log N)
-
-
-@functools.lru_cache(maxsize=64)
-def _primitive_power(n: int):
-    """Write n = c**e with maximal e (so c is not a proper power).
-
-    n is a proper power exactly when it is a p-th power for a prime p below
-    its bit length, and then c**e = r**p for its p-th root r, whose own
-    primitive power is c**(e/p); so one root is taken per prime until one is
-    exact, and the search goes on from that root.
-    """
-    for p in primes_up_to(n.bit_length() - 1):
-        r = iroot(n, p)
-        if r**p == n:
-            c, e = _primitive_power(r)
-            return c, e * p
-    return n, 1
 
 
 def _atanh_bounds(p: int, q: int, w: int):

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 
 import pytest
 
@@ -17,11 +19,10 @@ from prodideals.fqpoly import (
     pgcd,
     pmul,
     poly_str,
-    ppow,
     prime_power,
-    pxgcd,
     trim,
 )
+from prodideals.rings import ZZ, PolynomialRing, _xgcd
 
 
 def test_prime_power_recognition():
@@ -30,6 +31,25 @@ def test_prime_power_recognition():
     assert prime_power(32) == (2, 5)
     assert prime_power(12) is None
     assert prime_power(1) is None
+
+
+def test_prime_power_against_the_definition():
+    want = {p**k: (p, k) for p in range(2, 3000) if all(p % d for d in range(2, p))
+            for k in range(1, 12) if p**k < 3000}
+    assert {q: prime_power(q) for q in range(-2, 3000)} == \
+        {q: want.get(q) for q in range(-2, 3000)}
+
+
+def test_prime_power_of_a_large_field_is_quick():
+    # trial division up to the square root would run for minutes here
+    p = 2**61 - 1
+    started = time.perf_counter()
+    assert prime_power(p) == (p, 1)
+    assert prime_power(p**3) == (p, 3)
+    assert prime_power(3**40) == (3, 40)
+    assert prime_power(3 * p) is None
+    assert prime_power((2**31 - 1) * p) is None
+    assert time.perf_counter() - started < 1.0
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
@@ -77,7 +97,8 @@ def test_field_above_table_size(q):
     f = pmul(K, (rng.randrange(q), 1), (rng.randrange(q), rng.randrange(q), 1))
     product = (1,)
     for g, e in factor_monic(K, f):
-        product = pmul(K, product, ppow(K, g, e))
+        for _ in range(e):
+            product = pmul(K, product, g)
     assert product == f
 
 
@@ -96,14 +117,20 @@ def test_divmod_roundtrip():
 
 
 def test_xgcd_identity():
+    # the one extended gcd of the ring kinds, over F3[x] and over Z
     rng = random.Random("xgcd")
-    K = field(3)
+    ring = PolynomialRing(3)
+    K = ring.K
     for _ in range(200):
         f = trim(rng.randrange(3) for _ in range(rng.randint(0, 6)))
         g = trim(rng.randrange(3) for _ in range(rng.randint(0, 6)))
-        d, u, v = pxgcd(K, f, g)
+        d, u, v = _xgcd(ring, f, g)
         assert padd(K, pmul(K, u, f), pmul(K, v, g)) == d
         assert d == pgcd(K, f, g)
+    for _ in range(200):
+        a, b = rng.randint(-10**6, 10**6), rng.choice([0, rng.randint(-10**6, 10**6)])
+        d, u, v = _xgcd(ZZ, a, b)
+        assert u * a + v * b == d == math.gcd(a, b)
 
 
 def _necklace_count(q, n):
@@ -150,7 +177,8 @@ def test_factor_monic_roundtrip():
             product = (1,)
             for g, e in factor_monic(K, f):
                 assert is_irreducible(K, g)
-                product = pmul(K, product, ppow(K, g, e))
+                for _ in range(e):
+                    product = pmul(K, product, g)
             assert product == f
 
 
@@ -166,7 +194,7 @@ def test_factor_budget_raises_where_the_divisor_scan_would():
     degree9 = [g for g in irreducibles_up_to(K, 9) if deg(g) == 9]
     with pytest.raises(FactorizationBudgetExceeded, match="degree-9"):
         factor_monic(K, pmul(K, degree9[0], degree9[1]), budget=2**8)
-    x17_x1 = pmul(K, ppow(K, (0, 1), 17), (1, 1))
+    x17_x1 = pmul(K, (0,) * 17 + (1,), (1, 1))
     assert factor_monic(K, x17_x1, budget=2**8) == [((0, 1), 17), ((1, 1), 1)]
 
 

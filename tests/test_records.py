@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import prodideals
-from prodideals import boolalg, oracle, products, properties, scenario, valuations
+from prodideals import boolalg, oracle, products, properties, rings, scenario, valuations
 from prodideals.errors import InconsistentInput
 from prodideals.record import Record
 from prodideals.rings import (
@@ -177,6 +177,29 @@ class TestExports:
             found += [(path.name, ast.get_source_segment(text, node))
                       for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Assert)]
         assert found == [("fqpoly.py", "assert f and f[-1] == 1")]
+
+    def test_ring_kinds_dispatch_by_member(self):
+        # a decision that depends on the ring kind is a member of the kind, so
+        # only the class bodies of rings test for a catalog class; oracle, the
+        # independent harness, is exempt
+        catalog = {cls.__name__ for cls in vars(rings).values() if isinstance(cls, type)
+                   and issubclass(cls, rings.RingHandle) and cls is not rings.RingHandle}
+        found = []
+        for path in sorted((SRC / "prodideals").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            exempt = set()
+            if path.name == "rings.py":
+                exempt = {id(node) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                          for node in ast.walk(cls)}
+            for node in ast.walk(tree):
+                if (path.name != "oracle.py" and isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "isinstance"
+                        and len(node.args) == 2 and id(node) not in exempt):
+                    names = {getattr(n, "id", getattr(n, "attr", None))
+                             for n in ast.walk(node.args[1])}
+                    if names & catalog:
+                        found.append(f"{path.name}:{node.lineno}")
+        assert len(catalog) == 4 and found == []
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,41 @@ class TestBezout:
             bezout_certificate(ZZ, [ZZ.element(0), ZZ.element(0)])
         assert exc.value.witness.generator == 2
 
+    @pytest.mark.parametrize("ring, units, nonunits", [
+        (IntegerRing(), {1: 1, -1: -1}, {-6: 2, 35: 5, 0: 2}),
+        (ResidueRing(12), {5: 5, 7: 7, -1: 11}, {9: 3, 8: 2, 6: 2, 0: 2}),
+        (ResidueRing(7), {3: 5, 6: 6}, {0: 7}),
+        (LocalizedIntegersRing((2, 5)), {Fraction(3, 7): Fraction(7, 3), -1: -1},
+         {Fraction(10, 3): 2, 25: 5, 0: 2}),
+        (PolynomialRing(5), {(3,): (2,), (4,): (4,)},
+         {(0, 2): (0, 1), (2, 0, 3): (1, 1), (1, 0, 1): (2, 1), (): (0, 1)}),
+        (PolynomialRing(2), {(1,): (1,)}, {(1, 1, 1): (1, 1, 1), (1, 0, 1): (1, 1)}),
+    ])
+    def test_single_element_chains(self, ring, units, nonunits):
+        # a unit's certificate is its inverse; a nonunit's witness is the
+        # first maximal ideal containing it in listing order, and zero's is
+        # the smallest maximal ideal
+        for u, inverse in units.items():
+            (c,) = bezout_certificate(ring, [u])
+            assert c == ring.element(inverse) and c * u == ring.one
+        for e, gen in nonunits.items():
+            with pytest.raises(NotUnitIdeal) as exc:
+                bezout_certificate(ring, [e])
+            assert exc.value.witness == ring.max_ideal(gen)
+            assert exc.value.witness.contains(e)
+        with pytest.raises(NotUnitIdeal) as exc:
+            bezout_certificate(ring, [ring.zero])
+        assert exc.value.witness == ring.smallest_max_ideal()
+
+    def test_budget(self, ZZ):
+        # the common gcd is factored for the witness under the given budget
+        n = 10007 * 10009
+        with pytest.raises(NotUnitIdeal) as exc:
+            bezout_certificate(ZZ, [n, 2 * n])
+        assert exc.value.witness.generator == 10007
+        with pytest.raises(FactorizationBudgetExceeded, match=f"^cofactor {n} "):
+            bezout_certificate(ZZ, [n, 2 * n], budget=100)
+
 
 class TestJacobson:
     def test_catalog(self, ZZ, R12, L25, F2X):

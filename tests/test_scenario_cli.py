@@ -424,6 +424,7 @@ class TestCli:
     @pytest.mark.parametrize("ring, bound, cap", [
         ("Z", 10**9, 10**6),
         ("F2[x]", 40, 2**16),
+        ("F2305843009213693951[x]", 1, 2**16),
     ])
     def test_maxideals_bound_above_cap(self, ring, bound, cap):
         start = time.perf_counter()
@@ -558,6 +559,33 @@ class TestCli:
         with pytest.raises(FactorizationBudgetExceeded,
                            match=r"^queries\[0\]: cofactor 1000000016000000063 "):
             run_scenario(json.dumps(data))
+
+    @pytest.mark.parametrize("query", [
+        {"query": "skolem", "elements": [[10007 * 10009]]},
+        {"query": "valuation-compare", "ultrafilter": {"coordinate": 0, "cofinite_frechet": True},
+         "a": [10007 * 10009], "b": [1]},
+    ])
+    def test_factor_budget_reaches_the_query(self, tmp_path, query):
+        # the Bezout witness and the Frechet exception scan factor under
+        # the scenario's budget, not the default one
+        path = tmp_path / "budget.json"
+        path.write_text(json.dumps(minimal_scenario(product=[0], queries=[query])))
+        assert run_cli(["run", str(path)])[0] == 0
+        path.write_text(json.dumps(minimal_scenario(
+            product=[0], queries=[query], options={"factor_budget": 100})))
+        code, out, err = run_cli(["run", str(path)])
+        assert code == 1 and out == ""
+        assert err == ("error: queries[0]: cofactor 100160063 not certified prime "
+                       "within trial budget 100\n")
+
+    def test_skolem_single_unit(self, tmp_path):
+        path = tmp_path / "unit.json"
+        path.write_text(json.dumps(minimal_scenario(
+            product=[0], queries=[{"query": "skolem", "elements": [[-1]]}])))
+        code, out, err = run_cli(["--format", "machine", "run", str(path)])
+        assert code == 0 and err == ""
+        rec = json.loads(out.splitlines()[1])
+        assert rec["verdict"] is True and rec["certificate"] == [[-1]]
 
     def test_ring_budget_error_is_located(self):
         # psi_13 passes Miller-Rabin to every base but is past the proven range
