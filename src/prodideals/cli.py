@@ -71,6 +71,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+class _FullParserNeeded(Exception):
+    pass
+
+
+class _OneCommandParser(_Parser):
+    """The top level of a parser built for one subcommand.  Its help and its
+    usage would list that subcommand alone, so it prints neither: ``main``
+    parses again with every subcommand, which prints them as they are."""
+
+    def error(self, message):
+        raise _FullParserNeeded
+
+    def print_help(self, file=None):
+        raise _FullParserNeeded
+
+
 #: ``-r`` for a query over a product of rings, and for one over a single ring
 _RINGS = {"action": "append", "metavar": "RING", "help": "component ring token (repeatable)"}
 _ONE_RING = {}
@@ -119,7 +135,9 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone: a process
+    runs one command, so it need not build the others."""
     # the global flags are accepted both before and after the subcommand;
     # no flag has a default, so an absent flag leaves no attribute behind
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -131,14 +149,17 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--infinite-index", action="store_true",
                         help="request infinite index sets (always refused)")
 
-    parser = _Parser(
+    parser = (_Parser if command is None else _OneCommandParser)(
         prog="prodideals",
         description="prime and maximal ideals in finite products of arithmetic rings",
         parents=[common])
-    sub = parser.add_subparsers(dest="command")
-    run = sub.add_parser("run", parents=[common], help="execute a scenario file")
-    run.add_argument("scenario", help="path to a scenario JSON file")
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    if command in (None, "run"):
+        run = sub.add_parser("run", parents=[common], help="execute a scenario file")
+        run.add_argument("scenario", help="path to a scenario JSON file")
     for name, (text, rings, flags) in COMMANDS.items():
+        if command not in (None, name):
+            continue
         cmd = sub.add_parser(name, parents=[common], help=text,
                              argument_default=argparse.SUPPRESS)
         if rings is not None:
@@ -181,8 +202,14 @@ _GLOBAL_DEFAULTS = {"format": "text", "infinite_index": False}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # no value of a global flag names a command, so the first argument that
+    # names one is the command; help and usage errors need every command
+    command = next((a for a in argv if a == "run" or a in COMMANDS), None)
+    try:
+        args = build_parser(command).parse_args(argv)
+    except _FullParserNeeded:
+        args = build_parser().parse_args(argv)
     # a parser default would also overwrite a global flag given before the
     # subcommand, so the defaults of the two always read are filled in here
     for key, value in _GLOBAL_DEFAULTS.items():
@@ -192,7 +219,7 @@ def main(argv=None) -> int:
         print(INFINITE_INDEX_MESSAGE, file=sys.stderr)
         return 1
     if args.command is None:
-        parser.print_help()
+        build_parser().print_help()
         return 1
     try:
         return _dispatch(args)

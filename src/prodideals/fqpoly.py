@@ -161,10 +161,17 @@ class GF:
         return _undigits(pmod(Fp, prod, self.modulus), p)
 
     def _inv_slow(self, a: int) -> int:
-        for b in range(1, self.q):
-            if self._mul_slow(a, b) == 1:
-                return b
-        raise AssertionError("inverse not found")
+        # a**(q-1) == 1 for a != 0, so a**(q-2) is the inverse: by
+        # square-and-multiply, log q multiplications
+        if self.k == 1:
+            return pow(a, -1, self.p)
+        out, e = 1, self.q - 2
+        while e:
+            if e & 1:
+                out = self._mul_slow(out, a)
+            a = self._mul_slow(a, a)
+            e >>= 1
+        return out
 
     def add(self, a: int, b: int) -> int:
         return self._add_table[a][b]
@@ -184,7 +191,7 @@ class GF:
         return self._inv_table[a]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def field(q: int) -> GF:
     return GF(q)
 
@@ -290,22 +297,17 @@ def _frobenius_rows(K: GF, f):
 
     Since c**q == c for every c in F_q, (sum h_i x^i)**q = sum h_i x^(i*q),
     so h**q mod f is the combination of these rows with h's coefficients.
-    They are read off the walk x^j mod f, one multiplication by x per step.
+    x^q mod f comes by square-and-multiply, and each further row is the one
+    before it times x^q mod f.
     """
-    n, q = deg(f), K.q
-    sub, mul = K._sub_table, K._mul_table
-    low = f[:n]
-    t = [1] + [0] * (n - 1)
-    rows = [trim(t)]
-    for j in range(1, (n - 1) * q + 1):
-        top = t.pop()
-        t.insert(0, 0)
-        if top:
-            row = mul[top]
-            for i, b in enumerate(low):
-                t[i] = sub[t[i]][row[b]]
-        if j % q == 0:
-            rows.append(trim(t))
+    xq = (1,)
+    for bit in bin(K.q)[2:]:
+        xq = pmod(K, pmul(K, xq, xq), f)
+        if bit == "1":
+            xq = pmod(K, (0,) + xq, f)
+    rows = [(1,)]
+    for _ in range(deg(f) - 1):
+        rows.append(pmod(K, pmul(K, rows[-1], xq), f))
     return rows
 
 
@@ -348,8 +350,14 @@ def factor_monic(K: GF, f, budget: int = DEFAULT_POLY_BUDGET):
     the distinct degree-d irreducible factors, split by trial division when
     there are several.  While 2d <= deg(rest), a degree-d factor is still
     possible, and q**d above ``budget`` raises, as a scan of every degree-d
-    trial divisor would.
+    trial divisor would.  The factorisations are cached as tuples, and each
+    call gets a list of its own; an error is not cached, so it raises again.
     """
+    return list(_factor_monic(K, f, budget))
+
+
+@functools.lru_cache(maxsize=4096)
+def _factor_monic(K: GF, f, budget: int) -> tuple:
     assert f and f[-1] == 1
     x = (0, 1)
     factors = []
@@ -379,12 +387,14 @@ def factor_monic(K: GF, f, budget: int = DEFAULT_POLY_BUDGET):
     if deg(rest) >= 1:
         factors.append((rest, 1))
     factors.sort(key=lambda pair: (deg(pair[0]), _undigits(pair[0][:-1], K.q)))
-    return factors
+    return tuple(factors)
 
 
+@functools.lru_cache(maxsize=4096)
 def is_irreducible(K: GF, f) -> bool:
     """Rabin's test: f of degree n is irreducible iff x^(q^n) = x mod f and
-    gcd(f, x^(q^(n/r)) - x) = 1 for every prime r dividing n."""
+    gcd(f, x^(q^(n/r)) - x) = 1 for every prime r dividing n.  The verdicts
+    are cached, since a scenario names the same generators again and again."""
     n = deg(f)
     if n < 1:
         return False

@@ -109,12 +109,15 @@ def _load_fraction():
     return Fraction
 
 
+@functools.lru_cache(maxsize=4096)
 def is_prime_int(n: int) -> bool:
     """Whether the integer n is prime, by deterministic Miller-Rabin.
 
     A composite verdict is always proven.  A number at or above
     ``MILLER_RABIN_LIMIT`` that passes every base raises
-    FactorizationBudgetExceeded, because there the test is not a proof.
+    FactorizationBudgetExceeded, because there the test is not a proof; an
+    error is not cached, so it raises on every call.  The verdicts are
+    cached, since a scenario names the same generators again and again.
     """
     if n < 2:
         return False

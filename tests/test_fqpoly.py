@@ -7,6 +7,9 @@ import pytest
 
 from prodideals.errors import FactorizationBudgetExceeded
 from prodideals.fqpoly import (
+    DEFAULT_POLY_BUDGET,
+    _factor_monic,
+    _frobenius_rows,
     all_monic,
     deg,
     factor_monic,
@@ -202,6 +205,69 @@ def test_rabin_accepts_large_irreducible():
     K = field(2)
     assert is_irreducible(K, (1, 0, 0, 1) + (0,) * 27 + (1,))  # x^31 + x^3 + 1
     assert not is_irreducible(K, (1, 0, 0, 1) + (0,) * 26 + (1,))  # x^30 + x^3 + 1
+
+
+def test_factor_budget_raises_on_every_call():
+    # an error is not cached, so a repeated call over budget raises again
+    K = field(2)
+    f = tuple([1, 0, 0, 1] + [0] * 27 + [1])
+    for _ in range(2):
+        with pytest.raises(FactorizationBudgetExceeded, match="degree-8"):
+            factor_monic(K, f, budget=2**7)
+    assert factor_monic(K, f) == [(f, 1)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 27])
+def test_cached_answers_are_the_computed_ones(q):
+    K = field(q)
+    rng = random.Random(f"prodideals:cache:{q}")
+    samples = [tuple(rng.randrange(q) for _ in range(rng.randint(0, 6))) + (1,)
+               for _ in range(40)]
+    for f in samples + samples:
+        assert is_irreducible(K, f) == is_irreducible.__wrapped__(K, f)
+        want = list(_factor_monic.__wrapped__(K, f, DEFAULT_POLY_BUDGET))
+        assert factor_monic(K, f) == want
+
+
+def test_a_returned_factorisation_is_the_callers_own():
+    K = field(3)
+    f = pmul(K, (1, 1), (2, 0, 1))  # (x + 1)(x^2 + 2)
+    first = factor_monic(K, f)
+    want = list(first)
+    first.append(((0, 1), 9))
+    first[0] = None
+    assert factor_monic(K, f) == want
+
+
+def _walked_frobenius_rows(K, f):
+    """x^(i*q) mod f for i < deg(f), read off the walk x^j mod f: the
+    reference for ``_frobenius_rows``."""
+    rows, t = [], (1,)
+    for j in range((deg(f) - 1) * K.q + 1):
+        if j % K.q == 0:
+            rows.append(t)
+        t = pdivmod(K, (0,) + t, f)[1]
+    return rows
+
+
+def test_frobenius_rows_match_the_walk():
+    rng = random.Random("prodideals:frobenius")
+    for _ in range(400):
+        q = rng.choice([2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27])
+        K = field(q)
+        f = tuple(rng.randrange(q) for _ in range(rng.randint(1, 7))) + (1,)
+        assert _frobenius_rows(K, f) == _walked_frobenius_rows(K, f), (q, f)
+
+
+@pytest.mark.parametrize("q", [257, 343, 625, 729, 1024])
+def test_inverse_above_the_table_size(q):
+    # above q = 256 an inverse is computed, not looked up (by pow for a prime
+    # q): every product with it is 1, and for a sample a scan of every
+    # candidate finds it alone
+    K = field(q)
+    assert all(K.mul(a, K.inv(a)) == 1 for a in range(1, q))
+    for a in random.Random(f"prodideals:inverse:{q}").sample(range(1, q), 6):
+        assert [b for b in range(1, q) if K.mul(a, b) == 1] == [K.inv(a)]
 
 
 def _reference_factor(K, f, small_irreducibles):

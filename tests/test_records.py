@@ -201,6 +201,29 @@ class TestExports:
                         found.append(f"{path.name}:{node.lineno}")
         assert len(catalog) == 4 and found == []
 
+    def test_every_cache_is_bounded(self):
+        # a process-wide cache holds a bounded number of entries: no
+        # lru_cache(maxsize=None), no bare lru_cache and no functools.cache
+        found = []
+        for path in sorted((SRC / "prodideals").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+            for node in ast.walk(tree):
+                where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+                if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                    found += [where for alias in node.names if alias.name == "cache"]
+                if (isinstance(node, ast.Attribute) and node.attr == "cache"
+                        and getattr(node.value, "id", None) == "functools"):
+                    found.append(where)
+                if getattr(node, "attr", getattr(node, "id", None)) == "lru_cache":
+                    call = calls.get(id(node))
+                    if call is None or any(
+                            isinstance(a, ast.Constant) and a.value is None
+                            for a in call.args[:1] + [k.value for k in call.keywords
+                                                      if k.arg == "maxsize"]):
+                        found.append(where)
+        assert found == []
+
 
 # ---------------------------------------------------------------------------
 # Record parity: what the code relied on when the records were dataclasses

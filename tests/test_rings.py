@@ -419,8 +419,10 @@ def test_enumeration_caps_raise_before_allocating(monkeypatch):
 
 def test_caches_are_bounded():
     from prodideals.products import witness_fillers
+    from prodideals.rings import is_prime_int
     from prodideals.valuations import _primitive_power
-    for cache in (prime_factors, witness_fillers, _primitive_power):
+    for cache in (prime_factors, witness_fillers, _primitive_power, is_prime_int,
+                  fqpoly.field, fqpoly.is_irreducible, fqpoly._factor_monic):
         assert cache.cache_info().maxsize is not None
 
 
@@ -528,6 +530,26 @@ def test_miller_rabin_strong_pseudoprimes():
     assert not is_prime_int(psi13 + 1)  # composite verdicts hold at any size
     primes = set(_primes_below(3000))
     assert [n for n in range(-5, 3000) if is_prime_int(n)] == sorted(primes)
+
+
+def test_cached_primality_is_the_computed_one():
+    from prodideals.rings import is_prime_int
+    rng = rng_for("is_prime_int cache")
+    samples = ([rng.randrange(-10, 10**6) for _ in range(300)]
+               + [rng.randrange(10**20) | 1 for _ in range(100)]
+               + [2**61 - 1, 2047, 3215031751, 318665857834031151167461])
+    for n in samples + samples:
+        assert is_prime_int(n) == is_prime_int.__wrapped__(n), n
+
+
+def test_primality_errors_raise_on_every_call():
+    # an error is not cached: psi_13 and the prime 2**89 - 1 above it pass every
+    # base, so both raise on the second call as on the first
+    from prodideals.rings import MILLER_RABIN_LIMIT, is_prime_int
+    for n in (MILLER_RABIN_LIMIT, 2**89 - 1):
+        for _ in range(2):
+            with pytest.raises(FactorizationBudgetExceeded, match=f"^{n} passes"):
+                is_prime_int(n)
 
 
 def test_icbrt_is_the_floor_cube_root():

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import spawn_cli
 import prodideals
-from prodideals.cli import INFINITE_INDEX_MESSAGE, main, parse_ring_token
+from prodideals.cli import COMMANDS, INFINITE_INDEX_MESSAGE, build_parser, main, parse_ring_token
 from prodideals.errors import ParseError, ValidationError
 from prodideals.scenario import (
     SCHEMA_VERSION,
@@ -617,6 +617,95 @@ class TestCli:
         assert code == 0
         assert json.loads(out.splitlines()[1])["verdict"] == {"coordinate": 0,
                                                               "kind": "kernel_ideal"}
+
+
+# one command line per subcommand, with every flag of its row
+ONE_PER_COMMAND = [
+    ["run", "scenario.json"],
+    ["maxideals", "-r", "Z", "-r", "Z/12"],
+    ["check-plus", "-r", "Z", "--r-elem", "2", "--a-elem", "6"],
+    ["check-plusplus", "-r", "Z/12", "--r-elem", "5"],
+    ["ideal-member", "-r", "Z", "--ideal", "{}", "--element", "[6]"],
+    ["minimal-prime", "--ring", "Z", "--ultrafilter", "{}"],
+    ["valuation-compare", "-r", "Z", "--ultrafilter", "{}", "-a", "[4]", "-b", "[2]"],
+    ["ug-member", "-r", "Z", "--ultrafilter", "{}", "-g", "{}", "-x", "[2]"],
+    ["ll", "-r", "Z", "--ultrafilter", "{}", "-g", "{}", "--h-vec", "{}"],
+    ["interpolate", "--branch", "V", "--sample", "{}", "--doubling", "16", "--n-max", "5"],
+    ["oracle", "-r", "Z/6", "--no-primes", "--budget", "100"],
+]
+GLOBAL_FLAGS = [[], ["--format", "machine", "--bound", "3"],
+                ["--log-base", "2", "--infinite-index"]]
+
+
+def outcome(call):
+    """(exit code or return value, stdout, stderr) of ``call()``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestOneCommandParser:
+    """``main`` builds the subparser of the command it runs, and nothing the
+    full parser would print changes."""
+
+    def test_every_command_is_covered(self):
+        assert [argv[0] for argv in ONE_PER_COMMAND] == ["run", *COMMANDS]
+
+    @pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=lambda argv: argv[0])
+    def test_same_namespace_as_the_full_parser(self, argv):
+        one = build_parser(argv[0])
+        assert list(one._subparsers._group_actions[0].choices) == [argv[0]]
+        for before in GLOBAL_FLAGS:
+            for after in GLOBAL_FLAGS:
+                line = before + argv + after
+                assert one.parse_args(line) == build_parser().parse_args(line), line
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["-h", "maxideals", "-r", "Z"],          # help before a command
+        ["--he", "oracle"],                       # an abbreviated --help
+        ["no-such-command"],
+        ["no-such-command", "maxideals"],         # a command name, but not first
+        ["--bound", "x", "maxideals", "-r", "Z"],  # a global flag's usage error
+        ["--format", "run"],
+        ["maxideals", "-r", "Z", "run"],          # an extra argument
+        ["maxideals"],
+        ["maxideals", "--help"],
+        ["run", "--help"],
+    ])
+    def test_help_and_usage_errors_are_the_full_parsers(self, argv):
+        code, out, err = outcome(lambda: main(argv))
+        assert (code, out, err) == outcome(lambda: build_parser().parse_args(argv))
+        assert code in (0, 1) and "usage: prodideals" in out + err
+
+    def test_top_level_help_lists_every_command(self):
+        code, out, _ = outcome(lambda: main(["--help"]))
+        assert code == 0 and all(name in out for name in COMMANDS)
+
+    def test_no_command_prints_the_full_help(self):
+        assert outcome(lambda: main([])) == (1, build_parser().format_help(), "")
+        assert outcome(lambda: main(["--format", "machine"]))[:2] == (
+            1, build_parser().format_help())
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-plus", "-r", "F2305843009213693951[x]", "--r-elem", '{"poly":[0,1]}',
+     "--a-elem", '{"poly":[5,3]}'],
+    ["minimal-prime", "-r", "F2305843009213693951[x]", "--ultrafilter",
+     '{"coordinate":0,"principal":{"poly":[1,0,1]}}'],
+    ["minimal-prime", "-r", "F1000003[x]", "--ultrafilter",
+     '{"coordinate":0,"principal":{"poly":[1,0,1]}}'],
+], ids=["inverse", "frobenius-2^61-1", "frobenius-1000003"])
+def test_large_field_query_is_quick(argv):
+    # a field inverse and x^q mod f take log q multiplications, not q
+    started = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - started < 1.0
+    assert (code, err) == (0, "") and "provenance" in out
 
 
 def maxideals_scenario(rings, bound):
