@@ -7,16 +7,18 @@ JSON, in the same encodings scenario files use.  Output is deterministic;
 
 Exit codes: 0 success, 1 input error, 2 failed assertion in a scenario.
 
+``read_argv`` reads a well-formed command line from the flag tables alone.
+Only a line it declines (help, or a usage error) makes ``main`` build the
+argparse parser, which then prints what it always printed.
+
 Importing this module calls ``gc.freeze()`` once: the start-up heap lives
-until the process exits, so later collections skip it and interpreter exit
-no longer collects and frees it object by object.  Only the CLI freezes,
-since it owns its process; a library module never does, because a host
-application's heap is not the library's to freeze.
+until the process exits, so later collections and interpreter exit skip it.
+Only the CLI freezes, since it owns its process; a library never does, as a
+host application's heap is not the library's to freeze.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import re
@@ -25,8 +27,6 @@ import sys
 from . import scenario as sc
 from .errors import INPUT_ERRORS, ValidationError
 
-# once per process, at import: the start-up heap lives until exit, so no later
-# collection, the one at exit included, needs to scan or free it
 gc.freeze()
 
 INFINITE_INDEX_MESSAGE = (
@@ -55,37 +55,16 @@ def parse_ring_token(token: str):
     raise ValidationError("ring", f"cannot parse ring token {token!r}")
 
 
-def _json_arg(text, what):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(what, f"invalid JSON: {exc.msg}")
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors exit 1, like every input
-    error; exit code 2 stays for a failed scenario assertion."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-class _FullParserNeeded(Exception):
-    pass
-
-
-class _OneCommandParser(_Parser):
-    """The top level of a parser built for one subcommand.  Its help and its
-    usage would list that subcommand alone, so it prints neither: ``main``
-    parses again with every subcommand, which prints them as they are."""
-
-    def error(self, message):
-        raise _FullParserNeeded
-
-    def print_help(self, file=None):
-        raise _FullParserNeeded
-
+#: The flags every command takes, before or after its name: (flag, argparse
+#: keywords).  None has a default, so an absent flag leaves no attribute.
+GLOBAL_FLAGS = (
+    ("--format", {"choices": ("text", "machine")}),
+    ("--bound", {"type": int, "help": "generator bound for enumerations over infinite spectra"}),
+    ("--log-base", {"type": int, "help":
+                    "integer logarithm base for interpolation (default: natural log)"}),
+    ("--infinite-index", {"action": "store_true",
+                          "help": "request infinite index sets (always refused)"}),
+)
 
 #: ``-r`` for a query over a product of rings, and for one over a single ring
 _RINGS = {"action": "append", "metavar": "RING", "help": "component ring token (repeatable)"}
@@ -135,102 +114,135 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command`` alone: a process
-    runs one command, so it need not build the others."""
-    # the global flags are accepted both before and after the subcommand;
-    # no flag has a default, so an absent flag leaves no attribute behind
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=("text", "machine"))
-    common.add_argument("--bound", type=int,
-                        help="generator bound for enumerations over infinite spectra")
-    common.add_argument("--log-base", type=int,
-                        help="integer logarithm base for interpolation (default: natural log)")
-    common.add_argument("--infinite-index", action="store_true",
-                        help="request infinite index sets (always refused)")
+def _flags(command: str) -> list:
+    """(option strings, argparse keywords) of each flag of ``command``'s row."""
+    _, rings, flags = COMMANDS[command]
+    ring = [] if rings is None else [(("-r", "--ring"), {"required": True, **rings})]
+    return ring + [((flag,), kwargs) for flag, _, kwargs in flags]
 
-    parser = (_Parser if command is None else _OneCommandParser)(
-        prog="prodideals",
-        description="prime and maximal ideals in finite products of arithmetic rings",
-        parents=[common])
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-    if command in (None, "run"):
-        run = sub.add_parser("run", parents=[common], help="execute a scenario file")
-        run.add_argument("scenario", help="path to a scenario JSON file")
-    for name, (text, rings, flags) in COMMANDS.items():
-        if command not in (None, name):
-            continue
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, for a line ``read_argv`` declines."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        # a usage error exits 1, like every input error; 2 is a failed assert
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    for flag, kwargs in GLOBAL_FLAGS:
+        common.add_argument(flag, **kwargs)
+    parser = Parser(prog="prodideals", parents=[common],
+                    description="prime and maximal ideals in finite products of arithmetic rings")
+    sub = parser.add_subparsers(dest="command", parser_class=Parser)
+    run = sub.add_parser("run", parents=[common], help="execute a scenario file")
+    run.add_argument("scenario", help="path to a scenario JSON file")
+    for name, (text, _, _) in COMMANDS.items():
         cmd = sub.add_parser(name, parents=[common], help=text,
                              argument_default=argparse.SUPPRESS)
-        if rings is not None:
-            cmd.add_argument("-r", "--ring", required=True, **rings)
-        for flag, _, kwargs in flags:
-            cmd.add_argument(flag, **kwargs)
+        for strings, kwargs in _flags(name):
+            cmd.add_argument(*strings, **kwargs)
     return parser
 
 
-def _scenario_for(args) -> dict:
+def read_argv(argv) -> dict | None:
+    """``vars(build_parser().parse_args(argv))`` for a well-formed ``argv``;
+    None for help, an unknown or abbreviated flag, ``--flag=value``, a value
+    that starts with ``-`` and every usage error, left to the full parser."""
+    table = {flag: (_dest(flag), kwargs) for flag, kwargs in GLOBAL_FLAGS}
+    args, positionals = {}, []
+    words = iter(argv)
+    for word in words:
+        if not word.startswith("-"):
+            if "command" in args:
+                positionals.append(word)
+            elif word == "run" or word in COMMANDS:
+                args["command"] = word
+                for strings, kwargs in () if word == "run" else _flags(word):
+                    table.update(dict.fromkeys(strings, (_dest(strings[-1]), kwargs)))
+            else:
+                return None
+            continue
+        dest, kwargs = table.get(word, (None, {}))
+        action = kwargs.get("action", "store")
+        if action.startswith("store_"):
+            args[dest] = action == "store_true"
+            continue
+        value = next(words, "-")
+        if dest is None or value.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        args[dest] = args.get(dest, []) + [value] if action == "append" else value
+    if "command" not in args or len(positionals) != (args["command"] == "run"):
+        return None
+    args.update(zip(["scenario"], positionals))
+    required = {dest for dest, kwargs in table.values() if kwargs.get("required")}
+    return args if required <= args.keys() else None
+
+
+def _scenario_for(given: dict) -> dict:
     """The one-query scenario that a subcommand's arguments describe."""
-    _, rings, flags = COMMANDS[args.command]
-    given = vars(args)
+    command = given["command"]
+    _, rings, flags = COMMANDS[command]
     if rings is None:
         ring_list = [{"kind": "integers"}]
     else:
-        tokens = args.ring if isinstance(args.ring, list) else [args.ring]
+        tokens = given["ring"] if isinstance(given["ring"], list) else [given["ring"]]
         ring_list = [parse_ring_token(t) for t in tokens]
-    if args.command == "interpolate":
+    if command == "interpolate":
         # the doubling sample takes precedence, and --sample is then not read
         if "doubling" in given:
             given.pop("sample", None)
         elif "sample" not in given:
             raise ValidationError("sample", "need --sample or --doubling")
-    query = {"query": args.command}
+    query = {"query": command}
     options = {key: given[key] for key in ("bound", "log_base") if key in given}
     for flag, field, kwargs in flags:
-        dest = flag.lstrip("-").replace("-", "_")
-        if dest in given:
-            value = given[dest]
+        if _dest(flag) in given:
+            value = given[_dest(flag)]
             if not kwargs.keys() & {"type", "choices", "action"}:
-                value = _json_arg(value, field)
+                try:
+                    value = json.loads(value)
+                except json.JSONDecodeError as exc:
+                    raise ValidationError(field, f"invalid JSON: {exc.msg}")
             section, _, key = field.rpartition(".")
             (options if section else query)[key] = value
     return {"schema_version": sc.SCHEMA_VERSION, "rings": ring_list,
             "queries": [query], "options": options}
 
 
-_GLOBAL_DEFAULTS = {"format": "text", "infinite_index": False}
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # no value of a global flag names a command, so the first argument that
-    # names one is the command; help and usage errors need every command
-    command = next((a for a in argv if a == "run" or a in COMMANDS), None)
-    try:
-        args = build_parser(command).parse_args(argv)
-    except _FullParserNeeded:
-        args = build_parser().parse_args(argv)
+    args = read_argv(argv)
+    if args is None:
+        args = vars(build_parser().parse_args(argv))
     # a parser default would also overwrite a global flag given before the
     # subcommand, so the defaults of the two always read are filled in here
-    for key, value in _GLOBAL_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
-    if args.infinite_index:
+    args = {"format": "text", "infinite_index": False, **args}
+    if args["infinite_index"]:
         print(INFINITE_INDEX_MESSAGE, file=sys.stderr)
         return 1
-    if args.command is None:
+    if args["command"] is None:
         build_parser().print_help()
         return 1
     try:
-        return _dispatch(args)
+        report = sc.run_scenario(
+            args["scenario"] if args["command"] == "run" else _scenario_for(args))
+        report.write(sys.stdout.write, args["format"] == "machine")
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _dispatch(args) -> int:
-    report = sc.run_scenario(args.scenario if args.command == "run" else _scenario_for(args))
-    report.write(sys.stdout.write, args.format == "machine")
     return report.exit_code
 
 

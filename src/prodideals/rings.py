@@ -747,8 +747,9 @@ class PolynomialRing(Record, RingHandle):
         if fqpoly.prime_power(self.q) is None:
             raise ValueError(f"{self.q} is not a prime power")
 
-    @property
+    @functools.cached_property
     def K(self) -> fqpoly.GF:
+        # looked up once per instance, outside the record fields like _spectrum
         return fqpoly.field(self.q)
 
     @property

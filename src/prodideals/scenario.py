@@ -609,6 +609,10 @@ def _check_plusplus(scn, query, where):
         r = decode_ring_element(ring, query["r"], where)
         rec["witness"] = encode_ring_element(properties.plusplus_witness(ring, r, budget))
     elif ring.dimension == 0:
+        # one witness per residue: the oracle's element budget caps the rows
+        if ring.modulus > scn.options.oracle_budget:
+            raise BudgetExceeded(f"witness table of {ring.short_name} has {ring.modulus} "
+                                 f"rows (budget {scn.options.oracle_budget})")
         table = []
         for r in range(ring.modulus):
             d = properties.plusplus_witness(ring, ring.element(r), budget)

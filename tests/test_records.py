@@ -78,6 +78,16 @@ class TestFootprint:
         assert loaded_after(cli_run(["maxideals", "-r", "F2[x]", "--bound", "3"]),
                             LAZY) == ["prodideals.fqpoly"]
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "-r", "Z/25", "-r", "Z/16"],
+        ["--format", "machine", "maxideals", "-r", "Z", "--bound", "50"],
+        ["run", str(SRC.parent / "scenarios" / "residue_products.json")],
+    ], ids=["oracle", "maxideals", "run"])
+    def test_well_formed_line_loads_no_argparse(self, argv):
+        # argparse, and the gettext and locale it loads, serve help and
+        # usage errors only
+        assert loaded_after(cli_run(argv), ("argparse", "gettext", "locale")) == []
+
     def test_localized_ring_loads_fractions(self):
         assert loaded_after(cli_run(["maxideals", "-r", "Z_(2,3)"]), LAZY) == ["fractions"]
 

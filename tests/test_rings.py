@@ -403,6 +403,17 @@ def test_poly_max_ideal_accepts_large_irreducible():
     assert PolynomialRing(2).max_ideal(gen).generator == gen
 
 
+def test_poly_field_is_read_once_per_ring():
+    ring = PolynomialRing(9)
+    field = ring.K
+    calls = fqpoly.field.cache_info()
+    assert ring.K is field and field is fqpoly.field(9)
+    assert fqpoly.field.cache_info().hits == calls.hits + 1   # the lookup just above
+    # the cached field lives outside the record fields
+    assert ring == PolynomialRing(9) and hash(ring) == hash(PolynomialRing(9))
+    assert repr(ring) == "PolynomialRing(q=9)" and ring._fields == ("q",)
+
+
 def test_enumeration_caps_raise_before_allocating(monkeypatch):
     Z = IntegerRing()
     assert len(Z.maximal_ideals_up_to(10**6)) == 78498

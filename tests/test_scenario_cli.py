@@ -10,9 +10,17 @@ import time
 
 import pytest
 
+import argv_differential
 from conftest import spawn_cli
 import prodideals
-from prodideals.cli import COMMANDS, INFINITE_INDEX_MESSAGE, build_parser, main, parse_ring_token
+from prodideals.cli import (
+    COMMANDS,
+    INFINITE_INDEX_MESSAGE,
+    build_parser,
+    main,
+    parse_ring_token,
+    read_argv,
+)
 from prodideals.errors import ParseError, ValidationError
 from prodideals.scenario import (
     SCHEMA_VERSION,
@@ -560,6 +568,22 @@ class TestCli:
                            match=r"^queries\[0\]: cofactor 1000000016000000063 "):
             run_scenario(json.dumps(data))
 
+    def test_plusplus_witness_table_is_budgeted(self):
+        # without r, a residue ring lists one witness per residue, so
+        # options.oracle_budget caps the rows before any is built
+        started = time.perf_counter()
+        assert run_cli(["check-plusplus", "-r", "Z/1000000"]) == (
+            1, "", "error: queries[0]: witness table of Z/1000000 has 1000000 rows "
+                   "(budget 10000)\n")
+        assert time.perf_counter() - started < 1.0
+        data = minimal_scenario(rings=[Z12], product=[0], queries=[{"query": "check-plusplus"}])
+        data["options"] = {"oracle_budget": 12}
+        assert len(run_scenario(json.dumps(data)).records[0]["witness_table"]) == 12
+        data["options"] = {"oracle_budget": 11}
+        from prodideals.errors import BudgetExceeded
+        with pytest.raises(BudgetExceeded, match=r"^queries\[0\]: witness table of Z/12 has 12 "):
+            run_scenario(json.dumps(data))
+
     @pytest.mark.parametrize("query", [
         {"query": "skolem", "elements": [[10007 * 10009]]},
         {"query": "valuation-compare", "ultrafilter": {"coordinate": 0, "cofinite_frechet": True},
@@ -649,20 +673,26 @@ def outcome(call):
 
 
 class TestOneCommandParser:
-    """``main`` builds the subparser of the command it runs, and nothing the
-    full parser would print changes."""
+    """``main`` reads a well-formed line with ``read_argv``, without argparse,
+    and nothing the full parser would print changes."""
 
     def test_every_command_is_covered(self):
         assert [argv[0] for argv in ONE_PER_COMMAND] == ["run", *COMMANDS]
 
     @pytest.mark.parametrize("argv", ONE_PER_COMMAND, ids=lambda argv: argv[0])
     def test_same_namespace_as_the_full_parser(self, argv):
-        one = build_parser(argv[0])
-        assert list(one._subparsers._group_actions[0].choices) == [argv[0]]
         for before in GLOBAL_FLAGS:
             for after in GLOBAL_FLAGS:
                 line = before + argv + after
-                assert one.parse_args(line) == build_parser().parse_args(line), line
+                assert read_argv(line) == vars(build_parser().parse_args(line)), line
+
+    def test_reader_agrees_with_the_full_parser_on_generated_lines(self):
+        # every well-formed line is read, and no line is read differently
+        counts, disagreements = argv_differential.check(2400, seed=0)
+        assert disagreements == []
+        assert counts["well-formed"] == 1200
+        assert counts["mutated read"] and counts["mutated declined"]
+        assert all(counts[kind] for kind in argv_differential.MUTATIONS)
 
     @pytest.mark.parametrize("argv", [
         ["--help"],
