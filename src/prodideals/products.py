@@ -90,24 +90,19 @@ class ProductElement(Record):
         set_field(self, "ring", ring)
         set_field(self, "entries", entries)
 
-    def _check(self, other: "ProductElement"):
+    def _entrywise(self, op, other: "ProductElement"):
         if self.ring != other.ring:
             raise ShapeMismatch("elements of different products")
+        return ProductElement(self.ring, tuple(map(op, self.entries, other.entries)))
 
     def __add__(self, other):
-        self._check(other)
-        return ProductElement(self.ring,
-                              tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._entrywise(RingElement.__add__, other)
 
     def __sub__(self, other):
-        self._check(other)
-        return ProductElement(self.ring,
-                              tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return self._entrywise(RingElement.__sub__, other)
 
     def __mul__(self, other):
-        self._check(other)
-        return ProductElement(self.ring,
-                              tuple(a * b for a, b in zip(self.entries, other.entries)))
+        return self._entrywise(RingElement.__mul__, other)
 
     @property
     def is_zero(self) -> bool:
@@ -303,21 +298,19 @@ def witness_fillers(product: ProductRing) -> tuple:
     return tuple(fillers)
 
 
-def witness_entries(ring, ideals) -> list:
-    """The raw witness entries of the principal descriptors fixing
-    ``ideals`` of ``ring``: the generators as they are (``_generator_raws``),
+def witness_entries(ring, generators) -> list:
+    """The raw witness entries of the principal descriptors fixing the ideals
+    of ``ring`` with these listed ``generators`` (``_generator_raws``), each
     checked by the kind's division ``_in_max_ideal`` (an explicit ``raise``,
     kept by ``python -O``); None at a field coordinate, where it is zero.  The
     one copy of the check, for ``is_maximal`` and ``maxideals`` (by chunks)."""
-    raws = ring._generator_raws([m.generator for m in ideals])
+    raws = ring._generator_raws(generators)
     zero, contains = ring._zero_raw(), ring._in_max_ideal
-    for i, (m, raw) in enumerate(zip(ideals, raws)):
-        if raw == zero:
-            raws[i] = None
-        elif not contains(raw, m.generator):
-            raise AssertionError(
-                f"witness entry {ring._repr_raw(raw)} in {ring.short_name} is not in {m}")
-    return raws
+    for gen, raw in zip(generators, raws):
+        if raw != zero and not contains(raw, gen):
+            raise AssertionError(f"witness entry {ring._repr_raw(raw)} in {ring.short_name} "
+                                 f"is not in ({ring._repr_raw(gen)})")
+    return [None if raw == zero else raw for raw in raws]
 
 
 def is_maximal(ideal: UltrafilterIdeal) -> MaximalityVerdict:
@@ -352,7 +345,7 @@ def is_maximal(ideal: UltrafilterIdeal) -> MaximalityVerdict:
             f"no nonzero element of {ring.short_name} vanishes on a cofinite "
             f"set of maximal ideals; the ideal is the kernel of the projection "
             f"and the quotient {ring.short_name} is not a field")
-    [gen] = witness_entries(ring, (u.principal,))
+    [gen] = witness_entries(ring, (u.principal.generator,))
     if gen is None:
         return MaximalityVerdict(
             True, RULE_PRINCIPAL_QUOTIENT_FIELD, None,
@@ -399,12 +392,8 @@ def enumerate_maximal_ideals(product: ProductRing, bound: int = None) -> list:
     descriptors are rejected as non-maximal.
     """
     from .boolalg import enumerate_ultrafilters
-    out = []
-    for u in enumerate_ultrafilters(product.shape, bound):
-        ideal = UltrafilterIdeal(product, u)
-        if is_maximal(ideal):
-            out.append(ideal)
-    return out
+    ideals = (UltrafilterIdeal(product, u) for u in enumerate_ultrafilters(product.shape, bound))
+    return [ideal for ideal in ideals if is_maximal(ideal)]
 
 
 class SkolemResult(Record):

@@ -13,7 +13,8 @@ in finitely many maximal ideals):
 
 Every ring-kind decision is a member of ``RingHandle``.  The kind facts are
 class constants: ``spectrum_finite``, ``is_domain``, ``listed_in_order``
-(``maximal_ideals_up_to`` lists by ``MaxIdealId.sort_key``) and ``dimension``,
+(``generators_up_to`` lists the raw generators by ``generator_key``, and
+``maximal_ideals_up_to`` makes records of them) and ``dimension``,
 the Krull dimension, which is 0 for ``Z/n`` and 1 for the other kinds.  The
 module functions that treat ``Z/n`` apart ask for ``dimension == 0``, not for
 ``is_domain``: a field ``Z/p`` is a domain of dimension 0.  Every kind has its
@@ -23,16 +24,16 @@ own ``short_name``, ``normalize``, ``max_ideal``, ``_is_unit`` and
 (p) contains a value when p divides its numerator) and to a finite spectrum,
 the ideals (p) for p in ``primes``; a kind overrides them where it differs:
 
-* ``IntegerRing``: an infinite spectrum, ``maximal_ideals_up_to`` (a sieve)
+* ``IntegerRing``: an infinite spectrum, ``generators_up_to`` (a sieve)
   and ``_prime_divisors`` (factoring).
 * ``ResidueRing``: ``dimension`` 0, ``is_domain`` (n is prime), ``primes``
   (those dividing n), arithmetic mod n, ``_generator_raws`` (reduced mod
   n, so a field's generator is zero), and ``valuation``, which raises.
-* ``LocalizedIntegersRing``: fractions as raw values (``_zero_raw``,
-  ``_one_raw`` and ``_generator_raws``); ``primes`` is S; ``_cover``.
+* ``LocalizedIntegersRing``: ``normalize`` (an integral value is an
+  ``int``, any other a ``Fraction``); ``primes`` is S; ``_cover``.
 * ``PolynomialRing``: an infinite spectrum listed by (degree, code);
   coefficient tuples as raw values, with their arithmetic, ``_in_max_ideal``
-  and Euclidean hooks; ``maximal_ideals_up_to``, ``smallest_max_ideal`` and
+  and Euclidean hooks; ``generators_up_to``, ``smallest_max_ideal`` and
   ``_prime_divisors`` (factoring).
 
 The Euclidean algorithms are written once, over these hooks: the extended
@@ -51,20 +52,16 @@ Subsets of a maximal spectrum are carried as ``FinCofSet`` values: an explicit
 finite set, or the complement of one.  For rings with finite spectrum the
 cofinite form normalizes away, so equality of sets is equality of values.
 
-Integer primality is deterministic Miller-Rabin, ``is_prime_int``.  Integer
-factorization is trial division by sieved primes up to the cube root of the
-cofactor; the at most two prime factors left are told apart by
-``is_prime_int`` and an integer square root, and only a product of two
-distinct primes sends trial division on to its square root.  The budget
-contract is that of plain trial division (see ``prime_factors``).  The
-primes up to a bound come from one Sieve of Eratosthenes, ``primes_up_to``.
-Polynomial factorization and irreducible enumeration live in ``fqpoly``.
+Integer primality is deterministic Miller-Rabin (``is_prime_int``), integer
+factorization budgeted trial division (``prime_factors``), and the primes up
+to a bound one sieve (``primes_up_to``); the ``Fq[x]`` forms live in ``fqpoly``.
 
-A process over ``Z`` and ``Z/n`` alone loads neither ``fqpoly`` nor
+A process that meets only integer values loads neither ``fqpoly`` nor
 ``fractions``: the module binds ``fqpoly`` when the first ``PolynomialRing``
-is made, and ``Fraction`` when the first ``Z_(S)`` is made or ``Z`` is given
-a value that is not an ``int``.  Integer values carry ``numerator`` and
-``denominator`` too, so the integer forms need no ``Fraction`` test.
+is made, and ``Fraction`` when ``Z`` or ``Z_(S)`` is given a value that is not
+an ``int``, or a ``Z_(S)`` chain takes the unit of a cover.  Integer values
+carry ``numerator`` and ``denominator`` too, so the integer forms need no
+``Fraction`` test.
 """
 
 from __future__ import annotations
@@ -300,8 +297,14 @@ class RingHandle:
         # equality, hash and repr do not see it
         return tuple(MaxIdealId(self, p) for p in self.primes)
 
+    def generators_up_to(self, bound: int) -> Sequence:
+        return self.primes
+
     def maximal_ideals_up_to(self, bound: int) -> tuple:
-        return self.maximal_spectrum()
+        # the records of generators_up_to; a finite spectrum keeps its own
+        if self.spectrum_finite:
+            return self._spectrum
+        return tuple(map(MaxIdealId, itertools.repeat(self), self.generators_up_to(bound)))
 
     def max_ideal(self, generator) -> "MaxIdealId":
         raise NotImplementedError
@@ -434,6 +437,11 @@ class RingElement(Record):
         return f"{self.ring._repr_raw(self.raw)} in {self.ring.short_name}"
 
 
+def generator_key(generator):
+    """The listing order: integers by value, tuples by length, then value."""
+    return (len(generator), generator) if isinstance(generator, tuple) else (0, generator)
+
+
 class MaxIdealId(Record):
     """A maximal ideal, identified by its canonical generator."""
 
@@ -446,9 +454,7 @@ class MaxIdealId(Record):
 
     @property
     def sort_key(self):
-        if isinstance(self.generator, tuple):
-            return (len(self.generator), self.generator)
-        return (0, self.generator)
+        return generator_key(self.generator)
 
     def contains(self, elem: RingElement) -> bool:
         elem = self.ring.element(elem)
@@ -592,8 +598,8 @@ class IntegerRing(Record, RingHandle):
             raise InconsistentInput(f"{generator} is not prime")
         return MaxIdealId(self, generator)
 
-    def maximal_ideals_up_to(self, bound: int):
-        """The ideals (p) for the primes p <= bound, by a Sieve of Eratosthenes.
+    def generators_up_to(self, bound: int):
+        """The primes p <= bound, by a Sieve of Eratosthenes.
 
         Raises BudgetExceeded, before allocating the sieve, when the bound is
         above ``DEFAULT_FACTOR_BUDGET``.
@@ -601,7 +607,7 @@ class IntegerRing(Record, RingHandle):
         if bound > DEFAULT_FACTOR_BUDGET:
             raise BudgetExceeded(
                 f"prime bound {bound} exceeds the enumeration cap {DEFAULT_FACTOR_BUDGET}")
-        return tuple(map(MaxIdealId, itertools.repeat(self), primes_up_to(bound)))
+        return list(primes_up_to(bound))
 
     def nonzero_nonunit(self):
         return self.element(2)
@@ -670,7 +676,6 @@ class LocalizedIntegersRing(Record, RingHandle):
     primes: tuple
 
     def __post_init__(self):
-        _load_fraction()
         ps = tuple(sorted(set(int(p) for p in self.primes)))
         if not ps:
             raise ValueError("prime set must be nonempty")
@@ -684,29 +689,23 @@ class LocalizedIntegersRing(Record, RingHandle):
         return "Z_(" + ",".join(str(p) for p in self.primes) + ")"
 
     def normalize(self, value):
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
         if isinstance(value, str):
             try:
-                value = Fraction(value)
+                value = _load_fraction()(value)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator: {value!r}") from None
-        if isinstance(value, int) and not isinstance(value, bool):
-            value = Fraction(value)
-        if not isinstance(value, Fraction):
+        if not isinstance(value, _load_fraction()):
             raise ValueError(f"not a fraction: {value!r}")
         for p in self.primes:
             if value.denominator % p == 0:
                 raise ValueError(
                     f"denominator of {value} is not invertible here (divisible by {p})")
-        return value
+        return value.numerator if value.denominator == 1 else value
 
     def _is_unit(self, x):
         return x != 0 and all(x.numerator % p for p in self.primes)
-
-    def _zero_raw(self):
-        return Fraction(0)
-
-    def _one_raw(self):
-        return Fraction(1)
 
     def max_ideal(self, generator):
         generator = _as_int(generator)
@@ -714,14 +713,11 @@ class LocalizedIntegersRing(Record, RingHandle):
             raise InconsistentInput(f"{generator} is not in the prime set")
         return MaxIdealId(self, generator)
 
-    def _generator_raws(self, generators):
-        return list(map(Fraction, generators))
-
     def nonzero_nonunit(self):
         return self.element(self.primes[0])
 
     def _cover(self, x):
-        # the S-part m of the numerator, and the unit m/x (1 at zero)
+        # the S-part m of the numerator, and the exact unit m/x (1 at zero)
         m, n = 1, abs(x.numerator)
         if n == 0:
             return 0, 1
@@ -729,7 +725,7 @@ class LocalizedIntegersRing(Record, RingHandle):
             while n % p == 0:
                 n //= p
                 m *= p
-        return m, m / x
+        return m, _load_fraction()(m) / x
 
 
 class PolynomialRing(Record, RingHandle):
@@ -795,8 +791,8 @@ class PolynomialRing(Record, RingHandle):
                 f"{fqpoly.poly_str(gen)} is not monic irreducible over F{self.q}")
         return MaxIdealId(self, gen)
 
-    def maximal_ideals_up_to(self, bound: int):
-        """All maximal ideals with generator degree <= bound.
+    def generators_up_to(self, bound: int):
+        """The monic irreducibles of degree <= bound.
 
         Raises BudgetExceeded, before any table is built, when q**bound is
         above ``fqpoly.DEFAULT_POLY_BUDGET``.
@@ -807,8 +803,7 @@ class PolynomialRing(Record, RingHandle):
             raise BudgetExceeded(
                 f"degree bound {bound} needs {self.q}**{bound} candidates, "
                 f"above the enumeration cap {cap}")
-        return tuple(map(MaxIdealId, itertools.repeat(self),
-                         fqpoly.irreducibles_up_to(self.K, bound)))
+        return fqpoly.irreducibles_up_to(self.K, bound)
 
     def smallest_max_ideal(self):
         return MaxIdealId(self, (0, 1))

@@ -48,8 +48,9 @@ from .rings import (
     ResidueRing,
     RingElement,
     RingHandle,
+    generator_key,
 )
-from .values import decode_value, encode_value
+from .values import decode_value, encode_value, encode_values
 
 SCHEMA_VERSION = 1
 
@@ -528,21 +529,23 @@ def _maxideals(scn, query, where):
     if "bound" in query:
         bound = _decode_positive_int(query["bound"], f"{where}.bound")
     # listed here, so that an enumeration cap raises inside the handler, and
-    # once per distinct ring: equal components share one list
+    # once per distinct ring: equal components share one list of generators,
+    # in the order of boolalg.principal_ideals, with no record built
     columns = {}
     for ring in product.shape:
         if ring not in columns:
-            columns[ring] = boolalg.principal_ideals(ring, bound)
+            gens = ring.generators_up_to(bound)
+            columns[ring] = gens if ring.listed_in_order else sorted(gens, key=generator_key)
     fillers = [encode_ring_element(e) for e in products.witness_fillers(product)]
 
     def maximal(encoder):
         # every principal descriptor is maximal by one rule, and its witness
         # is the fillers with its checked generator at the coordinate: each
         # coordinate's entry is encoded once with marks where the generator
-        # and the witness entry go, and cut at them.  A witness entry encodes
-        # as its generator (a Z_(S) Fraction is an integer), so a chunk's
-        # generators are encoded in one call, between marks, and cut, each
-        # text fills both slots, and the chunk is one piece
+        # and the witness entry go, and cut at them.  A witness entry is its
+        # generator (or None), so a chunk's generators are encoded in one
+        # call, between marks, and cut, each text fills both slots, and the
+        # chunk is one piece
         split = encoder.item_separator + _MARK_JSON + encoder.item_separator
         for i, ring in enumerate(product.shape):
             entry = {"rule": products.RULE_PRINCIPAL_QUOTIENT_FIELD,
@@ -551,11 +554,12 @@ def _maxideals(scn, query, where):
             entry["witness"] = fillers.copy()
             entry["witness"][i] = _MARK
             full = encoder.encode(entry).split(_MARK_JSON)
-            ideals = columns[ring]
-            for start in range(0, len(ideals), 256):
-                chunk = ideals[start:start + 256]
+            generators = columns[ring]
+            for start in range(0, len(generators), 256):
+                chunk = generators[start:start + 256]
                 values = [_MARK] * (2 * len(chunk) - 1)
-                values[::2] = map(encode_generator, chunk)
+                values[::2] = ([{"poly": list(g)} for g in chunk] if isinstance(chunk[0], tuple)
+                               else encode_values(chunk))
                 texts = encoder.encode(values)[1:-1].split(split)
                 yield encoder.item_separator.join([
                     bare[0] + text + bare[1] if witness is None

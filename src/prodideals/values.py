@@ -71,16 +71,26 @@ def check_value(v, what="value"):
     return v
 
 
+#: ints of larger magnitude are written as strings: a JSON reader may hold doubles
+JSON_INT_MAX = 2**53 - 1
+
+
 def encode_value(v):
-    """JSON form: ints stay ints (strings beyond +-(2**53-1)), INF becomes \"inf\".
+    """JSON form: ints stay ints (strings beyond +-``JSON_INT_MAX``), INF
+    becomes \"inf\".
 
     Also the JSON form of integer ring elements and generators, negative ones
     included."""
     if v is INF:
         return "inf"
-    if abs(v) > 2**53 - 1:
-        return str(v)
-    return v
+    return str(v) if abs(v) > JSON_INT_MAX else v
+
+
+def encode_values(values):
+    """``encode_value`` of each of a chunk of ints: the chunk itself when all stay ints."""
+    if max(map(abs, values), default=0) <= JSON_INT_MAX:
+        return values
+    return [encode_value(v) for v in values]
 
 
 def decode_value(obj, what="value"):

@@ -247,15 +247,15 @@ class TestIsMaximal:
 
     def test_witness_entry_takes_a_polynomial_generator_as_it_is(self, monkeypatch):
         # a generator is already a normal coefficient tuple; a Z_(S) generator
-        # still becomes a Fraction
+        # is an int, as its element's raw value is
         F9X, L23 = PolynomialRing(9), LocalizedIntegersRing((2, 3))
-        ideals = F9X.maximal_ideals_up_to(2)
+        gens = F9X.generators_up_to(2)
         monkeypatch.setattr(PolynomialRing, "normalize", None)
-        assert witness_entries(F9X, ideals) == [m.generator for m in ideals]
+        assert witness_entries(F9X, gens) == gens
         monkeypatch.undo()
-        assert witness_entries(F9X, ideals) == [F9X.element(m.generator).raw for m in ideals]
-        assert [type(raw).__name__ for raw in witness_entries(L23, L23.maximal_spectrum())] == [
-            "Fraction", "Fraction"]
+        assert witness_entries(F9X, gens) == [F9X.element(g).raw for g in gens]
+        assert witness_entries(L23, L23.primes) == [L23.element(p).raw for p in L23.primes]
+        assert [type(raw).__name__ for raw in witness_entries(L23, L23.primes)] == ["int", "int"]
 
     @pytest.mark.parametrize("ring, bound", [
         (ZZ, 200), (ResidueRing(7), None), (ResidueRing(12), None),
@@ -273,7 +273,7 @@ class TestIsMaximal:
                 product.shape, 1, m)))
             assert verdict.is_maximal
             expected.append(None if verdict.witness is None else verdict.witness.entries[1].raw)
-        entries = witness_entries(ring, ideals)
+        entries = witness_entries(ring, [m.generator for m in ideals])
         assert entries == expected
         assert [type(e) for e in entries] == [type(e) for e in expected]
         assert (None in entries) == (ring.nonzero_nonunit() is None)

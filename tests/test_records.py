@@ -89,7 +89,10 @@ class TestFootprint:
         assert loaded_after(cli_run(argv), ("argparse", "gettext", "locale")) == []
 
     def test_localized_ring_loads_fractions(self):
-        assert loaded_after(cli_run(["maxideals", "-r", "Z_(2,3)"]), LAZY) == ["fractions"]
+        # integral Z_(S) values are ints; only a non-integral one is a Fraction
+        assert loaded_after(cli_run(["maxideals", "-r", "Z_(2,3)"]), LAZY) == []
+        assert loaded_after(cli_run(["check-plus", "-r", "Z_(2)", "--r-elem", '"1/3"',
+                                     "--a-elem", "6"]), LAZY) == ["fractions"]
 
     def test_oracle_run_loads_no_ultrafilter_machinery(self):
         # the oracle is the independent check: it works on element sets alone

@@ -128,7 +128,8 @@ class TestElementArithmetic:
             for d in (1, 3, 7):
                 x = L25.element(Fraction(n, d))
                 try:
-                    inverse = L25.element(1 / x.raw) if n else None
+                    # an integral raw value is an int: invert it exactly
+                    inverse = L25.element(1 / Fraction(x.raw)) if n else None
                 except ValueError:  # a denominator divisible by 2 or 5
                     inverse = None
                 assert x.is_unit == (inverse is not None), x
@@ -299,6 +300,46 @@ class TestBezout:
         assert exc.value.witness.generator == 10007
         with pytest.raises(FactorizationBudgetExceeded, match=f"^cofactor {n} "):
             bezout_certificate(ZZ, [n, 2 * n], budget=100)
+
+
+class TestLocalizedIntegralValues:
+    """An integral Z_(S) value is an int however it is written."""
+
+    @staticmethod
+    def _bezout(ring, elems):
+        try:
+            return bezout_certificate(ring, elems)
+        except NotUnitIdeal as exc:
+            return exc.witness
+
+    def test_every_form_gives_the_same_answers(self):
+        from prodideals.products import ProductRing, skolem_check
+        from prodideals.scenario import encode_ring_element
+        rng = rng_for("localized-integral-forms")
+        for _ in range(40):
+            ring = LocalizedIntegersRing(tuple(rng.sample((2, 3, 5, 7, 11), rng.randint(1, 3))))
+            ideals = ring.maximal_spectrum()
+            product = ProductRing((ring, IntegerRing()))
+            n = rng.choice((0, 1, -1, rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)))
+            other = rng.randint(-1000, 1000)
+            answers = []
+            for form in (n, str(n), f"{2 * n}/2", Fraction(n)):
+                x = ring.element(form)
+                assert type(x.raw) is int and x.raw == n
+                answers.append((
+                    x, hash(x), vset(ring, x), [valuation(ring, x, m) for m in ideals],
+                    crt_solve(ring, [(m, 2, form) for m in ideals]),
+                    self._bezout(ring, [x, other]),
+                    skolem_check([product.element((form, 3)), product.element((other, 2))]),
+                    encode_ring_element(x)))
+            assert all(a == answers[0] for a in answers[1:]), (ring, n)
+            assert answers[0][-1] == n
+
+    def test_cover_unit_is_an_exact_fraction(self):
+        L2 = LocalizedIntegersRing((2,))
+        assert L2._cover(6) == (2, Fraction(1, 3))
+        assert L2._cover(-6) == (2, Fraction(-1, 3))
+        assert type(L2._cover(6)[1]) is Fraction
 
 
 class TestJacobson:

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -845,9 +846,9 @@ class TestStreamedReport:
         from prodideals import products
         check, checked = products.witness_entries, []
 
-        def counted(ring, ideals):
-            checked.append(len(ideals))
-            return check(ring, ideals)
+        def counted(ring, generators):
+            checked.append(len(generators))
+            return check(ring, generators)
         monkeypatch.setattr(products, "witness_entries", counted)
         monkeypatch.setattr(ResidueRing, "_in_max_ideal", lambda self, raw, gen: False)
         for query, sizes in (({"query": "maxideals"}, [2]),
@@ -880,25 +881,32 @@ class TestStreamedReport:
         assert err.startswith("raised 1 witness entry 2 in Z is not in (2)")
 
     def test_no_per_entry_element_or_sort_key(self, monkeypatch):
-        # a listed generator is taken as it is: no RingElement is built and
-        # no sort_key read per entry, so neither count grows with the bound
+        # a listed generator is taken as it is: no RingElement or MaxIdealId
+        # is built and no sort_key read per entry, so no count grows with
+        # the bound
         from prodideals import products
         from prodideals.rings import MaxIdealId, RingElement
-        counts = {"elements": 0, "sort_keys": 0}
+        counts = {"elements": 0, "sort_keys": 0, "records": 0}
         init, sort_key = RingElement.__init__, MaxIdealId.sort_key
+        record_init = MaxIdealId.__init__
 
         def counted_init(self, ring, raw):
             counts["elements"] += 1
             init(self, ring, raw)
+
+        def counted_record_init(self, ring, generator):
+            counts["records"] += 1
+            record_init(self, ring, generator)
 
         def counted_sort_key(self):
             counts["sort_keys"] += 1
             return sort_key.fget(self)
         monkeypatch.setattr(RingElement, "__init__", counted_init)
         monkeypatch.setattr(MaxIdealId, "sort_key", property(counted_sort_key))
+        monkeypatch.setattr(MaxIdealId, "__init__", counted_record_init)
         seen = []
         for bound, primes in ((1000, 168), (10000, 1229)):
-            counts.update(elements=0, sort_keys=0)
+            counts.update(elements=0, sort_keys=0, records=0)
             products.witness_fillers.cache_clear()
             code, out, _ = run_cli(["--format", "machine", "maxideals", "-r", "Z", "-r", "Z",
                                     "--bound", str(bound)])
@@ -906,7 +914,38 @@ class TestStreamedReport:
             assert len(json.loads(out.splitlines()[1])["verdict"]["maximal"]) == 2 * primes
             seen.append(dict(counts))
         # the two witness fillers are the only elements
-        assert seen[0] == seen[1] == {"elements": 2, "sort_keys": 0}
+        assert seen[0] == seen[1] == {"elements": 2, "sort_keys": 0, "records": 0}
+
+    @pytest.mark.parametrize("fmt", ["machine", "text"])
+    def test_json_integer_limit_in_both_slots(self, fmt):
+        # 2**53 - 111, the largest prime below 2**53, is still a JSON number,
+        # and 9007199254740997, above 2**53, a string: in the principal and
+        # the witness slot, and over a Z column of two 256-entry chunks
+        from prodideals.values import encode_value
+        small, large = 2**53 - 111, 9007199254740997
+        z_primes = [p for p in range(2, 2001)
+                    if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        assert len(z_primes) > 256
+        expected = []
+        for coord, gens in ((0, [small, large]), (1, z_primes)):
+            for g in gens:
+                witness = [small, 2]
+                witness[coord] = g
+                ultrafilter = {"coordinate": coord, "principal": encode_value(g)}
+                expected.append({"rule": "rule:principal-quotient-field",
+                                 "ultrafilter": ultrafilter,
+                                 "witness": [encode_value(w) for w in witness]})
+        code, out, _ = run_cli(["--format", fmt, "maxideals", "-r", f"Z_({small},{large})",
+                                "-r", "Z", "--bound", "2000"])
+        assert code == 0
+        line = out.splitlines()[1]
+        verdict = json.loads(line if fmt == "machine" else line.split(": ", 1)[1])
+        if fmt == "machine":
+            verdict = verdict["verdict"]
+        assert verdict["maximal"] == expected
+        assert [type(e["ultrafilter"]["principal"]) for e in expected[:2]] == [int, str]
+        sep = ":" if fmt == "machine" else ": "
+        assert f'"principal"{sep}{small}' in line and f'"principal"{sep}"{large}"' in line
 
     @pytest.mark.parametrize("argv, digest", [
         (["--format", "machine", "maxideals", "-r", "Z", "-r", "Z", "--bound", "1000000"],
