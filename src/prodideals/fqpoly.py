@@ -358,7 +358,8 @@ def factor_monic(K: GF, f, budget: int = DEFAULT_POLY_BUDGET):
 
 @functools.lru_cache(maxsize=4096)
 def _factor_monic(K: GF, f, budget: int) -> tuple:
-    assert f and f[-1] == 1
+    if not f or f[-1] != 1:
+        raise AssertionError(f"{poly_str(f)} is not monic")
     x = (0, 1)
     factors = []
     rest, h, rows = f, x, None

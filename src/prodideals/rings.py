@@ -30,7 +30,8 @@ the ideals (p) for p in ``primes``; a kind overrides them where it differs:
   (those dividing n), arithmetic mod n, ``_generator_raws`` (reduced mod
   n, so a field's generator is zero), and ``valuation``, which raises.
 * ``LocalizedIntegersRing``: ``normalize`` (an integral value is an
-  ``int``, any other a ``Fraction``); ``primes`` is S; ``_cover``.
+  ``int``, any other a ``Fraction``), which ``_add`` and ``_mul`` apply to
+  their results; ``primes`` is S; ``_cover``.
 * ``PolynomialRing``: an infinite spectrum listed by (degree, code);
   coefficient tuples as raw values, with their arithmetic, ``_in_max_ideal``
   and Euclidean hooks; ``generators_up_to``, ``smallest_max_ideal`` and
@@ -703,6 +704,12 @@ class LocalizedIntegersRing(Record, RingHandle):
                 raise ValueError(
                     f"denominator of {value} is not invertible here (divisible by {p})")
         return value.numerator if value.denominator == 1 else value
+
+    def _add(self, x, y):
+        return self.normalize(x + y)
+
+    def _mul(self, x, y):
+        return self.normalize(x * y)
 
     def _is_unit(self, x):
         return x != 0 and all(x.numerator % p for p in self.primes)

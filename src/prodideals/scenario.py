@@ -16,11 +16,18 @@ by the report's encoder and are written a piece at a time.  To add a kind,
 write its handler, add a ``QUERIES`` row, and, if the kind has a
 command-line form, add a row to ``cli.COMMANDS``.
 
-A field that holds an ultrafilter, element, value vector or ideal descriptor
-takes a literal or the name of a declared object of that ``"type"``, and
-``resolve`` reads both.  To add a descriptor kind, write its class in
-``products`` and add an ``IDEAL_KINDS`` row with its decoder and encoder; to
-add an object type, add an ``OBJECT_TYPES`` row with its literal's decoder.
+``SHAPES`` is the one table of the JSON shapes a scenario holds: ring
+descriptions, ultrafilters, product elements, value vectors and their
+exceptions, ideal descriptors, declared objects and the options.  A row
+lists its fields, the ``Type`` of each (an integer, a boolean, a
+coordinate, a generator or entry at a coordinate, a value, a list, or the
+name or literal of a declared object) and the messages of its refusals; its
+decoder and encoder are built from it once, at import.  A field that holds
+an ultrafilter, element, value vector or ideal descriptor takes a literal or
+the name of a declared object of that ``"type"``, and ``resolve`` reads
+both.  To add a descriptor kind, write its class in ``products`` and add a
+row of its fields to ``IDEAL``; to add an object type, add a ``NAMED`` type
+for its literal and a row to ``OBJECT``.
 
 Each CLI process answers one command, so this module imports only what every
 scenario needs (``rings``, ``boolalg``, ``products``).  ``oracle``,
@@ -31,6 +38,8 @@ value-vector decoder, that use them.
 from __future__ import annotations
 
 import json
+from itertools import repeat
+from operator import attrgetter, itemgetter
 
 from . import __version__ as _version
 from . import boolalg, products
@@ -40,7 +49,6 @@ from .record import Record
 from .rings import (
     DEFAULT_FACTOR_BUDGET,
     DEFAULT_ORACLE_BUDGET,
-    FinCofSet,
     IntegerRing,
     LocalizedIntegersRing,
     MaxIdealId,
@@ -53,65 +61,200 @@ from .rings import (
 from .values import decode_value, encode_value, encode_values
 
 SCHEMA_VERSION = 1
+valuations = None  # bound by the value-vector decoder on first use
 
 
 # ---------------------------------------------------------------------------
-# Codecs
+# The JSON shapes
 
 
-def decode_ring(obj, where="rings") -> RingHandle:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValidationError(where, f"expected a ring description, got {obj!r}")
-    kind = obj["kind"]
-    try:
-        if kind == "integers":
-            return IntegerRing()
-        if kind == "residue":
-            return ResidueRing(int(obj["n"]))
-        if kind == "localized_integers":
-            return LocalizedIntegersRing(tuple(int(p) for p in obj["primes"]))
-        if kind == "poly_fq":
-            return PolynomialRing(int(obj["q"]))
-    except KeyError as exc:
-        raise ValidationError(where, f"missing field {exc.args[0]!r}")
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(where, str(exc))
-    except FactorizationBudgetExceeded as exc:
-        raise FactorizationBudgetExceeded(f"{where}: {exc}") from None
-    raise ValidationError(where, f"unknown ring kind {kind!r}")
+class Type:
+    """A JSON shape of ``SHAPES``, or the type of a field of one.
+
+    ``decode(obj, where, ctx)`` reads ``obj`` or refuses it with a
+    ValidationError located at ``where``; ``ctx`` is the scenario (None for
+    a ring) or, for a type that reads at a coordinate (``ring``), the ring
+    there.  ``encode`` writes a decoded value.  ``failures`` are the messages
+    of its own refusals, templates that ``str.format`` fills with the JSON
+    value.  A list's ``item`` (located at ``where[j]`` if ``index``), a
+    shape's ``fields`` and the rows of its ``kinds`` (``row_of`` finds one,
+    and it writes the values of its ``cls``) list theirs.
+    """
+
+    item = fields = kinds = cls = None
+    ring = index = False
+
+    def __init__(self, decode, encode, *failures, **facts):
+        self.decode, self.encode, self.failures = decode, encode, failures
+        self.__dict__.update(facts)
 
 
-def _decode_int(obj, where):
-    if isinstance(obj, str):
+REQUIRED = object()  # the default of a field that must be given
+
+
+class Field:
+    """A field of an object shape: its JSON ``name`` and ``type``; what the
+    encoder writes of the decoded value (an attribute path, a tuple index,
+    or None for the value itself; None and False are left out); the value
+    of an absent field, which is read as a JSON null if it is None; and
+    whether its type's refusals are located at ``where.name``."""
+
+    def __init__(self, name, type, get, default=REQUIRED, at_field=False):
+        self.name, self.type, self.default, self.at_field = name, type, default, at_field
+        self.get = (itemgetter(get) if isinstance(get, int) else attrgetter(get) if get
+                    else lambda value: value)
+
+
+MISSING = "missing field {!r}"
+NOT_INT = "not an integer: {!r}"
+NOT_BOOL = "must be true or false, got {!r}"
+OUT_OF_RANGE = "coordinate {} out of range"
+UNKNOWN_NAME = "unknown object name {!r}"
+WRONG_TYPE = "object {!r} is not of type {!r}"
+NEED_PRINCIPAL = "need \"principal\" or \"cofinite_frechet\""
+
+
+def _decode_int(obj, where, ctx=None):
+    if type(obj) is int:  # not a bool
+        return obj
+    if isinstance(obj, str):  # as an integer beyond 2**53 is written
         try:
             return int(obj)
         except ValueError:
-            raise ValidationError(where, f"not an integer: {obj!r}")
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ValidationError(where, f"not an integer: {obj!r}")
+            pass
+    raise ValidationError(where, NOT_INT.format(obj))
+
+
+def _at_least(low, message):
+    def decode(obj, where, ctx=None):
+        if (value := _decode_int(obj, where)) < low:
+            raise ValidationError(where, message)
+        return value
+    return Type(decode, encode_value, NOT_INT, message)
+
+
+def _decode_bool(obj, where, ctx=None):
+    if type(obj) is not bool:
+        raise ValidationError(where, NOT_BOOL.format(obj))
     return obj
 
 
-def _decode_positive_int(obj, where):
-    value = _decode_int(obj, where)
-    if value <= 0:
-        raise ValidationError(where, "must be positive")
-    return value
+def _decode_coordinate(obj, where, scn):
+    coordinate = obj if type(obj) is int else _decode_int(obj, where)
+    if not 0 <= coordinate < len(scn.product.components):
+        raise ValidationError(where, OUT_OF_RANGE.format(coordinate))
+    return coordinate
 
 
-def _read(read, obj, where):
-    """``read`` (a ring's ``element`` or ``max_ideal``) of a JSON value:
-    ``{"poly": [...]}`` gives a coefficient tuple, a ``"p/q"`` string is
-    passed on for the ring to parse, and anything else must be an integer."""
-    if isinstance(obj, dict) and "poly" in obj:
-        if not isinstance(obj["poly"], list):
-            raise ValidationError(where, f"\"poly\" must be a list, got {obj['poly']!r}")
-        raw = tuple(_decode_int(c, where) for c in obj["poly"])
-    elif isinstance(obj, str) and "/" in obj:
-        raw = obj
-    else:
-        raw = _decode_int(obj, where)
-    return _located(where, read, raw)
+def _optional(t):
+    return Type(lambda obj, where, ctx=None: None if obj is None else t.decode(obj, where, ctx),
+                t.encode, *t.failures, ring=t.ring)
+
+
+def _reader(entry):
+    """An entry of the ring (``entry``), or a generator of one of its maximal
+    ideals: a ``"poly"`` list gives a coefficient tuple, a ``"p/q"`` string
+    is the ring's to parse, and anything else must be an integer."""
+    def decode(obj, where, ring):
+        if type(obj) is int:
+            pass
+        elif isinstance(obj, dict) and "poly" in obj:
+            obj = POLY.decode(obj["poly"], where)
+        elif not (isinstance(obj, str) and "/" in obj):
+            obj = _decode_int(obj, where)
+        try:
+            return RingElement(ring, ring.normalize(obj)) if entry else ring.max_ideal(obj)
+        except ValueError as exc:
+            raise ValidationError(where, str(exc))
+    return decode
+
+
+def _list(item, message, length=None, index=False, make=None, get=None):
+    """A list of ``item`` values, or ``make(product, items)`` of their tuple,
+    which ``get`` reads back.  Items that read at a coordinate are read at
+    the product's coordinates in turn, and ``length`` refuses a list of
+    another length; ``index`` locates item j at ``where[j]``."""
+    decode_item, encode_item, at_coordinates = item.decode, item.encode, item.ring
+
+    def decode(obj, where, ctx=None):
+        if not isinstance(obj, list):
+            raise ValidationError(where, message.format(obj))
+        if length and len(obj) != len(ctx.product.components):
+            raise ValidationError(where, length.format(len(ctx.product.components)))
+        items = tuple(map(decode_item, obj, map("{}[{}]".format, repeat(where), range(len(obj)))
+                          if index else repeat(where),
+                          ctx.product.components if at_coordinates else repeat(ctx)))
+        return items if make is None else make(ctx.product, items)
+    return Type(decode, lambda value: [encode_item(x) for x in (get(value) if get else value)],
+                message, *filter(None, [length]), item=item, index=index)
+
+
+def _object(message, fields, make, *failures, cls=None):
+    """A JSON object whose ``fields`` are decoded in order and passed to
+    ``make(ctx, *values)``, whose ValueErrors (the ``failures`` among them)
+    are located at the object.  ``message`` refuses anything else, and an
+    object that lacks a field that must be given; without it, the field's
+    absence is refused.  A type that reads at a coordinate reads at the
+    value of the ``COORDINATE`` field."""
+    keys = {f.name for f in fields if f.default is REQUIRED and message}
+    steps = [(f.name, f.type.decode, f.default, f.at_field, f.type.ring) for f in fields]
+    at = next((i for i, f in enumerate(fields) if f.type is COORDINATE), None)
+
+    def decode(obj, where, ctx=None):
+        if not isinstance(obj, dict) or not obj.keys() >= keys:
+            raise ValidationError(where, message.format(obj))
+        values = []
+        append = values.append
+        for name, decode_field, default, at_field, ring in steps:
+            if name in obj or default is None:
+                append(decode_field(obj.get(name), f"{where}.{name}" if at_field else where,
+                                    ctx.product.components[values[at]] if ring else ctx))
+            elif default is REQUIRED:
+                raise ValidationError(where, MISSING.format(name))
+            else:
+                append(default)
+        try:
+            return make(ctx, *values)
+        except ValueError as exc:
+            raise ValidationError(where, str(exc))
+        except FactorizationBudgetExceeded as exc:  # a ring's prime past the proven range
+            raise FactorizationBudgetExceeded(f"{where}: {exc}") from None
+
+    def encode(value):
+        return {f.name: f.type.encode(v) for f in fields
+                if (v := f.get(value)) is not None and v is not False}
+    return Type(decode, encode, *filter(None, [message, *failures]), fields=fields, cls=cls)
+
+
+def _kinds(key, message, unknown, kinds):
+    """A JSON object whose ``key`` names the row of ``kinds`` that reads it
+    (``row_of``); ``encode`` writes a value of one of the rows' ``cls``."""
+    names = {row.cls: kind for kind, row in kinds.items() if row.cls}
+
+    def row_of(obj, where):
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValidationError(where, message.format(obj))
+        if not _listed(kinds, obj[key]):
+            raise ValidationError(where, unknown.format(obj[key]))
+        return kinds[obj[key]]
+    return Type(lambda obj, where, ctx=None: row_of(obj, where).decode(obj, where, ctx),
+                lambda value: {key: names[type(value)], **kinds[names[type(value)]].encode(value)},
+                message, unknown, kinds=kinds, row_of=row_of)
+
+
+def _named(declared, literal):
+    """The name of a declared object of type ``declared``, or a ``literal``."""
+    decode_literal = literal.decode
+
+    def decode(obj, where, scn):
+        if not isinstance(obj, str):
+            return decode_literal(obj, where, scn)
+        if obj not in scn.types:
+            raise ValidationError(where, UNKNOWN_NAME.format(obj))
+        if scn.types[obj] != declared:
+            raise ValidationError(where, WRONG_TYPE.format(obj, declared))
+        return scn.objects[obj]
+    return Type(decode, literal.encode, UNKNOWN_NAME, WRONG_TYPE, item=literal)
 
 
 def _listed(table, key) -> bool:
@@ -119,197 +262,102 @@ def _listed(table, key) -> bool:
     return isinstance(key, str) and key in table
 
 
-def _located(where, make, *args):
-    """``make(*args)``, with the ValueError it raises located at ``where``."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise ValidationError(where, str(exc))
-
-
-def decode_ring_element(ring: RingHandle, obj, where="element") -> RingElement:
-    return _read(ring.element, obj, where)
-
-
 def encode_ring_element(elem: RingElement):
     raw = elem.raw
     if isinstance(raw, tuple):
         return {"poly": list(raw)}
-    if isinstance(raw, int) or raw.denominator == 1:
-        return encode_value(int(raw))
-    return f"{raw.numerator}/{raw.denominator}"
+    return encode_value(raw) if isinstance(raw, int) else f"{raw.numerator}/{raw.denominator}"
 
 
 def encode_generator(m: MaxIdealId):
-    if isinstance(m.generator, tuple):
-        return {"poly": list(m.generator)}
-    return encode_value(m.generator)
+    g = m.generator
+    return {"poly": list(g)} if isinstance(g, tuple) else encode_value(g)
 
 
-def decode_max_ideal(ring: RingHandle, obj, where="ideal") -> MaxIdealId:
-    return _read(ring.max_ideal, obj, where)
-
-
-def decode_fincof(ring: RingHandle, obj, where="set") -> FinCofSet:
-    if isinstance(obj, dict) and "finite" in obj:
-        return FinCofSet.finite(
-            ring, (decode_max_ideal(ring, g, where) for g in obj["finite"]))
-    if isinstance(obj, dict) and "cofinite" in obj:
-        return FinCofSet.cofinite(
-            ring, (decode_max_ideal(ring, g, where) for g in obj["cofinite"]))
-    raise ValidationError(where, f"expected {{\"finite\": ...}} or {{\"cofinite\": ...}}")
-
-
-def encode_fincof(s: FinCofSet) -> dict:
+def encode_fincof(s) -> dict:
     gens = [encode_generator(m) for m in s.sorted_support()]
     return {"cofinite": gens} if s.is_cofinite else {"finite": gens}
 
 
-def decode_ultrafilter(shape, obj, where="ultrafilter") -> boolalg.UltrafilterDescriptor:
-    if not isinstance(obj, dict) or "coordinate" not in obj:
-        raise ValidationError(where, f"expected an ultrafilter description, got {obj!r}")
-    coord = _decode_int(obj["coordinate"], where)
-    if not 0 <= coord < len(shape):
-        raise ValidationError(where, f"coordinate {coord} out of range")
-    if obj.get("cofinite_frechet"):
-        return _located(where, boolalg.UltrafilterDescriptor, shape, coord, None)
-    if "principal" not in obj:
-        raise ValidationError(where, "need \"principal\" or \"cofinite_frechet\"")
-    m = decode_max_ideal(shape[coord], obj["principal"], where)
-    return boolalg.UltrafilterDescriptor(shape, coord, m)
+def _ultrafilter(scn, coordinate, frechet, principal):
+    if not frechet and principal is False:
+        raise ValueError(NEED_PRINCIPAL)
+    return boolalg.UltrafilterDescriptor(scn.product.components, coordinate,
+                                         None if frechet else principal)
 
 
-def encode_ultrafilter(u: boolalg.UltrafilterDescriptor) -> dict:
-    if u.is_frechet:
-        return {"coordinate": u.coordinate, "cofinite_frechet": True}
-    return {"coordinate": u.coordinate, "principal": encode_generator(u.principal)}
+def _vector(scn, defaults, exceptions):
+    global valuations
+    if valuations is None:
+        from . import valuations
+    return valuations.ValueVector(scn.product.components, defaults, exceptions)
 
 
-def decode_value_vector(shape, obj, where="value_vector") -> valuations.ValueVector:
-    if not isinstance(obj, dict) or not isinstance(obj.get("defaults"), list):
-        raise ValidationError(where, f"expected a value vector, got {obj!r}")
-    from . import valuations
-    defaults = tuple(decode_value(v, where) for v in obj["defaults"])
-    if len(defaults) != len(shape):
-        raise ValidationError(where, "one default per coordinate required")
-    if not isinstance(obj.get("exceptions", []), list):
-        raise ValidationError(f"{where}.exceptions", "must be a list")
-    exceptions = []
-    for j, rec in enumerate(obj.get("exceptions", [])):
-        if not isinstance(rec, dict) or not {"coord", "ideal", "value"} <= rec.keys():
-            raise ValidationError(f"{where}.exceptions[{j}]",
-                                  "need \"coord\", \"ideal\" and \"value\"")
-        coord = _decode_int(rec["coord"], where)
-        if not 0 <= coord < len(shape):
-            raise ValidationError(where, f"coordinate {coord} out of range")
-        m = decode_max_ideal(shape[coord], rec["ideal"], where)
-        exceptions.append((coord, m, decode_value(rec["value"], where)))
-    return _located(where, valuations.ValueVector, shape, defaults, tuple(exceptions))
+INT = Type(_decode_int, encode_value, NOT_INT)
+POSITIVE = _at_least(1, "must be positive")
+BOOL = Type(_decode_bool, bool, NOT_BOOL)
+COORDINATE = Type(_decode_coordinate, int, NOT_INT, OUT_OF_RANGE)
+INDEX = Type(lambda obj, where, ctx=None: products.IndexUltrafilter(_decode_int(obj, where)),
+             attrgetter("coordinate"), NOT_INT)
+VALUE = Type(lambda obj, where, ctx=None: obj if type(obj) is int and obj >= 0
+             else decode_value(obj, where), encode_value,
+             "expected an integer or \"inf\", got {!r}",
+             "must be a non-negative integer or INF, got {!r}")
+POLY = _list(INT, "\"poly\" must be a list, got {!r}")
+GENERATOR = Type(_reader(False), encode_generator, *POLY.failures, NOT_INT, ring=True)
+ENTRY = Type(_reader(True), encode_ring_element, *POLY.failures, NOT_INT, ring=True)
 
-
-def encode_value_vector(g: valuations.ValueVector) -> dict:
-    return {
-        "defaults": [encode_value(v) for v in g.defaults],
-        "exceptions": [
-            {"coord": c, "ideal": encode_generator(m), "value": encode_value(v)}
-            for c, m, v in g.exceptions],
-    }
-
-
-def decode_element(product: products.ProductRing, obj, where="element"):
-    if not isinstance(obj, (list, tuple)):
-        raise ValidationError(where, "a product element is a list of entries")
-    if len(obj) != product.size:
-        raise ValidationError(where, f"expected {product.size} entries")
-    return products.ProductElement(
-        product,
-        tuple(decode_ring_element(r, o, where)
-              for r, o in zip(product.components, obj)))
-
-
-def encode_element(a) -> list:
-    return [encode_ring_element(e) for e in a.entries]
-
-
-def _index_filter(obj, where):
-    return products.IndexUltrafilter(_decode_int(obj.get("coordinate"), where))
-
-
-def _decode_pointwise_max_ideal(scn, obj, where):
-    f = _index_filter(obj, where)
-    if not isinstance(obj.get("ideals"), list):
-        raise ValidationError(where, "\"ideals\" must be a list of generators")
-    ideals = tuple(decode_max_ideal(r, g, where)
-                   for r, g in zip(scn.product.components, obj["ideals"]))
-    return _located(where, products.PointwiseMaxIdeal, scn.product, f, ideals)
-
-
-#: One row per ideal descriptor kind, keyed by its ``kind``: (decoder,
-#: encoder).  A decoder reads the kind's JSON object in the scenario ``scn``,
-#: located at ``where``, and reads the names in it with ``resolve``; an
-#: encoder gives the fields of a descriptor besides ``"kind"``.
-IDEAL_KINDS = {
-    products.UltrafilterIdeal.kind: (
-        lambda scn, obj, where: products.UltrafilterIdeal(
-            scn.product, resolve(scn, obj.get("ultrafilter"), "ultrafilter", where)),
-        lambda ideal: {"ultrafilter": encode_ultrafilter(ideal.u)}),
-    products.KernelIdeal.kind: (
-        lambda scn, obj, where: _located(where, products.KernelIdeal, scn.product,
-                                         _index_filter(obj, where)),
-        lambda ideal: {"coordinate": ideal.f.coordinate}),
-    products.PointwiseMaxIdeal.kind: (
-        _decode_pointwise_max_ideal,
-        lambda ideal: {"coordinate": ideal.f.coordinate,
-                       "ideals": [encode_generator(m) for m in ideal.ideals]}),
-    products.ValuationIdeal.kind: (
-        lambda scn, obj, where: products.ValuationIdeal(
-            scn.product, resolve(scn, obj.get("ultrafilter"), "ultrafilter", where),
-            resolve(scn, obj.get("g"), "value_vector", where)),
-        lambda ideal: {"ultrafilter": encode_ultrafilter(ideal.u),
-                       "g": encode_value_vector(ideal.g)}),
-}
-
-
-def decode_ideal(scn, obj, where="ideal"):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValidationError(where, f"expected an ideal descriptor, got {obj!r}")
-    kind = obj["kind"]
-    if not _listed(IDEAL_KINDS, kind):
-        raise ValidationError(where, f"unknown ideal kind {kind!r}")
-    return IDEAL_KINDS[kind][0](scn, obj, where)
-
-
-def encode_ideal(ideal) -> dict:
-    return {"kind": ideal.kind, **IDEAL_KINDS[ideal.kind][1](ideal)}
-
-
-#: One row per declared object type, keyed by its ``"type"``: (decoder of a
-#: literal, as in ``IDEAL_KINDS``; the field of a declared object that holds
-#: its literal, or None when the object itself is the literal).
-OBJECT_TYPES = {
-    "ultrafilter": (lambda scn, obj, where: decode_ultrafilter(scn.product.shape, obj, where),
-                    None),
-    "element": (lambda scn, obj, where: decode_element(scn.product, obj, where), "entries"),
-    "value_vector": (lambda scn, obj, where: decode_value_vector(scn.product.shape, obj, where),
-                     None),
-    "ideal": (decode_ideal, None),
-}
-
-
-def resolve(scn, obj, declared, where):
-    """A value of the object type ``declared``: the name of an object the
-    scenario declares with that ``"type"``, or a literal, decoded here."""
-    if not isinstance(obj, str):
-        return OBJECT_TYPES[declared][0](scn, obj, where)
-    if obj not in scn.types:
-        raise ValidationError(where, f"unknown object name {obj!r}")
-    if scn.types[obj] != declared:
-        raise ValidationError(where, f"object {obj!r} is not of type {declared!r}")
-    return scn.objects[obj]
-
-
-# ---------------------------------------------------------------------------
-# Scenario model
+RING = _kinds("kind", "expected a ring description, got {!r}", "unknown ring kind {!r}", {
+    kind: _object(None, fields, lambda _, *values, cls=cls: cls(*values), cls=cls)
+    for kind, cls, fields in (
+        ("integers", IntegerRing, ()),
+        ("residue", ResidueRing, [Field("n", INT, "modulus", at_field=True)]),
+        ("localized_integers", LocalizedIntegersRing, [Field(
+            "primes", _list(INT, "must be a list", index=True), "primes", at_field=True)]),
+        ("poly_fq", PolynomialRing, [Field("q", INT, "q", at_field=True)]))})
+ULTRAFILTER = _object(
+    "expected an ultrafilter description, got {!r}",
+    [Field("coordinate", COORDINATE, "coordinate"),
+     Field("cofinite_frechet", BOOL, "is_frechet", False, at_field=True),
+     Field("principal", GENERATOR, "principal", False)],
+    _ultrafilter, NEED_PRINCIPAL)
+ELEMENT = _list(ENTRY, "a product element is a list of entries", "expected {} entries",
+                make=products.ProductElement, get=attrgetter("entries"))
+EXCEPTION = _object(
+    "need \"coord\", \"ideal\" and \"value\"",
+    [Field("coord", COORDINATE, 0), Field("ideal", GENERATOR, 1), Field("value", VALUE, 2)],
+    lambda _, *exception: exception)
+VALUE_VECTOR = _object(
+    "expected a value vector, got {!r}",
+    [Field("defaults", _list(VALUE, "\"defaults\" must be a list, got {!r}"), "defaults"),
+     Field("exceptions", _list(EXCEPTION, "must be a list", index=True), "exceptions", [],
+           at_field=True)],
+    _vector)
+#: the name or literal of each declared object type, which ``resolve`` reads
+NAMED = {"ultrafilter": _named("ultrafilter", ULTRAFILTER),
+         "element": _named("element", ELEMENT),
+         "value_vector": _named("value_vector", VALUE_VECTOR)}
+# a field left out of a descriptor reads as null, which its type refuses
+IDEAL = _kinds("kind", "expected an ideal descriptor, got {!r}", "unknown ideal kind {!r}", {
+    cls.kind: _object(None, fields, lambda scn, *values, cls=cls: cls(scn.product, *values),
+                      cls=cls)
+    for cls, fields in (
+        (products.UltrafilterIdeal, [Field("ultrafilter", NAMED["ultrafilter"], "u", None)]),
+        (products.KernelIdeal, [Field("coordinate", INDEX, "f", None)]),
+        (products.PointwiseMaxIdeal, [
+            Field("coordinate", INDEX, "f", None),
+            Field("ideals", _list(GENERATOR, "\"ideals\" must be a list of generators"),
+                  "ideals", None)]),
+        (products.ValuationIdeal, [Field("ultrafilter", NAMED["ultrafilter"], "u", None),
+                                   Field("g", NAMED["value_vector"], "g", None)]))})
+NAMED["ideal"] = _named("ideal", IDEAL)
+# a declared element holds its literal in "entries"; objects are read, never written
+OBJECT = _kinds("type", "objects need a \"type\" field", "unknown object type {!r}", {
+    "ultrafilter": ULTRAFILTER,
+    "element": _object(None, [Field("entries", ELEMENT, None, None)],
+                       lambda _, element: element),
+    "value_vector": VALUE_VECTOR,
+    "ideal": IDEAL})
 
 
 class Options(Record, frozen=False):
@@ -319,19 +367,32 @@ class Options(Record, frozen=False):
     oracle_budget: int = DEFAULT_ORACLE_BUDGET
     log_base: object = None  # None = natural log
 
-    @classmethod
-    def from_obj(cls, obj) -> "Options":
-        if not isinstance(obj, dict):
-            raise ValidationError("options", "must be an object")
-        opts = cls()
-        for key in ("bound", "n_max", "factor_budget", "oracle_budget"):
-            if key in obj:
-                setattr(opts, key, _decode_positive_int(obj[key], f"options.{key}"))
-        if obj.get("log_base") is not None:
-            opts.log_base = _decode_int(obj["log_base"], "options.log_base")
-            if opts.log_base < 2:
-                raise ValidationError("options.log_base", "must be an integer >= 2")
-        return opts
+
+OPTIONS = _object("must be an object", [
+    *(Field(key, POSITIVE, key, Options._defaults[key], at_field=True)
+      for key in ("bound", "n_max", "factor_budget", "oracle_budget")),
+    Field("log_base", _optional(_at_least(2, "must be an integer >= 2")), "log_base", None,
+          at_field=True)],
+    lambda _, *values: Options(*values))
+#: The table of the JSON shapes of a scenario, one row per shape.
+SHAPES = {"ring": RING, "ultrafilter": ULTRAFILTER, "element": ELEMENT,
+          "value_vector": VALUE_VECTOR, "exception": EXCEPTION, "ideal": IDEAL,
+          "object": OBJECT, "options": OPTIONS}
+IDEAL_KINDS, OBJECT_TYPES = IDEAL.kinds, OBJECT.kinds
+
+
+def resolve(scn, obj, declared, where):
+    """A value of the object type ``declared``: the name of an object the
+    scenario declares with that ``"type"``, or a literal, decoded here."""
+    return NAMED[declared].decode(obj, where, scn)
+
+
+def decode_ring(obj, where="rings") -> RingHandle:
+    return RING.decode(obj, where)
+
+
+# ---------------------------------------------------------------------------
+# Scenario model
 
 
 class Scenario(Record, frozen=False):
@@ -367,12 +428,12 @@ def parse_scenario(source) -> Scenario:
         raise ValidationError("product", "need a nonempty index list")
     comps = []
     for i, idx in enumerate(index_list):
-        idx = _decode_int(idx, f"product[{i}]")
+        idx = INT.decode(idx, f"product[{i}]")
         if not 0 <= idx < len(rings):
             raise ValidationError(f"product[{i}]", f"ring index {idx} out of range")
         comps.append(rings[idx])
     product = products.ProductRing(tuple(comps))
-    scn = Scenario(rings, product, {}, {}, [], Options.from_obj(data.get("options", {})))
+    scn = Scenario(rings, product, {}, {}, [], OPTIONS.decode(data.get("options", {}), "options"))
 
     # ideals may reference other named objects, so decode them second
     raw_objects = data.get("objects", {})
@@ -382,15 +443,10 @@ def parse_scenario(source) -> Scenario:
     for pass_ideals in (False, True):
         for name, obj in items:
             where = f"objects.{name}"
-            if not isinstance(obj, dict) or "type" not in obj:
-                raise ValidationError(where, "objects need a \"type\" field")
-            t = obj["type"]
-            if not _listed(OBJECT_TYPES, t):
-                raise ValidationError(where, f"unknown object type {t!r}")
-            scn.types[name] = t
-            if (t == "ideal") == pass_ideals:
-                decode, field = OBJECT_TYPES[t]
-                scn.objects[name] = decode(scn, obj if field is None else obj.get(field), where)
+            row = OBJECT.row_of(obj, where)
+            scn.types[name] = obj["type"]
+            if (row is IDEAL) == pass_ideals:
+                scn.objects[name] = row.decode(obj, where, scn)
 
     queries = data.get("queries", [])
     if not isinstance(queries, list):
@@ -509,7 +565,7 @@ class Report(Record, frozen=False):
 
 
 def _ring_at(scn: Scenario, query: dict, where):
-    idx = _decode_int(query.get("ring", 0), f"{where}.ring")
+    idx = INT.decode(query.get("ring", 0), f"{where}.ring")
     if not 0 <= idx < len(scn.rings):
         raise ValidationError(f"{where}.ring",
                               f"ring index {idx} out of range "
@@ -527,7 +583,7 @@ def _maxideals(scn, query, where):
     product = scn.product
     bound = scn.options.bound
     if "bound" in query:
-        bound = _decode_positive_int(query["bound"], f"{where}.bound")
+        bound = POSITIVE.decode(query["bound"], f"{where}.bound")
     # listed here, so that an enumeration cap raises inside the handler, and
     # once per distinct ring: equal components share one list of generators,
     # in the order of boolalg.principal_ideals, with no record built
@@ -571,7 +627,7 @@ def _maxideals(scn, query, where):
         if not ring.spectrum_finite:
             u = boolalg.UltrafilterDescriptor(product.shape, i, None)
             verdict = products.is_maximal(products.UltrafilterIdeal(product, u))
-            rejected.append({"ultrafilter": encode_ultrafilter(u), "rule": verdict.rule,
+            rejected.append({"ultrafilter": ULTRAFILTER.encode(u), "rule": verdict.rule,
                              "reason": verdict.detail})
     return {"verdict": {"maximal": Stream(maximal), "rejected": rejected},
             "provenance": "rule:bounded-ultrafilter-enumeration"}
@@ -583,15 +639,15 @@ def _is_maximal(scn, query, where):
     rec = {"verdict": verdict.is_maximal, "provenance": verdict.rule,
            "detail": verdict.detail}
     if verdict.witness is not None:
-        rec["witness"] = encode_element(verdict.witness)
+        rec["witness"] = ELEMENT.encode(verdict.witness)
     return rec
 
 
 def _check_plus(scn, query, where):
     from . import properties
     ring = _ring_at(scn, query, where)
-    r = decode_ring_element(ring, query.get("r"), where)
-    a = decode_ring_element(ring, query.get("a"), where)
+    r = ENTRY.decode(query.get("r"), where, ring)
+    a = ENTRY.decode(query.get("a"), where, ring)
     w = properties.plus_witness(ring, r, a, scn.options.factor_budget)
     return {"verdict": encode_ring_element(w.d),
             "witness": {"must_contain": encode_fincof(w.lower),
@@ -610,7 +666,7 @@ def _check_plusplus(scn, query, where):
     rec = {"verdict": True, "provenance": verdict.rule}
     budget = scn.options.factor_budget
     if "r" in query:
-        r = decode_ring_element(ring, query["r"], where)
+        r = ENTRY.decode(query["r"], where, ring)
         rec["witness"] = encode_ring_element(properties.plusplus_witness(ring, r, budget))
     elif ring.dimension == 0:
         # one witness per residue: the oracle's element budget caps the rows
@@ -628,14 +684,14 @@ def _check_plusplus(scn, query, where):
 def _ideal_member(scn, query, where):
     ideal = resolve(scn, query.get("ideal"), "ideal", where)
     a = resolve(scn, query.get("element"), "element", where)
-    return {"verdict": products.ideal_member(ideal, a), "ideal": encode_ideal(ideal),
+    return {"verdict": products.ideal_member(ideal, a), "ideal": IDEAL.encode(ideal),
             "provenance": "rule:descriptor-membership"}
 
 
 def _minimal_prime(scn, query, where):
     u = resolve(scn, query.get("ultrafilter"), "ultrafilter", where)
     kernel = products.minimal_prime_below(products.UltrafilterIdeal(scn.product, u))
-    return {"verdict": encode_ideal(kernel),
+    return {"verdict": IDEAL.encode(kernel),
             "provenance": "rule:index-filter-concentration"}
 
 
@@ -672,9 +728,9 @@ def _interpolate(scn, query, where):
     branch = query.get("branch", "W")
     n_max = scn.options.n_max
     if "n_max" in query:
-        n_max = _decode_positive_int(query["n_max"], f"{where}.n_max")
+        n_max = POSITIVE.decode(query["n_max"], f"{where}.n_max")
     if "doubling" in query:
-        count = _decode_positive_int(query["doubling"], f"{where}.doubling")
+        count = POSITIVE.decode(query["doubling"], f"{where}.doubling")
         if count > valuations.INTERPOLATION_CAP:
             raise BudgetExceeded(f"doubling sample of length {count} exceeds the "
                                  f"interpolation cap {valuations.INTERPOLATION_CAP}")
@@ -706,9 +762,7 @@ def _interpolate(scn, query, where):
 
 def _oracle(scn, query, where):
     from . import oracle
-    mark = query.get("mark_primes", True)
-    if not isinstance(mark, bool):
-        raise ValidationError(f"{where}.mark_primes", f"must be true or false, got {mark!r}")
+    mark = BOOL.decode(query.get("mark_primes", True), f"{where}.mark_primes")
     try:
         rep = oracle.oracle_run(scn.product.components, scn.options.oracle_budget, mark)
     except UnsupportedRing as exc:
@@ -733,7 +787,7 @@ def _skolem(scn, query, where):
     result = products.skolem_check(elems, scn.options.factor_budget)
     rec = {"verdict": result.holds, "provenance": "rule:coordinatewise-bezout"}
     if result.holds:
-        rec["certificate"] = [encode_element(c) for c in result.certificate]
+        rec["certificate"] = [ELEMENT.encode(c) for c in result.certificate]
     else:
         coord, m = result.witness
         rec["witness"] = {"coordinate": coord, "ideal": encode_generator(m)}

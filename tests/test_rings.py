@@ -335,6 +335,15 @@ class TestLocalizedIntegralValues:
             assert all(a == answers[0] for a in answers[1:]), (ring, n)
             assert answers[0][-1] == n
 
+    def test_integral_sums_and_products_are_ints(self):
+        from prodideals.scenario import encode_ring_element
+        L2 = LocalizedIntegersRing((2,))
+        third = L2.element("1/3")
+        for x in (third * 3, third + "2/3", third - "-2/3", L2.element("3/5") * "5/3"):
+            assert type(x.raw) is int and x.raw == 1 and x == L2.one
+            assert encode_ring_element(x) == 1
+        assert (third + third).raw == Fraction(2, 3)
+
     def test_cover_unit_is_an_exact_fraction(self):
         L2 = LocalizedIntegersRing((2,))
         assert L2._cover(6) == (2, Fraction(1, 3))

@@ -22,6 +22,7 @@ from prodideals.cli import (
     parse_ring_token,
     read_argv,
 )
+from prodideals import scenario
 from prodideals.errors import ParseError, ValidationError
 from prodideals.scenario import (
     SCHEMA_VERSION,
@@ -48,6 +49,26 @@ WRONG_TYPE = [
     ({"query": "skolem", "elements": ["U"]}, "element"),
     ({"query": "ideal-member", "ideal": "U", "element": "e"}, "ideal"),
 ]
+
+
+#: one literal of each shape, and of each kind of a kinded shape, over the
+#: product Z x Z/12
+SHAPE_LITERALS = {
+    "ring": [Z, Z12, {"kind": "localized_integers", "primes": [2, 3]},
+             {"kind": "poly_fq", "q": 4}],
+    "ultrafilter": [U2, {"coordinate": 0, "cofinite_frechet": True}],
+    "element": [[2, 1], [-7, 11]],
+    "value_vector": [{"defaults": [1, "inf"],
+                      "exceptions": [{"coord": 0, "ideal": 3, "value": 4}]}],
+    "exception": [{"coord": 1, "ideal": 2, "value": "inf"}],
+    "ideal": [{"kind": "ultrafilter_ideal", "ultrafilter": U2},
+              {"kind": "kernel_ideal", "coordinate": 1},
+              {"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": [3, 2]},
+              {"kind": "valuation_ideal", "ultrafilter": U2,
+               "g": {"defaults": [1, 2], "exceptions": [{"coord": 0, "ideal": 3, "value": 4}]}}],
+    "options": [{"bound": 3, "n_max": 5, "factor_budget": 100, "oracle_budget": 50,
+                 "log_base": 2}],
+}
 
 
 # both sieve paths, two equal components, a generator above 2**53 (written as
@@ -177,35 +198,26 @@ class TestExecution:
         assert report.exit_code == 2
         assert report.records[0]["actual"] is False
 
-    def test_fincof_codec_roundtrip(self):
-        from prodideals.scenario import decode_fincof, encode_fincof
-        ring = IntegerRing()
-        finite = decode_fincof(ring, {"finite": [2, 3]})
-        assert not finite.is_cofinite
-        assert encode_fincof(finite) == {"finite": [2, 3]}
-        cofinite = decode_fincof(ring, {"cofinite": [2]})
-        assert cofinite.is_cofinite
-        assert encode_fincof(cofinite) == {"cofinite": [2]}
-        with pytest.raises(ValidationError):
-            decode_fincof(ring, {"neither": []})
-
-    def test_every_descriptor_kind_has_a_codec_row(self):
-        # a kind is its class in products plus its IDEAL_KINDS row, and the
-        # row's encoder gives back what its decoder read
+    def test_every_shape_row_round_trips(self):
+        # each row of the table, and each kind of a kinded row, writes back
+        # the literal it read; declared objects are read, never written
         from prodideals.products import Descriptor
-        from prodideals.scenario import IDEAL_KINDS, decode_ideal, encode_ideal
+        from prodideals.rings import FinCofSet, MaxIdealId
         scn = parse_scenario(minimal_scenario(rings=[Z, Z12], product=[0, 1]))
-        literals = [
-            {"kind": "ultrafilter_ideal", "ultrafilter": U2},
-            {"kind": "kernel_ideal", "coordinate": 1},
-            {"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": [3, 2]},
-            {"kind": "valuation_ideal", "ultrafilter": U2,
-             "g": {"defaults": [1, 2], "exceptions": [{"coord": 0, "ideal": 3, "value": 4}]}},
-        ]
-        kinds = {cls.kind for cls in Descriptor.__subclasses__()}
-        assert set(IDEAL_KINDS) == kinds == {obj["kind"] for obj in literals}
-        for obj in literals:
-            assert encode_ideal(decode_ideal(scn, obj)) == obj
+        assert set(scenario.IDEAL_KINDS) == {cls.kind for cls in Descriptor.__subclasses__()}
+        assert set(scenario.SHAPES) == set(SHAPE_LITERALS) | {"object"}
+        for name, literals in SHAPE_LITERALS.items():
+            shape = scenario.SHAPES[name]
+            if shape.kinds is not None:
+                assert {obj["kind"] for obj in literals} == set(shape.kinds)
+            for obj in literals:
+                assert shape.encode(shape.decode(obj, name, scn)) == obj
+        element = scenario.OBJECT_TYPES["element"]
+        assert element.encode(element.decode({"entries": [2, 1]}, "e", scn)) == {"entries": [2, 1]}
+        ring = IntegerRing()
+        finite = FinCofSet.finite(ring, [MaxIdealId(ring, 3), MaxIdealId(ring, 2)])
+        assert scenario.encode_fincof(finite) == {"finite": [2, 3]}
+        assert scenario.encode_fincof(finite.complement()) == {"cofinite": [2, 3]}
 
     def test_corpus_runs_clean(self):
         for path in sorted(SCENARIO_DIR.glob("*.json")):
@@ -990,6 +1002,11 @@ def test_corpus_report_pinned(name, fmt, code, digest):
 KERNEL = {"type": "ideal", "kind": "kernel_ideal", "coordinate": 0}
 
 
+class Ring(dict):
+    """A ring description in place of the objects of a pinned row: the
+    scenario's first ring."""
+
+
 def ideal_named(ultrafilter):
     return {"type": "ideal", "kind": "ultrafilter_ideal", "ultrafilter": ultrafilter}
 
@@ -1084,11 +1101,130 @@ def valuation(**fields):
      "objects.A: unknown object type 'prime'"),
     ({"A": ideal_named("nope"), "B": KERNEL | {"coordinate": 9}}, None,
      "objects.A: unknown object name 'nope'"),
+    # ring fields and ultrafilters that were read as something else
+    (Ring({"kind": "residue", "n": 12.7}), None, "rings[0].n: not an integer: 12.7"),
+    (Ring({"kind": "poly_fq", "q": 4.5}), None, "rings[0].q: not an integer: 4.5"),
+    (Ring({"kind": "localized_integers", "primes": "23"}), None,
+     "rings[0].primes: must be a list"),
+    (Ring({"kind": "localized_integers", "primes": [2.9, 3]}), None,
+     "rings[0].primes[0]: not an integer: 2.9"),
+    (Ring({"kind": "residue", "n": True}), None, "rings[0].n: not an integer: True"),
+    ({"X": {"type": "ultrafilter", "coordinate": 0, "cofinite_frechet": "false"}}, None,
+     "objects.X.cofinite_frechet: must be true or false, got 'false'"),
+    ({"X": {"type": "ultrafilter", "coordinate": 0, "cofinite_frechet": [], "principal": 3}},
+     None, "objects.X.cofinite_frechet: must be true or false, got []"),
 ])
 def test_malformed_input_message_pinned(objects, query, message):
-    scenario = minimal_scenario(rings=[Z, Z12], product=[0, 1], objects=NAMED | objects,
-                                queries=[] if query is None else [query])
-    assert run_cli(["run", json.dumps(scenario)]) == (1, "", f"error: {message}\n")
+    rings, objects = ([objects, Z12], {}) if isinstance(objects, Ring) else ([Z, Z12], objects)
+    held = minimal_scenario(rings=rings, product=[0, 1], objects=NAMED | objects,
+                            queries=[] if query is None else [query])
+    assert run_cli(["run", json.dumps(held)]) == (1, "", f"error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# Every refusal that the table of JSON shapes lists, of each shape, of each
+# field of each of its kinds, and of each item of a list field, gives exit
+# code 1 and a message located at its field
+
+#: a value that each refusal of a scalar field type refuses, and the value
+#: that its message shows
+SCALAR_REFUSALS = {
+    scenario.NOT_INT: (1.5, 1.5),
+    scenario.NOT_BOOL: ("false", "false"),
+    scenario.OUT_OF_RANGE: (9, 9),
+    "must be positive": (0, 0),
+    "must be an integer >= 2": (1, 1),
+    scenario.VALUE.failures[0]: ("x", "x"),
+    scenario.VALUE.failures[1]: (-1, -1),
+    scenario.POLY.failures[0]: ({"poly": 5}, 5),
+}
+#: a literal that each refusal of a shape's own refuses, and the value that
+#: its message shows; any other refuses 7
+SHAPE_REFUSALS = {
+    "unknown ring kind {!r}": ({"kind": "nope"}, "nope"),
+    "unknown ideal kind {!r}": ({"kind": "nope"}, "nope"),
+    "unknown object type {!r}": ({"type": "nope"}, "nope"),
+    scenario.NEED_PRINCIPAL: ({"coordinate": 0}, None),
+}
+
+
+def holding(name, literal):
+    """A scenario over Z x Z/12 that holds a literal of the shape ``name``,
+    and where."""
+    if name == "ring":
+        return minimal_scenario(rings=[literal, Z12], product=[0, 1]), "rings[0]"
+    where, query = {
+        "ultrafilter": ("queries[0]", {"query": "minimal-prime", "ultrafilter": literal}),
+        "element": ("queries[0]", member("I") | {"element": literal}),
+        "value_vector": ("queries[0].g", {"query": "ll", "ultrafilter": "U", "g": literal,
+                                          "h": "g"}),
+        "exception": ("queries[0].g.exceptions[0]", {
+            "query": "ll", "ultrafilter": "U", "h": "g",
+            "g": {"defaults": [1, 1], "exceptions": [literal]}}),
+        "ideal": ("queries[0]", member(literal)),
+        "object": ("objects.X", None),
+        "options": ("options", None),
+    }[name]
+    return minimal_scenario(
+        rings=[Z, Z12], product=[0, 1], queries=[] if query is None else [query],
+        objects=NAMED | {"I": KERNEL} | ({"X": literal} if name == "object" else {}),
+        **({"options": literal} if name == "options" else {})), where
+
+
+def field_refusals(t, valid):
+    """(JSON value, message, location below the field) of each refusal of a
+    field of type ``t``, whose value ``valid`` is accepted."""
+    if scenario.UNKNOWN_NAME in t.failures:
+        declared = next(key for key, named in scenario.NAMED.items() if named is t)
+        other = next(name for name, obj in NAMED.items() if obj["type"] != declared)
+        yield "nope", scenario.UNKNOWN_NAME.format("nope"), ""
+        yield other, scenario.WRONG_TYPE.format(other, declared), ""
+    elif t.item is not None:
+        yield 5, t.failures[0].format(5), ""
+        if len(t.failures) > 1:  # one item per coordinate
+            yield valid[:1], t.failures[1].format(len(valid)), ""
+        if t.item not in scenario.SHAPES.values():
+            for bad, message, _ in field_refusals(t.item, valid[0]):
+                yield [bad, *valid[1:]], message, "[0]" if t.index else ""
+    else:
+        for template in t.failures:
+            bad, shown = SCALAR_REFUSALS[template]
+            yield bad, template.format(shown), ""
+
+
+def table_refusals():
+    literals = {**SHAPE_LITERALS, "object": [{"type": "element", "entries": [2, 1]}]}
+    for name, shape in scenario.SHAPES.items():
+        cases = []  # (id, literal, message, location below the literal)
+        if shape.item is not None:  # a list
+            cases += [(name, bad, message, below)
+                      for bad, message, below in field_refusals(shape, literals[name][0])]
+        else:
+            for template in shape.failures:
+                bad, shown = SHAPE_REFUSALS.get(template, (7, 7))
+                cases.append((name, bad, template.format(shown), ""))
+        for kind, row in ({name: shape} if shape.kinds is None else shape.kinds).items():
+            if row is not shape and row in scenario.SHAPES.values():
+                continue  # read as its own shape too
+            literal = next(obj for obj in literals[name]
+                           if shape.kinds is None or shape.row_of(obj, name) is row)
+            for field in row.fields or ():
+                at = f".{field.name}" if field.at_field else ""
+                rest = {k: v for k, v in literal.items() if k != field.name}
+                if field.default is scenario.REQUIRED:  # refused by the row, if it can
+                    cases.append((f"{kind}.{field.name}", rest, (row.failures[0].format(rest)
+                                  if row.failures else scenario.MISSING.format(field.name)), ""))
+                cases += [(f"{kind}.{field.name}", rest | {field.name: bad}, message, at + below)
+                          for bad, message, below in
+                          field_refusals(field.type, literal.get(field.name))]
+        for case_id, literal, message, below in cases:
+            held, where = holding(name, literal)
+            yield pytest.param(held, f"{where}{below}: {message}", id=f"{case_id}: {message}")
+
+
+@pytest.mark.parametrize("held, message", table_refusals())
+def test_every_refusal_of_the_table_is_located(held, message):
+    assert run_cli(["run", json.dumps(held)]) == (1, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
