@@ -73,10 +73,11 @@ _ONE_RING = {}
 #: One row per query kind with a command-line form, keyed by the kind, in
 #: ``--help`` order: (help, ``-r`` keywords or None for a query over ``Z``,
 #: flags).  A flag is (flag, field, argparse keywords); its value goes to the
-#: query's ``field``, or to a scenario option when the field reads
-#: ``options.<name>``.  A flag without ``type``, ``choices`` or ``action`` is
-#: JSON text.  A flag is forwarded only when given, so the scenario's
-#: defaults are the only ones.
+#: query's ``field``, a field of the kind's ``scenario.QUERIES`` row, or to a
+#: scenario option when the field reads ``options.<name>``; it is
+#: ``required`` exactly when that field has no default.  A flag without
+#: ``type``, ``choices`` or ``action`` is JSON text.  A flag is forwarded
+#: only when given, so the scenario's defaults are the only ones.
 COMMANDS = {
     "maxideals": ("enumerate maximal ideals", _RINGS, ()),
     "check-plus": ("separating element for (r, a)", _ONE_RING, (

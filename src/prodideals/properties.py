@@ -17,17 +17,11 @@ that no vanishing set can match.
 
 from __future__ import annotations
 
+import math
+
 from .errors import NoWitness, UnsupportedRing, ZeroElement
 from .record import Record
-from .rings import (
-    DEFAULT_FACTOR_BUDGET,
-    ZZ,
-    FinCofSet,
-    MaxIdealId,
-    RingElement,
-    RingHandle,
-    crt_solve,
-)
+from .rings import DEFAULT_FACTOR_BUDGET, FinCofSet, RingElement, RingHandle
 
 RULE_PLUS_FINITE_CHARACTER = "rule:plus-finite-character-product"
 RULE_PLUSPLUS_ZERO_DIMENSIONAL = "rule:plusplus-zero-dimensional"
@@ -99,9 +93,11 @@ def plusplus_witness(ring: RingHandle, r,
     """An element d whose vanishing set is exactly the complement of r's.
 
     Where the property holds the witness is built as in the idempotent
-    construction: modulo the (squarefree) Jacobson radical generator the
-    class of r generates the same ideal as an idempotent e, and d lifts
-    1 - e; the canonical lift is the smallest non-negative representative.
+    construction: modulo the (squarefree) Jacobson radical generator rad,
+    the product of the primes, the class of r generates the same ideal as
+    an idempotent e, and d lifts 1 - e; the canonical lift is the smallest
+    non-negative representative.  1 - e is the sum of the idempotents
+    e_p = (rad/p) * ((rad/p)^-1 mod p) of the primes p that divide r.
     Over an infinite spectrum (the integers and polynomial rings) the
     witness only exists at zero (d = 1) and at units (d = 0); anything else
     raises NoWitness.
@@ -114,11 +110,9 @@ def plusplus_witness(ring: RingHandle, r,
             return ring.zero
         raise NoWitness(r, f"the complement of the vanishing set of {r!r} is "
                            "infinite and coinfinite; no vanishing set matches it")
-    # e = 1 at primes not containing r, 0 at primes containing r; d lifts
-    # 1 - e, the smallest non-negative solution of these congruences
-    d = crt_solve(ZZ, [(MaxIdealId(ZZ, m.generator), 1, 1 if m.contains(r) else 0)
-                       for m in ring.maximal_spectrum()]).raw
-    witness = ring.element(d)
+    rad = math.prod(ring.primes)
+    witness = ring.element(sum(rad // m.generator * pow(rad // m.generator, -1, m.generator)
+                               for m in ring.maximal_spectrum() if m.contains(r)) % rad)
     if ring.vset(witness, budget) != ring.vset(r, budget).complement():
         raise AssertionError(f"{witness!r} does not vanish exactly off {r!r}")
     return witness

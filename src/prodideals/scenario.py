@@ -8,26 +8,27 @@ oracle that produced the verdict.  Machine rendering is one JSON object per
 line with sorted keys, so a fixed scenario and tool version always produce
 byte-identical output.
 
-``QUERIES`` maps each query kind to its handler, a function of the scenario,
-the query object and its location (``queries[i]``) that returns the record's
-fields: ``verdict``, ``provenance`` and any witness material; a long list
-among them can be a ``Stream``, whose entries come as text already encoded
-by the report's encoder and are written a piece at a time.  To add a kind,
-write its handler, add a ``QUERIES`` row, and, if the kind has a
-command-line form, add a row to ``cli.COMMANDS``.
+``QUERIES`` maps each query kind to its handler and the ``_object`` of the
+fields it reads, which decodes them first.  The handler, a function of the
+scenario, the query's location (``queries[i]``) and one value per field,
+returns the record's fields: ``verdict``, ``provenance`` and any witness
+material; a long list among them can be a ``Stream``, whose entries come as
+text already encoded by the report's encoder and are written a piece at a
+time.  To add a kind, write its handler and a ``QUERIES`` row of its fields,
+and, if the kind has a command-line form, a row of ``cli.COMMANDS``.
 
 ``SHAPES`` is the one table of the JSON shapes a scenario holds: ring
 descriptions, ultrafilters, product elements, value vectors and their
 exceptions, ideal descriptors, declared objects and the options.  A row
-lists its fields, the ``Type`` of each (an integer, a boolean, a
-coordinate, a generator or entry at a coordinate, a value, a list, or the
+lists its fields, the ``Type`` of each (an integer, a boolean, an index, a
+generator or entry at the ring an index names, a value, a list, or the
 name or literal of a declared object) and the messages of its refusals; its
 decoder and encoder are built from it once, at import.  A field that holds
 an ultrafilter, element, value vector or ideal descriptor takes a literal or
-the name of a declared object of that ``"type"``, and ``resolve`` reads
-both.  To add a descriptor kind, write its class in ``products`` and add a
-row of its fields to ``IDEAL``; to add an object type, add a ``NAMED`` type
-for its literal and a row to ``OBJECT``.
+the name of a declared object of that ``"type"`` (its ``NAMED`` type).  To
+add a descriptor kind, write its class in ``products`` and add a row of its
+fields to ``IDEAL``; to add an object type, add a ``NAMED`` type for its
+literal and a row to ``OBJECT``.
 
 Each CLI process answers one command, so this module imports only what every
 scenario needs (``rings``, ``boolalg``, ``products``).  ``oracle``,
@@ -58,7 +59,7 @@ from .rings import (
     RingHandle,
     generator_key,
 )
-from .values import decode_value, encode_value, encode_values
+from .values import INF, encode_value, encode_values
 
 SCHEMA_VERSION = 1
 valuations = None  # bound by the value-vector decoder on first use
@@ -73,15 +74,16 @@ class Type:
 
     ``decode(obj, where, ctx)`` reads ``obj`` or refuses it with a
     ValidationError located at ``where``; ``ctx`` is the scenario (None for
-    a ring) or, for a type that reads at a coordinate (``ring``), the ring
-    there.  ``encode`` writes a decoded value.  ``failures`` are the messages
-    of its own refusals, templates that ``str.format`` fills with the JSON
-    value.  A list's ``item`` (located at ``where[j]`` if ``index``), a
-    shape's ``fields`` and the rows of its ``kinds`` (``row_of`` finds one,
-    and it writes the values of its ``cls``) list theirs.
+    a ring) or, for a type that reads at a ring (``ring``), the ring that
+    its row's index into ``seq(scn)`` names.  ``encode`` writes a decoded
+    value.  ``failures`` are the messages of its own refusals, templates
+    that ``str.format`` fills with the JSON value.  A list's ``item``
+    (located at ``where[j]`` if ``index``), a shape's ``fields`` and the rows
+    of its ``kinds`` (``row_of`` finds one, and it writes the values of its
+    ``cls``) list theirs.
     """
 
-    item = fields = kinds = cls = None
+    item = fields = kinds = cls = seq = None
     ring = index = False
 
     def __init__(self, decode, encode, *failures, **facts):
@@ -96,8 +98,9 @@ class Field:
     """A field of an object shape: its JSON ``name`` and ``type``; what the
     encoder writes of the decoded value (an attribute path, a tuple index,
     or None for the value itself; None and False are left out); the value
-    of an absent field, which is read as a JSON null if it is None; and
-    whether its type's refusals are located at ``where.name``."""
+    of an absent field (read as a JSON null if None, or off the scenario if
+    a function); and whether its type's refusals are located at
+    ``where.name``."""
 
     def __init__(self, name, type, get, default=REQUIRED, at_field=False):
         self.name, self.type, self.default, self.at_field = name, type, default, at_field
@@ -109,6 +112,8 @@ MISSING = "missing field {!r}"
 NOT_INT = "not an integer: {!r}"
 NOT_BOOL = "must be true or false, got {!r}"
 OUT_OF_RANGE = "coordinate {} out of range"
+NOT_VALUE = "expected an integer or \"inf\", got {!r}"
+NOT_NON_NEGATIVE = "must be a non-negative integer or INF, got {!r}"
 UNKNOWN_NAME = "unknown object name {!r}"
 WRONG_TYPE = "object {!r} is not of type {!r}"
 NEED_PRINCIPAL = "need \"principal\" or \"cofinite_frechet\""
@@ -139,11 +144,26 @@ def _decode_bool(obj, where, ctx=None):
     return obj
 
 
-def _decode_coordinate(obj, where, scn):
-    coordinate = obj if type(obj) is int else _decode_int(obj, where)
-    if not 0 <= coordinate < len(scn.product.components):
-        raise ValidationError(where, OUT_OF_RANGE.format(coordinate))
-    return coordinate
+def _decode_value(obj, where, ctx=None):
+    if obj == "inf":
+        return INF
+    try:
+        value = int(obj) if isinstance(obj, str) else obj
+    except ValueError:
+        raise ValidationError(where, NOT_VALUE.format(obj)) from None
+    if type(value) is not int or value < 0:  # not a bool
+        raise ValidationError(where, NOT_NON_NEGATIVE.format(value))
+    return value
+
+
+def _index(seq, message):
+    """An index into ``seq(scn)``, the list of rings its row reads at."""
+    def decode(obj, where, scn):
+        index = obj if type(obj) is int else _decode_int(obj, where)
+        if not 0 <= index < len(seq(scn)):
+            raise ValidationError(where, message.format(index, len(seq(scn))))
+        return index
+    return Type(decode, int, NOT_INT, message, seq=seq)
 
 
 def _optional(t):
@@ -194,11 +214,11 @@ def _object(message, fields, make, *failures, cls=None):
     ``make(ctx, *values)``, whose ValueErrors (the ``failures`` among them)
     are located at the object.  ``message`` refuses anything else, and an
     object that lacks a field that must be given; without it, the field's
-    absence is refused.  A type that reads at a coordinate reads at the
-    value of the ``COORDINATE`` field."""
+    absence is refused.  A type that reads at a ring reads at the one that
+    the row's index field names."""
     keys = {f.name for f in fields if f.default is REQUIRED and message}
     steps = [(f.name, f.type.decode, f.default, f.at_field, f.type.ring) for f in fields]
-    at = next((i for i, f in enumerate(fields) if f.type is COORDINATE), None)
+    at, seq = next(((i, f.type.seq) for i, f in enumerate(fields) if f.type.seq), (0, None))
 
     def decode(obj, where, ctx=None):
         if not isinstance(obj, dict) or not obj.keys() >= keys:
@@ -208,11 +228,11 @@ def _object(message, fields, make, *failures, cls=None):
         for name, decode_field, default, at_field, ring in steps:
             if name in obj or default is None:
                 append(decode_field(obj.get(name), f"{where}.{name}" if at_field else where,
-                                    ctx.product.components[values[at]] if ring else ctx))
+                                    seq(ctx)[values[at]] if ring else ctx))
             elif default is REQUIRED:
                 raise ValidationError(where, MISSING.format(name))
             else:
-                append(default)
+                append(default(ctx) if callable(default) else default)
         try:
             return make(ctx, *values)
         except ValueError as exc:
@@ -296,13 +316,10 @@ def _vector(scn, defaults, exceptions):
 INT = Type(_decode_int, encode_value, NOT_INT)
 POSITIVE = _at_least(1, "must be positive")
 BOOL = Type(_decode_bool, bool, NOT_BOOL)
-COORDINATE = Type(_decode_coordinate, int, NOT_INT, OUT_OF_RANGE)
+COORDINATE = _index(attrgetter("product.components"), OUT_OF_RANGE)
 INDEX = Type(lambda obj, where, ctx=None: products.IndexUltrafilter(_decode_int(obj, where)),
              attrgetter("coordinate"), NOT_INT)
-VALUE = Type(lambda obj, where, ctx=None: obj if type(obj) is int and obj >= 0
-             else decode_value(obj, where), encode_value,
-             "expected an integer or \"inf\", got {!r}",
-             "must be a non-negative integer or INF, got {!r}")
+VALUE = Type(_decode_value, encode_value, NOT_VALUE, NOT_NON_NEGATIVE)
 POLY = _list(INT, "\"poly\" must be a list, got {!r}")
 GENERATOR = Type(_reader(False), encode_generator, *POLY.failures, NOT_INT, ring=True)
 ENTRY = Type(_reader(True), encode_ring_element, *POLY.failures, NOT_INT, ring=True)
@@ -333,7 +350,7 @@ VALUE_VECTOR = _object(
      Field("exceptions", _list(EXCEPTION, "must be a list", index=True), "exceptions", [],
            at_field=True)],
     _vector)
-#: the name or literal of each declared object type, which ``resolve`` reads
+#: the name or literal of each declared object type
 NAMED = {"ultrafilter": _named("ultrafilter", ULTRAFILTER),
          "element": _named("element", ELEMENT),
          "value_vector": _named("value_vector", VALUE_VECTOR)}
@@ -379,12 +396,6 @@ SHAPES = {"ring": RING, "ultrafilter": ULTRAFILTER, "element": ELEMENT,
           "value_vector": VALUE_VECTOR, "exception": EXCEPTION, "ideal": IDEAL,
           "object": OBJECT, "options": OPTIONS}
 IDEAL_KINDS, OBJECT_TYPES = IDEAL.kinds, OBJECT.kinds
-
-
-def resolve(scn, obj, declared, where):
-    """A value of the object type ``declared``: the name of an object the
-    scenario declares with that ``"type"``, or a literal, decoded here."""
-    return NAMED[declared].decode(obj, where, scn)
 
 
 def decode_ring(obj, where="rings") -> RingHandle:
@@ -564,26 +575,8 @@ class Report(Record, frozen=False):
         return "".join(self._pieces(False))
 
 
-def _ring_at(scn: Scenario, query: dict, where):
-    idx = INT.decode(query.get("ring", 0), f"{where}.ring")
-    if not 0 <= idx < len(scn.rings):
-        raise ValidationError(f"{where}.ring",
-                              f"ring index {idx} out of range "
-                              f"({len(scn.rings)} rings declared)")
-    return scn.rings[idx]
-
-
-def _value_vector(scn: Scenario, query: dict, key, where):
-    # a literal's errors are located at its field, a name's at the query
-    obj = query.get(key)
-    return resolve(scn, obj, "value_vector", where if isinstance(obj, str) else f"{where}.{key}")
-
-
-def _maxideals(scn, query, where):
+def _maxideals(scn, where, bound):
     product = scn.product
-    bound = scn.options.bound
-    if "bound" in query:
-        bound = POSITIVE.decode(query["bound"], f"{where}.bound")
     # listed here, so that an enumeration cap raises inside the handler, and
     # once per distinct ring: equal components share one list of generators,
     # in the order of boolalg.principal_ideals, with no record built
@@ -633,22 +626,17 @@ def _maxideals(scn, query, where):
             "provenance": "rule:bounded-ultrafilter-enumeration"}
 
 
-def _is_maximal(scn, query, where):
-    u = resolve(scn, query.get("ultrafilter"), "ultrafilter", where)
+def _is_maximal(scn, where, u):
     verdict = products.is_maximal(products.UltrafilterIdeal(scn.product, u))
-    rec = {"verdict": verdict.is_maximal, "provenance": verdict.rule,
-           "detail": verdict.detail}
+    rec = {"verdict": verdict.is_maximal, "provenance": verdict.rule, "detail": verdict.detail}
     if verdict.witness is not None:
         rec["witness"] = ELEMENT.encode(verdict.witness)
     return rec
 
 
-def _check_plus(scn, query, where):
+def _check_plus(scn, where, ring, r, a):
     from . import properties
-    ring = _ring_at(scn, query, where)
-    r = ENTRY.decode(query.get("r"), where, ring)
-    a = ENTRY.decode(query.get("a"), where, ring)
-    w = properties.plus_witness(ring, r, a, scn.options.factor_budget)
+    w = properties.plus_witness(scn.rings[ring], r, a, scn.options.factor_budget)
     return {"verdict": encode_ring_element(w.d),
             "witness": {"must_contain": encode_fincof(w.lower),
                         "allowed": encode_fincof(w.upper),
@@ -656,99 +644,65 @@ def _check_plus(scn, query, where):
             "provenance": properties.RULE_PLUS_FINITE_CHARACTER}
 
 
-def _check_plusplus(scn, query, where):
+def _check_plusplus(scn, where, ring, r):
     from . import properties
-    ring = _ring_at(scn, query, where)
+    ring = scn.rings[ring]
     verdict = properties.plusplus_check(ring)
     if not verdict.holds:
         return {"verdict": False, "provenance": verdict.rule,
                 "obstruction": encode_ring_element(verdict.obstruction)}
     rec = {"verdict": True, "provenance": verdict.rule}
     budget = scn.options.factor_budget
-    if "r" in query:
-        r = ENTRY.decode(query["r"], where, ring)
+    if r is not False:
         rec["witness"] = encode_ring_element(properties.plusplus_witness(ring, r, budget))
     elif ring.dimension == 0:
         # one witness per residue: the oracle's element budget caps the rows
         if ring.modulus > scn.options.oracle_budget:
             raise BudgetExceeded(f"witness table of {ring.short_name} has {ring.modulus} "
                                  f"rows (budget {scn.options.oracle_budget})")
-        table = []
-        for r in range(ring.modulus):
-            d = properties.plusplus_witness(ring, ring.element(r), budget)
-            table.append({"r": r, "d": encode_ring_element(d)})
-        rec["witness_table"] = table
+        rec["witness_table"] = [{"r": r, "d": encode_ring_element(properties.plusplus_witness(
+            ring, ring.element(r), budget))} for r in range(ring.modulus)]
     return rec
 
 
-def _ideal_member(scn, query, where):
-    ideal = resolve(scn, query.get("ideal"), "ideal", where)
-    a = resolve(scn, query.get("element"), "element", where)
+def _ideal_member(scn, where, ideal, a):
     return {"verdict": products.ideal_member(ideal, a), "ideal": IDEAL.encode(ideal),
             "provenance": "rule:descriptor-membership"}
 
 
-def _minimal_prime(scn, query, where):
-    u = resolve(scn, query.get("ultrafilter"), "ultrafilter", where)
+def _minimal_prime(scn, where, u):
     kernel = products.minimal_prime_below(products.UltrafilterIdeal(scn.product, u))
-    return {"verdict": IDEAL.encode(kernel),
-            "provenance": "rule:index-filter-concentration"}
+    return {"verdict": IDEAL.encode(kernel), "provenance": "rule:index-filter-concentration"}
 
 
-def _valuation_compare(scn, query, where):
+def _valuation_compare(scn, where, u, a, b):
     from . import valuations
-    u = resolve(scn, query.get("ultrafilter"), "ultrafilter", where)
-    a = resolve(scn, query.get("a"), "element", where)
-    b = resolve(scn, query.get("b"), "element", where)
     return {"verdict": valuations.valuation_compare(u, a, b, scn.options.factor_budget),
             "provenance": ("rule:principal-valuation-restriction"
                            if not u.is_frechet else "rule:frechet-exception-scan")}
 
 
-def _ug_member(scn, query, where):
+def _ug_member(scn, where, u, g, x):
     from . import valuations
-    u = resolve(scn, query.get("ultrafilter"), "ultrafilter", where)
-    g = _value_vector(scn, query, "g", where)
-    x = resolve(scn, query.get("x"), "element", where)
-    return {"verdict": valuations.ug_member(u, g, x),
-            "provenance": "rule:threshold-closed-form"}
+    return {"verdict": valuations.ug_member(u, g, x), "provenance": "rule:threshold-closed-form"}
 
 
-def _ll(scn, query, where):
+def _ll(scn, where, u, g, h):
     from . import valuations
-    u = resolve(scn, query.get("ultrafilter"), "ultrafilter", where)
-    g = _value_vector(scn, query, "g", where)
-    h = _value_vector(scn, query, "h", where)
     return {"verdict": valuations.ll_relation(u, g, h),
             "provenance": "rule:ll-atom" if not u.is_frechet else "rule:ll-default-pair"}
 
 
-def _interpolate(scn, query, where):
+def _interpolate(scn, where, branch, n_max, count, sample):
     from . import valuations
-    branch = query.get("branch", "W")
-    n_max = scn.options.n_max
-    if "n_max" in query:
-        n_max = POSITIVE.decode(query["n_max"], f"{where}.n_max")
-    if "doubling" in query:
-        count = POSITIVE.decode(query["doubling"], f"{where}.doubling")
+    if count:
         if count > valuations.INTERPOLATION_CAP:
             raise BudgetExceeded(f"doubling sample of length {count} exceeds the "
                                  f"interpolation cap {valuations.INTERPOLATION_CAP}")
-        sample = valuations.PrefixSample(
-            tuple(1 for _ in range(count)),
-            tuple(2**i + 1 for i in range(1, count + 1)),
-            tuple(2**i for i in range(1, count + 1)))
-    else:
-        raw = query.get("sample", {})
-        if not isinstance(raw, dict) or not all(
-                isinstance(raw.get(key, ()), (list, tuple)) for key in "ghn"):
-            raise ValidationError(f"{where}.sample",
-                                  "expected {\"g\": [...], \"h\": [...], \"n\": [...]}")
-        sample = valuations.PrefixSample(*(
-            tuple(decode_value(v, f"{where}.sample.{key}[{j}]")
-                  for j, v in enumerate(raw.get(key, ())))
-            for key in "ghn"))
-    report = valuations.interpolate_chain(sample, branch, n_max, scn.options.log_base)
+        sample = (tuple(1 for _ in range(count)), tuple(2**i + 1 for i in range(1, count + 1)),
+                  tuple(2**i for i in range(1, count + 1)))
+    report = valuations.interpolate_chain(valuations.PrefixSample(*sample), branch, n_max,
+                                          scn.options.log_base)
     rec = {"verdict": report.ok,
            "log_base": report.log_base if report.log_base == "e" else int(report.log_base),
            "first_failure": report.first_failure,
@@ -760,16 +714,14 @@ def _interpolate(scn, query, where):
     return rec
 
 
-def _oracle(scn, query, where):
+def _oracle(scn, where, mark):
     from . import oracle
-    mark = BOOL.decode(query.get("mark_primes", True), f"{where}.mark_primes")
     try:
         rep = oracle.oracle_run(scn.product.components, scn.options.oracle_budget, mark)
     except UnsupportedRing as exc:
         raise ValidationError(where, str(exc))
     # ideals are equal exactly when their parts are (see ``oracle``)
-    ultra = {oracle.descriptor_parts(i)
-             for i in products.enumerate_maximal_ideals(scn.product)}
+    ultra = {oracle.descriptor_parts(i) for i in products.enumerate_maximal_ideals(scn.product)}
     primes = rep.prime_ideals
     return {"verdict": {"ideal_count": rep.ideal_count,
                         "maximal_count": len(rep.maximal_ideals),
@@ -779,11 +731,7 @@ def _oracle(scn, query, where):
             "provenance": "oracle:ideal-closure"}
 
 
-def _skolem(scn, query, where):
-    objs = query.get("elements", [])
-    if not isinstance(objs, list):
-        raise ValidationError(f"{where}.elements", "must be a list")
-    elems = [resolve(scn, obj, "element", where) for obj in objs]
+def _skolem(scn, where, elems):
     result = products.skolem_check(elems, scn.options.factor_budget)
     rec = {"verdict": result.holds, "provenance": "rule:coordinatewise-bezout"}
     if result.holds:
@@ -794,37 +742,69 @@ def _skolem(scn, query, where):
     return rec
 
 
-def _assert(scn, query, where):
-    inner = query.get("of")
-    kind = inner.get("query") if isinstance(inner, dict) else None
-    if not _listed(QUERIES, kind) or kind == "assert":
-        raise ValidationError(f"{where}.of", "need a non-assert inner query")
-    actual = _plain(QUERIES[kind](scn, inner, where))
-    expected = query.get("expect")
+def _assert(scn, where, inner, expected):
+    actual = _plain(_answer(scn, inner, where))
     return {"verdict": actual["verdict"] == expected, "expected": expected,
             "actual": actual["verdict"], "provenance": actual["provenance"]}
 
 
+def _inner(obj, where, scn):
+    kind = obj.get("query") if isinstance(obj, dict) else None
+    if not _listed(QUERIES, kind) or kind == "assert":
+        raise ValidationError(where, INNER)
+    return obj
+
+
+def _sample(obj, where, ctx=None):
+    if not isinstance(obj, dict) or not all(
+            isinstance(obj.get(k, ()), (list, tuple)) for k in "ghn"):
+        raise ValidationError(where, NOT_SAMPLE.format())
+    return tuple(tuple(VALUE.decode(v, f"{where}.{k}[{j}]") for j, v in enumerate(obj.get(k, ())))
+                 for k in "ghn")
+
+
+def _query(handler, *fields):
+    """A ``QUERIES`` row: ``handler`` and its fields, each (name, type, default, at_field)."""
+    return handler, _object(None, [Field(name, t, None, *rest) for name, t, *rest in fields],
+                            lambda _, *values: values)
+
+
+INNER = "need a non-assert inner query"
+NOT_SAMPLE = "expected {{\"g\": [...], \"h\": [...], \"n\": [...]}}"
+JSON = Type(lambda obj, where, ctx=None: obj, None)  # a JSON value as it is
+EL, VV, U = NAMED["element"], NAMED["value_vector"], ("ultrafilter", NAMED["ultrafilter"], None)
+RING_OUT_OF_RANGE = "ring index {} out of range ({} rings declared)"
+RING_AT = ("ring", _index(attrgetter("rings"), RING_OUT_OF_RANGE), 0, True)
+#: The table of query kinds: one row per kind, of its handler and its fields.
 QUERIES = {
-    "maxideals": _maxideals,
-    "is-maximal": _is_maximal,
-    "check-plus": _check_plus,
-    "check-plusplus": _check_plusplus,
-    "ideal-member": _ideal_member,
-    "minimal-prime": _minimal_prime,
-    "valuation-compare": _valuation_compare,
-    "ug-member": _ug_member,
-    "ll": _ll,
-    "interpolate": _interpolate,
-    "oracle": _oracle,
-    "skolem": _skolem,
-    "assert": _assert,
+    "maxideals": _query(_maxideals, ("bound", POSITIVE, attrgetter("options.bound"), True)),
+    "is-maximal": _query(_is_maximal, U),
+    "check-plus": _query(_check_plus, RING_AT, ("r", ENTRY, None), ("a", ENTRY, None)),
+    "check-plusplus": _query(_check_plusplus, RING_AT, ("r", ENTRY, False)),
+    "ideal-member": _query(_ideal_member, ("ideal", NAMED["ideal"], None), ("element", EL, None)),
+    "minimal-prime": _query(_minimal_prime, U),
+    "valuation-compare": _query(_valuation_compare, U, ("a", EL, None), ("b", EL, None)),
+    "ug-member": _query(_ug_member, U, ("g", VV, None, True), ("x", EL, None)),
+    "ll": _query(_ll, U, ("g", VV, None, True), ("h", VV, None, True)),
+    "interpolate": _query(
+        _interpolate, ("branch", JSON, "W"),
+        ("n_max", POSITIVE, attrgetter("options.n_max"), True),
+        ("doubling", POSITIVE, False, True),
+        ("sample", Type(_sample, None, NOT_SAMPLE), ((), (), ()), True)),
+    "oracle": _query(_oracle, ("mark_primes", BOOL, True, True)),
+    "skolem": _query(_skolem, ("elements", _list(EL, "must be a list", index=True), (), True)),
+    "assert": _query(_assert, ("of", Type(_inner, None, INNER), None, True),
+                     ("expect", JSON, None)),
 }
 
 
+def _answer(scn, query, where):
+    handler, fields = QUERIES[query["query"]]
+    return handler(scn, where, *fields.decode(query, where, scn))
+
+
 def execute_query(scn: Scenario, query: dict, index: int) -> dict:
-    kind = query["query"]
-    return {"index": index, "query": kind, **QUERIES[kind](scn, query, f"queries[{index}]")}
+    return {"index": index, "query": query["query"], **_answer(scn, query, f"queries[{index}]")}
 
 
 def run_scenario(source) -> Report:

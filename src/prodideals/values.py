@@ -7,8 +7,6 @@ undefined product ``0 * INF``.  All arithmetic stays exact.
 
 from __future__ import annotations
 
-from .errors import ValidationError
-
 
 class Infinity:
     __slots__ = ()
@@ -92,17 +90,3 @@ def encode_values(values):
         return values
     return [encode_value(v) for v in values]
 
-
-def decode_value(obj, what="value"):
-    """A value from its JSON form; a malformed one raises a ValidationError
-    located at ``what``."""
-    if obj == "inf":
-        return INF
-    if isinstance(obj, str):
-        try:
-            obj = int(obj)
-        except ValueError:
-            raise ValidationError(what, f"expected an integer or \"inf\", got {obj!r}")
-    if not is_value(obj):
-        raise ValidationError(what, f"must be a non-negative integer or INF, got {obj!r}")
-    return obj

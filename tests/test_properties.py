@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 
@@ -121,9 +122,14 @@ class TestPlusPlus:
     def test_exhaustive_residue_sweep(self):
         for n in list(range(2, 80)) + [90, 96, 120, 128, 180, 200]:
             ring = ResidueRing(n)
+            primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+            rad = math.prod(primes)
             for r in range(n):
                 d = plusplus_witness(ring, ring.element(r))
                 assert vset(ring, d) == dset(ring, ring.element(r))
+                # read by trial division: p divides d exactly when it does not divide r
+                assert 0 <= d.raw < rad
+                assert all((d.raw % p == 0) == (r % p != 0) for p in primes)
 
     def test_localized_sweep(self):
         for primes in ((2,), (2, 5), (3, 5, 7)):

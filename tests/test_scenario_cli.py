@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -334,7 +335,8 @@ class TestCli:
         ({"query": "oracle", "mark_primes": [0]}, "queries[0].mark_primes"),
         ({"query": "oracle", "mark_primes": 0}, "queries[0].mark_primes"),
         # a named object of the wrong declared type
-        *[(query, "queries[0]") for query, _ in WRONG_TYPE],
+        *[(query, where) for (query, _), where in zip(WRONG_TYPE, [
+            "queries[0]", "queries[0].g", "queries[0]", "queries[0].elements[0]", "queries[0]"])],
     ])
     def test_bad_query_field_is_located(self, tmp_path, query, field):
         path = tmp_path / "bad.json"
@@ -398,6 +400,12 @@ class TestCli:
            f"rings[0]: missing field '{field}'")
           for kind, field in (("residue", "n"), ("localized_integers", "primes"),
                               ("poly_fq", "q"))],
+        # check-plusplus reads a given r over every ring, also where the check fails
+        *[(["run", json.dumps(minimal_scenario(rings=[ring], product=[0], queries=[
+            {"query": "check-plusplus", "r": r}]))], f"queries[0]: not an integer: {r!r}")
+          for ring in (Z, {"kind": "poly_fq", "q": 2}, Z12, {"kind": "localized_integers",
+                                                             "primes": [2]})
+          for r in ("garbage", None)],
     ])
     def test_cli_error_is_located(self, argv, message):
         assert run_cli(argv) == (1, "", f"error: {message}\n")
@@ -1064,14 +1072,15 @@ def valuation(**fields):
     ({}, {"query": "ug-member", "ultrafilter": "U", "g": 5, "x": "e"},
      "queries[0].g: expected a value vector, got 5"),
     ({}, {"query": "ug-member", "ultrafilter": "U", "g": "nope", "x": "e"},
-     "queries[0]: unknown object name 'nope'"),
+     "queries[0].g: unknown object name 'nope'"),
     ({}, {"query": "ll", "ultrafilter": "U", "g": "g", "h": "e"},
-     "queries[0]: object 'e' is not of type 'value_vector'"),
+     "queries[0].h: object 'e' is not of type 'value_vector'"),
     ({}, {"query": "valuation-compare", "ultrafilter": "U", "a": "e", "b": "x"},
      "queries[0]: unknown object name 'x'"),
     ({}, {"query": "skolem", "elements": ["e", "g"]},
-     "queries[0]: object 'g' is not of type 'element'"),
-    ({}, {"query": "skolem", "elements": ["e", [1]]}, "queries[0]: expected 2 entries"),
+     "queries[0].elements[1]: object 'g' is not of type 'element'"),
+    ({}, {"query": "skolem", "elements": ["e", [1]]},
+     "queries[0].elements[1]: expected 2 entries"),
     # declared objects: their type, their literal, the names in an ideal
     ({"X": {"type": ["x"]}}, None, "objects.X: unknown object type ['x']"),
     ({"X": {"type": {}}}, None, "objects.X: unknown object type {}"),
@@ -1123,8 +1132,9 @@ def test_malformed_input_message_pinned(objects, query, message):
 
 # ---------------------------------------------------------------------------
 # Every refusal that the table of JSON shapes lists, of each shape, of each
-# field of each of its kinds, and of each item of a list field, gives exit
-# code 1 and a message located at its field
+# field of each of its kinds, and of each item of a list field, and every
+# refusal of each field of each query kind's row, gives exit code 1 and a
+# message located at its field
 
 #: a value that each refusal of a scalar field type refuses, and the value
 #: that its message shows
@@ -1132,11 +1142,30 @@ SCALAR_REFUSALS = {
     scenario.NOT_INT: (1.5, 1.5),
     scenario.NOT_BOOL: ("false", "false"),
     scenario.OUT_OF_RANGE: (9, 9),
+    scenario.RING_OUT_OF_RANGE: (9, 9),
     "must be positive": (0, 0),
     "must be an integer >= 2": (1, 1),
     scenario.VALUE.failures[0]: ("x", "x"),
     scenario.VALUE.failures[1]: (-1, -1),
     scenario.POLY.failures[0]: ({"poly": 5}, 5),
+    scenario.NOT_SAMPLE: (5, None),
+    scenario.INNER: ({"query": "assert"}, None),
+}
+#: a query of each kind over Z x Z/12 that names the objects of ``NAMED``
+QUERY_LITERALS = {
+    "maxideals": {"query": "maxideals"},
+    "is-maximal": {"query": "is-maximal", "ultrafilter": "U"},
+    "check-plus": {"query": "check-plus", "r": 2, "a": 6},
+    "check-plusplus": {"query": "check-plusplus", "r": 2},
+    "ideal-member": member("I"),
+    "minimal-prime": {"query": "minimal-prime", "ultrafilter": "U"},
+    "valuation-compare": {"query": "valuation-compare", "ultrafilter": "U", "a": "e", "b": "e"},
+    "ug-member": {"query": "ug-member", "ultrafilter": "U", "g": "g", "x": "e"},
+    "ll": {"query": "ll", "ultrafilter": "U", "g": "g", "h": "g"},
+    "interpolate": {"query": "interpolate", "doubling": 4},
+    "oracle": {"query": "oracle"},
+    "skolem": {"query": "skolem", "elements": ["e"]},
+    "assert": {"query": "assert", "of": {"query": "maxideals"}, "expect": True},
 }
 #: a literal that each refusal of a shape's own refuses, and the value that
 #: its message shows; any other refuses 7
@@ -1162,6 +1191,7 @@ def holding(name, literal):
             "query": "ll", "ultrafilter": "U", "h": "g",
             "g": {"defaults": [1, 1], "exceptions": [literal]}}),
         "ideal": ("queries[0]", member(literal)),
+        "query": ("queries[0]", literal),
         "object": ("objects.X", None),
         "options": ("options", None),
     }[name]
@@ -1189,7 +1219,8 @@ def field_refusals(t, valid):
     else:
         for template in t.failures:
             bad, shown = SCALAR_REFUSALS[template]
-            yield bad, template.format(shown), ""
+            # the second value fills a ring index's message: two rings are declared
+            yield bad, template.format(shown, 2), ""
 
 
 def table_refusals():
@@ -1220,11 +1251,37 @@ def table_refusals():
         for case_id, literal, message, below in cases:
             held, where = holding(name, literal)
             yield pytest.param(held, f"{where}{below}: {message}", id=f"{case_id}: {message}")
+    for kind, (_, row) in scenario.QUERIES.items():
+        literal = QUERY_LITERALS[kind]
+        for field in row.fields:
+            at = f".{field.name}" if field.at_field else ""
+            for bad, message, below in field_refusals(field.type, literal.get(field.name)):
+                held, where = holding("query", literal | {field.name: bad})
+                yield pytest.param(held, f"{where}{at}{below}: {message}",
+                                   id=f"{kind}.{field.name}: {message}")
 
 
 @pytest.mark.parametrize("held, message", table_refusals())
 def test_every_refusal_of_the_table_is_located(held, message):
     assert run_cli(["run", json.dumps(held)]) == (1, "", f"error: {message}\n")
+
+
+def test_commands_read_their_query_rows():
+    # cli.COMMANDS and scenario.QUERIES cannot drift: a flag sets a field of
+    # its kind's row or a scenario option, and must be given exactly when
+    # the field has no default (it is read as null)
+    options = {f.name: f for f in scenario.OPTIONS.fields}
+    for command, (_, _, flags) in COMMANDS.items():
+        assert command in scenario.QUERIES
+        fields = {f.name: f for f in scenario.QUERIES[command][1].fields}
+        for flag, name, kwargs in flags:
+            section, _, key = name.rpartition(".")
+            field = options[key] if section == "options" else fields[name]
+            assert kwargs.get("required", False) == (field.default is None), (command, flag)
+    for kind, (handler, row) in scenario.QUERIES.items():
+        parameters = list(inspect.signature(handler).parameters)
+        assert parameters[:2] == ["scn", "where"], kind
+        assert len(parameters) == 2 + len(row.fields), kind
 
 
 # ---------------------------------------------------------------------------
@@ -1270,9 +1327,9 @@ def test_located_query_error_keeps_its_object(monkeypatch):
     from prodideals.errors import NotUnitIdeal
     raised = NotUnitIdeal("(2)")
 
-    def fail(scn, query, where):
+    def fail(scn, where, bound):
         raise raised
-    monkeypatch.setitem(scenario.QUERIES, "maxideals", fail)
+    monkeypatch.setitem(scenario.QUERIES, "maxideals", (fail, scenario.QUERIES["maxideals"][1]))
     with pytest.raises(NotUnitIdeal) as exc:
         run_scenario(json.dumps(minimal_scenario(product=[0], queries=[{"query": "maxideals"}])))
     assert exc.value is raised and exc.value.witness == "(2)"
