@@ -8,6 +8,10 @@ fixed maximal ideal at a fixed coordinate (principal), or all sets that are
 cofinite at a fixed infinite-spectrum coordinate.  Because the number of
 coordinates is finite, every ultrafilter of the product algebra concentrates
 on a single coordinate, so these descriptors are exhaustive.
+
+``FilterExtension.enumerate`` is the one listing of descriptors, those
+containing a filter: by coordinate, the principal ones by ``sort_key``, then
+the cofinite one.  ``enumerate_ultrafilters`` lists the trivial filter's.
 """
 
 from __future__ import annotations
@@ -130,34 +134,6 @@ def membership(u: UltrafilterDescriptor, y: AlgebraElement) -> bool:
     return u.principal in local
 
 
-def enumerate_ultrafilters(shape: Sequence[RingHandle], bound: int = None) -> list:
-    """All ultrafilter descriptors over the shape, principal generators bounded.
-
-    For coordinates with finite spectrum the enumeration is complete without
-    a bound.  For infinite-spectrum coordinates, principal descriptors are
-    listed for generators within ``bound`` (value bound for integer primes,
-    degree bound for polynomial irreducibles) and the cofinite descriptor is
-    always included.
-    """
-    shape = tuple(shape)
-    out = []
-    for i, ring in enumerate(shape):
-        out.extend(UltrafilterDescriptor(shape, i, m) for m in principal_ideals(ring, bound))
-        if not ring.spectrum_finite:
-            out.append(UltrafilterDescriptor(shape, i, None))
-    return out
-
-
-def principal_ideals(ring: RingHandle, bound: int = None) -> Sequence:
-    """The fixed ideals of the principal descriptors at a coordinate ``ring``
-    by ``sort_key``, sorted unless ``ring.listed_in_order``; ``bound`` limits
-    an infinite spectrum's generators."""
-    if bound is None and not ring.spectrum_finite:
-        raise InconsistentInput(f"a generator bound is required for {ring.short_name}")
-    ideals = ring.maximal_ideals_up_to(bound)
-    return ideals if ring.listed_in_order else sorted(ideals, key=lambda m: m.sort_key)
-
-
 # ---------------------------------------------------------------------------
 # Filters
 
@@ -271,3 +247,15 @@ def extend_filter(filt: FilterDescriptor) -> FilterExtension:
     frechet = tuple(i for i, c in enumerate(g.coords)
                     if c.is_cofinite and not filt.shape[i].spectrum_finite)
     return FilterExtension(filt.shape, tuple(g.coords), frechet)
+
+
+def enumerate_ultrafilters(shape: Sequence[RingHandle], bound: int = None) -> list:
+    """All ultrafilter descriptors over the shape, principal generators bounded.
+
+    For coordinates with finite spectrum the enumeration is complete without
+    a bound.  For infinite-spectrum coordinates, principal descriptors are
+    listed for generators within ``bound`` (value bound for integer primes,
+    degree bound for polynomial irreducibles) and the cofinite descriptor is
+    always included.
+    """
+    return extend_filter(FilterDescriptor((AlgebraElement.top(shape),))).enumerate(bound)

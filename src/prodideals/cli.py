@@ -201,12 +201,8 @@ def _scenario_for(given: dict) -> dict:
     else:
         tokens = given["ring"] if isinstance(given["ring"], list) else [given["ring"]]
         ring_list = [parse_ring_token(t) for t in tokens]
-    if command == "interpolate":
-        # the doubling sample takes precedence, and --sample is then not read
-        if "doubling" in given:
-            given.pop("sample", None)
-        elif "sample" not in given:
-            raise ValidationError("sample", "need --sample or --doubling")
+    if command == "interpolate" and not given.keys() & {"sample", "doubling"}:
+        raise ValidationError("sample", "need --sample or --doubling")
     query = {"query": command}
     options = {key: given[key] for key in ("bound", "log_base") if key in given}
     for flag, field, kwargs in flags:

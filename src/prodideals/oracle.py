@@ -168,7 +168,6 @@ class OracleReport(Record):
     ideal_count: int
     maximal_ideals: tuple  # OracleIdeals
     prime_ideals: tuple    # OracleIdeals, or None when not marked
-    budget: int
 
     @functools.cached_property
     def maximal(self) -> tuple:
@@ -198,7 +197,7 @@ def oracle_run(components, budget: int = DEFAULT_ORACLE_BUDGET,
     if mark_primes:
         memo = {}
         primes = tuple(i for i in ideals if is_prime_ideal(i, memo))
-    return OracleReport(moduli, len(ideals), tuple(maximal_ideals(ideals)), primes, budget)
+    return OracleReport(moduli, len(ideals), tuple(maximal_ideals(ideals)), primes)
 
 
 def descriptor_parts(ideal) -> tuple:

@@ -88,8 +88,7 @@ def plusplus_check(ring: RingHandle) -> PlusPlusVerdict:
     return PlusPlusVerdict(ring, False, RULE_PLUSPLUS_COFINITE_GAP, ring.nonzero_nonunit())
 
 
-def plusplus_witness(ring: RingHandle, r,
-                     budget: int = DEFAULT_FACTOR_BUDGET) -> RingElement:
+def plusplus_witness(ring: RingHandle, r) -> RingElement:
     """An element d whose vanishing set is exactly the complement of r's.
 
     Where the property holds the witness is built as in the idempotent
@@ -113,7 +112,7 @@ def plusplus_witness(ring: RingHandle, r,
     rad = math.prod(ring.primes)
     witness = ring.element(sum(rad // m.generator * pow(rad // m.generator, -1, m.generator)
                                for m in ring.maximal_spectrum() if m.contains(r)) % rad)
-    if ring.vset(witness, budget) != ring.vset(r, budget).complement():
+    if ring.vset(witness) != ring.vset(r).complement():
         raise AssertionError(f"{witness!r} does not vanish exactly off {r!r}")
     return witness
 

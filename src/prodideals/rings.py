@@ -12,9 +12,7 @@ in finitely many maximal ideals):
   maximal ideals generated by monic irreducibles, infinitely many.
 
 Every ring-kind decision is a member of ``RingHandle``.  The kind facts are
-class constants: ``spectrum_finite``, ``is_domain``, ``listed_in_order``
-(``generators_up_to`` lists the raw generators by ``generator_key``, and
-``maximal_ideals_up_to`` makes records of them) and ``dimension``,
+class constants: ``spectrum_finite``, ``is_domain`` and ``dimension``,
 the Krull dimension, which is 0 for ``Z/n`` and 1 for the other kinds.  The
 module functions that treat ``Z/n`` apart ask for ``dimension == 0``, not for
 ``is_domain``: a field ``Z/p`` is a domain of dimension 0.  Every kind has its
@@ -22,7 +20,9 @@ own ``short_name``, ``normalize``, ``max_ideal``, ``_is_unit`` and
 ``nonzero_nonunit``.  The other members default to the integer forms (raw
 ``int`` or ``Fraction`` values, each listed generator its own raw value, and
 (p) contains a value when p divides its numerator) and to a finite spectrum,
-the ideals (p) for p in ``primes``; a kind overrides them where it differs:
+the ideals (p) for p in ``primes``; a kind overrides them where it differs.
+Every kind lists its generators by ``generator_key`` (``generators_up_to``,
+and ``maximal_ideals_up_to`` as records), the one listing order:
 
 * ``IntegerRing``: an infinite spectrum, ``generators_up_to`` (a sieve)
   and ``_prime_divisors`` (factoring).
@@ -32,7 +32,7 @@ the ideals (p) for p in ``primes``; a kind overrides them where it differs:
 * ``LocalizedIntegersRing``: ``normalize`` (an integral value is an
   ``int``, any other a ``Fraction``), which ``_add`` and ``_mul`` apply to
   their results; ``primes`` is S; ``_cover``.
-* ``PolynomialRing``: an infinite spectrum listed by (degree, code);
+* ``PolynomialRing``: an infinite spectrum;
   coefficient tuples as raw values, with their arithmetic, ``_in_max_ideal``
   and Euclidean hooks; ``generators_up_to``, ``smallest_max_ideal`` and
   ``_prime_divisors`` (factoring).
@@ -278,7 +278,6 @@ class RingHandle:
     spectrum_finite = True
     is_domain = True
     dimension = 1
-    listed_in_order = True
 
     # -- structure ----------------------------------------------------------
 
@@ -741,7 +740,6 @@ class PolynomialRing(Record, RingHandle):
     q: int
 
     spectrum_finite = False
-    listed_in_order = False  # irreducibles come by (degree, code)
 
     def __post_init__(self):
         global fqpoly
@@ -799,7 +797,8 @@ class PolynomialRing(Record, RingHandle):
         return MaxIdealId(self, gen)
 
     def generators_up_to(self, bound: int):
-        """The monic irreducibles of degree <= bound.
+        """The monic irreducibles of degree <= bound, by ``generator_key``
+        (the sieve lists them by (degree, code)).
 
         Raises BudgetExceeded, before any table is built, when q**bound is
         above ``fqpoly.DEFAULT_POLY_BUDGET``.
@@ -810,7 +809,7 @@ class PolynomialRing(Record, RingHandle):
             raise BudgetExceeded(
                 f"degree bound {bound} needs {self.q}**{bound} candidates, "
                 f"above the enumeration cap {cap}")
-        return fqpoly.irreducibles_up_to(self.K, bound)
+        return sorted(fqpoly.irreducibles_up_to(self.K, bound), key=generator_key)
 
     def smallest_max_ideal(self):
         return MaxIdealId(self, (0, 1))

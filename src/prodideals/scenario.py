@@ -57,7 +57,6 @@ from .rings import (
     ResidueRing,
     RingElement,
     RingHandle,
-    generator_key,
 )
 from .values import INF, encode_value, encode_values
 
@@ -164,6 +163,14 @@ def _index(seq, message):
             raise ValidationError(where, message.format(index, len(seq(scn))))
         return index
     return Type(decode, int, NOT_INT, message, seq=seq)
+
+
+def _choice(values, message):
+    def decode(obj, where, ctx=None):
+        if not _listed(values, obj):
+            raise ValidationError(where, message.format(obj))
+        return obj
+    return Type(decode, str, message)
 
 
 def _optional(t):
@@ -579,12 +586,8 @@ def _maxideals(scn, where, bound):
     product = scn.product
     # listed here, so that an enumeration cap raises inside the handler, and
     # once per distinct ring: equal components share one list of generators,
-    # in the order of boolalg.principal_ideals, with no record built
-    columns = {}
-    for ring in product.shape:
-        if ring not in columns:
-            gens = ring.generators_up_to(bound)
-            columns[ring] = gens if ring.listed_in_order else sorted(gens, key=generator_key)
+    # in the listing order of rings.generator_key, with no record built
+    columns = {ring: ring.generators_up_to(bound) for ring in dict.fromkeys(product.shape)}
     fillers = [encode_ring_element(e) for e in products.witness_fillers(product)]
 
     def maximal(encoder):
@@ -652,16 +655,15 @@ def _check_plusplus(scn, where, ring, r):
         return {"verdict": False, "provenance": verdict.rule,
                 "obstruction": encode_ring_element(verdict.obstruction)}
     rec = {"verdict": True, "provenance": verdict.rule}
-    budget = scn.options.factor_budget
     if r is not False:
-        rec["witness"] = encode_ring_element(properties.plusplus_witness(ring, r, budget))
+        rec["witness"] = encode_ring_element(properties.plusplus_witness(ring, r))
     elif ring.dimension == 0:
         # one witness per residue: the oracle's element budget caps the rows
         if ring.modulus > scn.options.oracle_budget:
             raise BudgetExceeded(f"witness table of {ring.short_name} has {ring.modulus} "
                                  f"rows (budget {scn.options.oracle_budget})")
         rec["witness_table"] = [{"r": r, "d": encode_ring_element(properties.plusplus_witness(
-            ring, ring.element(r), budget))} for r in range(ring.modulus)]
+            ring, ring.element(r)))} for r in range(ring.modulus)]
     return rec
 
 
@@ -771,6 +773,7 @@ def _query(handler, *fields):
 
 INNER = "need a non-assert inner query"
 NOT_SAMPLE = "expected {{\"g\": [...], \"h\": [...], \"n\": [...]}}"
+NOT_BRANCH = "must be \"V\" or \"W\", got {!r}"
 JSON = Type(lambda obj, where, ctx=None: obj, None)  # a JSON value as it is
 EL, VV, U = NAMED["element"], NAMED["value_vector"], ("ultrafilter", NAMED["ultrafilter"], None)
 RING_OUT_OF_RANGE = "ring index {} out of range ({} rings declared)"
@@ -787,7 +790,7 @@ QUERIES = {
     "ug-member": _query(_ug_member, U, ("g", VV, None, True), ("x", EL, None)),
     "ll": _query(_ll, U, ("g", VV, None, True), ("h", VV, None, True)),
     "interpolate": _query(
-        _interpolate, ("branch", JSON, "W"),
+        _interpolate, ("branch", _choice(("V", "W"), NOT_BRANCH), "W", True),
         ("n_max", POSITIVE, attrgetter("options.n_max"), True),
         ("doubling", POSITIVE, False, True),
         ("sample", Type(_sample, None, NOT_SAMPLE), ((), (), ()), True)),

@@ -16,7 +16,6 @@ from prodideals.boolalg import (
     leq,
     meet,
     membership,
-    principal_ideals,
 )
 from prodideals.errors import (
     FiniteIntersectionViolation,
@@ -205,22 +204,31 @@ class TestEnumeration:
         (ZZ, 3000), (ResidueRing(2), None), (ResidueRing(7), None), (ResidueRing(360360), None),
         (ResidueRing(999983), None), (ResidueRing(999983 * 7), None),
         (LocalizedIntegersRing((9007199254740997, 3, 2)), None),
+        (PolynomialRing(2), 7), (PolynomialRing(3), 4), (PolynomialRing(4), 3),
+        (PolynomialRing(8), 2), (PolynomialRing(9), 2),
     ])
     def test_listed_in_sort_key_order(self, ring, bound):
-        # principal_ideals takes these listings as they are, unsorted
+        # every kind lists its generators in the one listing order, and the
+        # principal descriptors come in it, with no sort of their own
         listed = ring.maximal_ideals_up_to(bound)
-        assert ring.listed_in_order
         assert list(listed) == sorted(listed, key=lambda m: m.sort_key)
-        assert principal_ideals(ring, bound) == listed
+        assert [m.generator for m in listed] == list(ring.generators_up_to(bound))
+        out = enumerate_ultrafilters((ring,), bound)
+        assert [u.principal for u in out if not u.is_frechet] == list(listed)
 
-    @pytest.mark.parametrize("q, bound", [(2, 7), (3, 4), (4, 3), (8, 2), (9, 2)])
-    def test_polynomial_listing_is_sorted(self, q, bound):
-        # irreducibles come by (degree, code), which differs from sort_key
-        ring = PolynomialRing(q)
-        listed = ring.maximal_ideals_up_to(bound)
-        assert not ring.listed_in_order
-        assert principal_ideals(ring, bound) == sorted(listed, key=lambda m: m.sort_key)
-        assert principal_ideals(ring, bound) != list(listed)
+    def test_cofinite_extension_lists_in_the_finite_order(self):
+        # the sieve finds x^3+x+1 before x^3+x^2+1 (by code); sort_key puts
+        # (1, 0, 1, 1) first, and so must both branches of enumerate
+        f2x = PolynomialRing(2)
+        ideals = f2x.maximal_ideals_up_to(3)
+        finite, cofinite = (extend_filter(FilterDescriptor((AlgebraElement((s,)),)))
+                            for s in (FinCofSet.finite(f2x, ideals), FinCofSet.cofinite(f2x)))
+        listed = cofinite.enumerate(3)
+        assert listed[-1].is_frechet
+        assert finite.enumerate() == listed[:-1]
+        assert enumerate_ultrafilters((f2x,), 3) == listed
+        assert [u.principal.generator for u in listed[:-1]] == [
+            (0, 1), (1, 1), (1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1)]
 
 
 class TestFilters:

@@ -14,7 +14,6 @@ from prodideals.boolalg import (
     UltrafilterDescriptor,
     enumerate_ultrafilters,
     membership,
-    principal_ideals,
 )
 from prodideals.errors import ShapeMismatch, UnsupportedDescriptor
 from prodideals.products import (
@@ -266,7 +265,7 @@ class TestIsMaximal:
         # the entries maxideals checks a chunk at a time, against the witness
         # of is_maximal at each listed ideal, built one ideal at a time
         product = ProductRing((ZZ, ring))
-        ideals = principal_ideals(ring, bound)
+        ideals = ring.maximal_ideals_up_to(bound)
         expected = []
         for m in ideals:
             verdict = is_maximal(UltrafilterIdeal(product, UltrafilterDescriptor(

@@ -75,6 +75,37 @@ SHAPE_LITERALS = {
 # both sieve paths, two equal components, a generator above 2**53 (written as
 # a string) and a field coordinate, whose entries carry no witness
 MIXED_RINGS = ["F8[x]", "Z", "F2[x]", "Z_(9007199254740997)", "Z", "F3[x]", "Z/7"]
+#: the sha256 of the machine report of maxideals over each product, at its bound
+MAXIDEALS_PINS = [
+    (["Z", "Z_(2,3)", "Z/30"], 60,
+     "377e030ac090acd964fc76a9e9194748e6b74db8eca4e346bdd3f025caf4847a"),
+    (["F2[x]", "Z/7"], 6,
+     "0db628fd56a17674dbc8455af61dc6afbb3f3d48232309bf0f2103bfdff6fece"),
+    (["F4[x]", "Z", "Z/12"], 4,
+     "6feb63eaa3d933e3ed1fea32867f4ebbd3a581c4ec01f1320f5f5a9126ab26b1"),
+    (MIXED_RINGS, 4,
+     "18629a9455e3bb45ec1528fd19cb3a005edc5412b373a89610d23c31a1e55cd8"),
+]
+#: the sha256 of each corpus report: its file, its format and its exit code
+CORPUS_PINS = [
+    ("integers_squared.json", "text", 0,
+     "f93064ac3e949fe344c4f0c9b0f043991a728e32da4fb5d7a5993d63d83c7b6c"),
+    ("integers_squared.json", "machine", 0,
+     "2b79056b88760cbf43b84f006d9fdc2e39657c6357e359047e83c7e81a053599"),
+    ("mixed_catalog.json", "text", 0,
+     "2bf2a7470faa3f3abe1aa2d063a64f88b94208c391284f3b1635b5e13e711619"),
+    ("mixed_catalog.json", "machine", 0,
+     "bdf0a118c69dfc524411c8ec6392202dbac6a23f0df57b40f9e449d8852df4b1"),
+    ("residue_products.json", "text", 0,
+     "f44095c7fc15e0524208eafc74489b171499e81fbf1f400c518de7a96d94a4e2"),
+    ("residue_products.json", "machine", 0,
+     "de09025a595e97188704313d4689e166a8966e20fd9f5c48c64f4ccf47b87c05"),
+]
+
+
+def maxideals_argv(rings, bound):
+    return (["--format", "machine", "maxideals", "--bound", str(bound)]
+            + [a for r in rings for a in ("-r", r)])
 
 
 def minimal_scenario(**overrides):
@@ -433,20 +464,10 @@ class TestCli:
         assert len(rec["verdict"]["maximal"]) == 4
         assert rec["verdict"]["rejected"] == []
 
-    @pytest.mark.parametrize("rings, bound, digest", [
-        (["Z", "Z_(2,3)", "Z/30"], 60,
-         "377e030ac090acd964fc76a9e9194748e6b74db8eca4e346bdd3f025caf4847a"),
-        (["F2[x]", "Z/7"], 6,
-         "0db628fd56a17674dbc8455af61dc6afbb3f3d48232309bf0f2103bfdff6fece"),
-        (["F4[x]", "Z", "Z/12"], 4,
-         "6feb63eaa3d933e3ed1fea32867f4ebbd3a581c4ec01f1320f5f5a9126ab26b1"),
-        (MIXED_RINGS, 4,
-         "18629a9455e3bb45ec1528fd19cb3a005edc5412b373a89610d23c31a1e55cd8"),
-    ])
+    @pytest.mark.parametrize("rings, bound, digest", MAXIDEALS_PINS)
     def test_maxideals_report_pinned(self, rings, bound, digest):
         # the machine report of each mixed product, byte for byte
-        argv = ["--format", "machine", "maxideals", "--bound", str(bound)]
-        code, out, _ = run_cli(argv + [a for r in rings for a in ("-r", r)])
+        code, out, _ = run_cli(maxideals_argv(rings, bound))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -527,9 +548,9 @@ class TestCli:
          {"query": "ll", "ultrafilter": U2, "g": {"defaults": [1]},
           "h": {"defaults": ["inf"]}}),
         (["interpolate", "--doubling", "16"], [Z], {"query": "interpolate", "doubling": 16}),
-        # the doubling sample takes precedence, and --sample is not read
-        (["interpolate", "--doubling", "5", "--sample", "nonsense"], [Z],
-         {"query": "interpolate", "doubling": 5}),
+        # a sample given beside the doubling sample is read, as in a scenario
+        (["interpolate", "--doubling", "5", "--sample", '{"g":[1],"h":[3],"n":[2]}'], [Z],
+         {"query": "interpolate", "doubling": 5, "sample": {"g": [1], "h": [3], "n": [2]}}),
         (["oracle", "-r", "Z/4", "-r", "Z/9"], [{"kind": "residue", "n": 4},
                                                {"kind": "residue", "n": 9}],
          {"query": "oracle"}),
@@ -985,26 +1006,36 @@ class TestStreamedReport:
 # Pinned output bytes: the corpus reports, and the errors of malformed
 # descriptors and named objects, byte for byte
 
-@pytest.mark.parametrize("name, fmt, code, digest", [
-    ("integers_squared.json", "text", 0,
-     "f93064ac3e949fe344c4f0c9b0f043991a728e32da4fb5d7a5993d63d83c7b6c"),
-    ("integers_squared.json", "machine", 0,
-     "2b79056b88760cbf43b84f006d9fdc2e39657c6357e359047e83c7e81a053599"),
-    ("mixed_catalog.json", "text", 0,
-     "2bf2a7470faa3f3abe1aa2d063a64f88b94208c391284f3b1635b5e13e711619"),
-    ("mixed_catalog.json", "machine", 0,
-     "bdf0a118c69dfc524411c8ec6392202dbac6a23f0df57b40f9e449d8852df4b1"),
-    ("residue_products.json", "text", 0,
-     "f44095c7fc15e0524208eafc74489b171499e81fbf1f400c518de7a96d94a4e2"),
-    ("residue_products.json", "machine", 0,
-     "de09025a595e97188704313d4689e166a8966e20fd9f5c48c64f4ccf47b87c05"),
-])
+@pytest.mark.parametrize("name, fmt, code, digest", CORPUS_PINS)
 def test_corpus_report_pinned(name, fmt, code, digest):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert main(["--format", fmt, "run", str(SCENARIO_DIR / name)]) == code
     assert err.getvalue() == ""
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+def test_pinned_reports_under_optimize_flag():
+    # python -O strips assert statements, and every pinned report keeps its
+    # bytes there too: all of them in one -O process
+    jobs = ([["--format", fmt, "run", str(SCENARIO_DIR / name)] for name, fmt, _, _ in CORPUS_PINS]
+            + [maxideals_argv(rings, bound) for rings, bound, _ in MAXIDEALS_PINS])
+    code = "\n".join([
+        "import contextlib, hashlib, io, json, sys",
+        "from prodideals.cli import main",
+        "print(sys.flags.optimize)",
+        "for argv in json.loads(sys.argv[1]):",
+        "    out = io.StringIO()",
+        "    with contextlib.redirect_stdout(out):",
+        "        code = main(argv)",
+        "    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())",
+    ])
+    src = str(pathlib.Path(prodideals.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", code, json.dumps(jobs)],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.splitlines() == ["1"] + [f"{code} {digest}" for *_, code, digest in CORPUS_PINS] + [
+        f"0 {digest}" for *_, digest in MAXIDEALS_PINS]
 
 
 KERNEL = {"type": "ideal", "kind": "kernel_ideal", "coordinate": 0}
@@ -1149,6 +1180,7 @@ SCALAR_REFUSALS = {
     scenario.VALUE.failures[1]: (-1, -1),
     scenario.POLY.failures[0]: ({"poly": 5}, 5),
     scenario.NOT_SAMPLE: (5, None),
+    scenario.NOT_BRANCH: (5, 5),
     scenario.INNER: ({"query": "assert"}, None),
 }
 #: a query of each kind over Z x Z/12 that names the objects of ``NAMED``
@@ -1317,6 +1349,9 @@ def test_commands_read_their_query_rows():
     (["interpolate", "--doubling", "4", "--log-base", "1"],
      "options.log_base: must be an integer >= 2"),
     (["maxideals", "-r", "Z", "--log-base", "0"], "options.log_base: must be an integer >= 2"),
+    # refused as the same query in a scenario is (see table_refusals)
+    (["interpolate", "--doubling", "4", "--sample", "5"],
+     "queries[0].sample: " + scenario.NOT_SAMPLE.format()),
 ])
 def test_query_input_error_is_located(argv, message):
     assert run_cli(argv) == (1, "", f"error: {message}\n")
