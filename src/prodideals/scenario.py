@@ -61,7 +61,6 @@ from .rings import (
 from .values import INF, encode_value, encode_values
 
 SCHEMA_VERSION = 1
-valuations = None  # bound by the value-vector decoder on first use
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +313,7 @@ def _ultrafilter(scn, coordinate, frechet, principal):
 
 
 def _vector(scn, defaults, exceptions):
-    global valuations
-    if valuations is None:
-        from . import valuations
+    from . import valuations
     return valuations.ValueVector(scn.product.components, defaults, exceptions)
 
 
@@ -679,7 +676,7 @@ def _minimal_prime(scn, where, u):
 
 def _valuation_compare(scn, where, u, a, b):
     from . import valuations
-    return {"verdict": valuations.valuation_compare(u, a, b, scn.options.factor_budget),
+    return {"verdict": valuations.valuation_compare(u, a, b),
             "provenance": ("rule:principal-valuation-restriction"
                            if not u.is_frechet else "rule:frechet-exception-scan")}
 

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedRing,
 )
 from .record import Record
-from .rings import DEFAULT_FACTOR_BUDGET, INF, MaxIdealId, _primitive_power, valuation
+from .rings import INF, MaxIdealId, _primitive_power, valuation
 from .values import check_value, is_value
 
 #: The largest ``n_max`` of ``interpolate_chain``, and the longest built-in
@@ -101,14 +101,16 @@ def _check_element(u: UltrafilterDescriptor, x):
         raise ShapeMismatch("element over a different shape")
 
 
-def valuation_compare(u: UltrafilterDescriptor, a, b,
-                      budget: int = DEFAULT_FACTOR_BUDGET) -> str:
+def valuation_compare(u: UltrafilterDescriptor, a, b) -> str:
     """Compare images of two product elements under the induced valuation.
 
-    Returns "GE" when some member of the ultrafilter witnesses a pointwise
-    comparison v_P(a) >= v_P(b), else "LT".  Principal: compare at the fixed
-    ideal.  Cofinite: the witnessing set must be cofinite, so the finitely
-    many ideals where either entry vanishes are scanned for a strict drop.
+    Principal at (i, M): "GE" when v_M(a_i) >= v_M(b_i), else "LT".
+    Cofinite at i: "GE" when v_P(a_i) >= v_P(b_i) at every maximal ideal P,
+    that is, when b_i divides a_i; one Euclidean division decides it, since
+    the kinds with a cofinite ultrafilter (``Z``, ``Fq[x]``) are principal
+    ideal domains.  Whether a cofinite witnessing set should suffice instead,
+    so that only a zero b_i against a nonzero a_i gives "LT", is the open
+    membership reading in ROADMAP.md.
     """
     _check_domain_shape(u)
     _check_element(u, a)
@@ -124,11 +126,7 @@ def valuation_compare(u: UltrafilterDescriptor, a, b,
         return "GE"
     if eb.is_zero:
         return "LT"
-    exceptional = ring.vset(ea, budget).support | ring.vset(eb, budget).support
-    for m in exceptional:
-        if valuation(ring, ea, m) < valuation(ring, eb, m):
-            return "LT"
-    return "GE"
+    return "LT" if ring._divmod(ea.raw, eb.raw)[1] else "GE"
 
 
 def ug_member(u: UltrafilterDescriptor, g: ValueVector, x) -> bool:
@@ -155,11 +153,8 @@ def ug_member(u: UltrafilterDescriptor, g: ValueVector, x) -> bool:
     entry = x.entries[i]
     if u.is_frechet:
         return entry.is_zero
-    v = valuation(u.shape[i], entry, u.principal)
-    if v is INF:
-        return True
-    threshold = g.value_at(i, u.principal)
-    return v >= 1 and threshold is not INF
+    return entry.is_zero or (u.principal.contains(entry)
+                             and g.value_at(i, u.principal) is not INF)
 
 
 def min_prime_over(u: UltrafilterDescriptor, x):

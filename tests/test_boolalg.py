@@ -6,6 +6,7 @@ from conftest import rng_for
 from prodideals.boolalg import (
     AlgebraElement,
     FilterDescriptor,
+    FipResult,
     UltrafilterDescriptor,
     complement,
     enumerate_ultrafilters,
@@ -254,6 +255,9 @@ class TestFilters:
         result = fip_check([big, a, b])
         assert not result.holds
         assert set(result.witness) == {a, b}
+        # pruning never empties the witness, so a lone bottom is its own
+        bottom = AlgebraElement.bottom((ZZ,))
+        assert fip_check([bottom]) == FipResult(False, (bottom,))
 
     def test_filter_construction_enforces_fip(self):
         a = AlgebraElement((FinCofSet.finite(ZZ, [ZZ.max_ideal(2)]),))

@@ -25,6 +25,7 @@ from prodideals.cli import (
 )
 from prodideals import scenario
 from prodideals.errors import ParseError, ValidationError
+from prodideals.fqpoly import field, pmul
 from prodideals.scenario import (
     SCHEMA_VERSION,
     decode_ring,
@@ -38,6 +39,11 @@ SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 Z = {"kind": "integers"}
 Z12 = {"kind": "residue", "n": 12}
 U2 = {"coordinate": 0, "principal": 2}
+FRECHET_COMPARE = {"query": "valuation-compare",
+                   "ultrafilter": {"coordinate": 0, "cofinite_frechet": True}}
+# two irreducibles of degree 17 over F2: x^17 + x^3 + 1, x^17 + x^3 + x^2 + x + 1
+X17_A = (1, 0, 0, 1) + (0,) * 13 + (1,)
+X17_B = (1, 1, 1, 1) + (0,) * 13 + (1,)
 # one named object of each declared type, and queries naming one of the wrong
 # type, with the type each one needs
 NAMED = {"U": {"type": "ultrafilter", "coordinate": 0, "principal": 2},
@@ -627,22 +633,33 @@ class TestCli:
             run_scenario(json.dumps(data))
 
     @pytest.mark.parametrize("query", [
-        {"query": "skolem", "elements": [[10007 * 10009]]},
-        {"query": "valuation-compare", "ultrafilter": {"coordinate": 0, "cofinite_frechet": True},
-         "a": [10007 * 10009], "b": [1]},
+        # (ring, query): the query runs over the product of that one ring
+        (Z, {"query": "skolem", "elements": [[10007 * 10009]]}),
+        (Z, dict(FRECHET_COMPARE, a=[10007 * 10009], b=[1])),
+        (Z, dict(FRECHET_COMPARE, a=[(10**9 + 7) * (10**9 + 9)], b=[10**9 + 7])),
+        ({"kind": "poly_fq", "q": 2},
+         dict(FRECHET_COMPARE, a=[{"poly": list(pmul(field(2), X17_A, X17_B))}],
+              b=[{"poly": list(X17_A)}])),
     ])
     def test_factor_budget_reaches_the_query(self, tmp_path, query):
-        # the Bezout witness and the Frechet exception scan factor under
-        # the scenario's budget, not the default one
+        # the Bezout witness of skolem factors under the scenario's budget;
+        # a Frechet valuation-compare divides instead of factoring, so it
+        # answers under any budget, also where factoring an entry would
+        # exceed the default one (the last two rows)
+        ring, query = query
         path = tmp_path / "budget.json"
-        path.write_text(json.dumps(minimal_scenario(product=[0], queries=[query])))
+        path.write_text(json.dumps(minimal_scenario(rings=[ring], product=[0], queries=[query])))
         assert run_cli(["run", str(path)])[0] == 0
         path.write_text(json.dumps(minimal_scenario(
-            product=[0], queries=[query], options={"factor_budget": 100})))
-        code, out, err = run_cli(["run", str(path)])
-        assert code == 1 and out == ""
-        assert err == ("error: queries[0]: cofactor 100160063 not certified prime "
-                       "within trial budget 100\n")
+            rings=[ring], product=[0], queries=[query], options={"factor_budget": 100})))
+        code, out, err = run_cli(["--format", "machine", "run", str(path)])
+        if query["query"] == "skolem":
+            assert code == 1 and out == ""
+            assert err == ("error: queries[0]: cofactor 100160063 not certified prime "
+                           "within trial budget 100\n")
+        else:
+            assert code == 0 and err == ""
+            assert json.loads(out.splitlines()[1])["verdict"] == "GE"
 
     def test_skolem_single_unit(self, tmp_path):
         path = tmp_path / "unit.json"

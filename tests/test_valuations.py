@@ -22,7 +22,8 @@ from prodideals.products import (
     UltrafilterIdeal,
     ideal_member,
 )
-from prodideals.rings import INF, IntegerRing, ResidueRing, valuation
+from prodideals.fqpoly import all_monic, field
+from prodideals.rings import INF, IntegerRing, PolynomialRing, ResidueRing, valuation
 from prodideals.valuations import (
     PrefixSample,
     ValueVector,
@@ -62,6 +63,58 @@ def trial_factor(n):
     return out
 
 
+def trial_divmod_mod_p(f, g, p):
+    """Long division of coefficient tuples (lowest degree first) over F_p."""
+    f, inv, dg = list(f), pow(g[-1], -1, p), len(g) - 1
+    quot = [0] * max(len(f) - dg, 0)
+    for shift in reversed(range(len(quot))):
+        c = quot[shift] = f[shift + dg] * inv % p
+        for j, gj in enumerate(g):
+            f[shift + j] = (f[shift + j] - c * gj) % p
+    rem = f[:dg]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(quot), tuple(rem)
+
+
+def trial_factor_poly(f, p):
+    """The monic irreducible factors of a nonzero f over F_p, with their
+    multiplicities: every monic polynomial of rising degree is divided out
+    while it divides, so only irreducible ones ever do."""
+    f = trial_divmod_mod_p(f, (f[-1],), p)[0]
+    out = {}
+    d = 1
+    while 2 * d < len(f):
+        for m in all_monic(field(p), d):
+            q, r = trial_divmod_mod_p(f, m, p)
+            while not r:
+                out[m] = out.get(m, 0) + 1
+                f = q
+                q, r = trial_divmod_mod_p(f, m, p)
+        d += 1
+    if len(f) > 1:
+        out[f] = out.get(f, 0) + 1
+    return out
+
+
+def random_poly_raw(p):
+    def draw(rng):
+        coeffs = [rng.randrange(p) for _ in range(rng.randint(0, 6))]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return tuple(coeffs)
+    return draw
+
+
+#: (ring, draw a raw entry, factor a nonzero raw entry) for every kind
+#: that admits a cofinite ultrafilter
+FRECHET_KINDS = [
+    (ZZ, lambda rng: rng.randint(-4000, 4000), trial_factor),
+    (PolynomialRing(2), random_poly_raw(2), lambda f: trial_factor_poly(f, 2)),
+    (PolynomialRing(3), random_poly_raw(3), lambda f: trial_factor_poly(f, 3)),
+]
+
+
 class TestValuationCompare:
     def test_worked_examples(self):
         assert valuation_compare(U2, ZXZ.element([4, 7]), ZXZ.element([2, 9])) == "GE"
@@ -92,21 +145,30 @@ class TestValuationCompare:
 
     def test_frechet_against_independent_scan(self):
         # independent route: factor both entries by trial division and look
-        # for any prime where the first element drops below the second
+        # for any maximal ideal where the first element drops below the
+        # second; a third of the draws make a a multiple of b
         rng = rng_for("frechet-compare")
-        for _ in range(300):
-            x = rng.randint(-4000, 4000)
-            y = rng.randint(-4000, 4000)
-            a, b = ZXZ.element([x, 1]), ZXZ.element([y, 1])
-            if x == 0:
-                expected = "GE"
-            elif y == 0:
-                expected = "LT"
-            else:
-                fx, fy = trial_factor(x), trial_factor(y)
-                expected = "GE" if all(fx.get(p, 0) >= e for p, e in fy.items()) \
-                    else "LT"
-            assert valuation_compare(UF, a, b) == expected
+        for ring, draw, factor in FRECHET_KINDS:
+            product = ProductRing((ring,))
+            u = UltrafilterDescriptor(product.shape, 0, None)
+            zero, one = ring.zero.raw, ring.one.raw
+            cases = [(one, zero, "LT"), (zero, one, "GE"), (zero, zero, "GE")]
+            for _ in range(300):
+                x, y = draw(rng), draw(rng)
+                if rng.randrange(3) == 0:
+                    x = (ring.element(x) * ring.element(y)).raw
+                if not x:
+                    expected = "GE"
+                elif not y:
+                    expected = "LT"
+                else:
+                    fx, fy = factor(x), factor(y)
+                    expected = "GE" if all(fx.get(p, 0) >= e for p, e in fy.items()) \
+                        else "LT"
+                cases.append((x, y, expected))
+            for x, y, expected in cases:
+                a, b = product.element([x]), product.element([y])
+                assert valuation_compare(u, a, b) == expected, (ring, x, y)
 
 
 def ug_member_bounded_search(u, g, x, n_max=64):
