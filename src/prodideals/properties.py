@@ -17,11 +17,9 @@ that no vanishing set can match.
 
 from __future__ import annotations
 
-import math
-
 from .errors import NoWitness, UnsupportedRing, ZeroElement
 from .record import Record
-from .rings import DEFAULT_FACTOR_BUDGET, FinCofSet, RingElement, RingHandle
+from .rings import DEFAULT_FACTOR_BUDGET, ZZ, FinCofSet, RingElement, RingHandle, crt_solve
 
 RULE_PLUS_FINITE_CHARACTER = "rule:plus-finite-character-product"
 RULE_PLUSPLUS_ZERO_DIMENSIONAL = "rule:plusplus-zero-dimensional"
@@ -91,15 +89,13 @@ def plusplus_check(ring: RingHandle) -> PlusPlusVerdict:
 def plusplus_witness(ring: RingHandle, r) -> RingElement:
     """An element d whose vanishing set is exactly the complement of r's.
 
-    Where the property holds the witness is built as in the idempotent
-    construction: modulo the (squarefree) Jacobson radical generator rad,
-    the product of the primes, the class of r generates the same ideal as
-    an idempotent e, and d lifts 1 - e; the canonical lift is the smallest
-    non-negative representative.  1 - e is the sum of the idempotents
-    e_p = (rad/p) * ((rad/p)^-1 mod p) of the primes p that divide r.
-    Over an infinite spectrum (the integers and polynomial rings) the
-    witness only exists at zero (d = 1) and at units (d = 0); anything else
-    raises NoWitness.
+    Where the property holds d is the solution over the integers of the
+    congruences d = 1 mod p for the primes p dividing r and d = 0 mod p for
+    the others (``crt_solve``), so it lies in exactly the maximal ideals that
+    avoid r; the canonical lift is the smallest non-negative solution, below
+    the product of the primes.  Over an infinite spectrum (the integers and
+    polynomial rings) the witness only exists at zero (d = 1) and at units
+    (d = 0); anything else raises NoWitness.
     """
     r = ring.element(r)
     if not ring.spectrum_finite:
@@ -109,9 +105,8 @@ def plusplus_witness(ring: RingHandle, r) -> RingElement:
             return ring.zero
         raise NoWitness(r, f"the complement of the vanishing set of {r!r} is "
                            "infinite and coinfinite; no vanishing set matches it")
-    rad = math.prod(ring.primes)
-    witness = ring.element(sum(rad // m.generator * pow(rad // m.generator, -1, m.generator)
-                               for m in ring.maximal_spectrum() if m.contains(r)) % rad)
+    witness = ring.element(crt_solve(ZZ, [(ZZ.max_ideal(m.generator), 1, int(m.contains(r)))
+                                          for m in ring.maximal_spectrum()]).raw)
     if ring.vset(witness) != ring.vset(r).complement():
         raise AssertionError(f"{witness!r} does not vanish exactly off {r!r}")
     return witness

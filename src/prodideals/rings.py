@@ -38,7 +38,8 @@ and ``maximal_ideals_up_to`` as records), the one listing order:
   ``_prime_divisors`` (factoring).
 
 The Euclidean algorithms are written once, over these hooks: the extended
-gcd ``_xgcd``, ``crt_solve``, the Bezout chain of ``bezout_certificate``,
+gcd ``_xgcd``, ``crt_solve`` (over ``ZZ`` it builds the strong separation
+witnesses of ``properties``), the Bezout chain of ``bezout_certificate``,
 ``RingHandle.valuation`` and ``RingHandle.vset``.  The hooks are
 ``_divmod`` (Euclidean division), ``_normal`` (the unit making a value
 non-negative or monic, and that normal associate), ``_mod`` (the canonical
@@ -142,15 +143,17 @@ def is_prime_int(n: int) -> bool:
 
 
 def primes_up_to(bound: int) -> Iterable[int]:
-    """The primes p <= bound in ascending order, by a Sieve of Eratosthenes."""
+    """The primes p <= bound in ascending order, by a Sieve of Eratosthenes
+    over the odd numbers (index i stands for 2i + 1), after 2."""
     if bound < 2:
         return iter(())
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
-    return itertools.compress(range(bound + 1), sieve)
+    sieve = bytearray([1]) * ((bound + 1) // 2)
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(bound) + 1) // 2):
+        if sieve[i]:
+            p, start = 2 * i + 1, 2 * i * (i + 1)  # p * p stands at index 2i(i + 1)
+            sieve[start::p] = bytes(len(range(start, len(sieve), p)))
+    return itertools.chain((2,), itertools.compress(range(1, bound + 1, 2), sieve))
 
 
 @functools.lru_cache(maxsize=21)

@@ -39,6 +39,7 @@ value-vector decoder, that use them.
 from __future__ import annotations
 
 import json
+import math
 from itertools import repeat
 from operator import attrgetter, itemgetter
 
@@ -655,12 +656,15 @@ def _check_plusplus(scn, where, ring, r):
     if r is not False:
         rec["witness"] = encode_ring_element(properties.plusplus_witness(ring, r))
     elif ring.dimension == 0:
-        # one witness per residue: the oracle's element budget caps the rows
+        # one row per residue: the oracle's element budget caps the rows
         if ring.modulus > scn.options.oracle_budget:
             raise BudgetExceeded(f"witness table of {ring.short_name} has {ring.modulus} "
                                  f"rows (budget {scn.options.oracle_budget})")
-        rec["witness_table"] = [{"r": r, "d": encode_ring_element(properties.plusplus_witness(
-            ring, ring.element(r)))} for r in range(ring.modulus)]
+        # the witness of r depends only on the primes dividing it, gcd(r, rad)
+        rad = math.prod(ring.primes)
+        d = {g: encode_ring_element(properties.plusplus_witness(ring, ring.element(g)))
+             for g in {math.gcd(r, rad) for r in range(rad)}}
+        rec["witness_table"] = [{"r": r, "d": d[math.gcd(r, rad)]} for r in range(ring.modulus)]
     return rec
 
 

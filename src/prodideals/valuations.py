@@ -403,20 +403,18 @@ def interpolate_chain(sample: PrefixSample, branch: str,
             k.append(nv * gv)
     k = tuple(k)
 
+    # n*a < b holds at fewer indices as n grows, so the first witness of
+    # each obligation only moves forward: one pointer per obligation
+    obligations, at = ((sample.g, k), (k, sample.h)), [0, 0]
     witnesses = []
-    ok = True
-    first_failure = None
     for n in range(1, n_max + 1):
-        wi = next((i for i in range(sample.length)
-                   if _scaled_lt(n, sample.g[i], k[i])), None)
-        wii = next((i for i in range(sample.length)
-                    if _scaled_lt(n, k[i], sample.h[i])), None)
-        witnesses.append((n, wi, wii))
-        if (wi is None or wii is None) and first_failure is None:
-            first_failure = n
-            ok = False
+        for j, (a, b) in enumerate(obligations):
+            while at[j] < sample.length and not _scaled_lt(n, a[at[j]], b[at[j]]):
+                at[j] += 1
+        witnesses.append((n, *(i if i < sample.length else None for i in at)))
+    first_failure = next((n for n, wi, wii in witnesses if wi is None or wii is None), None)
     return InterpolationReport(branch, "e" if log_base is None else log_base,
-                               k, tuple(witnesses), ok, first_failure)
+                               k, tuple(witnesses), first_failure is None, first_failure)
 
 
 def _scaled_lt(n: int, a, b) -> bool:

@@ -2,9 +2,11 @@ import contextlib
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
+import plusplus_checker
 from conftest import random_element, random_nonzero, rng_for
 from prodideals import cli
 from prodideals.boolalg import UltrafilterDescriptor, enumerate_ultrafilters
@@ -90,6 +92,13 @@ class TestEquivalenceOnFiniteRings:
                     assert w.vset_d.issubset(w.upper)
 
 
+def idempotent_sum(primes, r):
+    """The strong separation witness as a sum of idempotents: the sum of
+    (rad/p) * ((rad/p)^-1 mod p) over the primes p dividing r, mod rad."""
+    rad = math.prod(primes)
+    return sum(rad // p * pow(rad // p, -1, p) for p in primes if r % p == 0) % rad
+
+
 class TestPlusPlus:
     def test_catalog_verdicts(self, R12, L25, F2X):
         assert plusplus_check(R12).holds
@@ -139,6 +148,40 @@ class TestPlusPlus:
                 r = random_element(ring, rng, small=True)
                 d = plusplus_witness(ring, r)
                 assert vset(ring, d) == dset(ring, r)
+
+    def test_table_rows_equal_the_idempotent_sum(self):
+        for n in range(2, 401):
+            primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+            assert plusplus_checker.witness_table(cli, n) == [
+                {"r": r, "d": idempotent_sum(primes, r)} for r in range(n)], n
+
+    def test_localized_witness_equals_the_idempotent_sum(self):
+        # p divides r in Z_(S) exactly when it divides r's numerator
+        for primes in ((2,), (3,), (2, 5), (3, 5, 7), (2, 3, 5, 7, 11)):
+            ring = LocalizedIntegersRing(primes)
+            rng = rng_for(f"pp-idempotent-{primes}")
+            rad = math.prod(primes)
+            numerators = [0, 1, -1, rad, -rad, -2 * rad + 1] + [
+                rng.randint(-rad * rad, rad * rad) for _ in range(60)]
+            for a in numerators:
+                den = rng.choice([b for b in range(1, 60) if math.gcd(b, rad) == 1])
+                r = Fraction(a, den)
+                assert plusplus_witness(ring, ring.element(r)).raw == idempotent_sum(
+                    primes, r.numerator), r
+
+    @pytest.mark.parametrize("n, calls", [(9240, 32), (12, 4)])
+    def test_table_builds_one_witness_per_divisor_pattern(self, monkeypatch, n, calls):
+        # 9240 = 2^3 * 3 * 5 * 7 * 11 and 12 = 2^2 * 3: one call per set of primes
+        from prodideals import properties
+        built = []
+        monkeypatch.setattr(properties, "plusplus_witness",
+                            lambda ring, r: built.append(r) or plusplus_witness(ring, r))
+        assert len(plusplus_checker.witness_table(cli, n)) == n
+        assert len(built) == calls
+
+    def test_tables_meet_the_definition(self):
+        rows, disagreements = plusplus_checker.check(800)
+        assert rows == sum(range(2, 801)) and not disagreements
 
     def test_strong_implies_weak(self, R12, L25):
         # wherever the strong property holds, the weak witness must succeed

@@ -448,6 +448,22 @@ def test_integer_sieve_matches_is_prime_int():
     assert len(Z.maximal_ideals_up_to(10**5)) == 9592
 
 
+def test_odd_only_sieve_matches_the_full_sieve():
+    # the full Sieve of Eratosthenes over 0..bound, which the odd-only one replaced
+    from prodideals.rings import primes_up_to
+
+    def full_sieve(bound):
+        sieve = bytearray([1]) * (bound + 1)
+        sieve[:2] = bytes(min(2, bound + 1))
+        for p in range(2, math.isqrt(bound) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
+        return list(itertools.compress(range(bound + 1), sieve))
+
+    for bound in [*range(3001), 10**5, 10**6]:
+        assert list(primes_up_to(bound)) == full_sieve(bound), bound
+
+
 def test_poly_max_ideal_accepts_large_irreducible():
     gen = (1, 0, 0, 1) + (0,) * 27 + (1,)  # x^31 + x^3 + 1
     assert PolynomialRing(2).max_ideal(gen).generator == gen

@@ -543,3 +543,42 @@ class TestInterpolation:
                                    n_max=1, log_base=2)
         assert report.log_base == 2
         assert report.k == (2,)  # floor(8/3)
+
+
+def quadratic_witness_scan(sample, k, n_max):
+    """The obligation scan written from its statement: at each scale n, the
+    first index with n*g < k and the first with n*k < h, each searched from
+    index 0.  The reference for the forward-pointer scan."""
+    def scaled_lt(n, a, b):
+        return a is not INF and (b > 0 if a == 0 else n * a < b)
+
+    witnesses = tuple(
+        (n, next((i for i in range(sample.length) if scaled_lt(n, sample.g[i], k[i])), None),
+         next((i for i in range(sample.length) if scaled_lt(n, k[i], sample.h[i])), None))
+        for n in range(1, n_max + 1))
+    return witnesses, next((n for n, wi, wii in witnesses if None in (wi, wii)), None)
+
+
+@pytest.mark.parametrize("branch", ["W", "V"])
+def test_forward_pointer_scan_matches_the_quadratic_scan(branch):
+    rng = rng_for(f"interpolate-scan-{branch}")
+    for trial in range(60):
+        length = rng.randint(1, 40)
+        if branch == "W":
+            # N = 1 gives k = inf; N*g < h <= (N+1)*g brackets h
+            g = [rng.randint(1, 4) for _ in range(length)]
+            n = [rng.choice((1, rng.randint(2, 200))) for _ in range(length)]
+            h = [nv * gv + rng.randint(1, gv) for gv, nv in zip(g, n)]
+        else:
+            # g = 0 gives k = 0; h dominates g at all scales
+            g = [rng.choice((0, rng.randint(1, 4))) for _ in range(length)]
+            h = [INF if gv or rng.random() < 0.5 else rng.randint(1, 9) for gv in g]
+            n = [rng.randint(1, 200) for _ in range(length)]
+        sample = PrefixSample(tuple(g), tuple(h), tuple(n))
+        log_base = rng.choice((None, 2, 10))
+        # past the last witness: the largest N or cell, and then some
+        n_max = rng.choice((1, 20, max(n) + rng.randint(1, 50)))
+        report = interpolate_chain(sample, branch, n_max=n_max, log_base=log_base)
+        witnesses, first_failure = quadratic_witness_scan(sample, report.k, n_max)
+        assert (report.witnesses, report.first_failure) == (witnesses, first_failure), trial
+        assert report.ok == (first_failure is None)
