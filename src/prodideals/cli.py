@@ -106,7 +106,7 @@ COMMANDS = {
         ("--branch", "branch", {"choices": ("V", "W")}),
         ("--sample", "sample", {"help": 'JSON {"g": [...], "h": [...], "n": [...]}'}),
         ("--doubling", "doubling",
-         {"type": int, "help": "use the built-in doubling sample of this length"}),
+         {"type": int, "help": "use the built-in doubling sample of this length (branch W)"}),
         ("--n-max", "n_max", {"type": int}))),
     "oracle": ("brute-force ideal survey of a finite residue product", _RINGS, (
         ("--no-primes", "mark_primes",

@@ -228,8 +228,6 @@ def psub(K: GF, f, g):
 
 
 def pscale(K: GF, c: int, f):
-    if c == 0:
-        return ()
     row = K._mul_table[c]
     return trim([row[a] for a in f])
 

@@ -242,10 +242,9 @@ class ValuationIdeal(Record, Descriptor):
 # Operations
 
 
-def vset_vector(a: ProductElement, budget: int = DEFAULT_FACTOR_BUDGET) -> AlgebraElement:
+def vset_vector(a: ProductElement) -> AlgebraElement:
     """The tuple of coordinatewise vanishing sets of a product element."""
-    return AlgebraElement(tuple(r.vset(e, budget)
-                                for r, e in zip(a.ring.components, a.entries)))
+    return AlgebraElement(tuple(r.vset(e) for r, e in zip(a.ring.components, a.entries)))
 
 
 def ideal_member(ideal, a: ProductElement) -> bool:

@@ -112,8 +112,7 @@ def plusplus_witness(ring: RingHandle, r) -> RingElement:
     return witness
 
 
-def one_dim_plus_witness(ring: RingHandle, r, a,
-                         budget: int = DEFAULT_FACTOR_BUDGET) -> RingElement:
+def one_dim_plus_witness(ring: RingHandle, r, a) -> RingElement:
     """The separating element obtained through the idempotent route.
 
     Let Z be the intersection of the maximal ideals containing a but not r,
@@ -125,4 +124,4 @@ def one_dim_plus_witness(ring: RingHandle, r, a,
     """
     if ring.dimension == 0:
         raise UnsupportedRing("domain kinds only")
-    return plus_witness(ring, r, a, budget).d
+    return plus_witness(ring, r, a).d

@@ -16,26 +16,28 @@ class constants: ``spectrum_finite``, ``is_domain`` and ``dimension``,
 the Krull dimension, which is 0 for ``Z/n`` and 1 for the other kinds.  The
 module functions that treat ``Z/n`` apart ask for ``dimension == 0``, not for
 ``is_domain``: a field ``Z/p`` is a domain of dimension 0.  Every kind has its
-own ``short_name``, ``normalize``, ``max_ideal``, ``_is_unit`` and
-``nonzero_nonunit``.  The other members default to the integer forms (raw
-``int`` or ``Fraction`` values, each listed generator its own raw value, and
-(p) contains a value when p divides its numerator) and to a finite spectrum,
-the ideals (p) for p in ``primes``; a kind overrides them where it differs.
-Every kind lists its generators by ``generator_key`` (``generators_up_to``,
-and ``maximal_ideals_up_to`` as records), the one listing order:
+own ``short_name``, ``normalize`` and ``max_ideal``.  The other members default
+to the integer forms (raw ``int`` or ``Fraction`` values, whose sums,
+negations and products ``normalize`` reduces, each listed generator its own
+raw value, and (p) contains a value when p divides its numerator) and to a
+finite spectrum, the ideals (p) for p in ``primes``: a unit lies in none of
+them, and ``primes[0]`` is the nonzero nonunit unless it is zero (a field).
+A kind overrides them where it differs.  Every kind lists its generators by
+``generator_key`` (``generators_up_to``, and ``maximal_ideals_up_to`` as
+records), the one listing order:
 
-* ``IntegerRing``: an infinite spectrum, ``generators_up_to`` (a sieve)
-  and ``_prime_divisors`` (factoring).
+* ``IntegerRing``: an infinite spectrum, so its own ``_is_unit`` and
+  ``nonzero_nonunit``; ``generators_up_to`` (a sieve) and
+  ``_prime_divisors`` (factoring).
 * ``ResidueRing``: ``dimension`` 0, ``is_domain`` (n is prime), ``primes``
-  (those dividing n), arithmetic mod n, ``_generator_raws`` (reduced mod
+  (those dividing n), ``normalize`` mod n, ``_generator_raws`` (reduced mod
   n, so a field's generator is zero), and ``valuation``, which raises.
 * ``LocalizedIntegersRing``: ``normalize`` (an integral value is an
-  ``int``, any other a ``Fraction``), which ``_add`` and ``_mul`` apply to
-  their results; ``primes`` is S; ``_cover``.
-* ``PolynomialRing``: an infinite spectrum;
-  coefficient tuples as raw values, with their arithmetic, ``_in_max_ideal``
-  and Euclidean hooks; ``generators_up_to``, ``smallest_max_ideal`` and
-  ``_prime_divisors`` (factoring).
+  ``int``, any other a ``Fraction``); ``primes`` is S; ``_cover``.
+* ``PolynomialRing``: an infinite spectrum, so its own ``_is_unit`` and
+  ``nonzero_nonunit``; coefficient tuples as raw values, with their
+  arithmetic, ``_in_max_ideal`` and Euclidean hooks; ``generators_up_to``,
+  ``smallest_max_ideal`` and ``_prime_divisors`` (factoring).
 
 The Euclidean algorithms are written once, over these hooks: the extended
 gcd ``_xgcd``, ``crt_solve`` (over ``ZZ`` it builds the strong separation
@@ -317,7 +319,8 @@ class RingHandle:
 
     def nonzero_nonunit(self):
         """Some element that is neither zero nor a unit, or None (fields)."""
-        raise NotImplementedError
+        elem = self.element(self.primes[0])
+        return None if elem.is_zero else elem
 
     # -- raw element arithmetic ----------------------------------------------
 
@@ -325,16 +328,16 @@ class RingHandle:
         raise NotImplementedError
 
     def _add(self, x, y):
-        return x + y
+        return self.normalize(x + y)
 
     def _neg(self, x):
-        return -x
+        return self.normalize(-x)
 
     def _mul(self, x, y):
-        return x * y
+        return self.normalize(x * y)
 
     def _is_unit(self, x) -> bool:
-        raise NotImplementedError
+        return not any(self._in_max_ideal(x, p) for p in self.primes)
 
     def _zero_raw(self):
         return 0
@@ -643,18 +646,6 @@ class ResidueRing(Record, RingHandle):
     def normalize(self, value):
         return _as_int(value) % self.modulus
 
-    def _add(self, x, y):
-        return (x + y) % self.modulus
-
-    def _neg(self, x):
-        return (-x) % self.modulus
-
-    def _mul(self, x, y):
-        return (x * y) % self.modulus
-
-    def _is_unit(self, x):
-        return math.gcd(x, self.modulus) == 1
-
     def max_ideal(self, generator):
         generator = _as_int(generator)
         if generator not in self.primes:
@@ -664,10 +655,6 @@ class ResidueRing(Record, RingHandle):
 
     def _generator_raws(self, generators):
         return [p % self.modulus for p in generators]
-
-    def nonzero_nonunit(self):
-        p = self.primes[0]
-        return None if p == self.modulus else self.element(p)
 
     def valuation(self, elem, ideal):
         raise UnsupportedRing(f"{self.short_name} carries no discrete valuations")
@@ -707,23 +694,11 @@ class LocalizedIntegersRing(Record, RingHandle):
                     f"denominator of {value} is not invertible here (divisible by {p})")
         return value.numerator if value.denominator == 1 else value
 
-    def _add(self, x, y):
-        return self.normalize(x + y)
-
-    def _mul(self, x, y):
-        return self.normalize(x * y)
-
-    def _is_unit(self, x):
-        return x != 0 and all(x.numerator % p for p in self.primes)
-
     def max_ideal(self, generator):
         generator = _as_int(generator)
         if generator not in self.primes:
             raise InconsistentInput(f"{generator} is not in the prime set")
         return MaxIdealId(self, generator)
-
-    def nonzero_nonunit(self):
-        return self.element(self.primes[0])
 
     def _cover(self, x):
         # the S-part m of the numerator, and the exact unit m/x (1 at zero)
@@ -851,15 +826,15 @@ def vset(ring: RingHandle, elem, budget: int = DEFAULT_FACTOR_BUDGET) -> FinCofS
     return ring.vset(elem, budget)
 
 
-def dset(ring: RingHandle, elem, budget: int = DEFAULT_FACTOR_BUDGET) -> FinCofSet:
+def dset(ring: RingHandle, elem) -> FinCofSet:
     """The maximal ideals avoiding the element (complement of vset)."""
-    return ring.vset(elem, budget).complement()
+    return ring.vset(elem).complement()
 
 
-def vset_pair(ring: RingHandle, a, b, budget: int = DEFAULT_FACTOR_BUDGET) -> FinCofSet:
+def vset_pair(ring: RingHandle, a, b) -> FinCofSet:
     """The maximal ideals containing the ideal generated by both elements."""
     covers = (ring._cover(ring.element(e).raw)[0] for e in (a, b))
-    return ring.vset(ring.element(_xgcd(ring, *covers)[0]), budget)
+    return ring.vset(ring.element(_xgcd(ring, *covers)[0]))
 
 
 def valuation(ring: RingHandle, elem, ideal: MaxIdealId):

@@ -699,6 +699,8 @@ def _ll(scn, where, u, g, h):
 def _interpolate(scn, where, branch, n_max, count, sample):
     from . import valuations
     if count:
+        if branch == "V":
+            raise ValidationError(f"{where}.doubling", "the doubling sample serves branch W only")
         if count > valuations.INTERPOLATION_CAP:
             raise BudgetExceeded(f"doubling sample of length {count} exceeds the "
                                  f"interpolation cap {valuations.INTERPOLATION_CAP}")

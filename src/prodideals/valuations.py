@@ -398,8 +398,6 @@ def interpolate_chain(sample: PrefixSample, branch: str,
                 raise InvalidSample(
                     f"index {i}: unbounded branch needs h to dominate g at all "
                     f"scales (g={gv}, h={hv})")
-            if gv is INF:
-                raise InvalidSample(f"index {i}: finite g required")
             k.append(nv * gv)
     k = tuple(k)
 

@@ -351,6 +351,53 @@ class TestLocalizedIntegralValues:
         assert type(L2._cover(6)[1]) is Fraction
 
 
+class TestDefaultsMatchTheRemovedOverrides:
+    """``Z/n`` and ``Z_(S)`` take their arithmetic from ``normalize`` and their
+    units and nonzero nonunit from ``primes``; the forms each kind once
+    spelt out are the reference."""
+
+    @staticmethod
+    def same(a, b):
+        return type(a) is type(b) and a == b
+
+    def test_residue_rings(self):
+        rng = rng_for("residue-defaults")
+        for n in range(2, 401):
+            ring = ResidueRing(n)
+            p = ring.primes[0]
+            assert ring.nonzero_nonunit() == (None if p == n else ring.element(p)), n
+            assert [ring._is_unit(x) for x in range(n)] == \
+                [math.gcd(x, n) == 1 for x in range(n)], n
+            # chains also combine values outside range(n)
+            for _ in range(8):
+                x, y = rng.randint(-3 * n, 3 * n), rng.randint(-3 * n, 3 * n)
+                assert self.same(ring._add(x, y), (x + y) % n)
+                assert self.same(ring._neg(x), (-x) % n)
+                assert self.same(ring._mul(x, y), (x * y) % n)
+
+    def test_localized_rings(self):
+        rng = rng_for("localized-defaults")
+        for _ in range(400):
+            ring = LocalizedIntegersRing(tuple(rng.sample((2, 3, 5, 7, 11, 13),
+                                                          rng.randint(1, 3))))
+            assert ring.nonzero_nonunit() == ring.element(ring.primes[0])
+            x, y = (random_element(ring, rng).raw * rng.choice((1, 1, ring.primes[-1]))
+                    for _ in range(2))
+            for v in (x, y, 0):
+                assert ring._is_unit(v) == (v != 0 and all(v.numerator % p for p in ring.primes))
+            assert self.same(ring._add(x, y), ring.normalize(x + y))
+            assert self.same(ring._neg(x), -x)
+            assert self.same(ring._mul(x, y), ring.normalize(x * y))
+
+    def test_integers(self, ZZ):
+        rng = rng_for("integer-defaults")
+        for _ in range(200):
+            x, y = rng.randint(-10**30, 10**30), rng.randint(-10**6, 10**6)
+            assert self.same(ZZ._add(x, y), x + y)
+            assert self.same(ZZ._neg(x), -x)
+            assert self.same(ZZ._mul(x, y), x * y)
+
+
 class TestJacobson:
     def test_catalog(self, ZZ, R12, L25, F2X):
         assert jacobson_radical_generator(ZZ) == ZERO_MARKER

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -443,8 +444,20 @@ class TestCli:
           for ring in (Z, {"kind": "poly_fq", "q": 2}, Z12, {"kind": "localized_integers",
                                                              "primes": [2]})
           for r in ("garbage", None)],
+        # a fraction string over F2[x], and the frame of the scenario itself
+        (["check-plus", "-r", "F2[x]", "--r-elem", '"1/2"', "--a-elem", "1"],
+         "queries[0]: not a coefficient sequence: '1/2'"),
+        (["run", "list.json"], "$: scenario must be an object"),
+        (["run", json.dumps(minimal_scenario(rings=[]))],
+         "rings: need a nonempty list of ring descriptions"),
+        (["run", json.dumps(minimal_scenario(product=[0], queries={}))],
+         "queries: must be a list"),
+        (["run", json.dumps(minimal_scenario(product=[0], queries=[{"bound": 3}]))],
+         'queries[0]: each query needs a "query" field'),
     ])
-    def test_cli_error_is_located(self, argv, message):
+    def test_cli_error_is_located(self, argv, message, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "list.json").write_text("[1]")
         assert run_cli(argv) == (1, "", f"error: {message}\n")
 
     def test_missing_file(self):
@@ -1170,6 +1183,14 @@ def valuation(**fields):
      "objects.X.cofinite_frechet: must be true or false, got 'false'"),
     ({"X": {"type": "ultrafilter", "coordinate": 0, "cofinite_frechet": [], "principal": 3}},
      None, "objects.X.cofinite_frechet: must be true or false, got []"),
+    # refusals of an empty skolem list, a repeated exception, an empty prime set
+    ({}, {"query": "skolem", "elements": []}, "queries[0]: need at least one element"),
+    ({}, {"query": "skolem"}, "queries[0]: need at least one element"),
+    ({"g": {"type": "value_vector", "defaults": [1, 1], "exceptions": [
+        {"coord": 0, "ideal": 2, "value": 3}, {"coord": 0, "ideal": 2, "value": 4}]}}, None,
+     "objects.g: duplicate exception for (0, (2))"),
+    (Ring({"kind": "localized_integers", "primes": []}), None,
+     "rings[0]: prime set must be nonempty"),
 ])
 def test_malformed_input_message_pinned(objects, query, message):
     rings, objects = ([objects, Z12], {}) if isinstance(objects, Ring) else ([Z, Z12], objects)
@@ -1333,6 +1354,22 @@ def test_commands_read_their_query_rows():
         assert len(parameters) == 2 + len(row.fields), kind
 
 
+def test_readme_query_table_lists_every_row():
+    # the README's table of query kinds and its "Options:" paragraph cannot
+    # drift from scenario.QUERIES and scenario.OPTIONS
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| kind | fields |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = dict(re.fullmatch(r"\| `([a-z-]+)` \| (.*) \|", line).groups()
+                for line in table.splitlines())
+    assert sorted(rows) == sorted(scenario.QUERIES)
+    for kind, (_, row) in scenario.QUERIES.items():
+        for field in row.fields:
+            assert f"`{field.name}`" in rows[kind], (kind, field.name)
+    options = readme.split("\nOptions: ", 1)[1].split("\n\n", 1)[0]
+    for field in scenario.OPTIONS.fields:
+        assert f"`{field.name}`" in options, field.name
+
+
 # ---------------------------------------------------------------------------
 # Every input error raised while a query runs names the query; a bad
 # "doubling" or options.log_base names its field
@@ -1369,6 +1406,20 @@ def test_commands_read_their_query_rows():
     # refused as the same query in a scenario is (see table_refusals)
     (["interpolate", "--doubling", "4", "--sample", "5"],
      "queries[0].sample: " + scenario.NOT_SAMPLE.format()),
+    # the sample's own refusals, and an interpolation with no sample
+    (["interpolate", "--sample", '{"g":["inf"],"h":[5],"n":[1]}'],
+     "queries[0]: index 0: bounded branch needs finite values"),
+    (["interpolate", "--sample", '{"g":[0],"h":[5],"n":[1]}'],
+     "queries[0]: index 0: positive values required"),
+    (["interpolate", "--branch", "V", "--sample", '{"g":[1],"h":["inf"],"n":[0]}'],
+     "queries[0]: index 0: cell index must be a positive integer"),
+    (["interpolate"], "sample: need --sample or --doubling"),
+    # the doubling sample brackets h between N*g and (N+1)*g: branch W only
+    (["interpolate", "--branch", "V", "--doubling", "4"],
+     "queries[0].doubling: the doubling sample serves branch W only"),
+    (["run", json.dumps(minimal_scenario(product=[0], queries=[
+        {"query": "interpolate", "branch": "V", "doubling": 4}]))],
+     "queries[0].doubling: the doubling sample serves branch W only"),
 ])
 def test_query_input_error_is_located(argv, message):
     assert run_cli(argv) == (1, "", f"error: {message}\n")
