@@ -16,33 +16,35 @@ class constants: ``spectrum_finite``, ``is_domain`` and ``dimension``,
 the Krull dimension, which is 0 for ``Z/n`` and 1 for the other kinds.  The
 module functions that treat ``Z/n`` apart ask for ``dimension == 0``, not for
 ``is_domain``: a field ``Z/p`` is a domain of dimension 0.  Every kind has its
-own ``short_name``, ``normalize`` and ``max_ideal``.  The other members default
-to the integer forms (raw ``int`` or ``Fraction`` values, whose sums,
-negations and products ``normalize`` reduces, each listed generator its own
-raw value, and (p) contains a value when p divides its numerator) and to a
-finite spectrum, the ideals (p) for p in ``primes``: a unit lies in none of
-them, and ``primes[0]`` is the nonzero nonunit unless it is zero (a field).
-A kind overrides them where it differs.  Every kind lists its generators by
-``generator_key`` (``generators_up_to``, and ``maximal_ideals_up_to`` as
-records), the one listing order:
+own ``short_name`` and ``normalize``.  The other members default to the
+integer forms (raw ``int`` or ``Fraction`` values, whose sums, negations and
+products ``normalize`` reduces, each listed generator its own raw value, and
+(p) contains a value when p divides its numerator) and to a finite spectrum,
+the ideals (p) for p in ``primes``: ``max_ideal`` refuses any other p with
+the kind's ``_max_ideal_refusal``, and a unit lies in none of them (on an
+infinite spectrum, a unit's normal associate is one).  ``_first_generator``
+(``primes[0]`` by default) generates the smallest maximal ideal and is the
+nonzero nonunit unless it is zero (a field).  A kind overrides them where it
+differs, and lists its generators by ``generator_key`` (``generators_up_to``,
+and ``maximal_ideals_up_to`` as records), the one listing order:
 
-* ``IntegerRing``: an infinite spectrum, so its own ``_is_unit`` and
-  ``nonzero_nonunit``; ``generators_up_to`` (a sieve) and
-  ``_prime_divisors`` (factoring).
+* ``IntegerRing``: an infinite spectrum, ``_first_generator`` 2, ``max_ideal``
+  (a primality test), ``generators_up_to`` (a sieve), ``_prime_divisors``.
 * ``ResidueRing``: ``dimension`` 0, ``is_domain`` (n is prime), ``primes``
-  (those dividing n), ``normalize`` mod n, ``_generator_raws`` (reduced mod
-  n, so a field's generator is zero), and ``valuation``, which raises.
+  (those dividing n), ``normalize`` mod n, ``_max_ideal_refusal`` and
+  ``_generator_raws`` (reduced mod n, so a field's generator is zero).
 * ``LocalizedIntegersRing``: ``normalize`` (an integral value is an
-  ``int``, any other a ``Fraction``); ``primes`` is S; ``_cover``.
-* ``PolynomialRing``: an infinite spectrum, so its own ``_is_unit`` and
-  ``nonzero_nonunit``; coefficient tuples as raw values, with their
-  arithmetic, ``_in_max_ideal`` and Euclidean hooks; ``generators_up_to``,
-  ``smallest_max_ideal`` and ``_prime_divisors`` (factoring).
+  ``int``, any other a ``Fraction``); ``primes`` is S; ``_max_ideal_refusal``
+  and ``_cover``.
+* ``PolynomialRing``: an infinite spectrum, ``_first_generator`` x;
+  coefficient tuples as raw values, with their arithmetic, ``_in_max_ideal``
+  and Euclidean hooks; ``max_ideal`` (an irreducibility test),
+  ``generators_up_to`` and ``_prime_divisors`` (factoring).
 
 The Euclidean algorithms are written once, over these hooks: the extended
 gcd ``_xgcd``, ``crt_solve`` (over ``ZZ`` it builds the strong separation
 witnesses of ``properties``), the Bezout chain of ``bezout_certificate``,
-``RingHandle.valuation`` and ``RingHandle.vset``.  The hooks are
+``valuation`` and ``RingHandle.vset``.  The hooks are
 ``_divmod`` (Euclidean division), ``_normal`` (the unit making a value
 non-negative or monic, and that normal associate), ``_mod`` (the canonical
 residue, inverting a fraction's denominator), ``_cover`` (the associate
@@ -312,14 +314,22 @@ class RingHandle:
         return tuple(map(MaxIdealId, itertools.repeat(self), self.generators_up_to(bound)))
 
     def max_ideal(self, generator) -> "MaxIdealId":
-        raise NotImplementedError
+        generator = _as_int(generator)
+        if generator not in self.primes:
+            raise InconsistentInput(self._max_ideal_refusal.format(generator, self))
+        return MaxIdealId(self, generator)
+
+    @property
+    def _first_generator(self):
+        # the generator of the smallest maximal ideal
+        return self.primes[0]
 
     def smallest_max_ideal(self) -> "MaxIdealId":
-        return self.maximal_ideals_up_to(2)[0]
+        return MaxIdealId(self, self._first_generator)
 
     def nonzero_nonunit(self):
         """Some element that is neither zero nor a unit, or None (fields)."""
-        elem = self.element(self.primes[0])
+        elem = self.element(self._first_generator)
         return None if elem.is_zero else elem
 
     # -- raw element arithmetic ----------------------------------------------
@@ -337,6 +347,8 @@ class RingHandle:
         return self.normalize(x * y)
 
     def _is_unit(self, x) -> bool:
+        if not self.spectrum_finite:
+            return self._normal(x)[1] == self._one_raw()
         return not any(self._in_max_ideal(x, p) for p in self.primes)
 
     def _zero_raw(self):
@@ -397,16 +409,6 @@ class RingHandle:
             return FinCofSet.cofinite(self)
         return FinCofSet.finite(self, map(MaxIdealId, itertools.repeat(self),
                                           self._prime_divisors(raw, budget)))
-
-    def valuation(self, elem, ideal: "MaxIdealId"):
-        raw, v = self.element(elem).raw, 0
-        if not raw:
-            return INF
-        while True:
-            raw, r = self._divmod(raw, ideal.generator)
-            if r:
-                return v
-            v += 1
 
 
 class RingElement(Record):
@@ -583,6 +585,7 @@ def _as_int(value) -> int:
 
 class IntegerRing(Record, RingHandle):
     spectrum_finite = False
+    _first_generator = 2
 
     @property
     def short_name(self):
@@ -594,9 +597,6 @@ class IntegerRing(Record, RingHandle):
         if value.denominator != 1:
             raise ValueError(f"{value} is not an integer")
         return int(value)
-
-    def _is_unit(self, x):
-        return x in (1, -1)
 
     def max_ideal(self, generator):
         generator = _as_int(generator)
@@ -615,9 +615,6 @@ class IntegerRing(Record, RingHandle):
                 f"prime bound {bound} exceeds the enumeration cap {DEFAULT_FACTOR_BUDGET}")
         return list(primes_up_to(bound))
 
-    def nonzero_nonunit(self):
-        return self.element(2)
-
     def _prime_divisors(self, raw, budget):
         return prime_factors(raw, budget)
 
@@ -626,6 +623,7 @@ class ResidueRing(Record, RingHandle):
     modulus: int
 
     dimension = 0
+    _max_ideal_refusal = "{} is not a prime divisor of {.modulus}"
 
     def __post_init__(self):
         if self.modulus < 2:
@@ -646,24 +644,16 @@ class ResidueRing(Record, RingHandle):
     def normalize(self, value):
         return _as_int(value) % self.modulus
 
-    def max_ideal(self, generator):
-        generator = _as_int(generator)
-        if generator not in self.primes:
-            raise InconsistentInput(
-                f"{generator} is not a prime divisor of {self.modulus}")
-        return MaxIdealId(self, generator)
-
     def _generator_raws(self, generators):
         return [p % self.modulus for p in generators]
-
-    def valuation(self, elem, ideal):
-        raise UnsupportedRing(f"{self.short_name} carries no discrete valuations")
 
 
 class LocalizedIntegersRing(Record, RingHandle):
     """Integers localized to have maximal spectrum {(p) : p in primes}."""
 
     primes: tuple
+
+    _max_ideal_refusal = "{} is not in the prime set"
 
     def __post_init__(self):
         ps = tuple(sorted(set(int(p) for p in self.primes)))
@@ -694,12 +684,6 @@ class LocalizedIntegersRing(Record, RingHandle):
                     f"denominator of {value} is not invertible here (divisible by {p})")
         return value.numerator if value.denominator == 1 else value
 
-    def max_ideal(self, generator):
-        generator = _as_int(generator)
-        if generator not in self.primes:
-            raise InconsistentInput(f"{generator} is not in the prime set")
-        return MaxIdealId(self, generator)
-
     def _cover(self, x):
         # the S-part m of the numerator, and the exact unit m/x (1 at zero)
         m, n = 1, abs(x.numerator)
@@ -718,6 +702,7 @@ class PolynomialRing(Record, RingHandle):
     q: int
 
     spectrum_finite = False
+    _first_generator = (0, 1)
 
     def __post_init__(self):
         global fqpoly
@@ -755,9 +740,6 @@ class PolynomialRing(Record, RingHandle):
     def _mul(self, x, y):
         return fqpoly.pmul(self.K, x, y)
 
-    def _is_unit(self, x):
-        return fqpoly.deg(x) == 0
-
     def _zero_raw(self):
         return ()
 
@@ -788,12 +770,6 @@ class PolynomialRing(Record, RingHandle):
                 f"degree bound {bound} needs {self.q}**{bound} candidates, "
                 f"above the enumeration cap {cap}")
         return sorted(fqpoly.irreducibles_up_to(self.K, bound), key=generator_key)
-
-    def smallest_max_ideal(self):
-        return MaxIdealId(self, (0, 1))
-
-    def nonzero_nonunit(self):
-        return self.element((0, 1))
 
     def _in_max_ideal(self, raw, gen):
         return not fqpoly.pmod(self.K, raw, gen)
@@ -841,18 +817,23 @@ def valuation(ring: RingHandle, elem, ideal: MaxIdealId):
     """Exact exponent of the ideal's generator in the element; INF at zero."""
     if ideal.ring != ring:
         raise InconsistentInput(f"{ideal} is not a maximal ideal of {ring.short_name}")
-    return ring.valuation(elem, ideal)
-
-
-def _zero_one(ring: RingHandle) -> tuple:
-    return ring._cover(ring._zero_raw())[0], ring._cover(ring._one_raw())[0]
+    if ring.dimension == 0:
+        raise UnsupportedRing(f"{ring.short_name} carries no discrete valuations")
+    raw, v = ring.element(elem).raw, 0
+    if not raw:
+        return INF
+    while True:
+        raw, r = ring._divmod(raw, ideal.generator)
+        if r:
+            return v
+        v += 1
 
 
 def _xgcd(ring: RingHandle, a, b) -> tuple:
     """Extended Euclid on two covers: (g, x, y) with x*a + y*b == g, and g
     normal (non-negative, or monic; zero when a and b are)."""
     add, neg, mul = ring._add, ring._neg, ring._mul
-    zero, one = _zero_one(ring)
+    zero, one = ring._zero_raw(), ring._one_raw()
     r0, r1, s0, s1, t0, t1 = a, b, one, zero, zero, one
     while r1:
         q, r = ring._divmod(r0, r1)
@@ -881,8 +862,8 @@ def crt_solve(ring: RingHandle, congruences: Sequence) -> RingElement:
         if e < 0:
             raise InconsistentInput("exponents must be non-negative")
     add, neg, mul, mod = ring._add, ring._neg, ring._mul, ring._mod
-    # covers, so that the moduli are integers over Z_(S)
-    zero, one = _zero_one(ring)
+    # covers, so the moduli are integers over Z_(S); zero and one are their own
+    zero, one = ring._zero_raw(), ring._one_raw()
     x, modulus = zero, one
     for m, e, r in congruences:
         if e == 0:
@@ -916,7 +897,7 @@ def bezout_certificate(ring: RingHandle, elems: Sequence,
     covers, units = zip(*(ring._cover(e.raw) for e in elems))
     if ring.dimension == 0:
         covers += (ring.modulus,)
-    one = _zero_one(ring)[1]
+    one = ring._one_raw()
     g, coeffs = covers[0], [one]
     for m in covers[1:]:
         g, x, y = _xgcd(ring, g, m)

@@ -814,7 +814,8 @@ def execute_query(scn: Scenario, query: dict, index: int) -> dict:
 
 
 def run_scenario(source) -> Report:
-    """Execute a scenario (JSON text, dict, or file path) and build a report.
+    """Execute a scenario and build a report: a dict, JSON text (a string
+    whose first non-blank character is ``{`` or ``[``) or a file path.
 
     Exit codes: 0 on success, 2 when an assert query fails; parse and
     validation errors raise and map to exit code 1 in the CLI.  An input
@@ -822,7 +823,7 @@ def run_scenario(source) -> Report:
     but a ValidationError) is raised again as the same object, with its
     message prefixed by ``queries[i]: ``.
     """
-    if isinstance(source, str) and not source.lstrip().startswith("{"):
+    if isinstance(source, str) and source.lstrip()[:1] not in ("{", "["):
         with open(source, "r", encoding="utf-8") as fh:
             source = fh.read()
     scn = parse_scenario(source)

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -187,6 +188,9 @@ class TestCrt:
         r = crt_solve(F2X, [(F2X.max_ideal((0, 1)), 1, F2X.element(1)),
                             (F2X.max_ideal((1, 1)), 1, F2X.element(0))])
         assert r.raw == (1, 1)
+        # an exponent-0 congruence asks nothing
+        r = crt_solve(ZZ, [(ZZ.max_ideal(2), 0, 1), (ZZ.max_ideal(3), 1, 2)])
+        assert r.raw == 2
 
     def test_random_reverification(self, ZZ, L25, F2X):
         # every congruence re-checked by direct reduction
@@ -265,6 +269,19 @@ class TestBezout:
         with pytest.raises(NotUnitIdeal) as exc:
             bezout_certificate(ZZ, [ZZ.element(0), ZZ.element(0)])
         assert exc.value.witness.generator == 2
+        # no elements, or only zeros: the witness is found without listing
+        # the spectrum, which over F_(2^61 - 1)[x] stops at degree 2
+        big = PolynomialRing(2305843009213693951)
+        with pytest.raises(BudgetExceeded):
+            big.generators_up_to(2)
+        for ring, witness in ((ZZ, "(2)"), (ResidueRing(12), "(2)"), (ResidueRing(7), "(7)"),
+                              (LocalizedIntegersRing((3, 5)), "(3)"),
+                              (PolynomialRing(2), "(x)"), (big, "(x)")):
+            for elems in ([], [0, 0]):
+                with pytest.raises(NotUnitIdeal) as exc:
+                    bezout_certificate(ring, elems)
+                assert exc.value.witness.ring == ring, (ring, elems)
+                assert repr(exc.value.witness) == witness, (ring, elems)
 
     @pytest.mark.parametrize("ring, units, nonunits", [
         (IntegerRing(), {1: 1, -1: -1}, {-6: 2, 35: 5, 0: 2}),
@@ -343,6 +360,11 @@ class TestLocalizedIntegralValues:
             assert type(x.raw) is int and x.raw == 1 and x == L2.one
             assert encode_ring_element(x) == 1
         assert (third + third).raw == Fraction(2, 3)
+        # over Z too, an integral Fraction is read as an int
+        ZZ = IntegerRing()
+        assert type(ZZ.element(Fraction(4, 2)).raw) is int and ZZ.element(Fraction(4, 2)).raw == 2
+        with pytest.raises(ValueError, match="^1/2 is not an integer$"):
+            ZZ.element(Fraction(1, 2))
 
     def test_cover_unit_is_an_exact_fraction(self):
         L2 = LocalizedIntegersRing((2,))
@@ -353,8 +375,10 @@ class TestLocalizedIntegralValues:
 
 class TestDefaultsMatchTheRemovedOverrides:
     """``Z/n`` and ``Z_(S)`` take their arithmetic from ``normalize`` and their
-    units and nonzero nonunit from ``primes``; the forms each kind once
-    spelt out are the reference."""
+    units and nonzero nonunit from ``primes``, ``Z`` and ``Fq[x]`` their units
+    from ``_normal`` and their nonzero nonunit and smallest maximal ideal from
+    ``_first_generator``, and every kind its valuation from ``rings.valuation``;
+    the forms each kind once spelt out are the reference."""
 
     @staticmethod
     def same(a, b):
@@ -396,6 +420,61 @@ class TestDefaultsMatchTheRemovedOverrides:
             assert self.same(ZZ._add(x, y), x + y)
             assert self.same(ZZ._neg(x), -x)
             assert self.same(ZZ._mul(x, y), x * y)
+            assert ZZ._is_unit(x) == (x in (1, -1)), x
+        for x in (0, 1, -1, 2, -2, 2**64, -2**64 - 1, 2**64 + 1):
+            assert ZZ._is_unit(x) == (x in (1, -1)), x
+
+    def test_polynomial_units(self):
+        rng = rng_for("polynomial-units")
+        # every trimmed polynomial of degree <= 3 over F2, F3, F4 and F9
+        for q in (2, 3, 4, 9):
+            ring = PolynomialRing(q)
+            for length in range(5):
+                for coeffs in itertools.product(range(q), repeat=length):
+                    if coeffs and not coeffs[-1]:
+                        continue
+                    assert ring._is_unit(coeffs) == (fqpoly.deg(coeffs) == 0), (q, coeffs)
+        big = PolynomialRing(2305843009213693951)
+        for _ in range(200):
+            x = big.normalize([rng.randrange(big.q) for _ in range(rng.randint(0, 4))])
+            assert big._is_unit(x) == (fqpoly.deg(x) == 0), x
+
+    def test_first_generator(self, ZZ):
+        for ring, raw, name in ((ZZ, 2, "(2)"), (PolynomialRing(2), (0, 1), "(x)"),
+                                (PolynomialRing(9), (0, 1), "(x)"),
+                                (PolynomialRing(2305843009213693951), (0, 1), "(x)")):
+            assert self.same(ring.nonzero_nonunit().raw, raw)
+            assert ring.smallest_max_ideal() == MaxIdealId(ring, raw)
+            assert repr(ring.smallest_max_ideal()) == name
+
+    @staticmethod
+    def removed_valuation(ring, elem, ideal):
+        raw, v = ring.element(elem).raw, 0
+        if not raw:
+            return INF
+        while True:
+            raw, r = ring._divmod(raw, ideal.generator)
+            if r:
+                return v
+            v += 1
+
+    def test_valuation(self, ZZ, R12):
+        rng = rng_for("valuation-defaults")
+        big = PolynomialRing(2305843009213693951)
+        for ring, gens in ((ZZ, (2, 3, 10007)), (LocalizedIntegersRing((2, 5)), (2, 5)),
+                           (LocalizedIntegersRing((3,)), (3,)),
+                           (PolynomialRing(2), ((0, 1), (1, 1))),
+                           (PolynomialRing(9), ((0, 1),)), (big, ((0, 1), (1, 1)))):
+            for gen in gens:
+                ideal = ring.max_ideal(gen)
+                for _ in range(60):
+                    x = random_element(ring, rng)
+                    for _ in range(rng.randint(0, 6)):
+                        x = x * gen
+                    assert valuation(ring, x, ideal) == self.removed_valuation(ring, x, ideal)
+                assert valuation(ring, 0, ideal) is INF is self.removed_valuation(ring, 0, ideal)
+        with pytest.raises(UnsupportedRing, match="^Z/12 carries no discrete valuations$"):
+            valuation(R12, 4, MaxIdealId(R12, 2))
 
 
 class TestJacobson:
@@ -482,6 +561,28 @@ def test_max_ideal_validation(ZZ, R12, L25, F2X):
         L25.max_ideal(3)
     with pytest.raises(InconsistentInput):
         F2X.max_ideal((1, 1, 1, 1))  # x^3+x^2+x+1 = (x+1)^3 over F2
+
+
+def test_readme_overrides_table_lists_each_kinds_members():
+    # the README's table of what each ring kind overrides cannot drift from
+    # the classes: a row names, backticked, every member its class defines
+    # (short_name and normalize, which every kind defines, may go unnamed),
+    # and no member the class inherits
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| kind | overrides |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    rows = dict(re.fullmatch(r"\| `([^`]+)` \| (.*) \|", line).groups()
+                for line in table.splitlines())
+    classes = {"Z": IntegerRing, "Z/n": ResidueRing, "Z_(S)": LocalizedIntegersRing,
+               "Fq[x]": PolynomialRing}
+    assert sorted(rows) == sorted(classes)
+    for kind, cls in classes.items():
+        named = set(re.findall(r"`([^`]+)`", rows[kind]))
+        own = {name for name in vars(cls) if not name.startswith("__")} \
+            - set(cls._fields) - {"_fields", "_defaults"}
+        missing = own - {"short_name", "normalize"} - named
+        assert not missing, (kind, missing)
+        inherited = {name for name in named if hasattr(cls, name)} - own
+        assert not inherited, (kind, inherited)
 
 
 def test_integer_sieve_matches_is_prime_int():

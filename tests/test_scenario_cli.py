@@ -454,6 +454,13 @@ class TestCli:
          "queries: must be a list"),
         (["run", json.dumps(minimal_scenario(product=[0], queries=[{"bound": 3}]))],
          'queries[0]: each query needs a "query" field'),
+        # a polynomial given over Z_(S), and a field order that is not a prime power
+        (["check-plus", "-r", "Z_(2)", "--r-elem", '{"poly":[1,1]}', "--a-elem", "1"],
+         "queries[0]: not a fraction: (1, 1)"),
+        (["maxideals", "-r", "F6[x]"], "rings[0]: 6 is not a prime power"),
+        # an argument that opens with "{" or "[" is JSON text, any other a path
+        (["run", "[1]"], "$: scenario must be an object"),
+        (["run", "missing.json"], "[Errno 2] No such file or directory: 'missing.json'"),
     ])
     def test_cli_error_is_located(self, argv, message, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1191,6 +1198,7 @@ def valuation(**fields):
      "objects.g: duplicate exception for (0, (2))"),
     (Ring({"kind": "localized_integers", "primes": []}), None,
      "rings[0]: prime set must be nonempty"),
+    (Ring({"kind": "localized_integers", "primes": [4]}), None, "rings[0]: 4 is not prime"),
 ])
 def test_malformed_input_message_pinned(objects, query, message):
     rings, objects = ([objects, Z12], {}) if isinstance(objects, Ring) else ([Z, Z12], objects)
@@ -1420,6 +1428,9 @@ def test_readme_query_table_lists_every_row():
     (["run", json.dumps(minimal_scenario(product=[0], queries=[
         {"query": "interpolate", "branch": "V", "doubling": 4}]))],
      "queries[0].doubling: the doubling sample serves branch W only"),
+    # a generator outside the prime set of Z_(S)
+    (["minimal-prime", "-r", "Z_(3)", "--ultrafilter", '{"coordinate":0,"principal":2}'],
+     "queries[0]: 2 is not in the prime set"),
 ])
 def test_query_input_error_is_located(argv, message):
     assert run_cli(argv) == (1, "", f"error: {message}\n")
