@@ -29,10 +29,10 @@ class AlgebraElement(Record):
 
     coords: tuple
 
-    def __init__(self, coords):
-        if not coords:
+    def __post_init__(self):
+        if not self.coords:
             raise InconsistentInput("empty product shape")
-        set_field(self, "coords", tuple(coords))
+        set_field(self, "coords", tuple(self.coords))
 
     @property
     def shape(self) -> tuple:
@@ -94,8 +94,8 @@ class UltrafilterDescriptor(Record):
     coordinate: int
     principal: object  # MaxIdealId | None
 
-    def __init__(self, shape, coordinate, principal):
-        shape = tuple(shape)
+    def __post_init__(self):
+        shape, coordinate, principal = tuple(self.shape), self.coordinate, self.principal
         if not 0 <= coordinate < len(shape):
             raise InconsistentInput(f"coordinate {coordinate} out of range")
         ring = shape[coordinate]
@@ -106,8 +106,6 @@ class UltrafilterDescriptor(Record):
         elif principal.ring != ring:
             raise InconsistentInput(f"{principal} is not a maximal ideal of {ring.short_name}")
         set_field(self, "shape", shape)
-        set_field(self, "coordinate", coordinate)
-        set_field(self, "principal", principal)
 
     @property
     def is_frechet(self) -> bool:
@@ -181,7 +179,7 @@ class FilterDescriptor(Record):
         if not result.holds:
             raise FiniteIntersectionViolation(
                 f"generators have an empty meet: witness {result.witness}")
-        object.__setattr__(self, "generators", gens)
+        set_field(self, "generators", gens)
 
     @property
     def shape(self) -> tuple:

@@ -447,7 +447,7 @@ def irreducibles_up_to(K: GF, max_deg: int):
     return found
 
 
-def poly_str(f, var: str = "x") -> str:
+def poly_str(f) -> str:
     if not f:
         return "0"
     parts = []
@@ -459,6 +459,6 @@ def poly_str(f, var: str = "x") -> str:
             parts.append(str(c))
         else:
             coeff = "" if c == 1 else f"{c}*"
-            power = var if i == 1 else f"{var}^{i}"
+            power = "x" if i == 1 else f"x^{i}"
             parts.append(f"{coeff}{power}")
     return "+".join(parts)

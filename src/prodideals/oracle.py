@@ -49,7 +49,7 @@ import math
 from collections.abc import Sequence
 
 from .errors import BudgetExceeded, UnsupportedRing
-from .record import Record, set_field
+from .record import Record
 from .rings import DEFAULT_ORACLE_BUDGET, ResidueRing
 
 
@@ -58,10 +58,6 @@ class OracleIdeal(Record):
 
     moduli: tuple
     parts: tuple  # one frozenset of residues per coordinate
-
-    def __init__(self, moduli, parts):  # one per ideal in all_ideals
-        set_field(self, "moduli", moduli)
-        set_field(self, "parts", parts)
 
     @property
     def is_proper(self) -> bool:

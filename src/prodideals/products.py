@@ -45,7 +45,7 @@ class ProductRing(Record):
         for r in comps:
             if not isinstance(r, RingHandle):
                 raise InconsistentInput(f"not a ring handle: {r!r}")
-        object.__setattr__(self, "components", comps)
+        set_field(self, "components", comps)
 
     @property
     def shape(self) -> tuple:
@@ -154,11 +154,9 @@ class UltrafilterIdeal(Record, Descriptor):
     product: ProductRing
     u: UltrafilterDescriptor
 
-    def __init__(self, product, u):
-        if u.shape != product.shape:
+    def __post_init__(self):
+        if self.u.shape != self.product.shape:
             raise ShapeMismatch("ultrafilter over a different shape")
-        set_field(self, "product", product)
-        set_field(self, "u", u)
 
     def contains(self, a):
         self._check_product(a)
@@ -196,7 +194,7 @@ class PointwiseMaxIdeal(Record, Descriptor):
     ideals: tuple  # one MaxIdealId per coordinate
 
     def __post_init__(self):
-        object.__setattr__(self, "ideals", tuple(self.ideals))
+        set_field(self, "ideals", tuple(self.ideals))
         if len(self.ideals) != self.product.size:
             raise ShapeMismatch("need one maximal ideal per coordinate")
         for r, m in zip(self.product.components, self.ideals):
@@ -266,12 +264,6 @@ class MaximalityVerdict(Record):
     rule: str
     witness: object  # ProductElement | None
     detail: str
-
-    def __init__(self, is_maximal, rule, witness, detail):
-        set_field(self, "is_maximal", is_maximal)
-        set_field(self, "rule", rule)
-        set_field(self, "witness", witness)
-        set_field(self, "detail", detail)
 
     def __bool__(self):
         return self.is_maximal

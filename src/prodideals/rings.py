@@ -662,7 +662,7 @@ class LocalizedIntegersRing(Record, RingHandle):
         for p in ps:
             if not is_prime_int(p):
                 raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "primes", ps)
+        set_field(self, "primes", ps)
 
     @property
     def short_name(self):
@@ -813,12 +813,16 @@ def vset_pair(ring: RingHandle, a, b) -> FinCofSet:
     return ring.vset(ring.element(_xgcd(ring, *covers)[0]))
 
 
+def _check_valued(ring: RingHandle):
+    if ring.dimension == 0:
+        raise UnsupportedRing(f"{ring.short_name} carries no discrete valuations")
+
+
 def valuation(ring: RingHandle, elem, ideal: MaxIdealId):
     """Exact exponent of the ideal's generator in the element; INF at zero."""
     if ideal.ring != ring:
         raise InconsistentInput(f"{ideal} is not a maximal ideal of {ring.short_name}")
-    if ring.dimension == 0:
-        raise UnsupportedRing(f"{ring.short_name} carries no discrete valuations")
+    _check_valued(ring)
     raw, v = ring.element(elem).raw, 0
     if not raw:
         return INF

@@ -46,7 +46,7 @@ from operator import attrgetter, itemgetter
 from . import __version__ as _version
 from . import boolalg, products
 from .errors import (INPUT_ERRORS, BudgetExceeded, FactorizationBudgetExceeded, ParseError,
-                     UnsupportedRing, ValidationError)
+                     ValidationError)
 from .record import Record
 from .rings import (
     DEFAULT_FACTOR_BUDGET,
@@ -382,7 +382,7 @@ OBJECT = _kinds("type", "objects need a \"type\" field", "unknown object type {!
     "ideal": IDEAL})
 
 
-class Options(Record, frozen=False):
+class Options(Record):
     bound: int = 16
     n_max: int = 20
     factor_budget: int = DEFAULT_FACTOR_BUDGET
@@ -411,7 +411,7 @@ def decode_ring(obj, where="rings") -> RingHandle:
 # Scenario model
 
 
-class Scenario(Record, frozen=False):
+class Scenario(Record):
     rings: list
     product: products.ProductRing
     objects: dict  # name -> decoded value
@@ -472,7 +472,7 @@ def parse_scenario(source) -> Scenario:
             raise ValidationError(f"queries[{i}]", "each query needs a \"query\" field")
         if not _listed(QUERIES, q["query"]):
             raise ValidationError(f"queries[{i}].query", f"unknown kind {q['query']!r}")
-    scn.queries = queries
+    scn.queries.extend(queries)
     return scn
 
 
@@ -541,7 +541,7 @@ def _streamed(head, value, encoder):
         yield "]" + part
 
 
-class Report(Record, frozen=False):
+class Report(Record):
     records: list
     exit_code: int
 
@@ -721,10 +721,7 @@ def _interpolate(scn, where, branch, n_max, count, sample):
 
 def _oracle(scn, where, mark):
     from . import oracle
-    try:
-        rep = oracle.oracle_run(scn.product.components, scn.options.oracle_budget, mark)
-    except UnsupportedRing as exc:
-        raise ValidationError(where, str(exc))
+    rep = oracle.oracle_run(scn.product.components, scn.options.oracle_budget, mark)
     # ideals are equal exactly when their parts are (see ``oracle``)
     ultra = {oracle.descriptor_parts(i) for i in products.enumerate_maximal_ideals(scn.product)}
     primes = rep.prime_ideals

@@ -21,10 +21,9 @@ from .errors import (
     NotMember,
     ShapeMismatch,
     UnsupportedDescriptor,
-    UnsupportedRing,
 )
-from .record import Record
-from .rings import INF, MaxIdealId, _primitive_power, valuation
+from .record import Record, set_field
+from .rings import INF, MaxIdealId, _check_valued, _primitive_power, valuation
 from .values import check_value, is_value
 
 #: The largest ``n_max`` of ``interpolate_chain``, and the longest built-in
@@ -45,13 +44,13 @@ class ValueVector(Record):
 
     def __post_init__(self):
         shape = tuple(self.shape)
-        object.__setattr__(self, "shape", shape)
+        set_field(self, "shape", shape)
         defaults = tuple(self.defaults)
         if len(defaults) != len(shape):
             raise ShapeMismatch("one default per coordinate required")
         for d in defaults:
             check_value(d, "default")
-        object.__setattr__(self, "defaults", defaults)
+        set_field(self, "defaults", defaults)
         exc = []
         seen = set()
         for coord, ideal, value in self.exceptions:
@@ -67,7 +66,7 @@ class ValueVector(Record):
             seen.add(key)
             exc.append((coord, ideal, value))
         exc.sort(key=lambda t: (t[0], t[1].sort_key))
-        object.__setattr__(self, "exceptions", tuple(exc))
+        set_field(self, "exceptions", tuple(exc))
 
     @classmethod
     def constant(cls, shape, value) -> "ValueVector":
@@ -91,9 +90,7 @@ class ValueVector(Record):
 
 def _check_domain_shape(u: UltrafilterDescriptor):
     for ring in u.shape:
-        if ring.dimension == 0:
-            raise UnsupportedRing(
-                f"{ring.short_name} carries no discrete valuations")
+        _check_valued(ring)
 
 
 def _check_element(u: UltrafilterDescriptor, x):
@@ -338,9 +335,9 @@ class PrefixSample(Record):
         for v in itertools.chain(g, h, n):
             if not is_value(v):
                 raise InvalidSample(f"not a value: {v!r}")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "n", n)
+        set_field(self, "g", g)
+        set_field(self, "h", h)
+        set_field(self, "n", n)
 
     @property
     def length(self) -> int:

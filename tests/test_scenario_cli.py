@@ -461,6 +461,10 @@ class TestCli:
         # an argument that opens with "{" or "[" is JSON text, any other a path
         (["run", "[1]"], "$: scenario must be an object"),
         (["run", "missing.json"], "[Errno 2] No such file or directory: 'missing.json'"),
+        # an oracle query inside an assert is located by the run, like the one above
+        (["run", json.dumps(minimal_scenario(product=[0], queries=[
+            {"query": "assert", "of": {"query": "oracle"}, "expect": 1}]))],
+         "queries[0]: the oracle handles residue rings only, got IntegerRing()"),
     ])
     def test_cli_error_is_located(self, argv, message, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1431,6 +1435,10 @@ def test_readme_query_table_lists_every_row():
     # a generator outside the prime set of Z_(S)
     (["minimal-prime", "-r", "Z_(3)", "--ultrafilter", '{"coordinate":0,"principal":2}'],
      "queries[0]: 2 is not in the prime set"),
+    # a residue ring anywhere in the shape, also off the ultrafilter's coordinate
+    (["valuation-compare", "-r", "Z", "-r", "Z/6", "--ultrafilter",
+      '{"coordinate":0,"principal":2}', "-a", "[2,1]", "-b", "[1,1]"],
+     "queries[0]: Z/6 carries no discrete valuations"),
 ])
 def test_query_input_error_is_located(argv, message):
     assert run_cli(argv) == (1, "", f"error: {message}\n")
