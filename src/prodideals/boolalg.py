@@ -21,7 +21,9 @@ from collections.abc import Iterable, Sequence
 
 from .errors import FiniteIntersectionViolation, InconsistentInput, ShapeMismatch
 from .record import Record, set_field
-from .rings import FinCofSet, RingHandle
+from .rings import NOT_MAX_IDEAL, FinCofSet, RingHandle
+
+OUT_OF_RANGE = "coordinate {} out of range"
 
 
 class AlgebraElement(Record):
@@ -97,14 +99,14 @@ class UltrafilterDescriptor(Record):
     def __post_init__(self):
         shape, coordinate, principal = tuple(self.shape), self.coordinate, self.principal
         if not 0 <= coordinate < len(shape):
-            raise InconsistentInput(f"coordinate {coordinate} out of range")
+            raise InconsistentInput(OUT_OF_RANGE.format(coordinate))
         ring = shape[coordinate]
         if principal is None:
             if ring.spectrum_finite:
                 raise InconsistentInput(
                     f"{ring.short_name} has a finite spectrum: no cofinite ultrafilter")
         elif principal.ring != ring:
-            raise InconsistentInput(f"{principal} is not a maximal ideal of {ring.short_name}")
+            raise InconsistentInput(NOT_MAX_IDEAL.format(principal, ring.short_name))
         set_field(self, "shape", shape)
 
     @property

@@ -52,6 +52,8 @@ from .errors import BudgetExceeded, UnsupportedRing
 from .record import Record
 from .rings import DEFAULT_ORACLE_BUDGET, ResidueRing
 
+ORACLE_IDEAL_CLOSURE = "oracle:ideal-closure"
+
 
 class OracleIdeal(Record):
     """An ideal of a finite product ring, as per-coordinate residue sets."""

@@ -2,7 +2,7 @@
 
 An ideal descriptor is a ``Descriptor``, one subclass per kind:
 ``UltrafilterIdeal`` (the ideals induced by ultrafilters, which are the
-maximal ideals), ``KernelIdeal`` (the minimal primes), and
+maximal ideals), ``KernelIdeal`` (the minimal primes over domains), and
 ``PointwiseMaxIdeal`` and ``ValuationIdeal`` (the primes of products of
 Prufer domains).  Each class owns its kind's semantics: the JSON name
 ``kind``, membership ``contains(a)`` and the verdict ``is_prime()``, which
@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedDescriptor,
 )
-from .record import Record, set_field
+from .record import Record, Ruling, set_field
 from .rings import (
     DEFAULT_FACTOR_BUDGET,
     RingElement,
@@ -272,6 +272,11 @@ class MaximalityVerdict(Record):
 #: provenance tags used in reports
 RULE_PRINCIPAL_QUOTIENT_FIELD = "rule:principal-quotient-field"
 RULE_FRECHET_NO_COFINITE_VANISHING = "rule:frechet-no-cofinite-vanishing"
+RULE_BOUNDED_ULTRAFILTER_ENUMERATION = "rule:bounded-ultrafilter-enumeration"
+RULE_DESCRIPTOR_MEMBERSHIP = "rule:descriptor-membership"
+RULE_INDEX_FILTER_CONCENTRATION = "rule:index-filter-concentration"
+RULE_ZERO_DIMENSIONAL_MINIMAL_PRIME = "rule:zero-dimensional-minimal-prime"
+RULE_COORDINATEWISE_BEZOUT = "rule:coordinatewise-bezout"
 
 
 @functools.lru_cache(maxsize=32)
@@ -359,20 +364,22 @@ def index_filter_of(u: UltrafilterDescriptor) -> IndexUltrafilter:
     return IndexUltrafilter(u.coordinate)
 
 
-def minimal_prime_below(ideal: UltrafilterIdeal) -> KernelIdeal:
-    """The unique minimal prime below the ultrafilter ideal.
-
-    Returns the kernel ideal at the induced index ultrafilter.  The
-    containment is re-verified on indicator elements: the tuple vanishing
-    exactly at the concentration coordinate lies in both ideals.
-    """
+def minimal_prime_below(ideal: UltrafilterIdeal) -> Ruling:
+    """The unique minimal prime below the ultrafilter ideal, with its rule:
+    over a domain, the kernel ideal at the induced index ultrafilter; over
+    ``Z/n`` with n composite, where every prime is maximal, the ideal itself.
+    The tuple vanishing exactly at the concentration coordinate is re-verified
+    in the kernel and the ideal, and the answer is re-verified prime."""
     f = index_filter_of(ideal.u)
     kernel = KernelIdeal(ideal.product, f)
-    others = [i for i in range(ideal.product.size) if i != f.coordinate]
-    chi = ideal.product.indicator(others)
+    chi = ideal.product.indicator(i for i in range(ideal.product.size) if i != f.coordinate)
     if not (ideal_member(kernel, chi) and ideal_member(ideal, chi)):
         raise AssertionError(f"{chi!r} is not in both the kernel and the ideal")
-    return kernel
+    found = (Ruling(kernel, RULE_INDEX_FILTER_CONCENTRATION) if kernel.is_prime()
+             else Ruling(ideal, RULE_ZERO_DIMENSIONAL_MINIMAL_PRIME))
+    if not is_prime(found.verdict):
+        raise AssertionError(f"{found.verdict!r} is not prime")
+    return found
 
 
 def enumerate_maximal_ideals(product: ProductRing, bound: int = None) -> list:

@@ -70,3 +70,13 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Ruling(Record):
+    """A verdict and the tag of the rule that decided it, true when the verdict is."""
+
+    verdict: object
+    rule: str
+
+    def __bool__(self):
+        return bool(self.verdict)

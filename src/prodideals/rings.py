@@ -95,6 +95,8 @@ DEFAULT_FACTOR_BUDGET = 1_000_000
 #: Size budget of the brute-force oracle's ideal enumeration (``oracle``).
 DEFAULT_ORACLE_BUDGET = 10_000
 
+NOT_MAX_IDEAL = "{} is not a maximal ideal of {}"
+
 #: The strong-pseudoprime bound psi_13 (Sorenson and Webster, "Strong
 #: pseudoprimes to twelve prime bases", Math. Comp. 86, 2017): below it,
 #: Miller-Rabin to the 13 prime bases 2..41 decides primality exactly.
@@ -821,7 +823,7 @@ def _check_valued(ring: RingHandle):
 def valuation(ring: RingHandle, elem, ideal: MaxIdealId):
     """Exact exponent of the ideal's generator in the element; INF at zero."""
     if ideal.ring != ring:
-        raise InconsistentInput(f"{ideal} is not a maximal ideal of {ring.short_name}")
+        raise InconsistentInput(NOT_MAX_IDEAL.format(ideal, ring.short_name))
     _check_valued(ring)
     raw, v = ring.element(elem).raw, 0
     if not raw:

@@ -15,7 +15,9 @@ returns the record's fields: ``verdict``, ``provenance`` and any witness
 material; a long list among them can be a ``Stream``, whose entries come as
 text already encoded by the report's encoder and are written a piece at a
 time.  To add a kind, write its handler and a ``QUERIES`` row of its fields,
-and, if the kind has a command-line form, a row of ``cli.COMMANDS``.
+and, if the kind has a command-line form, a row of ``cli.COMMANDS``; its tag
+is a constant of the module that decides the verdict, returned with the
+result where two rules decide, and a row of the README's tag table.
 
 ``SHAPES`` is the one table of the JSON shapes a scenario holds: ring
 descriptions, ultrafilters, product elements, value vectors and their
@@ -110,7 +112,6 @@ class Field:
 MISSING = "missing field {!r}"
 NOT_INT = "not an integer: {!r}"
 NOT_BOOL = "must be true or false, got {!r}"
-OUT_OF_RANGE = "coordinate {} out of range"
 NOT_VALUE = "expected an integer or \"inf\", got {!r}"
 NOT_NON_NEGATIVE = "must be a non-negative integer or INF, got {!r}"
 UNKNOWN_NAME = "unknown object name {!r}"
@@ -321,7 +322,7 @@ def _vector(scn, defaults, exceptions):
 INT = Type(_decode_int, encode_value, NOT_INT)
 POSITIVE = _at_least(1, "must be positive")
 BOOL = Type(_decode_bool, bool, NOT_BOOL)
-COORDINATE = _index(attrgetter("product.components"), OUT_OF_RANGE)
+COORDINATE = _index(attrgetter("product.components"), boolalg.OUT_OF_RANGE)
 INDEX = Type(lambda obj, where, ctx=None: products.IndexUltrafilter(_decode_int(obj, where)),
              attrgetter("coordinate"), NOT_INT)
 VALUE = Type(_decode_value, encode_value, NOT_VALUE, NOT_NON_NEGATIVE)
@@ -624,7 +625,7 @@ def _maxideals(scn, where, bound):
             rejected.append({"ultrafilter": ULTRAFILTER.encode(u), "rule": verdict.rule,
                              "reason": verdict.detail})
     return {"verdict": {"maximal": Stream(maximal), "rejected": rejected},
-            "provenance": "rule:bounded-ultrafilter-enumeration"}
+            "provenance": products.RULE_BOUNDED_ULTRAFILTER_ENUMERATION}
 
 
 def _is_maximal(scn, where, u):
@@ -670,30 +671,30 @@ def _check_plusplus(scn, where, ring, r):
 
 def _ideal_member(scn, where, ideal, a):
     return {"verdict": products.ideal_member(ideal, a), "ideal": IDEAL.encode(ideal),
-            "provenance": "rule:descriptor-membership"}
+            "provenance": products.RULE_DESCRIPTOR_MEMBERSHIP}
 
 
 def _minimal_prime(scn, where, u):
-    kernel = products.minimal_prime_below(products.UltrafilterIdeal(scn.product, u))
-    return {"verdict": IDEAL.encode(kernel), "provenance": "rule:index-filter-concentration"}
+    prime = products.minimal_prime_below(products.UltrafilterIdeal(scn.product, u))
+    return {"verdict": IDEAL.encode(prime.verdict), "provenance": prime.rule}
 
 
 def _valuation_compare(scn, where, u, a, b):
     from . import valuations
-    return {"verdict": valuations.valuation_compare(u, a, b),
-            "provenance": ("rule:principal-valuation-restriction"
-                           if not u.is_frechet else "rule:frechet-exception-scan")}
+    order = valuations.valuation_compare(u, a, b)
+    return {"verdict": order.verdict, "provenance": order.rule}
 
 
 def _ug_member(scn, where, u, g, x):
     from . import valuations
-    return {"verdict": valuations.ug_member(u, g, x), "provenance": "rule:threshold-closed-form"}
+    return {"verdict": valuations.ug_member(u, g, x),
+            "provenance": valuations.RULE_THRESHOLD_CLOSED_FORM}
 
 
 def _ll(scn, where, u, g, h):
     from . import valuations
-    return {"verdict": valuations.ll_relation(u, g, h),
-            "provenance": "rule:ll-atom" if not u.is_frechet else "rule:ll-default-pair"}
+    dominates = valuations.ll_relation(u, g, h)
+    return {"verdict": dominates.verdict, "provenance": dominates.rule}
 
 
 def _interpolate(scn, where, branch, n_max, count, sample):
@@ -713,7 +714,7 @@ def _interpolate(scn, where, branch, n_max, count, sample):
            "first_failure": report.first_failure,
            "witnesses": [{"n": n, "scale_index": wi, "headroom_index": wii}
                          for n, wi, wii in report.witnesses],
-           "provenance": "rule:interpolation-floor-log"}
+           "provenance": valuations.RULE_INTERPOLATION_FLOOR_LOG}
     if len(report.k) <= 32:
         rec["k"] = [encode_value(v) for v in report.k]
     return rec
@@ -730,12 +731,12 @@ def _oracle(scn, where, mark):
                         "prime_count": None if primes is None else len(primes),
                         "matches_ultrafilter_enumeration":
                             ultra == {i.parts for i in rep.maximal_ideals}},
-            "provenance": "oracle:ideal-closure"}
+            "provenance": oracle.ORACLE_IDEAL_CLOSURE}
 
 
 def _skolem(scn, where, elems):
     result = products.skolem_check(elems, scn.options.factor_budget)
-    rec = {"verdict": result.holds, "provenance": "rule:coordinatewise-bezout"}
+    rec = {"verdict": result.holds, "provenance": products.RULE_COORDINATEWISE_BEZOUT}
     if result.holds:
         rec["certificate"] = [ELEMENT.encode(c) for c in result.certificate]
     else:

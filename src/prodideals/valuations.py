@@ -22,13 +22,23 @@ from .errors import (
     ShapeMismatch,
     UnsupportedDescriptor,
 )
-from .record import Record, set_field
+from .record import Record, Ruling, set_field
 from .rings import INF, MaxIdealId, _check_valued, _primitive_power, valuation
 from .values import check_value, is_value
 
 #: The largest ``n_max`` of ``interpolate_chain``, and the longest built-in
 #: doubling sample; the report holds one witness triple per scale.
 INTERPOLATION_CAP = 4096
+
+#: provenance tags used in reports
+RULE_PRINCIPAL_VALUATION_RESTRICTION = "rule:principal-valuation-restriction"
+# named for the exception scan that one division replaced; two corpus pins and the seed-0
+# ``batch`` digests in ``perfbench/`` hold the name, so it changes with the benchmark only
+RULE_FRECHET_EXCEPTION_SCAN = "rule:frechet-exception-scan"
+RULE_THRESHOLD_CLOSED_FORM = "rule:threshold-closed-form"
+RULE_LL_ATOM = "rule:ll-atom"
+RULE_LL_DEFAULT_PAIR = "rule:ll-default-pair"
+RULE_INTERPOLATION_FLOOR_LOG = "rule:interpolation-floor-log"
 
 
 class ValueVector(Record):
@@ -51,22 +61,15 @@ class ValueVector(Record):
         for d in defaults:
             check_value(d, "default")
         set_field(self, "defaults", defaults)
-        exc = []
-        seen = set()
+        exc = {}
         for coord, ideal, value in self.exceptions:
-            if not 0 <= coord < len(shape):
-                raise InconsistentInput(f"coordinate {coord} out of range")
-            if ideal.ring != shape[coord]:
-                raise InconsistentInput(
-                    f"{ideal} is not a maximal ideal of {shape[coord].short_name}")
+            UltrafilterDescriptor(shape, coord, ideal)  # refuses a bad coordinate or ideal
             check_value(value, "exception value")
-            key = (coord, ideal)
-            if key in seen:
-                raise InconsistentInput(f"duplicate exception for {key}")
-            seen.add(key)
-            exc.append((coord, ideal, value))
-        exc.sort(key=lambda t: (t[0], t[1].sort_key))
-        set_field(self, "exceptions", tuple(exc))
+            if (coord, ideal) in exc:
+                raise InconsistentInput(f"duplicate exception for {(coord, ideal)}")
+            exc[coord, ideal] = value
+        set_field(self, "exceptions", tuple(sorted(
+            ((c, m, v) for (c, m), v in exc.items()), key=lambda t: (t[0], t[1].sort_key))))
 
     @classmethod
     def constant(cls, shape, value) -> "ValueVector":
@@ -98,8 +101,8 @@ def _check_element(u: UltrafilterDescriptor, x):
         raise ShapeMismatch("element over a different shape")
 
 
-def valuation_compare(u: UltrafilterDescriptor, a, b) -> str:
-    """Compare images of two product elements under the induced valuation.
+def valuation_compare(u: UltrafilterDescriptor, a, b) -> Ruling:
+    """Compare two product elements under the induced valuation, as a ``Ruling``.
 
     Principal at (i, M): "GE" when v_M(a_i) >= v_M(b_i), else "LT".
     Cofinite at i: "GE" when v_P(a_i) >= v_P(b_i) at every maximal ideal P,
@@ -116,14 +119,10 @@ def valuation_compare(u: UltrafilterDescriptor, a, b) -> str:
     ring = u.shape[i]
     ea, eb = a.entries[i], b.entries[i]
     if not u.is_frechet:
-        va = valuation(ring, ea, u.principal)
-        vb = valuation(ring, eb, u.principal)
-        return "GE" if va >= vb else "LT"
-    if ea.is_zero:
-        return "GE"
-    if eb.is_zero:
-        return "LT"
-    return "LT" if ring._divmod(ea.raw, eb.raw)[1] else "GE"
+        ge = valuation(ring, ea, u.principal) >= valuation(ring, eb, u.principal)
+        return Ruling("GE" if ge else "LT", RULE_PRINCIPAL_VALUATION_RESTRICTION)
+    ge = ea.is_zero or not (eb.is_zero or ring._divmod(ea.raw, eb.raw)[1])
+    return Ruling("GE" if ge else "LT", RULE_FRECHET_EXCEPTION_SCAN)
 
 
 def ug_member(u: UltrafilterDescriptor, g: ValueVector, x) -> bool:
@@ -190,9 +189,9 @@ def _dominates_at_all_scales(gv, hv) -> bool:
     return hv is INF
 
 
-def ll_relation(u: UltrafilterDescriptor, g: ValueVector, h: ValueVector) -> bool:
-    """The domination order on value vectors: every member of the
-    ultrafilter contains, for every scale n, a position where n*g < h.
+def ll_relation(u: UltrafilterDescriptor, g: ValueVector, h: ValueVector) -> Ruling:
+    """The domination order on value vectors, as a ``Ruling``: every member of
+    the ultrafilter contains, for every scale n, a position where n*g < h.
 
     Adversarial members shrink to the concentration coordinate, so only it
     matters.  Principal: the test reduces to the fixed position.  Cofinite:
@@ -202,11 +201,10 @@ def ll_relation(u: UltrafilterDescriptor, g: ValueVector, h: ValueVector) -> boo
     """
     if g.shape != u.shape or h.shape != u.shape:
         raise ShapeMismatch("value vectors over a different shape")
-    i = u.coordinate
+    i, m = u.coordinate, u.principal
     if u.is_frechet:
-        return _dominates_at_all_scales(g.defaults[i], h.defaults[i])
-    return _dominates_at_all_scales(g.value_at(i, u.principal),
-                                    h.value_at(i, u.principal))
+        return Ruling(_dominates_at_all_scales(g.defaults[i], h.defaults[i]), RULE_LL_DEFAULT_PAIR)
+    return Ruling(_dominates_at_all_scales(g.value_at(i, m), h.value_at(i, m)), RULE_LL_ATOM)
 
 
 class ChainVerdict(Record):
@@ -231,11 +229,9 @@ def chain_strictness(u: UltrafilterDescriptor, g: ValueVector, h: ValueVector) -
     for v in (g, h):
         if not v.everywhere_positive:
             raise NonPositiveValueVector("value vectors must be positive everywhere")
-    dom = ll_relation(u, g, h)
-    i = u.coordinate
-    gv = g.value_at(i, u.principal)
-    hv = h.value_at(i, u.principal)
-    strict = (hv is INF) and (gv is not INF)
+    dom = ll_relation(u, g, h).verdict
+    i, m = u.coordinate, u.principal
+    strict = h.value_at(i, m) is INF and g.value_at(i, m) is not INF
     return ChainVerdict(dom, strict, dom == strict)
 
 

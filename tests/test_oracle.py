@@ -19,6 +19,8 @@ from prodideals.oracle import (
     oracle_run,
 )
 from prodideals.products import (
+    RULE_INDEX_FILTER_CONCENTRATION,
+    RULE_ZERO_DIMENSIONAL_MINIMAL_PRIME,
     IndexUltrafilter,
     KernelIdeal,
     PointwiseMaxIdeal,
@@ -26,20 +28,21 @@ from prodideals.products import (
     UltrafilterIdeal,
     enumerate_maximal_ideals,
     ideal_member,
+    minimal_prime_below,
 )
 from prodideals.boolalg import UltrafilterDescriptor
 from prodideals.rings import IntegerRing, ResidueRing
 from prodideals.scenario import run_scenario
 
 
-def products_up_to_400():
-    """Every product of at most three moduli with at most 400 elements, the
-    range of ``test_matches_a_literal_pairwise_closure``."""
+def products_up_to(size):
+    """Every product of at most three moduli, in ascending order, with at most
+    ``size`` elements; 400 is the range of ``test_matches_a_literal_pairwise_closure``."""
     return itertools.chain(
-        ((a,) for a in range(2, 401)),
-        ((a, b) for a in range(2, 21) for b in range(a, 400 // a + 1)),
-        ((a, b, c) for a in range(2, 8) for b in range(a, 201)
-         for c in range(b, 400 // (a * b) + 1)))
+        ((a,) for a in range(2, size + 1)),
+        ((a, b) for a in range(2, math.isqrt(size) + 1) for b in range(a, size // a + 1)),
+        ((a, b, c) for a in range(2, size + 1) for b in range(a, size // (a * a) + 1)
+         for c in range(b, size // (a * b) + 1)))
 
 
 def divisor_count(n):
@@ -196,6 +199,34 @@ class TestDescriptorComparison:
             oracle_run([IntegerRing()])
 
 
+class TestMinimalPrimeChecker:
+    """``minimal_prime_below`` against the definition: of the oracle's prime
+    ideals, those inside the ultrafilter ideal have one minimal member, and
+    it is the answer, at every principal ultrafilter of every product of at
+    most three residue rings with at most 120 elements."""
+
+    def test_matches_the_minimal_oracle_prime_below(self):
+        checked = 0
+        for moduli in products_up_to(120):
+            product = ProductRing(tuple(ResidueRing(n) for n in moduli))
+            primes = [p.parts for p in oracle_run(product.components).prime_ideals]
+            for i, ring in enumerate(product.components):
+                for m in ring.maximal_spectrum():
+                    ideal = UltrafilterIdeal(
+                        product, UltrafilterDescriptor(product.shape, i, m))
+                    parts = descriptor_parts(ideal)
+                    below = [p for p in primes if all(map(frozenset.issubset, p, parts))]
+                    minimal = [p for p in below
+                               if not any(q != p and all(map(frozenset.issubset, q, p))
+                                          for q in below)]
+                    found = minimal_prime_below(ideal)
+                    assert [descriptor_parts(found.verdict)] == minimal, (moduli, i, m)
+                    assert found.rule == (RULE_INDEX_FILTER_CONCENTRATION if ring.is_domain
+                                          else RULE_ZERO_DIMENSIONAL_MINIMAL_PRIME)
+                    checked += 1
+        assert checked == 1057
+
+
 class TestExhaustivePrimeClosure:
     def test_no_violations_for_prime_descriptor(self):
         product = ProductRing((ResidueRing(12), ResidueRing(10)))
@@ -232,7 +263,7 @@ class TestPartLevelReport:
     of element sets."""
 
     def test_sets_from_parts_match_element_sets(self):
-        for moduli in products_up_to_400():
+        for moduli in products_up_to(400):
             rep = oracle_run(moduli)
             elements = [i.elements() for i in all_ideals(moduli)]
             # maximal by inclusion of element sets, not of parts
@@ -245,7 +276,7 @@ class TestPartLevelReport:
             assert {i.elements() for i in rep.prime_ideals} == set(rep.primes)
 
     def test_verdict_from_parts_matches_element_sets(self):
-        for moduli in (m for m in products_up_to_400() if len(m) <= 2):
+        for moduli in (m for m in products_up_to(400) if len(m) <= 2):
             rep = oracle_run(moduli)
             product = ProductRing(tuple(ResidueRing(n) for n in moduli))
             ultra = {descriptor_elements(i) for i in enumerate_maximal_ideals(product)}

@@ -17,6 +17,7 @@ from prodideals.boolalg import (
 )
 from prodideals.errors import ShapeMismatch, UnsupportedDescriptor
 from prodideals.products import (
+    RULE_INDEX_FILTER_CONCENTRATION,
     IndexUltrafilter,
     KernelIdeal,
     PointwiseMaxIdeal,
@@ -307,8 +308,9 @@ class TestMinimalPrime:
         assert index_filter_of(u) == IndexUltrafilter(0)
         uf = UltrafilterDescriptor(ZXZ.shape, 1, None)
         assert index_filter_of(uf) == IndexUltrafilter(1)
-        kernel = minimal_prime_below(UltrafilterIdeal(ZXZ, u))
-        assert kernel.f.coordinate == 0
+        prime = minimal_prime_below(UltrafilterIdeal(ZXZ, u))
+        assert prime.verdict.f.coordinate == 0
+        assert prime.rule == RULE_INDEX_FILTER_CONCENTRATION
 
     def test_indicator_verification(self):
         # the tuple vanishing exactly at the concentration coordinate lies in

@@ -14,7 +14,7 @@ import pytest
 import prodideals
 from prodideals import boolalg, oracle, products, properties, rings, scenario, valuations
 from prodideals.errors import InconsistentInput, ShapeMismatch
-from prodideals.record import Record
+from prodideals.record import Record, Ruling
 from prodideals.rings import (
     FinCofSet,
     IntegerRing,
@@ -274,6 +274,7 @@ FROZEN = {
         lambda: products.ValuationIdeal(P, U3, valuations.ValueVector.constant(SHAPE, 1)),
     products.MaximalityVerdict: lambda: products.is_maximal(products.UltrafilterIdeal(P, U3)),
     products.SkolemResult: lambda: products.SkolemResult(True, (), ()),
+    Ruling: lambda: products.minimal_prime_below(products.UltrafilterIdeal(P, U3)),
     oracle.OracleIdeal: lambda: oracle.OracleIdeal((6,), (frozenset({0, 3}),)),
     oracle.OracleReport: lambda: oracle.oracle_run([ResidueRing(6)]),
     properties.PlusWitness: lambda: properties.plus_witness(ZZ, ZZ.element(6), ZZ.element(10)),
@@ -311,7 +312,7 @@ def all_record_classes():
 
 def test_every_record_class_is_covered():
     assert all_record_classes() == set(FROZEN) | set(HOLDS_CONTAINER)
-    assert len(FROZEN) + len(HOLDS_CONTAINER) == 32
+    assert len(FROZEN) + len(HOLDS_CONTAINER) == 33
 
 
 def test_one_kind_of_record():

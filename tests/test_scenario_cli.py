@@ -24,7 +24,7 @@ from prodideals.cli import (
     parse_ring_token,
     read_argv,
 )
-from prodideals import scenario
+from prodideals import boolalg, scenario
 from prodideals.errors import ParseError, ValidationError
 from prodideals.fqpoly import field, pmul
 from prodideals.scenario import (
@@ -104,9 +104,9 @@ CORPUS_PINS = [
     ("mixed_catalog.json", "machine", 0,
      "bdf0a118c69dfc524411c8ec6392202dbac6a23f0df57b40f9e449d8852df4b1"),
     ("residue_products.json", "text", 0,
-     "f44095c7fc15e0524208eafc74489b171499e81fbf1f400c518de7a96d94a4e2"),
+     "a2464fe58c32342c291d1109a68ab245fd864d5fd77cc10888bfaf329050c068"),
     ("residue_products.json", "machine", 0,
-     "de09025a595e97188704313d4689e166a8966e20fd9f5c48c64f4ccf47b87c05"),
+     "f1f5c994951e15c1fee76dfd1d0d0a1bee1808e637645aa1da006d94c7919baf"),
 ]
 
 
@@ -1222,7 +1222,7 @@ def test_malformed_input_message_pinned(objects, query, message):
 SCALAR_REFUSALS = {
     scenario.NOT_INT: (1.5, 1.5),
     scenario.NOT_BOOL: ("false", "false"),
-    scenario.OUT_OF_RANGE: (9, 9),
+    boolalg.OUT_OF_RANGE: (9, 9),
     scenario.RING_OUT_OF_RANGE: (9, 9),
     "must be positive": (0, 0),
     "must be an integer >= 2": (1, 1),

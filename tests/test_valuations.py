@@ -23,8 +23,13 @@ from prodideals.products import (
     ideal_member,
 )
 from prodideals.fqpoly import all_monic, field
+from prodideals.record import Ruling
 from prodideals.rings import INF, IntegerRing, PolynomialRing, ResidueRing, valuation
 from prodideals.valuations import (
+    RULE_FRECHET_EXCEPTION_SCAN,
+    RULE_LL_ATOM,
+    RULE_LL_DEFAULT_PAIR,
+    RULE_PRINCIPAL_VALUATION_RESTRICTION,
     PrefixSample,
     ValueVector,
     chain_strictness,
@@ -117,9 +122,15 @@ FRECHET_KINDS = [
 
 class TestValuationCompare:
     def test_worked_examples(self):
-        assert valuation_compare(U2, ZXZ.element([4, 7]), ZXZ.element([2, 9])) == "GE"
-        assert valuation_compare(U2, ZXZ.element([2, 1]), ZXZ.element([4, 1])) == "LT"
-        assert valuation_compare(UF, ZXZ.element([6, 1]), ZXZ.element([2, 1])) == "GE"
+        principal, frechet = RULE_PRINCIPAL_VALUATION_RESTRICTION, RULE_FRECHET_EXCEPTION_SCAN
+        assert valuation_compare(U2, ZXZ.element([4, 7]), ZXZ.element([2, 9])) == \
+            Ruling("GE", principal)
+        assert valuation_compare(U2, ZXZ.element([2, 1]), ZXZ.element([4, 1])) == \
+            Ruling("LT", principal)
+        assert valuation_compare(UF, ZXZ.element([6, 1]), ZXZ.element([2, 1])) == \
+            Ruling("GE", frechet)
+        assert valuation_compare(UF, ZXZ.element([6, 1]), ZXZ.element([4, 1])) == \
+            Ruling("LT", frechet)
 
     def test_residue_rejected(self):
         product = ProductRing((ResidueRing(12),))
@@ -141,7 +152,7 @@ class TestValuationCompare:
                 va = valuation(ZZ, a.entries[0], u.principal)
                 vb = valuation(ZZ, b.entries[0], u.principal)
                 expected = "GE" if va >= vb else "LT"
-                assert valuation_compare(u, a, b) == expected
+                assert valuation_compare(u, a, b).verdict == expected
 
     def test_frechet_against_independent_scan(self):
         # independent route: factor both entries by trial division and look
@@ -168,7 +179,7 @@ class TestValuationCompare:
                 cases.append((x, y, expected))
             for x, y, expected in cases:
                 a, b = product.element([x]), product.element([y])
-                assert valuation_compare(u, a, b) == expected, (ring, x, y)
+                assert valuation_compare(u, a, b).verdict == expected, (ring, x, y)
 
 
 def ug_member_bounded_search(u, g, x, n_max=64):
@@ -292,6 +303,9 @@ class TestLLRelation:
         assert ll_relation(U2, vv(1, at2=1), vv(1, at2=INF))
         assert not ll_relation(U2, vv(1, at2=1), vv(1, at2=5))
         assert ll_relation(UF, vv(1), vv(INF))
+        # the branch that decides names the rule
+        assert ll_relation(U2, vv(1), vv(1)) == Ruling(False, RULE_LL_ATOM)
+        assert ll_relation(UF, vv(1), vv(INF)) == Ruling(True, RULE_LL_DEFAULT_PAIR)
 
     def test_zero_convention(self):
         g = ValueVector(SHAPE, (0, 0), ())
