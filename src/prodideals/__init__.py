@@ -18,14 +18,14 @@ _EXPORTS = {
         ValidationError ZeroElement""",
     "values": "INF Infinity",
     "rings": """FinCofSet IntegerRing LocalizedIntegersRing MaxIdealId PolynomialRing
-        ResidueRing RingElement RingHandle ZERO_MARKER ZeroMarker bezout_certificate
-        crt_solve dset jacobson_radical_generator valuation vset vset_pair""",
+        ResidueRing RingElement RingHandle bezout_certificate crt_solve dset
+        jacobson_radical_generator valuation vset vset_pair""",
     "boolalg": """AlgebraElement FilterDescriptor FilterExtension FipResult
         UltrafilterDescriptor complement enumerate_ultrafilters extend_filter
         fip_check is_zero join leq meet membership""",
-    "products": """IndexUltrafilter KernelIdeal MaximalityVerdict PointwiseMaxIdeal
-        ProductElement ProductRing SkolemResult UltrafilterIdeal ValuationIdeal
-        enumerate_maximal_ideals ideal_member index_filter_of is_maximal is_prime
+    "products": """KernelIdeal MaximalityVerdict PointwiseMaxIdeal ProductElement
+        ProductRing SkolemResult UltrafilterIdeal ValuationIdeal
+        enumerate_maximal_ideals ideal_member is_maximal is_prime
         minimal_prime_below skolem_check vset_vector""",
     "properties": """PlusPlusVerdict PlusWitness one_dim_plus_witness plus_witness
         plusplus_check plusplus_witness""",

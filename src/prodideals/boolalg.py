@@ -214,10 +214,6 @@ class FilterExtension(Record):
             return u.coordinate in self.frechet_coordinates
         return u.principal in self.principal_sets[u.coordinate]
 
-    @property
-    def is_explicit(self) -> bool:
-        return all(not s.is_cofinite for s in self.principal_sets)
-
     def enumerate(self, bound: int = None) -> list:
         out = []
         for i, s in enumerate(self.principal_sets):

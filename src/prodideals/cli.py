@@ -74,34 +74,34 @@ _ONE_RING = {}
 #: ``--help`` order: (help, ``-r`` keywords or None for a query over ``Z``,
 #: flags).  A flag is (flag, field, argparse keywords); its value goes to the
 #: query's ``field``, a field of the kind's ``scenario.QUERIES`` row, or to a
-#: scenario option when the field reads ``options.<name>``; it is
-#: ``required`` exactly when that field has no default.  A flag without
+#: scenario option when the field reads ``options.<name>``; ``_flags`` makes
+#: it ``required`` exactly when that field has no default.  A flag without
 #: ``type``, ``choices`` or ``action`` is JSON text.  A flag is forwarded
 #: only when given, so the scenario's defaults are the only ones.
 COMMANDS = {
     "maxideals": ("enumerate maximal ideals", _RINGS, ()),
     "check-plus": ("separating element for (r, a)", _ONE_RING, (
-        ("--r-elem", "r", {"required": True, "help": "JSON element"}),
-        ("--a-elem", "a", {"required": True, "help": "JSON element (nonzero)"}))),
+        ("--r-elem", "r", {"help": "JSON element"}),
+        ("--a-elem", "a", {"help": "JSON element (nonzero)"}))),
     "check-plusplus": ("strong separation verdict", _ONE_RING, (
         ("--r-elem", "r", {"help": "optional JSON element"}),)),
     "ideal-member": ("decide ideal membership", _RINGS, (
-        ("--ideal", "ideal", {"required": True, "help": "JSON ideal descriptor"}),
-        ("--element", "element", {"required": True, "help": "JSON element list"}))),
+        ("--ideal", "ideal", {"help": "JSON ideal descriptor"}),
+        ("--element", "element", {"help": "JSON element list"}))),
     "minimal-prime": ("the minimal prime below an ultrafilter ideal", _RINGS, (
-        ("--ultrafilter", "ultrafilter", {"required": True, "help": "JSON ultrafilter"}),)),
+        ("--ultrafilter", "ultrafilter", {"help": "JSON ultrafilter"}),)),
     "valuation-compare": ("compare induced valuations of two elements", _RINGS, (
-        ("--ultrafilter", "ultrafilter", {"required": True}),
-        ("-a", "a", {"required": True, "help": "JSON element list"}),
-        ("-b", "b", {"required": True, "help": "JSON element list"}))),
+        ("--ultrafilter", "ultrafilter", {}),
+        ("-a", "a", {"help": "JSON element list"}),
+        ("-b", "b", {"help": "JSON element list"}))),
     "ug-member": ("valuation-threshold ideal membership", _RINGS, (
-        ("--ultrafilter", "ultrafilter", {"required": True}),
-        ("-g", "g", {"required": True, "help": "JSON value vector"}),
-        ("-x", "x", {"required": True, "help": "JSON element list"}))),
+        ("--ultrafilter", "ultrafilter", {}),
+        ("-g", "g", {"help": "JSON value vector"}),
+        ("-x", "x", {"help": "JSON element list"}))),
     "ll": ("domination order on value vectors", _RINGS, (
-        ("--ultrafilter", "ultrafilter", {"required": True}),
-        ("-g", "g", {"required": True, "help": "JSON value vector"}),
-        ("--h-vec", "h", {"required": True, "help": "JSON value vector"}))),
+        ("--ultrafilter", "ultrafilter", {}),
+        ("-g", "g", {"help": "JSON value vector"}),
+        ("--h-vec", "h", {"help": "JSON value vector"}))),
     "interpolate": ("construct the middle of a domination chain on a sample", None, (
         ("--branch", "branch", {"choices": ("V", "W")}),
         ("--sample", "sample", {"help": 'JSON {"g": [...], "h": [...], "n": [...]}'}),
@@ -116,10 +116,14 @@ COMMANDS = {
 
 
 def _flags(command: str) -> list:
-    """(option strings, argparse keywords) of each flag of ``command``'s row."""
+    """(option strings, argparse keywords) of each flag of ``command``'s row,
+    ``required`` exactly when the field it sets has no default."""
     _, rings, flags = COMMANDS[command]
+    fields = {f.name: f for f in sc.QUERIES[command][1].fields}
+    fields.update((f"options.{f.name}", f) for f in sc.OPTIONS.fields)
     ring = [] if rings is None else [(("-r", "--ring"), {"required": True, **rings})]
-    return ring + [((flag,), kwargs) for flag, _, kwargs in flags]
+    return ring + [((flag,), {**kwargs, "required": fields[field].default is None})
+                   for flag, field, kwargs in flags]
 
 
 def _dest(flag: str) -> str:

@@ -14,7 +14,12 @@ class UnsupportedDescriptor(TypeError):
 
 
 class FactorizationBudgetExceeded(RuntimeError):
-    """Factoring the input would exceed the configured work budget."""
+    """Factoring the input would exceed the configured work budget; ``divisors``
+    are the prime divisors found before the limit, first in the listed order."""
+
+    def __init__(self, message, divisors=()):
+        self.divisors = tuple(divisors)
+        super().__init__(message)
 
 
 class NotUnitIdeal(ValueError):

@@ -346,10 +346,12 @@ def factor_monic(K: GF, f, budget: int = DEFAULT_POLY_BUDGET):
     Distinct-degree factorisation: at degree d, with every factor of lower
     degree divided out of ``rest``, gcd(rest, x^(q^d) - x) is the product of
     the distinct degree-d irreducible factors, split by trial division when
-    there are several.  While 2d <= deg(rest), a degree-d factor is still
-    possible, and q**d above ``budget`` raises, as a scan of every degree-d
-    trial divisor would.  The factorisations are cached as tuples, and each
-    call gets a list of its own; an error is not cached, so it raises again.
+    there are several, so the factors are found in the order listed.  While
+    2d <= deg(rest), a degree-d factor is still possible, and q**d above
+    ``budget`` raises, as a scan of every degree-d trial divisor would, with
+    the factors found so far as its ``divisors``.  The factorisations are
+    cached as tuples, and each call gets a list of its own; an error is not
+    cached, so it raises again.
     """
     return list(_factor_monic(K, f, budget))
 
@@ -365,7 +367,8 @@ def _factor_monic(K: GF, f, budget: int) -> tuple:
     while 2 * d <= deg(rest):
         if K.q**d > budget:
             raise FactorizationBudgetExceeded(
-                f"degree-{d} divisor scan needs {K.q**d} candidates (budget {budget})")
+                f"degree-{d} divisor scan needs {K.q**d} candidates (budget {budget})",
+                [p for p, _ in factors])
         if rows is None:
             rows = _frobenius_rows(K, rest)
             h = pmod(K, h, rest)
@@ -385,7 +388,6 @@ def _factor_monic(K: GF, f, budget: int) -> tuple:
         d += 1
     if deg(rest) >= 1:
         factors.append((rest, 1))
-    factors.sort(key=lambda pair: (deg(pair[0]), _undigits(pair[0][:-1], K.q)))
     return tuple(factors)
 
 

@@ -113,15 +113,6 @@ class ProductElement(Record):
                                for r, e in zip(self.ring.components, self.entries)) + ")"
 
 
-class IndexUltrafilter(Record):
-    """An ultrafilter on the (finite) index set: always principal."""
-
-    coordinate: int
-
-    def __repr__(self):
-        return f"IndexPrincipal({self.coordinate})"
-
-
 # ---------------------------------------------------------------------------
 # Ideal descriptors
 
@@ -165,23 +156,24 @@ class UltrafilterIdeal(Record, Descriptor):
 
 
 class KernelIdeal(Record, Descriptor):
-    """Elements vanishing at the concentration coordinate of the index
-    ultrafilter ``f``; prime exactly when that coordinate's ring is a domain."""
+    """Elements vanishing at ``coordinate``, the concentration coordinate of
+    a principal ultrafilter on the index set; prime exactly when that
+    coordinate's ring is a domain."""
 
     kind = "kernel_ideal"
     product: ProductRing
-    f: IndexUltrafilter
+    coordinate: int
 
     def __post_init__(self):
-        if not 0 <= self.f.coordinate < self.product.size:
+        if not 0 <= self.coordinate < self.product.size:
             raise ShapeMismatch("index out of range")
 
     def contains(self, a):
         self._check_product(a)
-        return a.entries[self.f.coordinate].is_zero
+        return a.entries[self.coordinate].is_zero
 
     def is_prime(self):
-        return self.product.components[self.f.coordinate].is_domain
+        return self.product.components[self.coordinate].is_domain
 
 
 class PointwiseMaxIdeal(Record, Descriptor):
@@ -190,7 +182,7 @@ class PointwiseMaxIdeal(Record, Descriptor):
 
     kind = "pointwise_max_ideal"
     product: ProductRing
-    f: IndexUltrafilter
+    coordinate: int
     ideals: tuple  # one MaxIdealId per coordinate
 
     def __post_init__(self):
@@ -200,12 +192,12 @@ class PointwiseMaxIdeal(Record, Descriptor):
         for r, m in zip(self.product.components, self.ideals):
             if m.ring != r:
                 raise InconsistentInput(f"{m} does not belong to {r.short_name}")
-        if not 0 <= self.f.coordinate < self.product.size:
+        if not 0 <= self.coordinate < self.product.size:
             raise ShapeMismatch("index out of range")
 
     def contains(self, a):
         self._check_product(a)
-        i = self.f.coordinate
+        i = self.coordinate
         return self.ideals[i].contains(a.entries[i])
 
 
@@ -354,32 +346,22 @@ def is_maximal(ideal: UltrafilterIdeal) -> MaximalityVerdict:
         "witness tuple has nonzero entries and vanishing sets inside the ultrafilter")
 
 
-def index_filter_of(u: UltrafilterDescriptor) -> IndexUltrafilter:
-    """The induced ultrafilter on the index set (nonempty-coordinate map).
-
-    Every member of the ultrafilter is nonempty at the concentration
-    coordinate, and some member is empty everywhere else, so the induced
-    family is the principal ultrafilter at that coordinate.
-    """
-    return IndexUltrafilter(u.coordinate)
-
-
 def minimal_prime_below(ideal: UltrafilterIdeal) -> Ruling:
-    """The unique minimal prime below the ultrafilter ideal, with its rule:
-    over a domain, the kernel ideal at the induced index ultrafilter; over
-    ``Z/n`` with n composite, where every prime is maximal, the ideal itself.
-    The tuple vanishing exactly at the concentration coordinate is re-verified
-    in the kernel and the ideal, and the answer is re-verified prime."""
-    f = index_filter_of(ideal.u)
-    kernel = KernelIdeal(ideal.product, f)
-    chi = ideal.product.indicator(i for i in range(ideal.product.size) if i != f.coordinate)
-    if not (ideal_member(kernel, chi) and ideal_member(ideal, chi)):
-        raise AssertionError(f"{chi!r} is not in both the kernel and the ideal")
-    found = (Ruling(kernel, RULE_INDEX_FILTER_CONCENTRATION) if kernel.is_prime()
-             else Ruling(ideal, RULE_ZERO_DIMENSIONAL_MINIMAL_PRIME))
-    if not is_prime(found.verdict):
-        raise AssertionError(f"{found.verdict!r} is not prime")
-    return found
+    """The unique minimal prime below the ultrafilter ideal, with its rule.
+
+    The ultrafilter induces on the index set the family of index sets where
+    its members are nonempty.  Every member is nonempty at the concentration
+    coordinate, and some member is empty everywhere else, so that family is
+    the principal ultrafilter at the concentration coordinate, and the
+    elements vanishing there form the kernel ideal, which lies in the ideal.
+    Over a domain the kernel is prime, and it is the answer.  Over ``Z/n``
+    with n composite, where every prime is maximal, the answer is the ideal
+    itself.
+    """
+    kernel = KernelIdeal(ideal.product, ideal.u.coordinate)
+    if kernel.is_prime():
+        return Ruling(kernel, RULE_INDEX_FILTER_CONCENTRATION)
+    return Ruling(ideal, RULE_ZERO_DIMENSIONAL_MINIMAL_PRIME)
 
 
 def enumerate_maximal_ideals(product: ProductRing, bound: int = None) -> list:

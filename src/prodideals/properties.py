@@ -70,9 +70,6 @@ class PlusPlusVerdict(Record):
     rule: str
     obstruction: RingElement  # None when the property holds
 
-    def __bool__(self):
-        return self.holds
-
 
 def plusplus_check(ring: RingHandle) -> PlusPlusVerdict:
     """Catalog-level verdict for the strong separation property."""

@@ -223,7 +223,8 @@ def prime_factors(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> tuple:
     and f_end the first such candidate above the budget (2 for a budget
     below 2, 3 for a budget of 2, else ``(budget + 1) | 1``).  The call
     succeeds iff m == 1 or m is a prime below f_end**2, and otherwise raises
-    FactorizationBudgetExceeded naming the cofactor m.
+    FactorizationBudgetExceeded naming the cofactor m, with the primes
+    divided out as its ``divisors``.
 
     The work is trial division by the primes up to min(budget, cube root of
     the cofactor), which leaves at most two prime factors; that cofactor is
@@ -249,7 +250,7 @@ def prime_factors(n: int, budget: int = DEFAULT_FACTOR_BUDGET) -> tuple:
         f_end = 2 if budget < 2 else 3 if budget == 2 else (budget + 1) | 1
         if m >= f_end * f_end:
             raise FactorizationBudgetExceeded(
-                f"cofactor {m} not certified prime within trial budget {budget}")
+                f"cofactor {m} not certified prime within trial budget {budget}", out)
         out.append(m)
     return tuple(out)
 
@@ -525,14 +526,6 @@ class FinCofSet(Record):
     def is_empty(self) -> bool:
         return not self.is_cofinite and not self.support
 
-    @property
-    def is_all(self) -> bool:
-        if self.is_cofinite:
-            return not self.support
-        if self.ring.spectrum_finite:
-            return self.support == frozenset(self.ring.maximal_spectrum())
-        return False
-
     def __contains__(self, ideal: MaxIdealId) -> bool:
         return (ideal not in self.support) if self.is_cofinite else (ideal in self.support)
 
@@ -564,11 +557,6 @@ class FinCofSet(Record):
 
     def issubset(self, other: "FinCofSet") -> bool:
         return self.intersection(other.complement()).is_empty
-
-    __and__ = intersection
-    __or__ = union
-    __invert__ = complement
-    __le__ = issubset
 
     def __repr__(self):
         names = ",".join(repr(m) for m in self.sorted_support())
@@ -894,8 +882,9 @@ def bezout_certificate(ring: RingHandle, elems: Sequence,
     element (the modulus of Z/n joins last, and its coefficient is dropped);
     the gcd g is made normal at the end, and c_i is the chain's coefficient
     times the units.  Raises NotUnitIdeal when the elements do not generate
-    the unit ideal, with a maximal ideal containing g (found under the
-    factoring budget) as witness.
+    the unit ideal, with a maximal ideal containing g as witness: the first
+    prime divisor that factoring g finds, also when the rest of g lies past
+    the factoring budget.
     """
     elems = [ring.element(e) for e in elems]
     if not elems:
@@ -912,28 +901,18 @@ def bezout_certificate(ring: RingHandle, elems: Sequence,
     if not g:
         raise NotUnitIdeal(ring.smallest_max_ideal())
     if g != one:
-        raise NotUnitIdeal(MaxIdealId(ring, ring._prime_divisors(g, budget)[0]))
+        try:
+            divisors = ring._prime_divisors(g, budget)
+        except FactorizationBudgetExceeded as exc:
+            if not (divisors := exc.divisors):
+                raise
+        raise NotUnitIdeal(MaxIdealId(ring, divisors[0]))
     return [ring.element(ring._mul(ring._mul(c, u), w)) for c, w in zip(coeffs, units)]
 
 
-class ZeroMarker:
-    """Marks a zero Jacobson radical (infinitely many maximal ideals)."""
-
-    def __repr__(self):
-        return "ZeroMarker"
-
-    def __eq__(self, other):
-        return isinstance(other, ZeroMarker)
-
-    def __hash__(self):
-        return hash("prodideals.ZeroMarker")
-
-
-ZERO_MARKER = ZeroMarker()
-
-
-def jacobson_radical_generator(ring: RingHandle):
-    """A generator of the intersection of all maximal ideals."""
+def jacobson_radical_generator(ring: RingHandle) -> RingElement:
+    """A generator of the intersection of all maximal ideals; zero over an
+    infinite spectrum, since a nonzero element lies in finitely many."""
     if not ring.spectrum_finite:
-        return ZERO_MARKER
+        return ring.zero
     return ring.element(math.prod(m.generator for m in ring.maximal_spectrum()))

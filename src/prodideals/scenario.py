@@ -323,8 +323,6 @@ INT = Type(_decode_int, encode_value, NOT_INT)
 POSITIVE = _at_least(1, "must be positive")
 BOOL = Type(_decode_bool, bool, NOT_BOOL)
 COORDINATE = _index(attrgetter("product.components"), boolalg.OUT_OF_RANGE)
-INDEX = Type(lambda obj, where, ctx=None: products.IndexUltrafilter(_decode_int(obj, where)),
-             attrgetter("coordinate"), NOT_INT)
 VALUE = Type(_decode_value, encode_value, NOT_VALUE, NOT_NON_NEGATIVE)
 POLY = _list(INT, "\"poly\" must be a list, got {!r}")
 GENERATOR = Type(_reader(False), encode_generator, *POLY.failures, NOT_INT, ring=True)
@@ -366,9 +364,9 @@ IDEAL = _kinds("kind", "expected an ideal descriptor, got {!r}", "unknown ideal 
                       cls=cls)
     for cls, fields in (
         (products.UltrafilterIdeal, [Field("ultrafilter", NAMED["ultrafilter"], "u", None)]),
-        (products.KernelIdeal, [Field("coordinate", INDEX, "f", None)]),
+        (products.KernelIdeal, [Field("coordinate", INT, "coordinate", None)]),
         (products.PointwiseMaxIdeal, [
-            Field("coordinate", INDEX, "f", None),
+            Field("coordinate", INT, "coordinate", None),
             Field("ideals", _list(GENERATOR, "\"ideals\" must be a list of generators"),
                   "ideals", None)]),
         (products.ValuationIdeal, [Field("ultrafilter", NAMED["ultrafilter"], "u", None),

@@ -71,10 +71,6 @@ class ValueVector(Record):
         set_field(self, "exceptions", tuple(sorted(
             ((c, m, v) for (c, m), v in exc.items()), key=lambda t: (t[0], t[1].sort_key))))
 
-    @classmethod
-    def constant(cls, shape, value) -> "ValueVector":
-        return cls(tuple(shape), tuple(value for _ in shape), ())
-
     def value_at(self, coord: int, ideal: MaxIdealId):
         for c, m, v in self.exceptions:
             if c == coord and m == ideal:

@@ -30,14 +30,9 @@ SCENARIOS = ("scenario.json", "a b.json", "maxideals")
 
 def command_flags(cli, command) -> list:
     """(option strings, argparse keywords) of each flag ``command`` takes
-    besides the global ones, read from its ``COMMANDS`` row."""
-    if command == "run":
-        return []
-    _, rings, flags = cli.COMMANDS[command]
-    rows = [((flag,), kwargs) for flag, _, kwargs in flags]
-    if rings is not None:
-        rows.append((("-r", "--ring"), dict(rings, required=True)))
-    return rows
+    besides the global ones, as ``cli._flags`` reads them from its
+    ``COMMANDS`` row."""
+    return [] if command == "run" else cli._flags(command)
 
 
 def flag_unit(rng, strings, kwargs) -> list:

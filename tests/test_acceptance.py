@@ -22,14 +22,12 @@ from prodideals.boolalg import (
 )
 from prodideals.cli import INFINITE_INDEX_MESSAGE, main as cli_main
 from prodideals.products import (
-    IndexUltrafilter,
     KernelIdeal,
     ProductRing,
     UltrafilterIdeal,
     ValuationIdeal,
     enumerate_maximal_ideals,
     ideal_member,
-    index_filter_of,
     is_prime,
     skolem_check,
     vset_vector,
@@ -161,7 +159,7 @@ def test_criterion_04_prime_closure():
     sampled_cases = [
         UltrafilterIdeal(ZXZ, UltrafilterDescriptor(ZXZ.shape, 0, m2)),
         UltrafilterIdeal(ZXZ, UltrafilterDescriptor(ZXZ.shape, 0, None)),
-        KernelIdeal(ZXZ, IndexUltrafilter(1)),
+        KernelIdeal(ZXZ, 1),
         UltrafilterIdeal(f2xsq, UltrafilterDescriptor(
             f2xsq.shape, 0, F2X.max_ideal((0, 1)))),
         ValuationIdeal(ZXZ, UltrafilterDescriptor(ZXZ.shape, 0, m2),
@@ -205,7 +203,7 @@ def test_criterion_04_prime_closure():
                                       product.components[coord].max_ideal(p))
             ideal = UltrafilterIdeal(product, u)
         else:
-            ideal = KernelIdeal(product, IndexUltrafilter(args))
+            ideal = KernelIdeal(product, args)
         assert is_prime(ideal)
         pairs, violations = exhaustive_prime_closure(
             moduli, lambda e: ideal_member(ideal, product.element(list(e))))
@@ -286,7 +284,6 @@ def test_criterion_06_minimal_prime_correspondence():
         rng = rng_for(f"acc6-{product}")
         for u in enumerate_ultrafilters(product.shape, bound):
             ideal = UltrafilterIdeal(product, u)
-            induced = index_filter_of(u)
             for coord in range(product.size):
                 chi = product.indicator(
                     [i for i in range(product.size) if i != coord])
@@ -299,7 +296,7 @@ def test_criterion_06_minimal_prime_correspondence():
                         if not ideal_member(ideal, product.element(entries)):
                             contained = False
                             break
-                assert contained == (IndexUltrafilter(coord) == induced)
+                assert contained == (coord == u.coordinate)
     report(6, "kernel-in-ultrafilter-ideal iff induced index filter matches",
            started)
 
@@ -342,7 +339,7 @@ def test_criterion_08_chain_suite():
     from prodideals.valuations import min_prime_over
     u2 = UltrafilterDescriptor(ZXZ.shape, 0, m2)
     ultra = UltrafilterIdeal(ZXZ, u2)
-    kernel = KernelIdeal(ZXZ, IndexUltrafilter(0))
+    kernel = KernelIdeal(ZXZ, 0)
     panel = [ZXZ.element([v, 1]) for v in (0, 1, 2, 4, 8, 12, 3, 5, 9, 64)]
     structured = [ZXZ.element([sign * 2**j * odd, second])
                   for j in range(1, 7) for odd in (1, 3, 5)

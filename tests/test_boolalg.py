@@ -271,13 +271,13 @@ class TestFilters:
         ext = extend_filter(f)
         out = ext.enumerate()
         assert [u.principal.generator for u in out] == [2, 3]
-        assert ext.is_explicit
+        assert not any(s.is_cofinite for s in ext.principal_sets)
 
     def test_extend_cofinite_set(self):
         f = FilterDescriptor((AlgebraElement(
             (FinCofSet.cofinite(ZZ, [ZZ.max_ideal(2)]),)),))
         ext = extend_filter(f)
-        assert not ext.is_explicit
+        assert any(s.is_cofinite for s in ext.principal_sets)
         assert ext.frechet_coordinates == (0,)
         with pytest.raises(InconsistentInput):
             ext.enumerate()

@@ -21,7 +21,6 @@ from prodideals.oracle import (
 from prodideals.products import (
     RULE_INDEX_FILTER_CONCENTRATION,
     RULE_ZERO_DIMENSIONAL_MINIMAL_PRIME,
-    IndexUltrafilter,
     KernelIdeal,
     PointwiseMaxIdeal,
     ProductRing,
@@ -182,9 +181,9 @@ class TestDescriptorComparison:
         for moduli in ((4, 9), (12, 10), (6, 5, 4), (8,)):
             product = ProductRing(tuple(ResidueRing(n) for n in moduli))
             comps = product.components
-            descriptors = [KernelIdeal(product, IndexUltrafilter(i))
+            descriptors = [KernelIdeal(product, i)
                            for i in range(len(moduli))]
-            descriptors += [PointwiseMaxIdeal(product, IndexUltrafilter(i), tuple(
+            descriptors += [PointwiseMaxIdeal(product, i, tuple(
                 r.max_ideal(r.primes[-1]) for r in comps)) for i in range(len(moduli))]
             descriptors += [UltrafilterIdeal(product, UltrafilterDescriptor(
                 product.shape, i, r.max_ideal(p))) for i, r in enumerate(comps)
@@ -241,7 +240,7 @@ class TestExhaustivePrimeClosure:
     def test_detects_violations_for_non_prime(self):
         # the kernel at a composite-residue coordinate is not prime
         product = ProductRing((ResidueRing(12), ResidueRing(7)))
-        ideal = KernelIdeal(product, IndexUltrafilter(0))
+        ideal = KernelIdeal(product, 0)
         _, violations = exhaustive_prime_closure(
             (12, 7), lambda e: ideal_member(ideal, product.element(list(e))))
         assert violations

@@ -18,7 +18,6 @@ from prodideals.boolalg import (
 from prodideals.errors import ShapeMismatch, UnsupportedDescriptor
 from prodideals.products import (
     RULE_INDEX_FILTER_CONCENTRATION,
-    IndexUltrafilter,
     KernelIdeal,
     PointwiseMaxIdeal,
     ProductRing,
@@ -26,7 +25,6 @@ from prodideals.products import (
     ValuationIdeal,
     enumerate_maximal_ideals,
     ideal_member,
-    index_filter_of,
     is_maximal,
     is_prime,
     minimal_prime_below,
@@ -58,7 +56,7 @@ class TestVsetVector:
         one = vset_vector(ZXZ.element([1, 1]))
         assert all(c.is_empty for c in one.coords)
         zero_first = vset_vector(ZXZ.element([0, 6]))
-        assert zero_first.coords[0].is_all
+        assert zero_first.coords[0] == FinCofSet.all(ZZ)
         assert {m.generator for m in zero_first.coords[1].support} == {2, 3}
 
     def test_only_zero_vanishes_everywhere(self):
@@ -66,7 +64,7 @@ class TestVsetVector:
         for values in itertools.product((0, 5), (0, 3), ((), (0, 1))):
             a = product.element(values)
             assert a.is_zero == (a == product.zero) == all(
-                c.is_all for c in vset_vector(a).coords)
+                c == FinCofSet.all(c.ring) for c in vset_vector(a).coords)
 
     def test_join_rule_sampled(self):
         # the vanishing tuple of a product is the coordinatewise union
@@ -108,7 +106,7 @@ class TestIdealMember:
         assert ideal_member(UltrafilterIdeal(ZXZ, u2), ZXZ.element([6, 5]))
         assert not ideal_member(UltrafilterIdeal(ZXZ, uf), ZXZ.element([6, 5]))
         assert ideal_member(UltrafilterIdeal(ZXZ, uf), ZXZ.element([0, 5]))
-        assert ideal_member(KernelIdeal(ZXZ, IndexUltrafilter(1)),
+        assert ideal_member(KernelIdeal(ZXZ, 1),
                             ZXZ.element([7, 0]))
 
     def test_matches_membership_of_vset_vector(self):
@@ -134,15 +132,15 @@ class TestIsPrime:
     def test_verdicts(self):
         u2 = UltrafilterDescriptor(ZXZ.shape, 0, ZZ.max_ideal(2))
         assert is_prime(UltrafilterIdeal(ZXZ, u2))
-        assert is_prime(KernelIdeal(ZXZ, IndexUltrafilter(0)))
+        assert is_prime(KernelIdeal(ZXZ, 0))
         g0 = ValueVector(ZXZ.shape, (0, 1), ())
         with pytest.raises(UnsupportedDescriptor):
             is_prime(ValuationIdeal(ZXZ, u2, g0))
 
     def test_kernel_not_prime_over_composite_residue(self):
         product = ProductRing((ResidueRing(12), ResidueRing(7)))
-        assert not is_prime(KernelIdeal(product, IndexUltrafilter(0)))
-        assert is_prime(KernelIdeal(product, IndexUltrafilter(1)))
+        assert not is_prime(KernelIdeal(product, 0))
+        assert is_prime(KernelIdeal(product, 1))
 
     def test_closure_sampled(self):
         # no sampled pair violates primality
@@ -150,7 +148,7 @@ class TestIsPrime:
         cases = [
             (ZXZ, UltrafilterIdeal(ZXZ, UltrafilterDescriptor(ZXZ.shape, 0, ZZ.max_ideal(2)))),
             (ZXZ, UltrafilterIdeal(ZXZ, UltrafilterDescriptor(ZXZ.shape, 0, None))),
-            (ZXZ, KernelIdeal(ZXZ, IndexUltrafilter(1))),
+            (ZXZ, KernelIdeal(ZXZ, 1)),
             (ProductRing((f2x, f2x)),
              UltrafilterIdeal(ProductRing((f2x, f2x)),
                               UltrafilterDescriptor((f2x, f2x), 0, f2x.max_ideal((0, 1))))),
@@ -305,11 +303,10 @@ class TestIsMaximal:
 class TestMinimalPrime:
     def test_concentration(self):
         u = UltrafilterDescriptor(ZXZ.shape, 0, ZZ.max_ideal(2))
-        assert index_filter_of(u) == IndexUltrafilter(0)
         uf = UltrafilterDescriptor(ZXZ.shape, 1, None)
-        assert index_filter_of(uf) == IndexUltrafilter(1)
+        assert minimal_prime_below(UltrafilterIdeal(ZXZ, uf)).verdict == KernelIdeal(ZXZ, 1)
         prime = minimal_prime_below(UltrafilterIdeal(ZXZ, u))
-        assert prime.verdict.f.coordinate == 0
+        assert prime.verdict.coordinate == 0
         assert prime.rule == RULE_INDEX_FILTER_CONCENTRATION
 
     def test_indicator_verification(self):
@@ -317,7 +314,7 @@ class TestMinimalPrime:
         # the kernel and in every ultrafilter ideal concentrated there
         chi = ZXZ.indicator([1])
         s = vset_vector(chi)
-        assert s.coords[0].is_all and s.coords[1].is_empty
+        assert s.coords[0] == FinCofSet.all(ZZ) and s.coords[1].is_empty
         for u in (UltrafilterDescriptor(ZXZ.shape, 0, ZZ.max_ideal(7)),
                   UltrafilterDescriptor(ZXZ.shape, 0, None)):
             assert ideal_member(UltrafilterIdeal(ZXZ, u), chi)
@@ -349,7 +346,7 @@ class TestMinimalPrime:
 
     def test_quotient_by_kernel_is_component(self):
         # elements agree modulo the kernel iff they agree at the coordinate
-        kernel = KernelIdeal(ZXZ, IndexUltrafilter(0))
+        kernel = KernelIdeal(ZXZ, 0)
         rng = rng_for("kernel-quotient")
         for _ in range(100):
             a = ZXZ.element([random_element(ZZ, rng, small=True).raw for _ in range(2)])

@@ -100,20 +100,22 @@ class TestFootprint:
                             ("prodideals.boolalg", "prodideals.products")) == []
 
 
-# every name the package exported when it imported its modules eagerly
+# every name the package exported when it imported its modules eagerly, less
+# four second spellings removed since: the index ultrafilter is its coordinate,
+# and a zero Jacobson radical is the ring's zero
 PARENT_EXPORTS = """
     BudgetExceeded FactorizationBudgetExceeded FiniteIntersectionViolation
     InconsistentInput InvalidSample NonPositiveValueVector NotMember NotUnitIdeal
     NoWitness ParseError ShapeMismatch UnsupportedDescriptor UnsupportedRing
     ValidationError ZeroElement INF Infinity FinCofSet IntegerRing
     LocalizedIntegersRing MaxIdealId PolynomialRing ResidueRing RingElement
-    RingHandle ZERO_MARKER ZeroMarker bezout_certificate crt_solve dset
+    RingHandle bezout_certificate crt_solve dset
     jacobson_radical_generator valuation vset vset_pair AlgebraElement
     FilterDescriptor FilterExtension FipResult UltrafilterDescriptor complement
     enumerate_ultrafilters extend_filter fip_check is_zero join leq meet membership
-    IndexUltrafilter KernelIdeal MaximalityVerdict PointwiseMaxIdeal ProductElement
+    KernelIdeal MaximalityVerdict PointwiseMaxIdeal ProductElement
     ProductRing SkolemResult UltrafilterIdeal ValuationIdeal enumerate_maximal_ideals
-    ideal_member index_filter_of is_maximal is_prime minimal_prime_below
+    ideal_member is_maximal is_prime minimal_prime_below
     skolem_check vset_vector PlusPlusVerdict PlusWitness one_dim_plus_witness
     plus_witness plusplus_check plusplus_witness ChainVerdict InterpolationReport
     PrefixSample ValueVector chain_strictness floor_div_log interpolate_chain
@@ -265,13 +267,12 @@ FROZEN = {
     boolalg.FilterExtension: lambda: boolalg.extend_filter(boolalg.FilterDescriptor([ALG])),
     products.ProductRing: lambda: products.ProductRing([ZZ]),
     products.ProductElement: lambda: products.ProductElement(P, (ZZ.element(6),)),
-    products.IndexUltrafilter: lambda: products.IndexUltrafilter(0),
     products.UltrafilterIdeal: lambda: products.UltrafilterIdeal(P, U3),
-    products.KernelIdeal: lambda: products.KernelIdeal(P, products.IndexUltrafilter(0)),
+    products.KernelIdeal: lambda: products.KernelIdeal(P, 0),
     products.PointwiseMaxIdeal:
-        lambda: products.PointwiseMaxIdeal(P, products.IndexUltrafilter(0), [M3]),
+        lambda: products.PointwiseMaxIdeal(P, 0, [M3]),
     products.ValuationIdeal:
-        lambda: products.ValuationIdeal(P, U3, valuations.ValueVector.constant(SHAPE, 1)),
+        lambda: products.ValuationIdeal(P, U3, valuations.ValueVector(SHAPE, (1,), ())),
     products.MaximalityVerdict: lambda: products.is_maximal(products.UltrafilterIdeal(P, U3)),
     products.SkolemResult: lambda: products.SkolemResult(True, (), ()),
     Ruling: lambda: products.minimal_prime_below(products.UltrafilterIdeal(P, U3)),
@@ -312,7 +313,7 @@ def all_record_classes():
 
 def test_every_record_class_is_covered():
     assert all_record_classes() == set(FROZEN) | set(HOLDS_CONTAINER)
-    assert len(FROZEN) + len(HOLDS_CONTAINER) == 33
+    assert len(FROZEN) + len(HOLDS_CONTAINER) == 32
 
 
 def test_one_kind_of_record():
@@ -394,9 +395,9 @@ def test_validation_runs_on_every_construction():
     with pytest.raises(ShapeMismatch, match="^ultrafilter over a different shape$"):
         products.UltrafilterIdeal(ZZ2, U3)
     with pytest.raises(ShapeMismatch, match="^ultrafilter over a different shape$"):
-        products.ValuationIdeal(ZZ2, U3, valuations.ValueVector.constant((ZZ, ZZ), 1))
+        products.ValuationIdeal(ZZ2, U3, valuations.ValueVector((ZZ, ZZ), (1, 1), ()))
     with pytest.raises(ShapeMismatch, match="^value vector over a different shape$"):
-        products.ValuationIdeal(P, U3, valuations.ValueVector.constant((ZZ, ZZ), 1))
+        products.ValuationIdeal(P, U3, valuations.ValueVector((ZZ, ZZ), (1, 1), ()))
     with pytest.raises(InconsistentInput, match="^sets over different rings$"):
         FinCofSet.finite(R6, []).intersection(FinCofSet.finite(ResidueRing(10), []))
     with pytest.raises(ShapeMismatch, match="^elements of different products$"):
@@ -411,6 +412,59 @@ def test_validation_runs_on_every_construction():
         valuations.ValueVector((ZZ,), (1,), ((0, R6.max_ideal(2), 1),))
     with pytest.raises(AttributeError, match="^cannot delete field 'generator'$"):
         del M3.generator
+    # the library's input refusals that no other tier-1 test reaches
+    from prodideals import fqpoly, values
+    from prodideals.errors import (InvalidSample, NonPositiveValueVector,
+                                   UnsupportedDescriptor, UnsupportedRing)
+    ALG2 = boolalg.AlgebraElement((FinCofSet.all(ZZ), FinCofSet.all(ZZ)))
+    V1 = valuations.ValueVector(SHAPE, (1,), ())
+    V2 = valuations.ValueVector((ZZ, ZZ), (1, 1), ())
+    sample = valuations.PrefixSample((1,), (3,), (2,))
+    for error, message, refused in [
+        (ShapeMismatch, r"^shapes differ: ", lambda: boolalg.membership(U3, ALG2)),
+        (InconsistentInput, "^a filter needs at least one generator$",
+         lambda: boolalg.FilterDescriptor(())),
+        (ShapeMismatch, "^filter generators over different shapes$",
+         lambda: boolalg.FilterDescriptor((ALG, ALG2))),
+        (ShapeMismatch, "^descriptor over a different shape$",
+         lambda: boolalg.extend_filter(boolalg.FilterDescriptor((ALG2,))).admits(U3)),
+        (InconsistentInput, r"^\(2\) does not belong to Z$",
+         lambda: products.PointwiseMaxIdeal(P, 0, [R6.max_ideal(2)])),
+        (UnsupportedDescriptor, "^unknown descriptor 5$",
+         lambda: products.ideal_member(5, P.one)),
+        (UnsupportedDescriptor, "^unknown descriptor 5$", lambda: products.is_prime(5)),
+        (ShapeMismatch, "^elements of different products$",
+         lambda: products.skolem_check([P.one, ZZ2.one])),
+        (UnsupportedRing, "^Z has an infinite maximal spectrum$", ZZ.maximal_spectrum),
+        (UnsupportedRing, "^element of Z/6 used in Z$", lambda: ZZ.element(R6.one)),
+        (InconsistentInput, r"^\(2\) is not a maximal ideal of Z$",
+         lambda: rings.valuation(ZZ, 4, R6.max_ideal(2))),
+        (InconsistentInput, r"^\(2\) does not belong to Z$",
+         lambda: rings.crt_solve(ZZ, [(LocalizedIntegersRing((2,)).max_ideal(2), 1, 0)])),
+        (InconsistentInput, "^exponents must be non-negative$",
+         lambda: rings.crt_solve(ZZ, [(M3, -1, 0)])),
+        (ShapeMismatch, "^element over a different shape$",
+         lambda: valuations.ug_member(U3, V1, ZZ2.one)),
+        (ShapeMismatch, "^value vector over a different shape$",
+         lambda: valuations.ug_member(U3, V2, P.one)),
+        (ShapeMismatch, "^value vectors over a different shape$",
+         lambda: valuations.ll_relation(U3, V2, V1)),
+        (NonPositiveValueVector, "^value vectors must be positive everywhere$",
+         lambda: valuations.chain_strictness(U3, valuations.ValueVector(SHAPE, (0,), ()), V1)),
+        (InvalidSample, "^not a value: -1$", lambda: valuations.PrefixSample((1,), (-1,), (2,))),
+        (InvalidSample, "^branch must be 'V' or 'W'$",
+         lambda: valuations.interpolate_chain(sample, "X")),
+        (ValueError, "^6 is not a prime power$", lambda: fqpoly.GF(6)),
+        (ZeroDivisionError, "^0 has no inverse$", lambda: fqpoly.field(4).inv(0)),
+        (ZeroDivisionError, "^polynomial division by zero$",
+         lambda: fqpoly.pdivmod(fqpoly.field(2), (1,), ())),
+        (UnsupportedRing, "^finite residue products only$",
+         lambda: oracle.descriptor_parts(products.UltrafilterIdeal(P, U3))),
+        (ValueError, "^value must be a non-negative integer or INF, got -1$",
+         lambda: values.check_value(-1)),
+    ]:
+        with pytest.raises(error, match=message):
+            refused()
 
 
 def test_mutable_records():
@@ -439,4 +493,3 @@ def test_generated_repr_where_the_class_defines_none():
     # classes with their own repr keep it
     assert repr(M3) == "(3)"
     assert repr(U3) == "Principal(coord=0, (3))"
-    assert repr(products.IndexUltrafilter(0)) == "IndexPrincipal(0)"

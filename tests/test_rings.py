@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import pathlib
@@ -26,8 +27,6 @@ from prodideals.rings import (
     MaxIdealId,
     PolynomialRing,
     ResidueRing,
-    ZERO_MARKER,
-    ZeroMarker,
     bezout_certificate,
     crt_solve,
     dset,
@@ -90,7 +89,7 @@ class TestVset:
     def test_poly(self, F2X):
         assert gens(vset(F2X, F2X.element((0, 1, 1)))) == {(0, 1), (1, 1)}
         assert vset(F2X, F2X.element((1,))).is_empty
-        assert vset(F2X, F2X.element(())).is_all
+        assert vset(F2X, F2X.element(())) == FinCofSet.all(F2X)
         assert vset(F2X, F2X.element(())).is_cofinite
 
     def test_multiplicativity_sampled(self, ZZ, L25, F2X):
@@ -318,6 +317,27 @@ class TestBezout:
         with pytest.raises(FactorizationBudgetExceeded, match=f"^cofactor {n} "):
             bezout_certificate(ZZ, [n, 2 * n], budget=100)
 
+    def test_witness_needs_no_whole_factorisation(self, capsys):
+        # the witness is the first prime divisor that factoring finds, also
+        # when the rest of the gcd lies past the budget
+        from prodideals import cli
+        g = 2 * 10000019 * 10000079
+        scenario = json.dumps({"schema_version": 1, "rings": [{"kind": "integers"}], "queries": [
+            {"query": "skolem", "elements": [[str(g)], [str(2 * g)]]}]})
+        assert cli.main(["--format", "machine", "run", scenario]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            '{"index":0,"provenance":"rule:coordinatewise-bezout","query":"skolem",'
+            '"verdict":false,"witness":{"coordinate":0,"ideal":2}}')
+        ring = PolynomialRing(4)
+        f1, f2 = itertools.islice(
+            (f for f in fqpoly.all_monic(ring.K, 9) if fqpoly.is_irreducible(ring.K, f)), 2)
+        g = ring.element((0, 1)) * ring.element(f1) * ring.element(f2)
+        with pytest.raises(FactorizationBudgetExceeded, match="^degree-9 divisor scan"):
+            fqpoly.factor_monic(ring.K, g.raw)
+        with pytest.raises(NotUnitIdeal) as exc:
+            bezout_certificate(ring, [g, g * ring.element((1, 1))])
+        assert exc.value.witness == ring.max_ideal((0, 1))
+
 
 class TestLocalizedIntegralValues:
     """An integral Z_(S) value is an int however it is written."""
@@ -479,15 +499,18 @@ class TestDefaultsMatchTheRemovedOverrides:
 
 class TestJacobson:
     def test_catalog(self, ZZ, R12, L25, F2X):
-        assert jacobson_radical_generator(ZZ) == ZERO_MARKER
-        assert jacobson_radical_generator(F2X) == ZERO_MARKER
+        assert jacobson_radical_generator(ZZ) == ZZ.zero
+        assert jacobson_radical_generator(F2X) == F2X.zero
         assert jacobson_radical_generator(R12).raw == 6
         assert jacobson_radical_generator(L25).raw == Fraction(10)
         assert jacobson_radical_generator(LocalizedIntegersRing((5,))).raw == 5
 
-    def test_zero_marker_is_one_value(self):
-        assert repr(ZERO_MARKER) == "ZeroMarker"
-        assert {ZERO_MARKER, ZeroMarker()} == {ZERO_MARKER}
+    def test_zero_marker_is_one_value(self, ZZ, F2X):
+        # a zero radical is the ring's own zero, not a marker value
+        for ring in (ZZ, F2X):
+            gen = jacobson_radical_generator(ring)
+            assert gen.ring == ring and gen.is_zero
+            assert {gen, ring.zero, ring.element(0 if ring is ZZ else ())} == {ring.zero}
 
     def test_radical_is_intersection_residue(self):
         # derived: intersection of the brute-force maximal ideals

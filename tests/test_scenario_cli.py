@@ -19,6 +19,7 @@ import prodideals
 from prodideals.cli import (
     COMMANDS,
     INFINITE_INDEX_MESSAGE,
+    _flags,
     build_parser,
     main,
     parse_ring_token,
@@ -1351,15 +1352,17 @@ def test_every_refusal_of_the_table_is_located(held, message):
 def test_commands_read_their_query_rows():
     # cli.COMMANDS and scenario.QUERIES cannot drift: a flag sets a field of
     # its kind's row or a scenario option, and must be given exactly when
-    # the field has no default (it is read as null)
+    # the field has no default (it is read as null), which _flags derives
     options = {f.name: f for f in scenario.OPTIONS.fields}
     for command, (_, _, flags) in COMMANDS.items():
         assert command in scenario.QUERIES
         fields = {f.name: f for f in scenario.QUERIES[command][1].fields}
+        derived = {strings[0]: kwargs for strings, kwargs in _flags(command)}
         for flag, name, kwargs in flags:
             section, _, key = name.rpartition(".")
             field = options[key] if section == "options" else fields[name]
-            assert kwargs.get("required", False) == (field.default is None), (command, flag)
+            assert "required" not in kwargs, (command, flag)
+            assert derived[flag]["required"] == (field.default is None), (command, flag)
     for kind, (handler, row) in scenario.QUERIES.items():
         parameters = list(inspect.signature(handler).parameters)
         assert parameters[:2] == ["scn", "where"], kind

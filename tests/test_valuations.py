@@ -17,7 +17,6 @@ from prodideals.errors import (
 )
 from prodideals.products import (
     KernelIdeal,
-    IndexUltrafilter,
     ProductRing,
     UltrafilterIdeal,
     ideal_member,
@@ -272,7 +271,7 @@ class TestMinPrimeOver:
         # for x with finite positive valuation the minimal prime over x is
         # the whole ultrafilter ideal; for vanishing x it is the kernel
         ultra = UltrafilterIdeal(ZXZ, U2)
-        kernel = KernelIdeal(ZXZ, IndexUltrafilter(0))
+        kernel = KernelIdeal(ZXZ, 0)
         panel = [ZXZ.element([v, 1]) for v in (0, 1, 2, 4, 8, 12, 5)]
         for j in (1, 2, 5):
             x = ZXZ.element([2**j * 3, 7])
@@ -289,7 +288,7 @@ class TestMinPrimeOver:
         # as a threshold ideal: the kernel at the all-infinite vector, the
         # maximal one at any finite vector
         ultra = UltrafilterIdeal(ZXZ, U2)
-        kernel = KernelIdeal(ZXZ, IndexUltrafilter(0))
+        kernel = KernelIdeal(ZXZ, 0)
         panel = [ZXZ.element([v, 1]) for v in (0, 1, 2, 4, 8, 12, 5, 9)]
         g_infinite = ValueVector(SHAPE, (INF, INF), ())
         g_finite = vv(1, at2=4)
