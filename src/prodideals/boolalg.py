@@ -187,9 +187,6 @@ class FilterDescriptor(Record):
     def shape(self) -> tuple:
         return self.generators[0].shape
 
-    def meet_of_generators(self) -> AlgebraElement:
-        return functools.reduce(meet, self.generators)
-
 
 class FilterExtension(Record):
     """The complete family of ultrafilters containing a given filter.
@@ -239,7 +236,7 @@ def extend_filter(filt: FilterDescriptor) -> FilterExtension:
     The description is complete for the finite/cofinite product algebra:
     no other ultrafilters exist there.
     """
-    g = filt.meet_of_generators()
+    g = functools.reduce(meet, filt.generators)
     frechet = tuple(i for i, c in enumerate(g.coords)
                     if c.is_cofinite and not filt.shape[i].spectrum_finite)
     return FilterExtension(filt.shape, tuple(g.coords), frechet)

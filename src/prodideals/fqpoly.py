@@ -346,10 +346,10 @@ def factor_monic(K: GF, f, budget: int = DEFAULT_POLY_BUDGET):
     Distinct-degree factorisation: at degree d, with every factor of lower
     degree divided out of ``rest``, gcd(rest, x^(q^d) - x) is the product of
     the distinct degree-d irreducible factors, split by trial division when
-    there are several, so the factors are found in the order listed.  While
-    2d <= deg(rest), a degree-d factor is still possible, and q**d above
-    ``budget`` raises, as a scan of every degree-d trial divisor would, with
-    the factors found so far as its ``divisors``.  The factorisations are
+    there are several, so the factors are found in the order listed.  Only
+    that split scans the degree-d monics, so only there q**d above
+    ``budget`` raises, with the factors found so far as its ``divisors``; a
+    lone factor of any degree needs no scan.  The factorisations are
     cached as tuples, and each call gets a list of its own; an error is not
     cached, so it raises again.
     """
@@ -365,17 +365,18 @@ def _factor_monic(K: GF, f, budget: int) -> tuple:
     rest, h, rows = f, x, None
     d = 1
     while 2 * d <= deg(rest):
-        if K.q**d > budget:
-            raise FactorizationBudgetExceeded(
-                f"degree-{d} divisor scan needs {K.q**d} candidates (budget {budget})",
-                [p for p, _ in factors])
         if rows is None:
             rows = _frobenius_rows(K, rest)
             h = pmod(K, h, rest)
         h = _frobenius(K, h, rows)  # x^(q^d) mod rest
         g = pgcd(K, rest, psub(K, h, x))
+        if deg(g) > d and K.q**d > budget:
+            raise FactorizationBudgetExceeded(
+                f"degree-{d} divisor scan needs {K.q**d} candidates (budget {budget})",
+                [p for p, _ in factors])
         if deg(g) > 0:
-            for p in _split_equal_degree(K, g, d):
+            # a lone factor is g itself, and all_monic would list range(q)
+            for p in (_split_equal_degree(K, g, d) if deg(g) > d else [g]):
                 e = 0
                 while True:
                     quot, r = pdivmod(K, rest, p)

@@ -7,7 +7,7 @@ maximal ideals), ``KernelIdeal`` (the minimal primes over domains), and
 Prufer domains).  Each class owns its kind's semantics: the JSON name
 ``kind``, membership ``contains(a)`` and the verdict ``is_prime()``, which
 ``ideal_member`` and ``is_prime`` call for a descriptor of any kind.  To add
-a kind, write its class here and its row of ``scenario.IDEAL_KINDS``.
+a kind, write its class here and its row of ``scenario.IDEAL``.
 
 The index set is finite, so every ultrafilter on it is principal and every
 descriptor is decidable by a closed form; the test suite re-verifies the

@@ -55,15 +55,14 @@ from .rings import (
     DEFAULT_ORACLE_BUDGET,
     IntegerRing,
     LocalizedIntegersRing,
-    MaxIdealId,
     PolynomialRing,
     ResidueRing,
     RingElement,
-    RingHandle,
 )
 from .values import INF, encode_value, encode_values
 
 SCHEMA_VERSION = 1
+TOP_LEVEL = {"schema_version", "rings", "product", "objects", "queries", "options"}
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +109,7 @@ class Field:
 
 
 MISSING = "missing field {!r}"
+UNKNOWN_FIELD = "unknown field"
 NOT_INT = "not an integer: {!r}"
 NOT_BOOL = "must be true or false, got {!r}"
 NOT_VALUE = "expected an integer or \"inf\", got {!r}"
@@ -222,15 +222,20 @@ def _object(message, fields, make, *failures, cls=None):
     ``make(ctx, *values)``, whose ValueErrors (the ``failures`` among them)
     are located at the object.  ``message`` refuses anything else, and an
     object that lacks a field that must be given; without it, the field's
-    absence is refused.  A type that reads at a ring reads at the one that
-    the row's index field names."""
+    absence is refused.  The first key that is neither a field nor one of
+    ``keys_of_row`` (the ``kind``, ``type`` or ``query`` key that picked the
+    row) is refused at that key.  A type that reads at a ring reads at the
+    one that the row's index field names."""
+    names = {f.name for f in fields}
     keys = {f.name for f in fields if f.default is REQUIRED and message}
     steps = [(f.name, f.type.decode, f.default, f.at_field, f.type.ring) for f in fields]
     at, seq = next(((i, f.type.seq) for i, f in enumerate(fields) if f.type.seq), (0, None))
 
-    def decode(obj, where, ctx=None):
+    def decode(obj, where, ctx=None, keys_of_row=()):
         if not isinstance(obj, dict) or not obj.keys() >= keys:
             raise ValidationError(where, message.format(obj))
+        if unknown := [key for key in obj if key not in names and key not in keys_of_row]:
+            raise ValidationError(f"{where}.{unknown[0]}", UNKNOWN_FIELD)
         values = []
         append = values.append
         for name, decode_field, default, at_field, ring in steps:
@@ -265,7 +270,8 @@ def _kinds(key, message, unknown, kinds):
         if not _listed(kinds, obj[key]):
             raise ValidationError(where, unknown.format(obj[key]))
         return kinds[obj[key]]
-    return Type(lambda obj, where, ctx=None: row_of(obj, where).decode(obj, where, ctx),
+    return Type(lambda obj, where, ctx=None, keys_of_row=():
+                row_of(obj, where).decode(obj, where, ctx, (*keys_of_row, key)),
                 lambda value: {key: names[type(value)], **kinds[names[type(value)]].encode(value)},
                 message, unknown, kinds=kinds, row_of=row_of)
 
@@ -290,20 +296,16 @@ def _listed(table, key) -> bool:
     return isinstance(key, str) and key in table
 
 
-def encode_ring_element(elem: RingElement):
-    raw = elem.raw
+def encode_raw(raw):
+    """The JSON form of a ring element's ``raw`` value or of a maximal
+    ideal's ``generator``."""
     if isinstance(raw, tuple):
         return {"poly": list(raw)}
     return encode_value(raw) if isinstance(raw, int) else f"{raw.numerator}/{raw.denominator}"
 
 
-def encode_generator(m: MaxIdealId):
-    g = m.generator
-    return {"poly": list(g)} if isinstance(g, tuple) else encode_value(g)
-
-
 def encode_fincof(s) -> dict:
-    gens = [encode_generator(m) for m in s.sorted_support()]
+    gens = [encode_raw(m.generator) for m in s.sorted_support()]
     return {"cofinite": gens} if s.is_cofinite else {"finite": gens}
 
 
@@ -325,8 +327,9 @@ BOOL = Type(_decode_bool, bool, NOT_BOOL)
 COORDINATE = _index(attrgetter("product.components"), boolalg.OUT_OF_RANGE)
 VALUE = Type(_decode_value, encode_value, NOT_VALUE, NOT_NON_NEGATIVE)
 POLY = _list(INT, "\"poly\" must be a list, got {!r}")
-GENERATOR = Type(_reader(False), encode_generator, *POLY.failures, NOT_INT, ring=True)
-ENTRY = Type(_reader(True), encode_ring_element, *POLY.failures, NOT_INT, ring=True)
+GENERATOR = Type(_reader(False), lambda m: encode_raw(m.generator), *POLY.failures, NOT_INT,
+                 ring=True)
+ENTRY = Type(_reader(True), lambda elem: encode_raw(elem.raw), *POLY.failures, NOT_INT, ring=True)
 
 RING = _kinds("kind", "expected a ring description, got {!r}", "unknown ring kind {!r}", {
     kind: _object(None, fields, lambda _, *values, cls=cls: cls(*values), cls=cls)
@@ -399,11 +402,6 @@ OPTIONS = _object("must be an object", [
 SHAPES = {"ring": RING, "ultrafilter": ULTRAFILTER, "element": ELEMENT,
           "value_vector": VALUE_VECTOR, "exception": EXCEPTION, "ideal": IDEAL,
           "object": OBJECT, "options": OPTIONS}
-IDEAL_KINDS, OBJECT_TYPES = IDEAL.kinds, OBJECT.kinds
-
-
-def decode_ring(obj, where="rings") -> RingHandle:
-    return RING.decode(obj, where)
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +429,15 @@ def parse_scenario(source) -> Scenario:
     if not isinstance(data, dict):
         raise ValidationError("$", "scenario must be an object")
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # not True, not 1.0
         raise ValidationError("schema_version",
                               f"expected {SCHEMA_VERSION}, got {version!r}")
+    if unknown := [key for key in data if key not in TOP_LEVEL]:
+        raise ValidationError(unknown[0], UNKNOWN_FIELD)
     ring_list = data.get("rings")
     if not isinstance(ring_list, list) or not ring_list:
         raise ValidationError("rings", "need a nonempty list of ring descriptions")
-    rings = [decode_ring(r, f"rings[{i}]") for i, r in enumerate(ring_list)]
+    rings = [RING.decode(r, f"rings[{i}]") for i, r in enumerate(ring_list)]
     index_list = data.get("product", list(range(len(rings))))
     if not isinstance(index_list, list) or not index_list:
         raise ValidationError("product", "need a nonempty index list")
@@ -461,7 +461,7 @@ def parse_scenario(source) -> Scenario:
             row = OBJECT.row_of(obj, where)
             scn.types[name] = obj["type"]
             if (row is IDEAL) == pass_ideals:
-                scn.objects[name] = row.decode(obj, where, scn)
+                scn.objects[name] = row.decode(obj, where, scn, ("type",))
 
     queries = data.get("queries", [])
     if not isinstance(queries, list):
@@ -585,7 +585,7 @@ def _maxideals(scn, where, bound):
     # once per distinct ring: equal components share one list of generators,
     # in the listing order of rings.generator_key, with no record built
     columns = {ring: ring.generators_up_to(bound) for ring in dict.fromkeys(product.shape)}
-    fillers = [encode_ring_element(e) for e in products.witness_fillers(product)]
+    fillers = [encode_raw(e.raw) for e in products.witness_fillers(product)]
 
     def maximal(encoder):
         # every principal descriptor is maximal by one rule, and its witness
@@ -637,7 +637,7 @@ def _is_maximal(scn, where, u):
 def _check_plus(scn, where, ring, r, a):
     from . import properties
     w = properties.plus_witness(scn.rings[ring], r, a, scn.options.factor_budget)
-    return {"verdict": encode_ring_element(w.d),
+    return {"verdict": encode_raw(w.d.raw),
             "witness": {"must_contain": encode_fincof(w.lower),
                         "allowed": encode_fincof(w.upper),
                         "vanishing_set": encode_fincof(w.vset_d)},
@@ -650,10 +650,10 @@ def _check_plusplus(scn, where, ring, r):
     verdict = properties.plusplus_check(ring)
     if not verdict.holds:
         return {"verdict": False, "provenance": verdict.rule,
-                "obstruction": encode_ring_element(verdict.obstruction)}
+                "obstruction": encode_raw(verdict.obstruction.raw)}
     rec = {"verdict": True, "provenance": verdict.rule}
     if r is not False:
-        rec["witness"] = encode_ring_element(properties.plusplus_witness(ring, r))
+        rec["witness"] = encode_raw(properties.plusplus_witness(ring, r).raw)
     elif ring.dimension == 0:
         # one row per residue: the oracle's element budget caps the rows
         if ring.modulus > scn.options.oracle_budget:
@@ -661,7 +661,7 @@ def _check_plusplus(scn, where, ring, r):
                                  f"rows (budget {scn.options.oracle_budget})")
         # the witness of r depends only on the primes dividing it, gcd(r, rad)
         rad = math.prod(ring.primes)
-        d = {g: encode_ring_element(properties.plusplus_witness(ring, ring.element(g)))
+        d = {g: encode_raw(properties.plusplus_witness(ring, ring.element(g)).raw)
              for g in {math.gcd(r, rad) for r in range(rad)}}
         rec["witness_table"] = [{"r": r, "d": d[math.gcd(r, rad)]} for r in range(ring.modulus)]
     return rec
@@ -739,7 +739,7 @@ def _skolem(scn, where, elems):
         rec["certificate"] = [ELEMENT.encode(c) for c in result.certificate]
     else:
         coord, m = result.witness
-        rec["witness"] = {"coordinate": coord, "ideal": encode_generator(m)}
+        rec["witness"] = {"coordinate": coord, "ideal": encode_raw(m.generator)}
     return rec
 
 
@@ -802,7 +802,7 @@ QUERIES = {
 
 def _answer(scn, query, where):
     handler, fields = QUERIES[query["query"]]
-    return handler(scn, where, *fields.decode(query, where, scn))
+    return handler(scn, where, *fields.decode(query, where, scn, ("query",)))
 
 
 def execute_query(scn: Scenario, query: dict, index: int) -> dict:

@@ -331,10 +331,6 @@ class PrefixSample(Record):
         set_field(self, "h", h)
         set_field(self, "n", n)
 
-    @property
-    def length(self) -> int:
-        return len(self.g)
-
 
 class InterpolationReport(Record):
     branch: str
@@ -396,9 +392,9 @@ def interpolate_chain(sample: PrefixSample, branch: str,
     witnesses = []
     for n in range(1, n_max + 1):
         for j, (a, b) in enumerate(obligations):
-            while at[j] < sample.length and not _scaled_lt(n, a[at[j]], b[at[j]]):
+            while at[j] < len(k) and not _scaled_lt(n, a[at[j]], b[at[j]]):
                 at[j] += 1
-        witnesses.append((n, *(i if i < sample.length else None for i in at)))
+        witnesses.append((n, *(i if i < len(k) else None for i in at)))
     first_failure = next((n for n, wi, wii in witnesses if wi is None or wii is None), None)
     return InterpolationReport(branch, "e" if log_base is None else log_base,
                                k, tuple(witnesses), first_failure is None, first_failure)

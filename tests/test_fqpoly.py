@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -185,11 +186,17 @@ def test_factor_monic_roundtrip():
             assert product == f
 
 
+def _two_degree8_irreducibles(K):
+    degree8 = [g for g in irreducibles_up_to(K, 8) if deg(g) == 8]
+    return degree8[0], degree8[1]
+
+
 def test_factor_budget():
+    # two degree-8 factors need the scan of the 2^8 degree-8 monics
     K = field(2)
-    f = tuple([1, 0, 0, 1] + [0] * 27 + [1])  # x^31 + x^3 + 1: no small factors
-    with pytest.raises(FactorizationBudgetExceeded):
-        factor_monic(K, f, budget=2**8)
+    f = pmul(K, *_two_degree8_irreducibles(K))
+    with pytest.raises(FactorizationBudgetExceeded, match="degree-8"):
+        factor_monic(K, f, budget=2**7)
 
 
 def test_factor_budget_raises_where_the_divisor_scan_would():
@@ -210,11 +217,33 @@ def test_rabin_accepts_large_irreducible():
 def test_factor_budget_raises_on_every_call():
     # an error is not cached, so a repeated call over budget raises again
     K = field(2)
-    f = tuple([1, 0, 0, 1] + [0] * 27 + [1])
+    g, h = _two_degree8_irreducibles(K)
+    f = pmul(K, g, h)
     for _ in range(2):
         with pytest.raises(FactorizationBudgetExceeded, match="degree-8"):
             factor_monic(K, f, budget=2**7)
-    assert factor_monic(K, f) == [(f, 1)]
+    assert factor_monic(K, f) == [(g, 1), (h, 1)]
+
+
+def test_factor_budget_prices_only_the_scan_it_runs():
+    # a lone factor of a degree needs no divisor scan, so no budget caps
+    # it: not the irreducible x^31 + x^3 + 1, not the product of the first
+    # degree-17 and degree-18 irreducibles over F2, and not a product of
+    # a repeated linear factor over a field too large to list
+    from prodideals import cli
+    K = field(2)
+    f = (1, 0, 0, 1) + (0,) * 27 + (1,)
+    assert factor_monic(K, f, budget=2**7) == [(f, 1)]
+    f17, f18 = (next(f for f in all_monic(K, d) if is_irreducible(K, f)) for d in (17, 18))
+    assert factor_monic(K, pmul(K, f17, f18)) == [(f17, 1), (f18, 1)]
+    a = json.dumps({"poly": list(pmul(K, f17, f18))})
+    assert cli.main(["check-plus", "-r", "F2[x]", "--r-elem", '{"poly":[0,1]}',
+                     "--a-elem", a]) == 0
+    K = field(2**61 - 1)  # a prime = 3 mod 4, so x^2 + 1 is irreducible
+    x1, x2, x2_1 = (1, 1), (2, 1), (1, 0, 1)
+    assert factor_monic(K, pmul(K, pmul(K, x1, x1), x2_1)) == [(x1, 2), (x2_1, 1)]
+    with pytest.raises(FactorizationBudgetExceeded, match="^degree-1 divisor scan"):
+        factor_monic(K, pmul(K, x1, x2))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 27])

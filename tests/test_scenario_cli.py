@@ -29,9 +29,9 @@ from prodideals import boolalg, scenario
 from prodideals.errors import ParseError, ValidationError
 from prodideals.fqpoly import field, pmul
 from prodideals.scenario import (
+    RING,
     SCHEMA_VERSION,
-    decode_ring,
-    encode_ring_element,
+    encode_raw,
     parse_scenario,
     run_scenario,
 )
@@ -135,12 +135,16 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_cli_import_loads_no_numpy_or_mpmath():
-    # the package uses the standard library only: numpy and mpmath serve the
-    # tests, and every CLI process would pay their import otherwise
+def test_cli_import_loads_only_the_standard_library():
+    # the package uses the standard library only: numpy serves the tests,
+    # and every CLI process would pay its import otherwise.  Modules that
+    # the interpreter loaded before the code ran (a site hook's) are not
+    # the package's
     src = str(pathlib.Path(prodideals.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "\nimport sys\nprint(sorted(m for m in ('numpy', 'mpmath') if m in sys.modules))"
+    before = "import sys\nbefore = set(sys.modules)\n"
+    probe = ("\nprint(sorted(m for m in set(sys.modules) - before if m.partition('.')[0]"
+             " not in sys.stdlib_module_names | {'prodideals'}))")
     for code in (
             "import prodideals.cli",
             # an interpolation run, which needs the exact floor(n / log n)
@@ -152,7 +156,7 @@ def test_cli_import_loads_no_numpy_or_mpmath():
             "import importlib, pkgutil, prodideals\n"
             "for m in pkgutil.iter_modules(prodideals.__path__):\n"
             "    importlib.import_module('prodideals.' + m.name)"):
-        out = subprocess.run([sys.executable, "-c", code + probe], env=env, check=True,
+        out = subprocess.run([sys.executable, "-c", before + code + probe], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]", code
 
@@ -170,7 +174,7 @@ class TestParsing:
 
     def test_unknown_ring_kind(self):
         with pytest.raises(ValidationError):
-            decode_ring({"kind": "number_field"})
+            RING.decode({"kind": "number_field"}, "rings")
 
     def test_bad_product_index(self):
         with pytest.raises(ValidationError) as exc:
@@ -187,8 +191,8 @@ class TestParsing:
         scn = parse_scenario(json.dumps(minimal_scenario(objects={
             "a": {"type": "element", "entries": [str(big), 1]}})))
         assert scn.objects["a"].entries[0].raw == big
-        assert encode_ring_element(scn.objects["a"].entries[0]) == str(big)
-        assert encode_ring_element(IntegerRing().element(7)) == 7
+        assert encode_raw(scn.objects["a"].entries[0].raw) == str(big)
+        assert encode_raw(IntegerRing().element(7).raw) == 7
 
     def test_big_integer_value_vector(self):
         data = minimal_scenario(
@@ -244,7 +248,7 @@ class TestExecution:
         from prodideals.products import Descriptor
         from prodideals.rings import FinCofSet, MaxIdealId
         scn = parse_scenario(minimal_scenario(rings=[Z, Z12], product=[0, 1]))
-        assert set(scenario.IDEAL_KINDS) == {cls.kind for cls in Descriptor.__subclasses__()}
+        assert set(scenario.IDEAL.kinds) == {cls.kind for cls in Descriptor.__subclasses__()}
         assert set(scenario.SHAPES) == set(SHAPE_LITERALS) | {"object"}
         for name, literals in SHAPE_LITERALS.items():
             shape = scenario.SHAPES[name]
@@ -252,7 +256,7 @@ class TestExecution:
                 assert {obj["kind"] for obj in literals} == set(shape.kinds)
             for obj in literals:
                 assert shape.encode(shape.decode(obj, name, scn)) == obj
-        element = scenario.OBJECT_TYPES["element"]
+        element = scenario.OBJECT.kinds["element"]
         assert element.encode(element.decode({"entries": [2, 1]}, "e", scn)) == {"entries": [2, 1]}
         ring = IntegerRing()
         finite = FinCofSet.finite(ring, [MaxIdealId(ring, 3), MaxIdealId(ring, 2)])
@@ -703,7 +707,7 @@ class TestCli:
         assert err.count("rings[") == 1
         from prodideals.errors import FactorizationBudgetExceeded
         with pytest.raises(FactorizationBudgetExceeded, match=r"^rings\[2\]: 3317044064679887385961981 "):
-            decode_ring({"kind": "localized_integers", "primes": [3317044064679887385961981]},
+            RING.decode({"kind": "localized_integers", "primes": [3317044064679887385961981]},
                         "rings[2]")
 
     @pytest.mark.parametrize("section, value", [
@@ -841,7 +845,7 @@ def independent_maxideals_entries(rings, bound) -> list:
             return f"{raw.numerator}/{raw.denominator}"
         return int(raw) if abs(raw) < 2**53 else str(int(raw))
 
-    product = products.ProductRing(tuple(decode_ring(parse_ring_token(r)) for r in rings))
+    product = products.ProductRing(tuple(RING.decode(parse_ring_token(r), "rings") for r in rings))
     entries = []
     for u in boolalg.enumerate_ultrafilters(product.shape, bound):
         verdict = products.is_maximal(products.UltrafilterIdeal(product, u))
@@ -1088,6 +1092,11 @@ class Ring(dict):
     scenario's first ring."""
 
 
+class Top(dict):
+    """Top-level fields in place of the objects of a pinned row, laid over
+    the scenario's own."""
+
+
 def ideal_named(ultrafilter):
     return {"type": "ideal", "kind": "ultrafilter_ideal", "ultrafilter": ultrafilter}
 
@@ -1204,11 +1213,27 @@ def valuation(**fields):
     (Ring({"kind": "localized_integers", "primes": []}), None,
      "rings[0]: prime set must be nonempty"),
     (Ring({"kind": "localized_integers", "primes": [4]}), None, "rings[0]: 4 is not prime"),
+    # a version is the integer 1, not a bool or a float equal to it
+    (Top(schema_version=True), None, "schema_version: expected 1, got True"),
+    (Top(schema_version=1.0), None, "schema_version: expected 1, got 1.0"),
+    # a key that no row lists, the first in the document's order
+    (Top(options={"bounds": 3}), None, "options.bounds: unknown field"),
+    ({}, {"query": "maxideals", "bond": 2}, "queries[0].bond: unknown field"),
+    (Top(comment="", notes=""), None, "comment: unknown field"),
+    ({"X": {"type": "element", "entries": [1, 2], "name": "X"}}, None,
+     "objects.X.name: unknown field"),
+    ({"I": KERNEL | {"ideals": [2, 3]}}, None, "objects.I.ideals: unknown field"),
+    (Ring({"kind": "integers", "n": 12}), None, "rings[0].n: unknown field"),
+    # a literal in a field located at the query has its keys named there
+    ({}, {"query": "minimal-prime", "ultrafilter": {"type": "ultrafilter", "coordinate": 0,
+                                                    "principal": 2}},
+     "queries[0].type: unknown field"),
 ])
 def test_malformed_input_message_pinned(objects, query, message):
     rings, objects = ([objects, Z12], {}) if isinstance(objects, Ring) else ([Z, Z12], objects)
+    top, objects = (objects, {}) if isinstance(objects, Top) else ({}, objects)
     held = minimal_scenario(rings=rings, product=[0, 1], objects=NAMED | objects,
-                            queries=[] if query is None else [query])
+                            queries=[] if query is None else [query], **top)
     assert run_cli(["run", json.dumps(held)]) == (1, "", f"error: {message}\n")
 
 
@@ -1322,6 +1347,9 @@ def table_refusals():
                 continue  # read as its own shape too
             literal = next(obj for obj in literals[name]
                            if shape.kinds is None or shape.row_of(obj, name) is row)
+            if row.fields is not None:  # an object: a key that its row does not list
+                cases.append((f"{kind}.bogus", literal | {"bogus": 1}, scenario.UNKNOWN_FIELD,
+                              ".bogus"))
             for field in row.fields or ():
                 at = f".{field.name}" if field.at_field else ""
                 rest = {k: v for k, v in literal.items() if k != field.name}
@@ -1336,6 +1364,9 @@ def table_refusals():
             yield pytest.param(held, f"{where}{below}: {message}", id=f"{case_id}: {message}")
     for kind, (_, row) in scenario.QUERIES.items():
         literal = QUERY_LITERALS[kind]
+        held, where = holding("query", literal | {"bogus": 1})
+        yield pytest.param(held, f"{where}.bogus: {scenario.UNKNOWN_FIELD}",
+                           id=f"{kind}.bogus: {scenario.UNKNOWN_FIELD}")
         for field in row.fields:
             at = f".{field.name}" if field.at_field else ""
             for bad, message, below in field_refusals(field.type, literal.get(field.name)):

@@ -408,23 +408,25 @@ class TestFloorDivLog:
             assert Fraction(k + 1) > Fraction(n) / (i * hi)
 
     def test_large_values_against_second_route(self):
-        # independent route: plain high-precision floats with an explicit
-        # decisive-margin check, escalating precision until the fractional
-        # part is clearly away from the floor boundary
-        import mpmath
+        # independent route: decimal arithmetic, whose ln is correctly
+        # rounded, with an explicit decisive-margin check, escalating
+        # precision until the fractional part is clearly away from the floor
+        # boundary; n / ln(n) is off by a few units in its last place
+        import decimal
         import random
 
         def second_route(n):
-            prec = max(2 * n.bit_length(), 200)
+            digits = max(2 * len(str(n)), 60)
             while True:
-                with mpmath.workprec(prec):
-                    r = mpmath.mpf(n) / mpmath.log(mpmath.mpf(n))
-                    fl = int(mpmath.floor(r))
+                with decimal.localcontext() as ctx:
+                    ctx.prec = digits
+                    r = decimal.Decimal(n) / decimal.Decimal(n).ln()
+                    fl = int(r)  # r > 0, so truncation is the floor
                     frac = r - fl
-                    margin = mpmath.mpf(2) ** (-prec // 2)
+                    margin = decimal.Decimal(10) ** (len(str(fl)) - digits // 2)
                     if frac > margin and (1 - frac) > margin:
                         return fl
-                prec *= 2
+                digits *= 2
 
         for i in (60, 100, 333, 1000):
             n = 2**i
@@ -566,8 +568,8 @@ def quadratic_witness_scan(sample, k, n_max):
         return a is not INF and (b > 0 if a == 0 else n * a < b)
 
     witnesses = tuple(
-        (n, next((i for i in range(sample.length) if scaled_lt(n, sample.g[i], k[i])), None),
-         next((i for i in range(sample.length) if scaled_lt(n, k[i], sample.h[i])), None))
+        (n, next((i for i in range(len(sample.g)) if scaled_lt(n, sample.g[i], k[i])), None),
+         next((i for i in range(len(sample.g)) if scaled_lt(n, k[i], sample.h[i])), None))
         for n in range(1, n_max + 1))
     return witnesses, next((n for n, wi, wii in witnesses if None in (wi, wii)), None)
 
