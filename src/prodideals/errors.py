@@ -81,11 +81,15 @@ class ParseError(ValueError):
 
 
 class ValidationError(ValueError):
-    """The scenario file parsed but a field has an invalid value."""
+    """The scenario parsed, but the value at the JSON path ``field`` is invalid."""
 
     def __init__(self, field, message):
-        self.field = field
+        self.field, self.message = field, message
         super().__init__(f"{field}: {message}")
+
+    def below(self, where, step):
+        """This refusal, located at or below ``where``, moved below ``where + step``."""
+        return ValidationError(where + step + self.field[len(where):], self.message)
 
 
 #: The error types a run reports as an input error: a message and exit code

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 
-from .boolalg import AlgebraElement, UltrafilterDescriptor
+from .boolalg import OUT_OF_RANGE, AlgebraElement, UltrafilterDescriptor
 from .errors import (
     InconsistentInput,
     NotUnitIdeal,
@@ -27,12 +27,7 @@ from .errors import (
     UnsupportedDescriptor,
 )
 from .record import Record, Ruling, set_field
-from .rings import (
-    DEFAULT_FACTOR_BUDGET,
-    RingElement,
-    RingHandle,
-    bezout_certificate,
-)
+from .rings import DEFAULT_FACTOR_BUDGET, NOT_MAX_IDEAL, RingElement, RingHandle, bezout_certificate
 
 
 class ProductRing(Record):
@@ -166,7 +161,7 @@ class KernelIdeal(Record, Descriptor):
 
     def __post_init__(self):
         if not 0 <= self.coordinate < self.product.size:
-            raise ShapeMismatch("index out of range")
+            raise ShapeMismatch(OUT_OF_RANGE.format(self.coordinate))
 
     def contains(self, a):
         self._check_product(a)
@@ -191,9 +186,9 @@ class PointwiseMaxIdeal(Record, Descriptor):
             raise ShapeMismatch("need one maximal ideal per coordinate")
         for r, m in zip(self.product.components, self.ideals):
             if m.ring != r:
-                raise InconsistentInput(f"{m} does not belong to {r.short_name}")
+                raise InconsistentInput(NOT_MAX_IDEAL.format(m, r.short_name))
         if not 0 <= self.coordinate < self.product.size:
-            raise ShapeMismatch("index out of range")
+            raise ShapeMismatch(OUT_OF_RANGE.format(self.coordinate))
 
     def contains(self, a):
         self._check_product(a)

@@ -96,6 +96,7 @@ DEFAULT_FACTOR_BUDGET = 1_000_000
 DEFAULT_ORACLE_BUDGET = 10_000
 
 NOT_MAX_IDEAL = "{} is not a maximal ideal of {}"
+NOT_INT = "not an integer: {!r}"
 
 #: The strong-pseudoprime bound psi_13 (Sorenson and Webster, "Strong
 #: pseudoprimes to twelve prime bases", Math. Comp. 86, 2017): below it,
@@ -494,7 +495,7 @@ class FinCofSet(Record):
     def __init__(self, ring, is_cofinite, support):
         for m in support:
             if m.ring != ring:
-                raise InconsistentInput(f"{m} does not belong to {ring.short_name}")
+                raise InconsistentInput(NOT_MAX_IDEAL.format(m, ring.short_name))
         if is_cofinite and ring.spectrum_finite:
             support = frozenset(set(ring.maximal_spectrum()) - support)
             is_cofinite = False
@@ -569,7 +570,7 @@ class FinCofSet(Record):
 
 def _as_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"not an integer: {value!r}")
+        raise ValueError(NOT_INT.format(value))
     return value
 
 
@@ -852,7 +853,7 @@ def crt_solve(ring: RingHandle, congruences: Sequence) -> RingElement:
         raise InconsistentInput("repeated maximal ideals in congruence list")
     for m, e, _ in congruences:
         if m.ring != ring:
-            raise InconsistentInput(f"{m} does not belong to {ring.short_name}")
+            raise InconsistentInput(NOT_MAX_IDEAL.format(m, ring.short_name))
         if e < 0:
             raise InconsistentInput("exponents must be non-negative")
     add, neg, mul, mod = ring._add, ring._neg, ring._mul, ring._mod

@@ -32,6 +32,11 @@ add a descriptor kind, write its class in ``products`` and add a row of its
 fields to ``IDEAL``; to add an object type, add a ``NAMED`` type for its
 literal and a row to ``OBJECT``.
 
+A refusal names the JSON path of the value it refuses, such as
+``queries[0].g.exceptions[1].ideal``, or of the object that lacks a field.
+A decoder hands its own ``where`` down and adds its step to a refusal that
+comes back (``ValidationError.below``), so a path is built only for one.
+
 Each CLI process answers one command, so this module imports only what every
 scenario needs (``rings``, ``boolalg``, ``products``).  ``oracle``,
 ``properties`` and ``valuations`` are imported by the query kinds, and the
@@ -44,21 +49,15 @@ import json
 import math
 from itertools import repeat
 from operator import attrgetter, itemgetter
+from types import SimpleNamespace
 
 from . import __version__ as _version
 from . import boolalg, products
 from .errors import (INPUT_ERRORS, BudgetExceeded, FactorizationBudgetExceeded, ParseError,
                      ValidationError)
 from .record import Record
-from .rings import (
-    DEFAULT_FACTOR_BUDGET,
-    DEFAULT_ORACLE_BUDGET,
-    IntegerRing,
-    LocalizedIntegersRing,
-    PolynomialRing,
-    ResidueRing,
-    RingElement,
-)
+from .rings import (DEFAULT_FACTOR_BUDGET, DEFAULT_ORACLE_BUDGET, NOT_INT, IntegerRing,
+                    LocalizedIntegersRing, PolynomialRing, ResidueRing, RingElement)
 from .values import INF, encode_value, encode_values
 
 SCHEMA_VERSION = 1
@@ -73,18 +72,18 @@ class Type:
     """A JSON shape of ``SHAPES``, or the type of a field of one.
 
     ``decode(obj, where, ctx)`` reads ``obj`` or refuses it with a
-    ValidationError located at ``where``; ``ctx`` is the scenario (None for
-    a ring) or, for a type that reads at a ring (``ring``), the ring that
-    its row's index into ``seq(scn)`` names.  ``encode`` writes a decoded
-    value.  ``failures`` are the messages of its own refusals, templates
-    that ``str.format`` fills with the JSON value.  A list's ``item``
-    (located at ``where[j]`` if ``index``), a shape's ``fields`` and the rows
-    of its ``kinds`` (``row_of`` finds one, and it writes the values of its
-    ``cls``) list theirs.
+    ValidationError located at ``where`` or below it; ``ctx`` is the
+    scenario (None for a ring) or, for a type that reads at a ring
+    (``ring``), the ring that its row's index into ``seq(scn)`` names.
+    ``encode`` writes a decoded value.  ``failures`` are the messages of its
+    own refusals, templates that ``str.format`` fills with the JSON value.
+    A list's ``item``, a shape's ``fields`` and the rows of its ``kinds``
+    (``row_of`` finds one, and it writes the values of its ``cls``) list
+    theirs.
     """
 
     item = fields = kinds = cls = seq = None
-    ring = index = False
+    ring = False
 
     def __init__(self, decode, encode, *failures, **facts):
         self.decode, self.encode, self.failures = decode, encode, failures
@@ -97,20 +96,18 @@ REQUIRED = object()  # the default of a field that must be given
 class Field:
     """A field of an object shape: its JSON ``name`` and ``type``; what the
     encoder writes of the decoded value (an attribute path, a tuple index,
-    or None for the value itself; None and False are left out); the value
-    of an absent field (read as a JSON null if None, or off the scenario if
-    a function); and whether its type's refusals are located at
-    ``where.name``."""
+    or None for the value itself; None and False are left out); and the
+    value of an absent field (read as a JSON null if None, or off the
+    scenario if a function)."""
 
-    def __init__(self, name, type, get, default=REQUIRED, at_field=False):
-        self.name, self.type, self.default, self.at_field = name, type, default, at_field
+    def __init__(self, name, type, get, default=REQUIRED):
+        self.name, self.type, self.default = name, type, default
         self.get = (itemgetter(get) if isinstance(get, int) else attrgetter(get) if get
                     else lambda value: value)
 
 
 MISSING = "missing field {!r}"
 UNKNOWN_FIELD = "unknown field"
-NOT_INT = "not an integer: {!r}"
 NOT_BOOL = "must be true or false, got {!r}"
 NOT_VALUE = "expected an integer or \"inf\", got {!r}"
 NOT_NON_NEGATIVE = "must be a non-negative integer or INF, got {!r}"
@@ -187,7 +184,10 @@ def _reader(entry):
         if type(obj) is int:
             pass
         elif isinstance(obj, dict) and "poly" in obj:
-            obj = POLY.decode(obj["poly"], where)
+            try:
+                obj = POLY.decode(obj["poly"], where)
+            except ValidationError as exc:
+                raise exc.below(where, ".poly") from None
         elif not (isinstance(obj, str) and "/" in obj):
             obj = _decode_int(obj, where)
         try:
@@ -197,11 +197,11 @@ def _reader(entry):
     return decode
 
 
-def _list(item, message, length=None, index=False, make=None, get=None):
+def _list(item, message, length=None, make=None, get=None):
     """A list of ``item`` values, or ``make(product, items)`` of their tuple,
     which ``get`` reads back.  Items that read at a coordinate are read at
     the product's coordinates in turn, and ``length`` refuses a list of
-    another length; ``index`` locates item j at ``where[j]``."""
+    another length; item j's refusal is moved below ``where[j]``."""
     decode_item, encode_item, at_coordinates = item.decode, item.encode, item.ring
 
     def decode(obj, where, ctx=None):
@@ -209,12 +209,15 @@ def _list(item, message, length=None, index=False, make=None, get=None):
             raise ValidationError(where, message.format(obj))
         if length and len(obj) != len(ctx.product.components):
             raise ValidationError(where, length.format(len(ctx.product.components)))
-        items = tuple(map(decode_item, obj, map("{}[{}]".format, repeat(where), range(len(obj)))
-                          if index else repeat(where),
-                          ctx.product.components if at_coordinates else repeat(ctx)))
-        return items if make is None else make(ctx.product, items)
+        items = []
+        try:
+            for x, at in zip(obj, ctx.product.components if at_coordinates else repeat(ctx)):
+                items.append(decode_item(x, where, at))
+        except ValidationError as exc:
+            raise exc.below(where, f"[{len(items)}]") from None
+        return tuple(items) if make is None else make(ctx.product, tuple(items))
     return Type(decode, lambda value: [encode_item(x) for x in (get(value) if get else value)],
-                message, *filter(None, [length]), item=item, index=index)
+                message, *filter(None, [length]), item=item)
 
 
 def _object(message, fields, make, *failures, cls=None):
@@ -224,11 +227,12 @@ def _object(message, fields, make, *failures, cls=None):
     object that lacks a field that must be given; without it, the field's
     absence is refused.  The first key that is neither a field nor one of
     ``keys_of_row`` (the ``kind``, ``type`` or ``query`` key that picked the
-    row) is refused at that key.  A type that reads at a ring reads at the
-    one that the row's index field names."""
+    row) is refused at that key, and a given field's refusal is moved below
+    ``where.name``.  A type that reads at a ring reads at the one that the
+    row's index field names."""
     names = {f.name for f in fields}
     keys = {f.name for f in fields if f.default is REQUIRED and message}
-    steps = [(f.name, f.type.decode, f.default, f.at_field, f.type.ring) for f in fields]
+    steps = [(f.name, f.type.decode, f.default, f.type.ring) for f in fields]
     at, seq = next(((i, f.type.seq) for i, f in enumerate(fields) if f.type.seq), (0, None))
 
     def decode(obj, where, ctx=None, keys_of_row=()):
@@ -238,14 +242,17 @@ def _object(message, fields, make, *failures, cls=None):
             raise ValidationError(f"{where}.{unknown[0]}", UNKNOWN_FIELD)
         values = []
         append = values.append
-        for name, decode_field, default, at_field, ring in steps:
-            if name in obj or default is None:
-                append(decode_field(obj.get(name), f"{where}.{name}" if at_field else where,
-                                    seq(ctx)[values[at]] if ring else ctx))
-            elif default is REQUIRED:
-                raise ValidationError(where, MISSING.format(name))
-            else:
-                append(default(ctx) if callable(default) else default)
+        try:
+            for name, decode_field, default, ring in steps:
+                if name in obj or default is None:
+                    append(decode_field(obj.get(name), where,
+                                        seq(ctx)[values[at]] if ring else ctx))
+                elif default is REQUIRED:
+                    raise ValidationError(where, MISSING.format(name))
+                else:
+                    append(default(ctx) if callable(default) else default)
+        except ValidationError as exc:  # a field left out is refused at the object
+            raise (exc.below(where, f".{name}") if name in obj else exc) from None
         try:
             return make(ctx, *values)
         except ValueError as exc:
@@ -268,7 +275,7 @@ def _kinds(key, message, unknown, kinds):
         if not isinstance(obj, dict) or key not in obj:
             raise ValidationError(where, message.format(obj))
         if not _listed(kinds, obj[key]):
-            raise ValidationError(where, unknown.format(obj[key]))
+            raise ValidationError(f"{where}.{key}", unknown.format(obj[key]))
         return kinds[obj[key]]
     return Type(lambda obj, where, ctx=None, keys_of_row=():
                 row_of(obj, where).decode(obj, where, ctx, (*keys_of_row, key)),
@@ -325,6 +332,9 @@ INT = Type(_decode_int, encode_value, NOT_INT)
 POSITIVE = _at_least(1, "must be positive")
 BOOL = Type(_decode_bool, bool, NOT_BOOL)
 COORDINATE = _index(attrgetter("product.components"), boolalg.OUT_OF_RANGE)
+RING_OUT_OF_RANGE = "ring index {} out of range ({} rings declared)"
+RING_INDEX = _index(attrgetter("rings"), RING_OUT_OF_RANGE)
+PRODUCT = _list(RING_INDEX, "need a nonempty index list")
 VALUE = Type(_decode_value, encode_value, NOT_VALUE, NOT_NON_NEGATIVE)
 POLY = _list(INT, "\"poly\" must be a list, got {!r}")
 GENERATOR = Type(_reader(False), lambda m: encode_raw(m.generator), *POLY.failures, NOT_INT,
@@ -335,14 +345,14 @@ RING = _kinds("kind", "expected a ring description, got {!r}", "unknown ring kin
     kind: _object(None, fields, lambda _, *values, cls=cls: cls(*values), cls=cls)
     for kind, cls, fields in (
         ("integers", IntegerRing, ()),
-        ("residue", ResidueRing, [Field("n", INT, "modulus", at_field=True)]),
-        ("localized_integers", LocalizedIntegersRing, [Field(
-            "primes", _list(INT, "must be a list", index=True), "primes", at_field=True)]),
-        ("poly_fq", PolynomialRing, [Field("q", INT, "q", at_field=True)]))})
+        ("residue", ResidueRing, [Field("n", INT, "modulus")]),
+        ("localized_integers", LocalizedIntegersRing,
+         [Field("primes", _list(INT, "must be a list"), "primes")]),
+        ("poly_fq", PolynomialRing, [Field("q", INT, "q")]))})
 ULTRAFILTER = _object(
     "expected an ultrafilter description, got {!r}",
     [Field("coordinate", COORDINATE, "coordinate"),
-     Field("cofinite_frechet", BOOL, "is_frechet", False, at_field=True),
+     Field("cofinite_frechet", BOOL, "is_frechet", False),
      Field("principal", GENERATOR, "principal", False)],
     _ultrafilter, NEED_PRINCIPAL)
 ELEMENT = _list(ENTRY, "a product element is a list of entries", "expected {} entries",
@@ -354,8 +364,7 @@ EXCEPTION = _object(
 VALUE_VECTOR = _object(
     "expected a value vector, got {!r}",
     [Field("defaults", _list(VALUE, "\"defaults\" must be a list, got {!r}"), "defaults"),
-     Field("exceptions", _list(EXCEPTION, "must be a list", index=True), "exceptions", [],
-           at_field=True)],
+     Field("exceptions", _list(EXCEPTION, "must be a list"), "exceptions", [])],
     _vector)
 #: the name or literal of each declared object type
 NAMED = {"ultrafilter": _named("ultrafilter", ULTRAFILTER),
@@ -367,9 +376,9 @@ IDEAL = _kinds("kind", "expected an ideal descriptor, got {!r}", "unknown ideal 
                       cls=cls)
     for cls, fields in (
         (products.UltrafilterIdeal, [Field("ultrafilter", NAMED["ultrafilter"], "u", None)]),
-        (products.KernelIdeal, [Field("coordinate", INT, "coordinate", None)]),
+        (products.KernelIdeal, [Field("coordinate", COORDINATE, "coordinate", None)]),
         (products.PointwiseMaxIdeal, [
-            Field("coordinate", INT, "coordinate", None),
+            Field("coordinate", COORDINATE, "coordinate", None),
             Field("ideals", _list(GENERATOR, "\"ideals\" must be a list of generators"),
                   "ideals", None)]),
         (products.ValuationIdeal, [Field("ultrafilter", NAMED["ultrafilter"], "u", None),
@@ -393,10 +402,9 @@ class Options(Record):
 
 
 OPTIONS = _object("must be an object", [
-    *(Field(key, POSITIVE, key, Options._defaults[key], at_field=True)
+    *(Field(key, POSITIVE, key, Options._defaults[key])
       for key in ("bound", "n_max", "factor_budget", "oracle_budget")),
-    Field("log_base", _optional(_at_least(2, "must be an integer >= 2")), "log_base", None,
-          at_field=True)],
+    Field("log_base", _optional(_at_least(2, "must be an integer >= 2")), "log_base", None)],
     lambda _, *values: Options(*values))
 #: The table of the JSON shapes of a scenario, one row per shape.
 SHAPES = {"ring": RING, "ultrafilter": ULTRAFILTER, "element": ELEMENT,
@@ -439,15 +447,10 @@ def parse_scenario(source) -> Scenario:
         raise ValidationError("rings", "need a nonempty list of ring descriptions")
     rings = [RING.decode(r, f"rings[{i}]") for i, r in enumerate(ring_list)]
     index_list = data.get("product", list(range(len(rings))))
-    if not isinstance(index_list, list) or not index_list:
-        raise ValidationError("product", "need a nonempty index list")
-    comps = []
-    for i, idx in enumerate(index_list):
-        idx = INT.decode(idx, f"product[{i}]")
-        if not 0 <= idx < len(rings):
-            raise ValidationError(f"product[{i}]", f"ring index {idx} out of range")
-        comps.append(rings[idx])
-    product = products.ProductRing(tuple(comps))
+    if index_list == []:
+        raise ValidationError("product", PRODUCT.failures[0])
+    product = products.ProductRing(tuple(map(rings.__getitem__, PRODUCT.decode(
+        index_list, "product", SimpleNamespace(rings=rings)))))
     scn = Scenario(rings, product, {}, {}, [], OPTIONS.decode(data.get("options", {}), "options"))
 
     # ideals may reference other named objects, so decode them second
@@ -744,7 +747,7 @@ def _skolem(scn, where, elems):
 
 
 def _assert(scn, where, inner, expected):
-    actual = _plain(_answer(scn, inner, where))
+    actual = _plain(_answer(scn, inner, f"{where}.of"))
     return {"verdict": actual["verdict"] == expected, "expected": expected,
             "actual": actual["verdict"], "provenance": actual["provenance"]}
 
@@ -756,47 +759,39 @@ def _inner(obj, where, scn):
     return obj
 
 
-def _sample(obj, where, ctx=None):
-    if not isinstance(obj, dict) or not all(
-            isinstance(obj.get(k, ()), (list, tuple)) for k in "ghn"):
-        raise ValidationError(where, NOT_SAMPLE.format())
-    return tuple(tuple(VALUE.decode(v, f"{where}.{k}[{j}]") for j, v in enumerate(obj.get(k, ())))
-                 for k in "ghn")
-
-
 def _query(handler, *fields):
-    """A ``QUERIES`` row: ``handler`` and its fields, each (name, type, default, at_field)."""
-    return handler, _object(None, [Field(name, t, None, *rest) for name, t, *rest in fields],
+    """A ``QUERIES`` row: ``handler`` and its fields, each (name, type, default)."""
+    return handler, _object(None, [Field(name, t, None, default) for name, t, default in fields],
                             lambda _, *values: values)
 
 
 INNER = "need a non-assert inner query"
 NOT_SAMPLE = "expected {{\"g\": [...], \"h\": [...], \"n\": [...]}}"
 NOT_BRANCH = "must be \"V\" or \"W\", got {!r}"
+SAMPLE = _object(NOT_SAMPLE, [Field(k, _list(VALUE, "must be a list, got {!r}"), None, ())
+                              for k in "ghn"], lambda _, *sample: sample)
 JSON = Type(lambda obj, where, ctx=None: obj, None)  # a JSON value as it is
 EL, VV, U = NAMED["element"], NAMED["value_vector"], ("ultrafilter", NAMED["ultrafilter"], None)
-RING_OUT_OF_RANGE = "ring index {} out of range ({} rings declared)"
-RING_AT = ("ring", _index(attrgetter("rings"), RING_OUT_OF_RANGE), 0, True)
+RING_AT = ("ring", RING_INDEX, 0)
 #: The table of query kinds: one row per kind, of its handler and its fields.
 QUERIES = {
-    "maxideals": _query(_maxideals, ("bound", POSITIVE, attrgetter("options.bound"), True)),
+    "maxideals": _query(_maxideals, ("bound", POSITIVE, attrgetter("options.bound"))),
     "is-maximal": _query(_is_maximal, U),
     "check-plus": _query(_check_plus, RING_AT, ("r", ENTRY, None), ("a", ENTRY, None)),
     "check-plusplus": _query(_check_plusplus, RING_AT, ("r", ENTRY, False)),
     "ideal-member": _query(_ideal_member, ("ideal", NAMED["ideal"], None), ("element", EL, None)),
     "minimal-prime": _query(_minimal_prime, U),
     "valuation-compare": _query(_valuation_compare, U, ("a", EL, None), ("b", EL, None)),
-    "ug-member": _query(_ug_member, U, ("g", VV, None, True), ("x", EL, None)),
-    "ll": _query(_ll, U, ("g", VV, None, True), ("h", VV, None, True)),
+    "ug-member": _query(_ug_member, U, ("g", VV, None), ("x", EL, None)),
+    "ll": _query(_ll, U, ("g", VV, None), ("h", VV, None)),
     "interpolate": _query(
-        _interpolate, ("branch", _choice(("V", "W"), NOT_BRANCH), "W", True),
-        ("n_max", POSITIVE, attrgetter("options.n_max"), True),
-        ("doubling", POSITIVE, False, True),
-        ("sample", Type(_sample, None, NOT_SAMPLE), ((), (), ()), True)),
-    "oracle": _query(_oracle, ("mark_primes", BOOL, True, True)),
-    "skolem": _query(_skolem, ("elements", _list(EL, "must be a list", index=True), (), True)),
-    "assert": _query(_assert, ("of", Type(_inner, None, INNER), None, True),
-                     ("expect", JSON, None)),
+        _interpolate, ("branch", _choice(("V", "W"), NOT_BRANCH), "W"),
+        ("n_max", POSITIVE, attrgetter("options.n_max")),
+        ("doubling", POSITIVE, False),
+        ("sample", SAMPLE, ((), (), ()))),
+    "oracle": _query(_oracle, ("mark_primes", BOOL, True)),
+    "skolem": _query(_skolem, ("elements", _list(EL, "must be a list"), ())),
+    "assert": _query(_assert, ("of", Type(_inner, None, INNER), None), ("expect", JSON, None)),
 }
 
 

@@ -37,6 +37,9 @@ from prodideals.scenario import (
 )
 from prodideals.rings import IntegerRing, ResidueRing
 
+# A pinned row's id is fixed once given: a row whose message changes keeps
+# its id (``pytest.param(..., id=...)``), so that results compare across
+# versions of the suite.
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 Z = {"kind": "integers"}
 Z12 = {"kind": "residue", "n": 12}
@@ -332,8 +335,8 @@ class TestCli:
         ({"query": "interpolate", "doubling": 4, "n_max": -3}, "queries[0].n_max"),
         ({"query": "interpolate", "doubling": 4, "n_max": 0}, "queries[0].n_max"),
         ({"query": "interpolate", "sample": [1, 2]}, "queries[0].sample"),
-        ({"query": "interpolate", "sample": {"g": 5, "h": [1], "n": [2]}},
-         "queries[0].sample"),
+        pytest.param({"query": "interpolate", "sample": {"g": 5, "h": [1], "n": [2]}},
+                     "queries[0].sample.g", id="query12-queries[0].sample"),
         ({"query": "ug-member", "ultrafilter": {"coordinate": 0, "principal": 2},
           "g": {"defaults": [1, 1], "exceptions": [{"ideal": 2, "value": 1}]},
           "x": [2, 1]}, "queries[0].g.exceptions[0]"),
@@ -347,29 +350,40 @@ class TestCli:
         ({"query": "ug-member", "ultrafilter": {"coordinate": 0, "principal": 2},
           "g": {"defaults": [1, 1], "exceptions": 5}, "x": [2, 1]},
          "queries[0].g.exceptions"),
-        ({"query": "ideal-member", "ideal": {"kind": "kernel_ideal"}, "element": [2, 1]},
-         "queries[0]"),
-        ({"query": "ideal-member", "element": [2, 1],
-          "ideal": {"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": 7}},
-         "queries[0]"),
-        ({"query": "ideal-member", "element": [2, 1],
-          "ideal": {"kind": "valuation_ideal",
-                    "ultrafilter": {"coordinate": 0, "principal": 2}}}, "queries[0]"),
+        pytest.param({"query": "ideal-member", "ideal": {"kind": "kernel_ideal"},
+                      "element": [2, 1]}, "queries[0].ideal",
+                     id="query17-queries[0]"),
+        pytest.param({"query": "ideal-member", "element": [2, 1],
+                      "ideal": {"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": 7}},
+                     "queries[0].ideal.ideals",
+                     id="query18-queries[0]"),
+        pytest.param({"query": "ideal-member", "element": [2, 1],
+                      "ideal": {"kind": "valuation_ideal",
+                                "ultrafilter": {"coordinate": 0, "principal": 2}}},
+                     "queries[0].ideal",
+                     id="query19-queries[0]"),
         ({"query": ["x"]}, "queries[0].query"),
         ({"query": "assert", "of": {"query": {}}}, "queries[0].of"),
         # errors of the descriptor constructors
-        ({"query": "ideal-member", "element": [2, 1],
-          "ideal": {"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": [2]}},
-         "queries[0]"),
-        ({"query": "ideal-member", "ideal": {"kind": "kernel_ideal", "coordinate": 3},
-          "element": [2, 1]}, "queries[0]"),
+        pytest.param({"query": "ideal-member", "element": [2, 1],
+                      "ideal": {"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": [2]}},
+                     "queries[0].ideal",
+                     id="query22-queries[0]"),
+        pytest.param({"query": "ideal-member", "ideal": {"kind": "kernel_ideal", "coordinate": 3},
+                      "element": [2, 1]}, "queries[0].ideal.coordinate",
+                     id="query23-queries[0]"),
         # a "poly" that is not a list, and a generator of the wrong form
-        ({"query": "ideal-member", "ideal": {"kind": "kernel_ideal", "coordinate": 0},
-          "element": [{"poly": 5}, 1]}, "queries[0]"),
-        ({"query": "minimal-prime",
-          "ultrafilter": {"coordinate": 0, "principal": {"poly": "101"}}}, "queries[0]"),
-        ({"query": "minimal-prime",
-          "ultrafilter": {"coordinate": 0, "principal": {"poly": [1, 1]}}}, "queries[0]"),
+        pytest.param({"query": "ideal-member", "ideal": {"kind": "kernel_ideal", "coordinate": 0},
+                      "element": [{"poly": 5}, 1]}, "queries[0].element[0].poly",
+                     id="query24-queries[0]"),
+        pytest.param({"query": "minimal-prime",
+                      "ultrafilter": {"coordinate": 0, "principal": {"poly": "101"}}},
+                     "queries[0].ultrafilter.principal.poly",
+                     id="query25-queries[0]"),
+        pytest.param({"query": "minimal-prime",
+                      "ultrafilter": {"coordinate": 0, "principal": {"poly": [1, 1]}}},
+                     "queries[0].ultrafilter.principal",
+                     id="query26-queries[0]"),
         ({"query": "skolem", "elements": 1.5}, "queries[0].elements"),
         ({"query": "interpolate", "doubling": 10**30}, "queries[0]"),
         ({"query": "interpolate", "doubling": 4, "n_max": 10**30}, "queries[0]"),
@@ -378,8 +392,10 @@ class TestCli:
         ({"query": "oracle", "mark_primes": [0]}, "queries[0].mark_primes"),
         ({"query": "oracle", "mark_primes": 0}, "queries[0].mark_primes"),
         # a named object of the wrong declared type
-        *[(query, where) for (query, _), where in zip(WRONG_TYPE, [
-            "queries[0]", "queries[0].g", "queries[0]", "queries[0].elements[0]", "queries[0]"])],
+        *[pytest.param(query, where, id=name) for (query, _), where, name in zip(WRONG_TYPE, [
+            "queries[0].ultrafilter", "queries[0].g", "queries[0].ultrafilter",
+            "queries[0].elements[0]", "queries[0].ideal"], [
+            "query33-queries[0]", None, "query35-queries[0]", None, "query37-queries[0]"])],
     ])
     def test_bad_query_field_is_located(self, tmp_path, query, field):
         path = tmp_path / "bad.json"
@@ -405,33 +421,46 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         # a decoding error inside a located decoder is located once
-        (["check-plus", "-r", "Z", "--r-elem", "[1]", "--a-elem", "2"],
-         "queries[0]: not an integer: [1]"),
-        (["minimal-prime", "-r", "Z", "--ultrafilter", '{"coordinate":0,"principal":[2]}'],
-         "queries[0]: not an integer: [2]"),
-        (["ideal-member", "-r", "Z_(2)", "--ideal", '{"kind":"kernel_ideal","coordinate":0}',
-          "--element", '["3/0"]'], "queries[0]: zero denominator: '3/0'"),
+        pytest.param(["check-plus", "-r", "Z", "--r-elem", "[1]", "--a-elem", "2"],
+                     "queries[0].r: not an integer: [1]",
+                     id="argv0-queries[0]: not an integer: [1]"),
+        pytest.param(["minimal-prime", "-r", "Z", "--ultrafilter",
+                      '{"coordinate":0,"principal":[2]}'],
+                     "queries[0].ultrafilter.principal: not an integer: [2]",
+                     id="argv1-queries[0]: not an integer: [2]"),
+        pytest.param(["ideal-member", "-r", "Z_(2)", "--ideal",
+                      '{"kind":"kernel_ideal","coordinate":0}', "--element", '["3/0"]'],
+                     "queries[0].element[0]: zero denominator: '3/0'",
+                     id="argv2-queries[0]: zero denominator: '3/0'"),
         # the ring tokens are read before any JSON flag
         (["check-plus", "-r", "Q", "--r-elem", "nonsense", "--a-elem", "1"],
          "ring: cannot parse ring token 'Q'"),
         # a "poly" that is not a list, a value of the wrong form for its
         # ring, a descriptor its constructor rejects, interpolation caps
-        (["minimal-prime", "-r", "F2[x]", "--ultrafilter",
-          '{"coordinate":0,"principal":{"poly":5}}'],
-         'queries[0]: "poly" must be a list, got 5'),
-        (["ideal-member", "-r", "F2[x]", "--ideal", '{"kind":"kernel_ideal","coordinate":0}',
-          "--element", '[{"poly":5}]'], 'queries[0]: "poly" must be a list, got 5'),
-        (["check-plus", "-r", "F2[x]", "--r-elem", '{"poly":"101"}', "--a-elem", "1"],
-         "queries[0]: \"poly\" must be a list, got '101'"),
-        (["minimal-prime", "-r", "Z", "--ultrafilter",
-          '{"coordinate":0,"principal":{"poly":[1,1]}}'],
-         "queries[0]: not an integer: (1, 1)"),
-        (["ideal-member", "-r", "Z", "-r", "Z", "--ideal",
-          '{"kind":"pointwise_max_ideal","coordinate":0,"ideals":[2]}', "--element", "[2,1]"],
-         "queries[0]: need one maximal ideal per coordinate"),
-        (["ideal-member", "-r", "Z", "-r", "Z", "--ideal",
-          '{"kind":"kernel_ideal","coordinate":3}', "--element", "[2,1]"],
-         "queries[0]: index out of range"),
+        pytest.param(["minimal-prime", "-r", "F2[x]", "--ultrafilter",
+                      '{"coordinate":0,"principal":{"poly":5}}'],
+                     'queries[0].ultrafilter.principal.poly: "poly" must be a list, got 5',
+                     id="argv4-queries[0]: \"poly\" must be a list, got 5"),
+        pytest.param(["ideal-member", "-r", "F2[x]", "--ideal",
+                      '{"kind":"kernel_ideal","coordinate":0}', "--element", '[{"poly":5}]'],
+                     'queries[0].element[0].poly: "poly" must be a list, got 5',
+                     id="argv5-queries[0]: \"poly\" must be a list, got 5"),
+        pytest.param(["check-plus", "-r", "F2[x]", "--r-elem", '{"poly":"101"}', "--a-elem", "1"],
+                     "queries[0].r.poly: \"poly\" must be a list, got '101'",
+                     id="argv6-queries[0]: \"poly\" must be a list, got '101'"),
+        pytest.param(["minimal-prime", "-r", "Z", "--ultrafilter",
+                      '{"coordinate":0,"principal":{"poly":[1,1]}}'],
+                     "queries[0].ultrafilter.principal: not an integer: (1, 1)",
+                     id="argv7-queries[0]: not an integer: (1, 1)"),
+        pytest.param(["ideal-member", "-r", "Z", "-r", "Z", "--ideal",
+                      '{"kind":"pointwise_max_ideal","coordinate":0,"ideals":[2]}',
+                      "--element", "[2,1]"],
+                     "queries[0].ideal: need one maximal ideal per coordinate",
+                     id="argv8-queries[0]: need one maximal ideal per coordinate"),
+        pytest.param(["ideal-member", "-r", "Z", "-r", "Z", "--ideal",
+                      '{"kind":"kernel_ideal","coordinate":3}', "--element", "[2,1]"],
+                     "queries[0].ideal.coordinate: coordinate 3 out of range",
+                     id="argv9-queries[0]: index out of range"),
         (["interpolate", "--doubling", "5000"],
          "queries[0]: doubling sample of length 5000 exceeds the interpolation cap 4096"),
         (["interpolate", "--doubling", "4", "--n-max", "5000"],
@@ -444,14 +473,17 @@ class TestCli:
           for kind, field in (("residue", "n"), ("localized_integers", "primes"),
                               ("poly_fq", "q"))],
         # check-plusplus reads a given r over every ring, also where the check fails
-        *[(["run", json.dumps(minimal_scenario(rings=[ring], product=[0], queries=[
-            {"query": "check-plusplus", "r": r}]))], f"queries[0]: not an integer: {r!r}")
-          for ring in (Z, {"kind": "poly_fq", "q": 2}, Z12, {"kind": "localized_integers",
-                                                             "primes": [2]})
-          for r in ("garbage", None)],
+        *[pytest.param(["run", json.dumps(minimal_scenario(rings=[ring], product=[0], queries=[
+            {"query": "check-plusplus", "r": r}]))], f"queries[0].r: not an integer: {r!r}",
+            id=f"argv{16 + i}-queries[0]: not an integer: {r!r}")
+          for i, (ring, r) in enumerate(
+              (ring, r) for ring in (Z, {"kind": "poly_fq", "q": 2}, Z12,
+                                     {"kind": "localized_integers", "primes": [2]})
+              for r in ("garbage", None))],
         # a fraction string over F2[x], and the frame of the scenario itself
-        (["check-plus", "-r", "F2[x]", "--r-elem", '"1/2"', "--a-elem", "1"],
-         "queries[0]: not a coefficient sequence: '1/2'"),
+        pytest.param(["check-plus", "-r", "F2[x]", "--r-elem", '"1/2"', "--a-elem", "1"],
+                     "queries[0].r: not a coefficient sequence: '1/2'",
+                     id="argv24-queries[0]: not a coefficient sequence: '1/2'"),
         (["run", "list.json"], "$: scenario must be an object"),
         (["run", json.dumps(minimal_scenario(rings=[]))],
          "rings: need a nonempty list of ring descriptions"),
@@ -460,8 +492,9 @@ class TestCli:
         (["run", json.dumps(minimal_scenario(product=[0], queries=[{"bound": 3}]))],
          'queries[0]: each query needs a "query" field'),
         # a polynomial given over Z_(S), and a field order that is not a prime power
-        (["check-plus", "-r", "Z_(2)", "--r-elem", '{"poly":[1,1]}', "--a-elem", "1"],
-         "queries[0]: not a fraction: (1, 1)"),
+        pytest.param(["check-plus", "-r", "Z_(2)", "--r-elem", '{"poly":[1,1]}', "--a-elem", "1"],
+                     "queries[0].r: not a fraction: (1, 1)",
+                     id="argv29-queries[0]: not a fraction: (1, 1)"),
         (["maxideals", "-r", "F6[x]"], "rings[0]: 6 is not a prime power"),
         # an argument that opens with "{" or "[" is JSON text, any other a path
         (["run", "[1]"], "$: scenario must be an object"),
@@ -470,6 +503,37 @@ class TestCli:
         (["run", json.dumps(minimal_scenario(product=[0], queries=[
             {"query": "assert", "of": {"query": "oracle"}, "expect": 1}]))],
          "queries[0]: the oracle handles residue rings only, got IntegerRing()"),
+        # a refusal names the path of the value it refuses: a key of a
+        # literal, a generator, a coefficient of a "poly" list, a field of an
+        # assert's inner query, a descriptor's coordinate, a product entry
+        (["minimal-prime", "-r", "Z", "-r", "Z", "--ultrafilter",
+          '{"coordinate":0,"principal":2,"bogus":1}'],
+         "queries[0].ultrafilter.bogus: unknown field"),
+        (["ideal-member", "-r", "Z", "-r", "Z", "--ideal",
+          '{"kind":"valuation_ideal","ultrafilter":{"coordinate":0,"principal":2},'
+          '"g":{"defaults":[1,1],"zzz":1}}', "--element", "[1,2]"],
+         "queries[0].ideal.g.zzz: unknown field"),
+        (["minimal-prime", "-r", "Z/12", "--ultrafilter", '{"coordinate":0,"principal":5}'],
+         "queries[0].ultrafilter.principal: 5 is not a prime divisor of 12"),
+        (["ideal-member", "-r", "F2[x]", "--ideal", '{"kind":"kernel_ideal","coordinate":0}',
+          "--element", '[{"poly":[1,"z"]}]'],
+         "queries[0].element[0].poly[1]: not an integer: 'z'"),
+        (["run", json.dumps(minimal_scenario(product=[0], queries=[
+            {"query": "assert", "of": {"query": "check-plus", "r": "x", "a": 1}, "expect": 1}]))],
+         "queries[0].of.r: not an integer: 'x'"),
+        (["ideal-member", "-r", "Z", "-r", "Z", "--ideal",
+          '{"kind":"kernel_ideal","coordinate":7}', "--element", "[1,2]"],
+         "queries[0].ideal.coordinate: coordinate 7 out of range"),
+        (["ideal-member", "-r", "Z", "-r", "Z", "--ideal",
+          '{"kind":"pointwise_max_ideal","coordinate":7,"ideals":[2,3]}', "--element", "[1,2]"],
+         "queries[0].ideal.coordinate: coordinate 7 out of range"),
+        (["run", json.dumps(minimal_scenario(product=[0, 3]))],
+         "product[1]: ring index 3 out of range (1 rings declared)"),
+        # a sample is an object of three lists, and refuses any other key
+        (["interpolate", "--sample", '{"g":5,"h":[1],"n":[2]}'],
+         "queries[0].sample.g: must be a list, got 5"),
+        (["interpolate", "--sample", '{"g":[1],"h":[3],"n":[2],"m":[1]}'],
+         "queries[0].sample.m: unknown field"),
     ])
     def test_cli_error_is_located(self, argv, message, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1111,87 +1175,134 @@ def valuation(**fields):
 
 @pytest.mark.parametrize("objects, query, message", [
     # descriptors in a query: kind, coordinate, ideals, ultrafilter, g
-    ({}, member({"kind": ["x"]}), "queries[0]: unknown ideal kind ['x']"),
-    ({}, member({"kind": {"k": 1}}), "queries[0]: unknown ideal kind {'k': 1}"),
-    ({}, member({"kind": "prime_ideal"}), "queries[0]: unknown ideal kind 'prime_ideal'"),
-    ({}, member({"coordinate": 0}),
-     "queries[0]: expected an ideal descriptor, got {'coordinate': 0}"),
-    ({}, member(7), "queries[0]: expected an ideal descriptor, got 7"),
-    ({}, member("nope"), "queries[0]: unknown object name 'nope'"),
-    ({}, member({"kind": "kernel_ideal"}), "queries[0]: not an integer: None"),
-    ({}, member({"kind": "kernel_ideal", "coordinate": "x"}),
-     "queries[0]: not an integer: 'x'"),
-    ({}, member({"kind": "kernel_ideal", "coordinate": 3}), "queries[0]: index out of range"),
-    ({}, member({"kind": "pointwise_max_ideal", "coordinate": 5, "ideals": [2, 3]}),
-     "queries[0]: index out of range"),
-    ({}, member({"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": [2]}),
-     "queries[0]: need one maximal ideal per coordinate"),
-    ({}, member({"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": 7}),
-     "queries[0]: \"ideals\" must be a list of generators"),
-    ({}, member({"kind": "pointwise_max_ideal", "ideals": [2, 3]}),
-     "queries[0]: not an integer: None"),
-    ({}, member({"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": [2, 5]}),
-     "queries[0]: 5 is not a prime divisor of 12"),
-    ({}, member({"kind": "ultrafilter_ideal"}),
-     "queries[0]: expected an ultrafilter description, got None"),
-    ({}, member({"kind": "ultrafilter_ideal", "ultrafilter": {"coordinate": 2, "principal": 2}}),
-     "queries[0]: coordinate 2 out of range"),
-    ({}, member({"kind": "ultrafilter_ideal", "ultrafilter": "e"}),
-     "queries[0]: object 'e' is not of type 'ultrafilter'"),
-    ({}, member({"kind": "ultrafilter_ideal", "ultrafilter": "nope"}),
-     "queries[0]: unknown object name 'nope'"),
-    ({}, member(valuation()), "queries[0]: expected a value vector, got None"),
-    ({}, member(valuation(g=5)), "queries[0]: expected a value vector, got 5"),
-    ({}, member(valuation(g="U")), "queries[0]: object 'U' is not of type 'value_vector'"),
-    ({}, member(valuation(g={"defaults": [1]})),
-     "queries[0]: one default per coordinate required"),
-    ({}, member(valuation(ultrafilter="g", g="g")),
-     "queries[0]: object 'g' is not of type 'ultrafilter'"),
+    pytest.param({}, member({"kind": ["x"]}), "queries[0].ideal.kind: unknown ideal kind ['x']",
+                 id="objects0-query0-queries[0]: unknown ideal kind ['x']"),
+    pytest.param({}, member({"kind": {"k": 1}}),
+                 "queries[0].ideal.kind: unknown ideal kind {'k': 1}",
+                 id="objects1-query1-queries[0]: unknown ideal kind {'k': 1}"),
+    pytest.param({}, member({"kind": "prime_ideal"}),
+                 "queries[0].ideal.kind: unknown ideal kind 'prime_ideal'",
+                 id="objects2-query2-queries[0]: unknown ideal kind 'prime_ideal'"),
+    pytest.param({}, member({"coordinate": 0}),
+                 "queries[0].ideal: expected an ideal descriptor, got {'coordinate': 0}",
+                 id=("objects3-query3-queries[0]: expected an ideal descriptor, got "
+                     "{'coordinate': 0}")),
+    pytest.param({}, member(7), "queries[0].ideal: expected an ideal descriptor, got 7",
+                 id="objects4-query4-queries[0]: expected an ideal descriptor, got 7"),
+    pytest.param({}, member("nope"), "queries[0].ideal: unknown object name 'nope'",
+                 id="objects5-query5-queries[0]: unknown object name 'nope'"),
+    pytest.param({}, member({"kind": "kernel_ideal"}), "queries[0].ideal: not an integer: None",
+                 id="objects6-query6-queries[0]: not an integer: None"),
+    pytest.param({}, member({"kind": "kernel_ideal", "coordinate": "x"}),
+                 "queries[0].ideal.coordinate: not an integer: 'x'",
+                 id="objects7-query7-queries[0]: not an integer: 'x'"),
+    pytest.param({}, member({"kind": "kernel_ideal", "coordinate": 3}),
+                 "queries[0].ideal.coordinate: coordinate 3 out of range",
+                 id="objects8-query8-queries[0]: index out of range"),
+    pytest.param({}, member({"kind": "pointwise_max_ideal", "coordinate": 5, "ideals": [2, 3]}),
+                 "queries[0].ideal.coordinate: coordinate 5 out of range",
+                 id="objects9-query9-queries[0]: index out of range"),
+    pytest.param({}, member({"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": [2]}),
+                 "queries[0].ideal: need one maximal ideal per coordinate",
+                 id="objects10-query10-queries[0]: need one maximal ideal per coordinate"),
+    pytest.param({}, member({"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": 7}),
+                 "queries[0].ideal.ideals: \"ideals\" must be a list of generators",
+                 id="objects11-query11-queries[0]: \"ideals\" must be a list of generators"),
+    pytest.param({}, member({"kind": "pointwise_max_ideal", "ideals": [2, 3]}),
+                 "queries[0].ideal: not an integer: None",
+                 id="objects12-query12-queries[0]: not an integer: None"),
+    pytest.param({}, member({"kind": "pointwise_max_ideal", "coordinate": 0, "ideals": [2, 5]}),
+                 "queries[0].ideal.ideals[1]: 5 is not a prime divisor of 12",
+                 id="objects13-query13-queries[0]: 5 is not a prime divisor of 12"),
+    pytest.param({}, member({"kind": "ultrafilter_ideal"}),
+                 "queries[0].ideal: expected an ultrafilter description, got None",
+                 id="objects14-query14-queries[0]: expected an ultrafilter description, got None"),
+    pytest.param({}, member({"kind": "ultrafilter_ideal",
+                             "ultrafilter": {"coordinate": 2, "principal": 2}}),
+                 "queries[0].ideal.ultrafilter.coordinate: coordinate 2 out of range",
+                 id="objects15-query15-queries[0]: coordinate 2 out of range"),
+    pytest.param({}, member({"kind": "ultrafilter_ideal", "ultrafilter": "e"}),
+                 "queries[0].ideal.ultrafilter: object 'e' is not of type 'ultrafilter'",
+                 id="objects16-query16-queries[0]: object 'e' is not of type 'ultrafilter'"),
+    pytest.param({}, member({"kind": "ultrafilter_ideal", "ultrafilter": "nope"}),
+                 "queries[0].ideal.ultrafilter: unknown object name 'nope'",
+                 id="objects17-query17-queries[0]: unknown object name 'nope'"),
+    pytest.param({}, member(valuation()), "queries[0].ideal: expected a value vector, got None",
+                 id="objects18-query18-queries[0]: expected a value vector, got None"),
+    pytest.param({}, member(valuation(g=5)), "queries[0].ideal.g: expected a value vector, got 5",
+                 id="objects19-query19-queries[0]: expected a value vector, got 5"),
+    pytest.param({}, member(valuation(g="U")),
+                 "queries[0].ideal.g: object 'U' is not of type 'value_vector'",
+                 id="objects20-query20-queries[0]: object 'U' is not of type 'value_vector'"),
+    pytest.param({}, member(valuation(g={"defaults": [1]})),
+                 "queries[0].ideal.g: one default per coordinate required",
+                 id="objects21-query21-queries[0]: one default per coordinate required"),
+    pytest.param({}, member(valuation(ultrafilter="g", g="g")),
+                 "queries[0].ideal.ultrafilter: object 'g' is not of type 'ultrafilter'",
+                 id="objects22-query22-queries[0]: object 'g' is not of type 'ultrafilter'"),
     # names and literals in the other query fields
-    ({"I": KERNEL}, member("U"), "queries[0]: object 'U' is not of type 'ideal'"),
-    ({"I": KERNEL}, {"query": "minimal-prime", "ultrafilter": "I"},
-     "queries[0]: object 'I' is not of type 'ultrafilter'"),
+    pytest.param({"I": KERNEL}, member("U"), "queries[0].ideal: object 'U' is not of type 'ideal'",
+                 id="objects23-query23-queries[0]: object 'U' is not of type 'ideal'"),
+    pytest.param({"I": KERNEL}, {"query": "minimal-prime", "ultrafilter": "I"},
+                 "queries[0].ultrafilter: object 'I' is not of type 'ultrafilter'",
+                 id="objects24-query24-queries[0]: object 'I' is not of type 'ultrafilter'"),
     ({}, {"query": "ug-member", "ultrafilter": "U", "g": 5, "x": "e"},
      "queries[0].g: expected a value vector, got 5"),
     ({}, {"query": "ug-member", "ultrafilter": "U", "g": "nope", "x": "e"},
      "queries[0].g: unknown object name 'nope'"),
     ({}, {"query": "ll", "ultrafilter": "U", "g": "g", "h": "e"},
      "queries[0].h: object 'e' is not of type 'value_vector'"),
-    ({}, {"query": "valuation-compare", "ultrafilter": "U", "a": "e", "b": "x"},
-     "queries[0]: unknown object name 'x'"),
+    pytest.param({}, {"query": "valuation-compare", "ultrafilter": "U", "a": "e", "b": "x"},
+                 "queries[0].b: unknown object name 'x'",
+                 id="objects28-query28-queries[0]: unknown object name 'x'"),
     ({}, {"query": "skolem", "elements": ["e", "g"]},
      "queries[0].elements[1]: object 'g' is not of type 'element'"),
     ({}, {"query": "skolem", "elements": ["e", [1]]},
      "queries[0].elements[1]: expected 2 entries"),
     # declared objects: their type, their literal, the names in an ideal
-    ({"X": {"type": ["x"]}}, None, "objects.X: unknown object type ['x']"),
-    ({"X": {"type": {}}}, None, "objects.X: unknown object type {}"),
-    ({"X": {"type": "prime"}}, None, "objects.X: unknown object type 'prime'"),
+    pytest.param({"X": {"type": ["x"]}}, None, "objects.X.type: unknown object type ['x']",
+                 id="objects31-None-objects.X: unknown object type ['x']"),
+    pytest.param({"X": {"type": {}}}, None, "objects.X.type: unknown object type {}",
+                 id="objects32-None-objects.X: unknown object type {}"),
+    pytest.param({"X": {"type": "prime"}}, None, "objects.X.type: unknown object type 'prime'",
+                 id="objects33-None-objects.X: unknown object type 'prime'"),
     ({"X": 5}, None, "objects.X: objects need a \"type\" field"),
     ({"X": {"entries": [1, 2]}}, None, "objects.X: objects need a \"type\" field"),
-    ({"X": {"type": "element", "entries": "e"}}, None,
-     "objects.X: a product element is a list of entries"),
+    pytest.param({"X": {"type": "element", "entries": "e"}}, None,
+                 "objects.X.entries: a product element is a list of entries",
+                 id="objects36-None-objects.X: a product element is a list of entries"),
     ({"X": {"type": "element"}}, None, "objects.X: a product element is a list of entries"),
     ({"X": {"type": "ultrafilter", "coordinate": 0}}, None,
      "objects.X: need \"principal\" or \"cofinite_frechet\""),
     ({"X": {"type": "value_vector"}}, None,
      "objects.X: expected a value vector, got {'type': 'value_vector'}"),
-    ({"I": {"type": "ideal", "kind": ["x"]}}, None, "objects.I: unknown ideal kind ['x']"),
-    ({"I": ideal_named("e")}, None, "objects.I: object 'e' is not of type 'ultrafilter'"),
-    ({"I": ideal_named("nope")}, None, "objects.I: unknown object name 'nope'"),
-    ({"I": ideal_named("J"), "J": KERNEL}, None,
-     "objects.I: object 'J' is not of type 'ultrafilter'"),
-    ({"H": KERNEL, "I": ideal_named("H")}, None,
-     "objects.I: object 'H' is not of type 'ultrafilter'"),
+    pytest.param({"I": {"type": "ideal", "kind": ["x"]}}, None,
+                 "objects.I.kind: unknown ideal kind ['x']",
+                 id="objects40-None-objects.I: unknown ideal kind ['x']"),
+    pytest.param({"I": ideal_named("e")}, None,
+                 "objects.I.ultrafilter: object 'e' is not of type 'ultrafilter'",
+                 id="objects41-None-objects.I: object 'e' is not of type 'ultrafilter'"),
+    pytest.param({"I": ideal_named("nope")}, None,
+                 "objects.I.ultrafilter: unknown object name 'nope'",
+                 id="objects42-None-objects.I: unknown object name 'nope'"),
+    pytest.param({"I": ideal_named("J"), "J": KERNEL}, None,
+                 "objects.I.ultrafilter: object 'J' is not of type 'ultrafilter'",
+                 id="objects43-None-objects.I: object 'J' is not of type 'ultrafilter'"),
+    pytest.param({"H": KERNEL, "I": ideal_named("H")}, None,
+                 "objects.I.ultrafilter: object 'H' is not of type 'ultrafilter'",
+                 id="objects44-None-objects.I: object 'H' is not of type 'ultrafilter'"),
     # non-ideal objects in name order, then ideals
     ({"A": ideal_named("e"), "B": {"type": "ultrafilter"}}, None,
      "objects.B: expected an ultrafilter description, got {'type': 'ultrafilter'}"),
-    ({"A": {"type": "element", "entries": [1]}, "B": {"type": "prime"}}, None,
-     "objects.A: expected 2 entries"),
-    ({"A": {"type": "prime"}, "B": {"type": "element", "entries": [1]}}, None,
-     "objects.A: unknown object type 'prime'"),
-    ({"A": ideal_named("nope"), "B": KERNEL | {"coordinate": 9}}, None,
-     "objects.A: unknown object name 'nope'"),
+    pytest.param({"A": {"type": "element", "entries": [1]}, "B": {"type": "prime"}}, None,
+                 "objects.A.entries: expected 2 entries",
+                 id="objects46-None-objects.A: expected 2 entries"),
+    pytest.param({"A": {"type": "prime"}, "B": {"type": "element", "entries": [1]}}, None,
+                 "objects.A.type: unknown object type 'prime'",
+                 id="objects47-None-objects.A: unknown object type 'prime'"),
+    pytest.param({"A": ideal_named("nope"), "B": KERNEL | {"coordinate": 9}}, None,
+                 "objects.A.ultrafilter: unknown object name 'nope'",
+                 id="objects48-None-objects.A: unknown object name 'nope'"),
     # ring fields and ultrafilters that were read as something else
     (Ring({"kind": "residue", "n": 12.7}), None, "rings[0].n: not an integer: 12.7"),
     (Ring({"kind": "poly_fq", "q": 4.5}), None, "rings[0].q: not an integer: 4.5"),
@@ -1224,10 +1335,11 @@ def valuation(**fields):
      "objects.X.name: unknown field"),
     ({"I": KERNEL | {"ideals": [2, 3]}}, None, "objects.I.ideals: unknown field"),
     (Ring({"kind": "integers", "n": 12}), None, "rings[0].n: unknown field"),
-    # a literal in a field located at the query has its keys named there
-    ({}, {"query": "minimal-prime", "ultrafilter": {"type": "ultrafilter", "coordinate": 0,
-                                                    "principal": 2}},
-     "queries[0].type: unknown field"),
+    # a key of a literal is named below the literal's field
+    pytest.param({}, {"query": "minimal-prime",
+                      "ultrafilter": {"type": "ultrafilter", "coordinate": 0, "principal": 2}},
+                 "queries[0].ultrafilter.type: unknown field",
+                 id="objects69-query69-queries[0].type: unknown field"),
 ])
 def test_malformed_input_message_pinned(objects, query, message):
     rings, objects = ([objects, Z12], {}) if isinstance(objects, Ring) else ([Z, Z12], objects)
@@ -1241,10 +1353,10 @@ def test_malformed_input_message_pinned(objects, query, message):
 # Every refusal that the table of JSON shapes lists, of each shape, of each
 # field of each of its kinds, and of each item of a list field, and every
 # refusal of each field of each query kind's row, gives exit code 1 and a
-# message located at its field
+# message located at the JSON path of the value it refuses
 
-#: a value that each refusal of a scalar field type refuses, and the value
-#: that its message shows
+#: a value that each refusal of a scalar field type refuses, the value that
+#: its message shows, and the path below the value of the part it refuses
 SCALAR_REFUSALS = {
     scenario.NOT_INT: (1.5, 1.5),
     scenario.NOT_BOOL: ("false", "false"),
@@ -1254,7 +1366,7 @@ SCALAR_REFUSALS = {
     "must be an integer >= 2": (1, 1),
     scenario.VALUE.failures[0]: ("x", "x"),
     scenario.VALUE.failures[1]: (-1, -1),
-    scenario.POLY.failures[0]: ({"poly": 5}, 5),
+    scenario.POLY.failures[0]: ({"poly": 5}, 5, ".poly"),
     scenario.NOT_SAMPLE: (5, None),
     scenario.NOT_BRANCH: (5, 5),
     scenario.INNER: ({"query": "assert"}, None),
@@ -1275,14 +1387,23 @@ QUERY_LITERALS = {
     "skolem": {"query": "skolem", "elements": ["e"]},
     "assert": {"query": "assert", "of": {"query": "maxideals"}, "expect": True},
 }
-#: a literal that each refusal of a shape's own refuses, and the value that
-#: its message shows; any other refuses 7
+#: a literal that each refusal of a shape's own refuses, the value that its
+#: message shows, and the path below the literal of the part it refuses;
+#: any other refuses 7
 SHAPE_REFUSALS = {
-    "unknown ring kind {!r}": ({"kind": "nope"}, "nope"),
-    "unknown ideal kind {!r}": ({"kind": "nope"}, "nope"),
-    "unknown object type {!r}": ({"type": "nope"}, "nope"),
+    "unknown ring kind {!r}": ({"kind": "nope"}, "nope", ".kind"),
+    "unknown ideal kind {!r}": ({"kind": "nope"}, "nope", ".kind"),
+    "unknown object type {!r}": ({"type": "nope"}, "nope", ".type"),
     scenario.NEED_PRINCIPAL: ({"coordinate": 0}, None),
 }
+
+
+def resolve(doc, location):
+    """The value at ``location``, a JSON path such as ``queries[0].g.exceptions[1]``,
+    in ``doc``."""
+    for name, j in re.findall(r"([^.\[\]]+)|\[(\d+)\]", location):
+        doc = doc[int(j)] if j else doc[name]
+    return doc
 
 
 def holding(name, literal):
@@ -1291,14 +1412,15 @@ def holding(name, literal):
     if name == "ring":
         return minimal_scenario(rings=[literal, Z12], product=[0, 1]), "rings[0]"
     where, query = {
-        "ultrafilter": ("queries[0]", {"query": "minimal-prime", "ultrafilter": literal}),
-        "element": ("queries[0]", member("I") | {"element": literal}),
+        "ultrafilter": ("queries[0].ultrafilter",
+                        {"query": "minimal-prime", "ultrafilter": literal}),
+        "element": ("queries[0].element", member("I") | {"element": literal}),
         "value_vector": ("queries[0].g", {"query": "ll", "ultrafilter": "U", "g": literal,
                                           "h": "g"}),
         "exception": ("queries[0].g.exceptions[0]", {
             "query": "ll", "ultrafilter": "U", "h": "g",
             "g": {"defaults": [1, 1], "exceptions": [literal]}}),
-        "ideal": ("queries[0]", member(literal)),
+        "ideal": ("queries[0].ideal", member(literal)),
         "query": ("queries[0]", literal),
         "object": ("objects.X", None),
         "options": ("options", None),
@@ -1310,38 +1432,39 @@ def holding(name, literal):
 
 
 def field_refusals(t, valid):
-    """(JSON value, message, location below the field) of each refusal of a
-    field of type ``t``, whose value ``valid`` is accepted."""
+    """(JSON value, message, location below the field, the value there) of
+    each refusal of a field of type ``t``, whose value ``valid`` is accepted."""
     if scenario.UNKNOWN_NAME in t.failures:
         declared = next(key for key, named in scenario.NAMED.items() if named is t)
         other = next(name for name, obj in NAMED.items() if obj["type"] != declared)
-        yield "nope", scenario.UNKNOWN_NAME.format("nope"), ""
-        yield other, scenario.WRONG_TYPE.format(other, declared), ""
+        yield "nope", scenario.UNKNOWN_NAME.format("nope"), "", "nope"
+        yield other, scenario.WRONG_TYPE.format(other, declared), "", other
     elif t.item is not None:
-        yield 5, t.failures[0].format(5), ""
+        yield 5, t.failures[0].format(5), "", 5
         if len(t.failures) > 1:  # one item per coordinate
-            yield valid[:1], t.failures[1].format(len(valid)), ""
+            yield valid[:1], t.failures[1].format(len(valid)), "", valid[:1]
         if t.item not in scenario.SHAPES.values():
-            for bad, message, _ in field_refusals(t.item, valid[0]):
-                yield [bad, *valid[1:]], message, "[0]" if t.index else ""
+            for bad, message, below, refused in field_refusals(t.item, valid[0]):
+                yield [bad, *valid[1:]], message, f"[0]{below}", refused
     else:
         for template in t.failures:
-            bad, shown = SCALAR_REFUSALS[template]
+            bad, shown, *below = SCALAR_REFUSALS[template]
             # the second value fills a ring index's message: two rings are declared
-            yield bad, template.format(shown, 2), ""
+            yield bad, template.format(shown, 2), "".join(below), resolve(bad, "".join(below))
 
 
 def table_refusals():
     literals = {**SHAPE_LITERALS, "object": [{"type": "element", "entries": [2, 1]}]}
     for name, shape in scenario.SHAPES.items():
-        cases = []  # (id, literal, message, location below the literal)
+        cases = []  # (id, literal, message, location below the literal, the value there)
         if shape.item is not None:  # a list
-            cases += [(name, bad, message, below)
-                      for bad, message, below in field_refusals(shape, literals[name][0])]
+            cases += [(name, bad, message, below, refused) for bad, message, below, refused
+                      in field_refusals(shape, literals[name][0])]
         else:
             for template in shape.failures:
-                bad, shown = SHAPE_REFUSALS.get(template, (7, 7))
-                cases.append((name, bad, template.format(shown), ""))
+                bad, shown, *below = SHAPE_REFUSALS.get(template, (7, 7))
+                cases.append((name, bad, template.format(shown), "".join(below),
+                              resolve(bad, "".join(below))))
         for kind, row in ({name: shape} if shape.kinds is None else shape.kinds).items():
             if row is not shape and row in scenario.SHAPES.values():
                 continue  # read as its own shape too
@@ -1349,35 +1472,40 @@ def table_refusals():
                            if shape.kinds is None or shape.row_of(obj, name) is row)
             if row.fields is not None:  # an object: a key that its row does not list
                 cases.append((f"{kind}.bogus", literal | {"bogus": 1}, scenario.UNKNOWN_FIELD,
-                              ".bogus"))
+                              ".bogus", 1))
             for field in row.fields or ():
-                at = f".{field.name}" if field.at_field else ""
                 rest = {k: v for k, v in literal.items() if k != field.name}
                 if field.default is scenario.REQUIRED:  # refused by the row, if it can
                     cases.append((f"{kind}.{field.name}", rest, (row.failures[0].format(rest)
-                                  if row.failures else scenario.MISSING.format(field.name)), ""))
-                cases += [(f"{kind}.{field.name}", rest | {field.name: bad}, message, at + below)
-                          for bad, message, below in
+                                  if row.failures else scenario.MISSING.format(field.name)),
+                                  "", rest))
+                cases += [(f"{kind}.{field.name}", rest | {field.name: bad}, message,
+                           f".{field.name}{below}", refused)
+                          for bad, message, below, refused in
                           field_refusals(field.type, literal.get(field.name))]
-        for case_id, literal, message, below in cases:
+        for case_id, literal, message, below, refused in cases:
             held, where = holding(name, literal)
-            yield pytest.param(held, f"{where}{below}: {message}", id=f"{case_id}: {message}")
+            yield pytest.param(held, where + below, message, refused,
+                               id=f"{case_id}: {message}")
     for kind, (_, row) in scenario.QUERIES.items():
         literal = QUERY_LITERALS[kind]
         held, where = holding("query", literal | {"bogus": 1})
-        yield pytest.param(held, f"{where}.bogus: {scenario.UNKNOWN_FIELD}",
+        yield pytest.param(held, f"{where}.bogus", scenario.UNKNOWN_FIELD, 1,
                            id=f"{kind}.bogus: {scenario.UNKNOWN_FIELD}")
         for field in row.fields:
-            at = f".{field.name}" if field.at_field else ""
-            for bad, message, below in field_refusals(field.type, literal.get(field.name)):
+            for bad, message, below, refused in field_refusals(field.type,
+                                                               literal.get(field.name)):
                 held, where = holding("query", literal | {field.name: bad})
-                yield pytest.param(held, f"{where}{at}{below}: {message}",
+                yield pytest.param(held, f"{where}.{field.name}{below}", message, refused,
                                    id=f"{kind}.{field.name}: {message}")
 
 
-@pytest.mark.parametrize("held, message", table_refusals())
-def test_every_refusal_of_the_table_is_located(held, message):
-    assert run_cli(["run", json.dumps(held)]) == (1, "", f"error: {message}\n")
+@pytest.mark.parametrize("held, location, message, refused", table_refusals())
+def test_every_refusal_of_the_table_is_located(held, location, message, refused):
+    # the location names the refused value in the document, or the object
+    # that lacks a field
+    assert resolve(held, location) == refused
+    assert run_cli(["run", json.dumps(held)]) == (1, "", f"error: {location}: {message}\n")
 
 
 def test_commands_read_their_query_rows():
@@ -1436,9 +1564,10 @@ def test_readme_query_table_lists_every_row():
         {"query": "maxideals", "bound": 3}, {"query": "check-plus", "r": 2, "a": 0}]))],
      "queries[1]: a must be nonzero"),
     # a value's own error is located once
-    (["ug-member", "-r", "Z", "--ultrafilter", '{"coordinate":0,"principal":2}',
-      "-g", '{"defaults":[-1]}', "-x", "[2]"],
-     "queries[0].g: must be a non-negative integer or INF, got -1"),
+    pytest.param(["ug-member", "-r", "Z", "--ultrafilter", '{"coordinate":0,"principal":2}',
+                  "-g", '{"defaults":[-1]}', "-x", "[2]"],
+                 "queries[0].g.defaults[0]: must be a non-negative integer or INF, got -1",
+                 id="argv6-queries[0].g: must be a non-negative integer or INF, got -1"),
     (["interpolate", "--sample", '{"g":["x"],"h":[5],"n":[1]}'],
      "queries[0].sample.g[0]: expected an integer or \"inf\", got 'x'"),
     (["interpolate", "--doubling", "0"], "queries[0].doubling: must be positive"),
@@ -1467,8 +1596,10 @@ def test_readme_query_table_lists_every_row():
         {"query": "interpolate", "branch": "V", "doubling": 4}]))],
      "queries[0].doubling: the doubling sample serves branch W only"),
     # a generator outside the prime set of Z_(S)
-    (["minimal-prime", "-r", "Z_(3)", "--ultrafilter", '{"coordinate":0,"principal":2}'],
-     "queries[0]: 2 is not in the prime set"),
+    pytest.param(["minimal-prime", "-r", "Z_(3)", "--ultrafilter",
+                  '{"coordinate":0,"principal":2}'],
+                 "queries[0].ultrafilter.principal: 2 is not in the prime set",
+                 id="argv20-queries[0]: 2 is not in the prime set"),
     # a residue ring anywhere in the shape, also off the ultrafilter's coordinate
     (["valuation-compare", "-r", "Z", "-r", "Z/6", "--ultrafilter",
       '{"coordinate":0,"principal":2}', "-a", "[2,1]", "-b", "[1,1]"],
